@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
-from .core import QuadraticGame, eval_cost, stacked_m1, stacked_m2
+from .core import QuadraticGame, _lu_rcond, eval_cost, stacked_m1, stacked_m2
 from .errors import DimensionMismatch, SingularNashSystem, SingularSocialSystem
 
 # Minimum-eigenvalue threshold for positive definiteness of the effective
 # Hessians (absolute; games are expected to be O(1)-scaled).
 SECOND_ORDER_EIG_MIN = 1e-10
+# Condition bound: 1/(1-norm rcond estimate) in nash, exact 2-norm in social_optimum.
 _COND_MAX = 1e14
 
 
@@ -49,8 +52,9 @@ def second_order_check(game: QuadraticGame, L1, L2) -> SecondOrderReport:
     S2 = effective_hessian(game, 2, L2)
     e1 = float(np.linalg.eigvalsh(S1).min())
     e2 = float(np.linalg.eigvalsh(S2).min())
-    m1_pd = bool(np.linalg.eigvalsh(0.5 * (stacked_m1(game) + stacked_m1(game).T)).min() > 0)
-    m2_pd = bool(np.linalg.eigvalsh(0.5 * (stacked_m2(game) + stacked_m2(game).T)).min() > 0)
+    m1, m2 = stacked_m1(game), stacked_m2(game)
+    m1_pd = bool(np.linalg.eigvalsh(0.5 * (m1 + m1.T)).min() > 0)
+    m2_pd = bool(np.linalg.eigvalsh(0.5 * (m2 + m2.T)).min() > 0)
     return SecondOrderReport(
         S1=S1, S2=S2, min_eig_1=e1, min_eig_2=e2,
         pass_=(e1 > SECOND_ORDER_EIG_MIN and e2 > SECOND_ORDER_EIG_MIN),
@@ -62,9 +66,10 @@ def nash(game: QuadraticGame):
     """Zero-conjecture stationary point: the Nash equilibrium actions."""
     d1, d2 = game.dims.d1, game.dims.d2
     K = np.block([[game.p1.A, game.p1.B.T], [game.p2.B.T, game.p2.A]])
-    if np.linalg.cond(K) > _COND_MAX:
+    lu, piv, rcond = _lu_rcond(K)
+    if rcond < 1.0 / _COND_MAX:
         raise SingularNashSystem("stacked Nash stationarity system is singular")
-    z = np.linalg.solve(K, -np.concatenate([game.p1.a, game.p2.a]))
+    z = lapack.dgetrs(lu, piv, -np.concatenate([game.p1.a, game.p2.a]))[0]
     return z[:d1], z[d1:]
 
 
@@ -80,15 +85,14 @@ def social_optimum(game: QuadraticGame):
     not positive definite (the stationary point is then not a certified
     minimum).
     """
-    import warnings
-
     M = stacked_m1(game) + stacked_m2(game)
     H = 0.5 * (M + M.T)
     g = np.concatenate([game.p1.a + game.p2.b, game.p1.b + game.p2.a])
-    if np.linalg.cond(H) > _COND_MAX:
+    eig = np.linalg.eigvalsh(H)
+    if np.abs(eig).max() >= _COND_MAX * np.abs(eig).min():
         raise SingularSocialSystem("sym(M1 + M2) is singular")
     z = np.linalg.solve(H, -g)
-    if np.linalg.eigvalsh(H).min() <= 0.0:
+    if eig[0] <= 0.0:
         warnings.warn(
             "NotCertifiedMin: sym(M1 + M2) is not positive definite; the "
             "social stationary point may not be a minimum",

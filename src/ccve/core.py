@@ -19,10 +19,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import ANotPositiveDefinite, DimensionMismatch, MSingular
 
-# Reciprocal-condition-number threshold below which M1/M2 count as singular.
+# M1/M2 count as singular below this 1-norm rcond estimate (LAPACK dgecon).
 RCOND_SINGULAR = 1e-12
 # Minimum eigenvalue threshold for A_i > 0.
 POSDEF_EIG_MIN = 1e-10
@@ -193,14 +194,25 @@ def stacked_m2(game: QuadraticGame) -> np.ndarray:
     return np.block([[p2.D, p2.B], [p2.B.T, p2.A]])
 
 
-def _rcond(m):
-    try:
-        s = np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError:
-        return 0.0
-    if s[0] == 0.0:
-        return 0.0
-    return s[-1] / s[0]
+def _lu_rcond(a):
+    """(lu, piv, rcond): LAPACK dgetrf of square ``a`` and dgecon's 1-norm rcond.
+
+    rcond is Higham's estimate, 0.0 when ``a`` is exactly singular; solve with dgetrs.
+    """
+    lu, piv, info = lapack.dgetrf(a)
+    rcond = lapack.dgecon(lu, lapack.dlange("1", a))[0] if info == 0 else 0.0
+    return lu, piv, rcond
+
+
+def _factor_m(game: QuadraticGame):
+    """(M, lu, piv) for M1 and M2; raises MSingular below RCOND_SINGULAR."""
+    factors = []
+    for i, m in ((1, stacked_m1(game)), (2, stacked_m2(game))):
+        lu, piv, rc = _lu_rcond(m)
+        if rc < RCOND_SINGULAR:
+            raise MSingular(i, rc)
+        factors.append((m, lu, piv))
+    return factors
 
 
 def validate_game(game: QuadraticGame) -> QuadraticGame:
@@ -210,10 +222,7 @@ def validate_game(game: QuadraticGame) -> QuadraticGame:
         min_eig = np.linalg.eigvalsh(p.A).min()
         if min_eig <= POSDEF_EIG_MIN:
             raise ANotPositiveDefinite(i, min_eig)
-    for i, m in ((1, stacked_m1(game)), (2, stacked_m2(game))):
-        rc = _rcond(m)
-        if rc < RCOND_SINGULAR:
-            raise MSingular(i, rc)
+    _factor_m(game)
     return game
 
 
@@ -231,13 +240,9 @@ def eval_cost(game: QuadraticGame, i: int, x1, x2) -> float:
 
 def assemble_blocks(game: QuadraticGame) -> CompositeBlocks:
     """Form M1, M2, boldM1 = M2^{-T} M1, boldM2 = M1^{-T} M2 and sub-blocks."""
-    m1 = stacked_m1(game)
-    m2 = stacked_m2(game)
-    for i, m in ((1, m1), (2, m2)):
-        if _rcond(m) < RCOND_SINGULAR:
-            raise MSingular(i, _rcond(m))
-    bold1 = np.linalg.solve(m2.T, m1)
-    bold2 = np.linalg.solve(m1.T, m2)
+    (m1, lu1, piv1), (m2, lu2, piv2) = _factor_m(game)
+    bold1 = lapack.dgetrs(lu2, piv2, m1, trans=1)[0]
+    bold2 = lapack.dgetrs(lu1, piv1, m2, trans=1)[0]
     d1 = game.dims.d1
     return CompositeBlocks(
         dims=game.dims,

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import analysis, lft, spectral, stability
 from .core import (
     CompositeBlocks,
     QuadraticGame,
+    _lu_rcond,
     assemble_blocks,
     riccati_residual_norms,
     validate_game,
@@ -34,8 +36,9 @@ from .errors import (
 )
 from .spectral import Indices, LargestMagnitude, Selection, SmallestMagnitude
 
-# Reciprocal condition number below which Y1 counts as singular.
+# Threshold on Y1's 1-norm rcond estimate below which Y1 counts as singular.
 Y1_RCOND_MIN = 1e-10
+# Bound on the inverse 1-norm rcond estimate of I - L2 L1.
 _COND_MAX = 1e14
 ENUMERATION_CAP = 5000
 
@@ -70,9 +73,10 @@ def solve_actions(L1, ell1, L2, ell2):
     ell1 = np.asarray(ell1, float).reshape(-1)
     ell2 = np.asarray(ell2, float).reshape(-1)
     K = np.eye(L2.shape[0]) - L2 @ L1
-    if np.linalg.cond(K) > _COND_MAX:
+    lu, piv, rcond = _lu_rcond(K)
+    if rcond < 1.0 / _COND_MAX:
         raise SingularActionSystem("I - L2 L1 is singular")
-    x1 = np.linalg.solve(K, L2 @ ell1 + ell2)
+    x1 = lapack.dgetrs(lu, piv, L2 @ ell1 + ell2)[0]
     x2 = L1 @ x1 + ell1
     return x1, x2
 
@@ -84,13 +88,13 @@ def _solution_from_subspace(
     selection_label: str,
 ) -> CcveSolution:
     Y1, X1 = sub.Y, sub.X
-    s = np.linalg.svd(Y1, compute_uv=False)
-    if s[0] == 0.0 or s[-1] / s[0] < Y1_RCOND_MIN:
+    lu, piv, rcond = _lu_rcond(Y1)
+    if rcond < Y1_RCOND_MIN:
         raise SubspaceNotGraph(
             "the selected invariant subspace is not the graph of a conjecture "
             "(Y1 numerically singular)"
         )
-    L1 = np.linalg.solve(Y1.T, X1.T).T
+    L1 = lapack.dgetrs(lu, piv, X1.T, trans=1)[0].T
     L2 = lft.lft_cross(game, 1, L1)
     ell2 = lft.offset_cross(game, 1, L1)
     ell1 = lft.offset_cross(game, 2, L2)

@@ -25,7 +25,7 @@ class MSingular(CcveError):
         self.rcond = rcond
         msg = f"MSingular({player}): M{player} fails the invertibility threshold"
         if rcond is not None:
-            msg += f" (rcond {rcond:.3e})"
+            msg += f" (1-norm rcond estimate {rcond:.3e})"
         super().__init__(msg)
 
 

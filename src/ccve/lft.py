@@ -12,12 +12,14 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import analysis
 from .core import (
     CompositeBlocks,
     Conjecture,
     QuadraticGame,
+    _lu_rcond,
     assemble_blocks,
     eval_cost,
     riccati_residual_norms,
@@ -27,14 +29,16 @@ from .errors import DimensionMismatch, SingularBestResponse, SingularComposite
 
 # Conjecture-norm threshold beyond which the iteration counts as diverged.
 DIVERGENCE_NORM = 1e12
-# Reciprocal-condition threshold for the inverses inside the maps.
+# The maps' inverses count as singular below this 1-norm rcond estimate
+# (best_response: below this exact 2-norm rcond of sym(S)).
 _RCOND_MIN = 1e-14
 
 
 def _solve_or_none(A, B):
-    if np.linalg.cond(A) > 1.0 / _RCOND_MIN:
+    lu, piv, rcond = _lu_rcond(A)
+    if rcond < _RCOND_MIN:
         return None
-    return np.linalg.solve(A, B)
+    return lapack.dgetrs(lu, piv, B)[0]
 
 
 def lft_cross(game: QuadraticGame, i: int, L_i):
@@ -65,12 +69,12 @@ def composite_step(blocks: CompositeBlocks, i: int, L_i):
     """One composite update L_i -> (C_i + D_i L_i)(A_i + B_i L_i)^{-1}."""
     bA, bB, bC, bD = blocks.bold_blocks(i)
     L_i = np.asarray(L_i, dtype=float)
-    lhs = bA + bB @ L_i
-    if np.linalg.cond(lhs) > 1.0 / _RCOND_MIN:
+    lu, piv, rcond = _lu_rcond(bA + bB @ L_i)
+    if rcond < _RCOND_MIN:
         raise SingularComposite(i)
     num = bC + bD @ L_i
     # Right division: solve X (A + B L) = (C + D L) via the transposed system.
-    return np.linalg.solve(lhs.T, num.T).T
+    return lapack.dgetrs(lu, piv, num.T, trans=1)[0].T
 
 
 def best_response(game: QuadraticGame, i: int, conj: Conjecture):
@@ -86,10 +90,11 @@ def best_response(game: QuadraticGame, i: int, conj: Conjecture):
     L, ell = conj.L, conj.ell
     S = p.A + L.T @ p.B + p.B.T @ L + L.T @ p.D @ L
     rhs = p.a + L.T @ p.b + p.B.T @ ell + L.T @ p.D.T @ ell
-    sol = _solve_or_none(S, rhs)
-    if sol is None:
+    eig = np.linalg.eigvalsh(0.5 * (S + S.T))
+    if np.abs(eig).min() <= _RCOND_MIN * np.abs(eig).max():
         raise SingularBestResponse(i)
-    if np.linalg.eigvalsh(0.5 * (S + S.T)).min() <= 0.0:
+    sol = np.linalg.solve(S, rhs)
+    if eig[0] <= 0.0:
         warnings.warn(
             f"NotCertifiedMin: player {i}'s effective Hessian is not positive "
             "definite; returned stationary point may not be a minimizer",

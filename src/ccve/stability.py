@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompositeBlocks, QuadraticGame, riccati_residual_norms
+from .core import CompositeBlocks, QuadraticGame, _lu_rcond, riccati_residual_norms
 from .errors import NotAFixedPoint, SingularComposite
 
 # Residual threshold for accepting (L1, L2) as a fixed pair.
 FIXED_POINT_TOL = 1e-6
 # Half-width of the marginal band around |xi| = 1.
 MARGINAL_BAND = 1e-9
+# Bound on the inverse 1-norm rcond estimate of bA_i + bB_i L_i.
 _COND_MAX = 1e14
 
 
@@ -72,7 +73,7 @@ def perturbation_spectrum(blocks: CompositeBlocks, i: int, L_i):
     bA, bB, _, bD = blocks.bold_blocks(i)
     L_i = np.asarray(L_i, dtype=float)
     contract = bA + bB @ L_i
-    if np.linalg.cond(contract) > _COND_MAX:
+    if _lu_rcond(contract)[2] < 1.0 / _COND_MAX:
         raise SingularComposite(i)
     lam = np.linalg.eigvals(bD - L_i @ bB)
     mu = np.linalg.eigvals(contract)

@@ -1,0 +1,214 @@
+"""Numerical guards: LU + 1-norm condition estimates at the guarded solves.
+
+Each guard factors its matrix once (LAPACK dgetrf), compares dgecon's 1-norm
+reciprocal-condition estimate with its threshold, and solves with the same
+LU; best_response and social_optimum read the exact 2-norm condition of
+their symmetric matrix from its eigenvalues.  Near-singular inputs must
+still raise the site's typed error, and well-conditioned inputs must give
+the same answers as ``np.linalg.solve``.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import lapack
+
+from ccve import analysis, equilibrium, spectral, stability
+from ccve.core import (
+    RCOND_SINGULAR,
+    Conjecture,
+    QuadraticGame,
+    assemble_blocks,
+    stacked_m1,
+    stacked_m2,
+    validate_game,
+)
+from ccve.errors import (
+    MSingular,
+    SingularActionSystem,
+    SingularBestResponse,
+    SingularComposite,
+    SingularNashSystem,
+    SingularSocialSystem,
+    SubspaceNotGraph,
+)
+from ccve.lft import best_response, composite_step, lft_cross, offset_cross
+
+from conftest import random_dense_game
+
+# Smallest singular value planted in the near-singular matrices, relative to
+# the largest: far below every threshold, yet not an exact zero, so dgetrf
+# succeeds and the guard decides on dgecon's estimate.
+PLANTED_SIGMA_MIN = 1e-17
+
+
+def lu_pivots_nonzero(m):
+    return lapack.dgetrf(m)[2] == 0
+
+
+def planted(rng, n, symmetric=False):
+    """n x n matrix with singular values 1 > ... >= 0.1 and one of 1e-17.
+
+    The symmetric version is exactly symmetric and positive semidefinite.
+    Draws are repeated until the LU of the rounded matrix has no zero pivot.
+    """
+    s = np.geomspace(1.0, 0.1, n)
+    s[-1] = PLANTED_SIGMA_MIN
+    while True:
+        u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        v = u if symmetric else np.linalg.qr(rng.standard_normal((n, n)))[0]
+        m = (u * s) @ v.T
+        if symmetric:
+            m = 0.5 * (m + m.T)
+        if lu_pivots_nonzero(m):
+            return m
+
+
+def blocks_of(p):
+    return (p.A, p.B, p.D, p.a, p.b)
+
+
+def with_player(game, i, A=None, B=None, D=None):
+    """Copy of ``game`` with some of player i's matrix blocks replaced."""
+    p = game.player(i)
+    new = (p.A if A is None else A, p.B if B is None else B,
+           p.D if D is None else D, p.a, p.b)
+    if i == 1:
+        return QuadraticGame.create(game.dims.d1, game.dims.d2, new, blocks_of(game.p2))
+    return QuadraticGame.create(game.dims.d1, game.dims.d2, blocks_of(game.p1), new)
+
+
+@pytest.fixture
+def rng():
+    return np.random.default_rng(20230519)
+
+
+class TestNearSingularRaises:
+    @pytest.mark.parametrize("player", [1, 2])
+    def test_m_singular(self, rng, player):
+        d1, d2 = 2, 3
+        g = random_dense_game(rng, d1, d2)
+        m = planted(rng, d1 + d2, symmetric=True)
+        if player == 1:  # M1 = [[A1, B1^T], [B1, D1]]
+            g = with_player(g, 1, A=m[:d1, :d1], B=m[d1:, :d1], D=m[d1:, d1:])
+        else:  # M2 = [[D2, B2], [B2^T, A2]]
+            g = with_player(g, 2, A=m[d1:, d1:], B=m[:d1, d1:], D=m[:d1, :d1])
+        for fn in (validate_game, assemble_blocks):
+            with pytest.raises(MSingular) as exc:
+                fn(g)
+            assert exc.value.player == player
+            assert exc.value.rcond < RCOND_SINGULAR
+            assert "1-norm rcond estimate" in str(exc.value)
+
+    @pytest.mark.parametrize("player", [1, 2])
+    def test_singular_best_response(self, rng, player):
+        g = random_dense_game(rng, 3, 3)
+        g = with_player(g, player, A=planted(rng, 3, symmetric=True))
+        zero = np.zeros((3, 3))
+        # At L = 0 every map inverts A_i (or its transpose).
+        with pytest.raises(SingularBestResponse):
+            lft_cross(g, player, zero)
+        with pytest.raises(SingularBestResponse):
+            offset_cross(g, player, zero)
+        with pytest.raises(SingularBestResponse):
+            best_response(g, player, Conjecture(player, zero, np.zeros(3)))
+
+    @pytest.mark.parametrize("player", [1, 2])
+    def test_singular_composite(self, rng, player):
+        blocks = assemble_blocks(random_dense_game(rng, 3, 3))
+        field = "A1" if player == 1 else "A2"
+        blocks = dataclasses.replace(blocks, **{field: planted(rng, 3)})
+        zero = np.zeros((3, 3))
+        # At L = 0 the composite denominator bA + bB L is bA itself.
+        with pytest.raises(SingularComposite):
+            composite_step(blocks, player, zero)
+        with pytest.raises(SingularComposite):
+            stability.perturbation_spectrum(blocks, player, zero)
+
+    def test_singular_nash_system(self, rng):
+        d1, d2 = 2, 3
+        g = random_dense_game(rng, d1, d2)
+        k = planted(rng, d1 + d2, symmetric=True)
+        # K = [[A1, B1^T], [B2^T, A2]]
+        g = with_player(g, 1, A=k[:d1, :d1], B=k[d1:, :d1])
+        g = with_player(g, 2, A=k[d1:, d1:], B=k[:d1, d1:])
+        with pytest.raises(SingularNashSystem):
+            analysis.nash(g)
+
+    def test_singular_social_system(self, rng):
+        d1, d2 = 2, 3
+        g = random_dense_game(rng, d1, d2)
+        # Choose M2 so that sym(M1 + M2) is the planted matrix; its scale of
+        # 10 keeps the rounding of the subtraction well below the planted gap.
+        t = 10.0 * planted(rng, d1 + d2, symmetric=True) - stacked_m1(g)
+        g = with_player(g, 2, A=t[d1:, d1:], B=t[:d1, d1:], D=t[:d1, :d1])
+        assert lu_pivots_nonzero(stacked_m1(g) + stacked_m2(g))
+        with pytest.raises(SingularSocialSystem):
+            analysis.social_optimum(g)
+
+    def test_singular_action_system(self, rng):
+        n = 3
+        # I - L2 L1 with L1 = I and L2 = I - N is N up to rounding.
+        L1 = np.eye(n)
+        L2 = np.eye(n) - planted(rng, n)
+        assert lu_pivots_nonzero(np.eye(n) - L2 @ L1)
+        with pytest.raises(SingularActionSystem):
+            equilibrium.solve_actions(L1, np.zeros(n), L2, np.zeros(n))
+
+    def test_subspace_not_graph(self, rng):
+        g = random_dense_game(rng, 3, 3)
+        blocks = assemble_blocks(g)
+        sub = spectral.invariant_subspace(blocks.boldM1, 3, spectral.LargestMagnitude)
+        sub = dataclasses.replace(sub, Y=planted(rng, 3))
+        with pytest.raises(SubspaceNotGraph):
+            equilibrium._solution_from_subspace(g, blocks, sub, "planted")
+
+
+def rel(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 6), st.integers(1, 7))
+@settings(max_examples=40, deadline=None)
+def test_lu_solves_match_numpy(seed, d1, d2):
+    """On well-conditioned games every LU-backed solve matches np.linalg.solve."""
+    rng = np.random.default_rng(seed)
+    g = random_dense_game(rng, d1, d2)
+    scale = 0.3 / np.sqrt(max(d1, d2))
+    L1 = scale * rng.standard_normal((d2, d1))
+    L2 = scale * rng.standard_normal((d1, d2))
+    ell1, ell2 = rng.standard_normal(d2), rng.standard_normal(d1)
+    p1, p2 = g.p1, g.p2
+    M1, M2 = stacked_m1(g), stacked_m2(g)
+    K_nash = np.block([[p1.A, p1.B.T], [p2.B.T, p2.A]])
+    K_act = np.eye(d1) - L2 @ L1
+    assume(max(np.linalg.cond(m) for m in (M1, M2, K_nash, K_act)) < 1e3)
+    blocks = assemble_blocks(g)
+
+    assert rel(blocks.boldM1, np.linalg.solve(M2.T, M1)) < 1e-12
+    assert rel(blocks.boldM2, np.linalg.solve(M1.T, M2)) < 1e-12
+
+    for i, L in ((1, L1), (2, L2)):
+        p = g.player(i)
+        lhs = (p.A + p.B.T @ L).T
+        bA, bB, bC, bD = blocks.bold_blocks(i)
+        den = bA + bB @ L
+        assume(max(np.linalg.cond(lhs), np.linalg.cond(den)) < 1e3)
+        ref = -np.linalg.solve(lhs, p.B.T + L.T @ p.D.T)
+        assert rel(lft_cross(g, i, L), ref) < 1e-12
+        ref = -np.linalg.solve(lhs, p.a + L.T @ p.b)
+        assert rel(offset_cross(g, i, L), ref) < 1e-12
+        ref = np.linalg.solve(den.T, (bC + bD @ L).T).T
+        assert rel(composite_step(blocks, i, L), ref) < 1e-12
+
+    z = np.linalg.solve(K_nash, -np.concatenate([p1.a, p2.a]))
+    x1, x2 = analysis.nash(g)
+    assert rel(np.concatenate([x1, x2]), z) < 1e-12
+
+    ref1 = np.linalg.solve(K_act, L2 @ ell1 + ell2)
+    x1, x2 = equilibrium.solve_actions(L1, ell1, L2, ell2)
+    assert rel(x1, ref1) < 1e-12
+    assert rel(x2, L1 @ ref1 + ell1) < 1e-12
