@@ -70,7 +70,10 @@ class NotAFixedPoint(CcveError):
 
 
 class NoStableSelection(CcveError):
-    """Neither or both of the largest/smallest-magnitude candidates certify stable."""
+    """The largest-magnitude candidate is rejected (the ``__cause__``) or unstable.
+
+    Auto mode tries only that selection: no other can certify stable.
+    """
 
 
 class EnumerationTooLarge(CcveError):

@@ -174,6 +174,12 @@ def _select_positions(values, block_id, k, selection: Selection):
     return chosen, values[chosen], tuple(warns)
 
 
+def _subspace(basis, selected, warns) -> InvariantSubspace:
+    k = basis.shape[1]
+    return InvariantSubspace(basis=basis, eigenvalues=selected[_sort_key(selected)],
+                             Y=basis[:k, :], X=basis[k:, :], warnings=warns)
+
+
 def invariant_subspace(M, k, selection: Selection) -> InvariantSubspace:
     """Real orthonormal basis for the M-invariant subspace of the selection."""
     M = np.asarray(M, dtype=float)
@@ -183,8 +189,7 @@ def invariant_subspace(M, k, selection: Selection) -> InvariantSubspace:
     positions, selected, warns = _select_positions(values, block_id, k, selection)
     select = np.zeros(n, dtype=np.int32)
     select[positions] = 1
-    trsen = lapack.dtrsen if T.dtype == np.float64 else lapack.strsen
-    ts, qs, wr, wi, m, s, sep, info = trsen(select, T, Z, job="N")
+    ts, qs, wr, wi, m, s, sep, info = lapack.dtrsen(select, T, Z, job="N")
     if info != 0:
         raise EigFailure(f"trsen failed with info={info}")
     if m != k:
@@ -198,51 +203,41 @@ def invariant_subspace(M, k, selection: Selection) -> InvariantSubspace:
     resid = np.linalg.norm(M @ basis - basis @ rep) / scale
     if resid > EIG_RESID_TOL:
         raise EigFailure(f"invariant-subspace residual {resid:.3e} above tolerance")
-    sel_sorted = selected[_sort_key(selected)]
-    return InvariantSubspace(
-        basis=basis,
-        eigenvalues=sel_sorted,
-        Y=basis[:k, :],
-        X=basis[k:, :],
-        warnings=warns,
-    )
+    return _subspace(basis, selected, warns)
 
 
 def generalized_pairs(M1, M2T, k, selection: Selection) -> InvariantSubspace:
     """Invariant subspace via the generalized problem M1 K = M2^T K Lambda.
 
-    Solved with the QZ decomposition of the pencil (M1, M2T); the leading k
-    columns of the right transform span the deflating subspace of the selected
-    generalized eigenvalues.
+    Solved with one ordered QZ decomposition of the pencil (M1, M2T): the
+    selection is resolved on the unordered generalized Schur form and passed
+    to LAPACK tgsen by position, so the leading k columns of the right
+    transform span the deflating subspace of the selected eigenvalues.
     """
     M1 = np.asarray(M1, dtype=float)
     M2T = np.asarray(M2T, dtype=float)
-    n = M1.shape[0]
-    AA, BB, alpha, beta, Q, Z = sla.ordqz(M1, M2T, sort=lambda a, b: b == b,
-                                          output="real")
-    if np.any(np.abs(beta) == 0.0):
-        raise EigFailure("infinite generalized eigenvalue: M2^T is singular")
-    values = alpha / beta
-    # Reuse the Schur selection logic on the generalized eigenvalues; pair
-    # structure is recovered from conjugation since ordqz gives no block map.
-    block_id = _pair_blocks(values)
-    positions, selected, warns = _select_positions(values, block_id, k, selection)
-    target = values[positions]
+    selected = warns = None
 
-    def want(a, b):
-        lam = a / b
-        out = np.zeros(len(lam), dtype=bool)
-        remaining = list(target)
-        scale = max(np.max(np.abs(values)), 1e-300)
-        for j, l in enumerate(lam):
-            for t in remaining:
-                if abs(l - t) <= 1e-6 * scale:
-                    out[j] = True
-                    remaining.remove(t)
-                    break
-        return out
+    def pick(alpha, beta):
+        # Called once by ordqz, in QZ diagonal order, before the tgsen reorder.
+        nonlocal selected, warns
+        if np.any(beta == 0.0):
+            raise EigFailure("infinite generalized eigenvalue: M2^T is singular")
+        values = alpha / beta
+        # A 2x2 block gives a conjugate pair, positive imaginary part first;
+        # its two betas differ in the last bits, so conjugate exactly.
+        pairs = np.nonzero(alpha.imag > 0)[0]
+        values[pairs + 1] = np.conj(values[pairs])
+        block_id = np.cumsum(alpha.imag >= 0) - 1
+        positions, selected, warns = _select_positions(values, block_id, k, selection)
+        mask = np.zeros(len(values), dtype=bool)
+        mask[positions] = True
+        return mask
 
-    AA, BB, alpha, beta, Q, Z = sla.ordqz(M1, M2T, sort=want, output="real")
+    try:
+        Z = sla.ordqz(M1, M2T, sort=pick, output="real")[5]
+    except ValueError as exc:  # e.g. tgsen refuses an ill-conditioned reorder
+        raise EigFailure(f"ordered QZ failed: {exc}") from exc
     basis = np.ascontiguousarray(Z[:, :k])
     rep = np.linalg.lstsq(M2T @ basis, M1 @ basis, rcond=None)[0]
     scale = max(np.linalg.norm(M1), 1e-300)
@@ -251,14 +246,7 @@ def generalized_pairs(M1, M2T, k, selection: Selection) -> InvariantSubspace:
         raise EigFailure(
             f"generalized deflating-subspace residual {resid:.3e} above tolerance"
         )
-    sel_sorted = selected[_sort_key(selected)]
-    return InvariantSubspace(
-        basis=basis,
-        eigenvalues=sel_sorted,
-        Y=basis[:k, :],
-        X=basis[k:, :],
-        warnings=warns,
-    )
+    return _subspace(basis, selected, warns)
 
 
 def _pair_blocks(values):
