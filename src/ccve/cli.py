@@ -23,7 +23,6 @@ from .core import (
     load_game,
     riccati_residual_norms,
     save_game,
-    validate_game,
 )
 from .errors import CcveError, NoStableSelection
 from .spectral import LargestMagnitude, SmallestMagnitude
@@ -71,7 +70,6 @@ def _selection(name):
 def cmd_solve(args, argv):
     t0 = time.monotonic()
     game = load_game(args.game)
-    validate_game(game)
     try:
         sol = equilibrium.solve_ccve(game, _selection(args.selection))
     except NoStableSelection as exc:
@@ -101,7 +99,6 @@ def _load_init(path, dims):
 def cmd_iterate(args, argv):
     t0 = time.monotonic()
     game = load_game(args.game)
-    validate_game(game)
     init = None
     if args.init != "nash":
         init = _load_init(args.init, game.dims)
@@ -137,7 +134,7 @@ def cmd_iterate(args, argv):
 
 def cmd_check(args, argv):
     game = load_game(args.game)
-    validate_game(game)
+    blocks = assemble_blocks(game)
     with open(args.solution) as fh:
         data = json.load(fh)
     L1 = np.asarray(data["L1"], float)
@@ -152,7 +149,6 @@ def cmd_check(args, argv):
     ok = r1 < 1e-6 and r2 < 1e-6
     stable = False
     if ok:
-        blocks = assemble_blocks(game)
         report = stability.certify(blocks, game, L1, L2)
         print(f"stability ratios xi_max: {report.xi_max_1:.6e} "
               f"{report.xi_max_2:.6e} stable={report.stable}")
@@ -198,7 +194,6 @@ def cmd_build(args, argv):
 def cmd_enumerate(args, argv):
     t0 = time.monotonic()
     game = load_game(args.game)
-    validate_game(game)
     result = equilibrium.enumerate_fixed_points(game, cap=args.cap)
     candidates = sorted(result.candidates, key=lambda c: c.xi_max_1)
     out = {

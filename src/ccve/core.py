@@ -205,7 +205,14 @@ def _lu_rcond(a):
 
 
 def _factor_m(game: QuadraticGame):
-    """(M, lu, piv) for M1 and M2; raises MSingular below RCOND_SINGULAR."""
+    """Check A_i > 0, then factor M1 and M2: (M, lu, piv) for each.
+
+    Raises ANotPositiveDefinite, then MSingular below RCOND_SINGULAR.
+    """
+    for i in (1, 2):
+        min_eig = np.linalg.eigvalsh(game.player(i).A).min()
+        if min_eig <= POSDEF_EIG_MIN:
+            raise ANotPositiveDefinite(i, min_eig)
     factors = []
     for i, m in ((1, stacked_m1(game)), (2, stacked_m2(game))):
         lu, piv, rc = _lu_rcond(m)
@@ -217,11 +224,6 @@ def _factor_m(game: QuadraticGame):
 
 def validate_game(game: QuadraticGame) -> QuadraticGame:
     """Check A_i > 0 and invertibility of M1, M2; return the game unchanged."""
-    for i in (1, 2):
-        p = game.player(i)
-        min_eig = np.linalg.eigvalsh(p.A).min()
-        if min_eig <= POSDEF_EIG_MIN:
-            raise ANotPositiveDefinite(i, min_eig)
     _factor_m(game)
     return game
 
@@ -239,7 +241,10 @@ def eval_cost(game: QuadraticGame, i: int, x1, x2) -> float:
 
 
 def assemble_blocks(game: QuadraticGame) -> CompositeBlocks:
-    """Form M1, M2, boldM1 = M2^{-T} M1, boldM2 = M1^{-T} M2 and sub-blocks."""
+    """Form M1, M2, boldM1 = M2^{-T} M1, boldM2 = M1^{-T} M2 and sub-blocks.
+
+    Validates the game as validate_game does, in the same pass.
+    """
     (m1, lu1, piv1), (m2, lu2, piv2) = _factor_m(game)
     bold1 = lapack.dgetrs(lu2, piv2, m1, trans=1)[0]
     bold2 = lapack.dgetrs(lu1, piv1, m2, trans=1)[0]

@@ -23,9 +23,9 @@ from .core import (
     _lu_rcond,
     assemble_blocks,
     riccati_residual_norms,
-    validate_game,
 )
 from .errors import (
+    CcveError,
     ConjugatePairSplit,
     EnumerationTooLarge,
     NoStableSelection,
@@ -122,7 +122,6 @@ def _solve_with(game, blocks, selection: Selection, route: str) -> CcveSolution:
 
 
 def _solve(game: QuadraticGame, selection, route: str) -> CcveSolution:
-    validate_game(game)
     blocks = assemble_blocks(game)
     if isinstance(selection, Selection):
         return _solve_with(game, blocks, selection, route)
@@ -177,50 +176,51 @@ class FixedPointCandidate:
 @dataclass(frozen=True)
 class EnumerationResult:
     candidates: tuple[FixedPointCandidate, ...]
-    # (indices, reason) for subsets that do not yield a conjecture.
+    # (indices, error class name) for subsets that do not yield a conjecture.
     skipped: tuple[tuple[tuple[int, ...], str], ...]
 
 
 def enumerate_fixed_points(game: QuadraticGame, cap=ENUMERATION_CAP) -> EnumerationResult:
-    """All conjugation-closed d1-subsets of spec(boldM1) with invertible Y1."""
-    validate_game(game)
+    """All conjugation-closed d1-subsets of spec(boldM1) with invertible Y1.
+
+    One real Schur form of boldM1 is computed and reordered for each subset
+    of its diagonal blocks, so conjugate pairs are never split.  Indices are
+    positions in the descending-magnitude order; a subset whose solve raises
+    is skipped with the name of its error class.
+    """
     blocks = assemble_blocks(game)
     d, d1 = game.dims.d, game.dims.d1
     if math.comb(d, d1) > cap:
         raise EnumerationTooLarge(
             f"binomial({d}, {d1}) = {math.comb(d, d1)} exceeds cap {cap}"
         )
-    spec = spectral.eig(blocks.boldM1)
-    values = spec.values  # descending magnitude order
-    block_id = spectral._pair_blocks(values)
-    # Enumerate whole conjugate blocks so pairs are never split.
-    blocks_list = []
-    for bid in sorted(set(block_id.tolist())):
-        members = tuple(int(i) for i in np.nonzero(block_id == bid)[0])
-        blocks_list.append(members)
+    T, Z, values = spectral._schur(blocks.boldM1)
+    order = spectral._sort_key(values)
+    rank = np.argsort(order)
+    # A diagonal block of T starts at a real value or at the first member of
+    # a conjugate pair; list each block by its ranks in magnitude order.
+    starts = np.nonzero(values.imag >= 0)[0]
+    blocks_list = sorted(
+        tuple(sorted(rank[a:b].tolist()))
+        for a, b in zip(starts, np.append(starts[1:], d))
+    )
     candidates = []
     skipped = []
-    n_blocks = len(blocks_list)
-    for r in range(1, n_blocks + 1):
-        for combo in combinations(range(n_blocks), r):
-            idx = tuple(sorted(i for b in combo for i in blocks_list[b]))
+    # r whole blocks hold at least r eigenvalues, so r <= d1.
+    for r in range(1, d1 + 1):
+        for combo in combinations(blocks_list, r):
+            idx = tuple(sorted(i for b in combo for i in b))
             if len(idx) != d1:
                 continue
             try:
-                sub = spectral.invariant_subspace(blocks.boldM1, d1, Indices(idx))
+                sub = spectral._reorder(blocks.boldM1, T, Z, values, d1, Indices(idx))
                 sol = _solution_from_subspace(game, blocks, sub, f"indices{list(idx)}")
-            except SubspaceNotGraph:
-                skipped.append((idx, "SubspaceNotGraph"))
-                continue
-            except NotAFixedPoint:
-                skipped.append((idx, "NotAFixedPoint"))
-                continue
-            except ConjugatePairSplit:  # defensive: blocks are kept whole
-                skipped.append((idx, "ConjugatePairSplit"))
+            except CcveError as exc:
+                skipped.append((idx, type(exc).__name__))
                 continue
             candidates.append(FixedPointCandidate(
                 indices=idx,
-                eigenvalues=values[list(idx)],
+                eigenvalues=values[order[list(idx)]],
                 L1=sol.L1,
                 L2=sol.L2,
                 residuals=riccati_residual_norms(game, sol.L1, sol.L2),

@@ -196,7 +196,12 @@ def iterate(game: QuadraticGame, cfg: IterationConfig) -> IterationTrace:
     composite update to each player independently. Offsets are refreshed from
     the current slopes at every step.
     """
-    validate_game(game)
+    # assemble_blocks validates the game as it factors M1 and M2.
+    blocks = None
+    if cfg.mode == "composite":
+        blocks = assemble_blocks(game)
+    else:
+        validate_game(game)
     dims = game.dims
     if cfg.init is None:
         x1ne, x2ne = analysis.nash(game)
@@ -211,7 +216,6 @@ def iterate(game: QuadraticGame, cfg: IterationConfig) -> IterationTrace:
         L1, ell1 = conj1.L.copy(), conj1.ell.copy()
         L2, ell2 = conj2.L.copy(), conj2.ell.copy()
 
-    blocks = assemble_blocks(game) if cfg.mode == "composite" else None
     steps = [_record(game, 0, L1, ell1, L2, ell2)]
     change = np.nan
     for k in range(1, cfg.max_iters + 1):

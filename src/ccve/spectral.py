@@ -94,44 +94,26 @@ def eig(M) -> Spectrum:
     return Spectrum(values=values, magnitudes=np.abs(values), vectors=vectors)
 
 
-def _schur_blocks(T):
-    """Diagonal eigenvalues of a real quasi-triangular matrix, with block ids.
+def _schur_values(T):
+    """Eigenvalues on the diagonal of a standardized real Schur form T.
 
-    Returns (values, block_id) arrays of length n; a 2x2 block contributes a
-    conjugate pair sharing one block id.
+    LAPACK stores each conjugate pair as a 2x2 block [[a, b], [c, a]] with
+    bc < 0, whose eigenvalues are a +/- i sqrt(-bc), positive imaginary part
+    first; every other diagonal entry is a real eigenvalue.
     """
-    n = T.shape[0]
-    values = np.empty(n, dtype=complex)
-    block_id = np.empty(n, dtype=int)
-    i = 0
-    bid = 0
-    while i < n:
-        if i + 1 < n and T[i + 1, i] != 0.0:
-            a, b = T[i, i], T[i, i + 1]
-            c, d = T[i + 1, i], T[i + 1, i + 1]
-            mean = 0.5 * (a + d)
-            disc = 0.25 * (a - d) ** 2 + b * c
-            if disc < 0:
-                root = np.sqrt(-disc)
-                values[i] = mean + 1j * root
-                values[i + 1] = mean - 1j * root
-            else:  # defensive: gees normally leaves real pairs as 1x1 blocks
-                root = np.sqrt(disc)
-                values[i] = mean + root
-                values[i + 1] = mean - root
-            block_id[i] = block_id[i + 1] = bid
-            i += 2
-        else:
-            values[i] = T[i, i]
-            block_id[i] = bid
-            i += 1
-        bid += 1
-    return values, block_id
+    values = np.diag(T).astype(complex)
+    first = np.nonzero(np.diag(T, -1))[0]
+    imag = np.sqrt(-(T[first, first + 1] * T[first + 1, first]))
+    values[first] += 1j * imag
+    values[first + 1] -= 1j * imag
+    return values
 
 
-def _select_positions(values, block_id, k, selection: Selection):
+def _select_positions(values, k, selection: Selection):
     """Resolve a Selection to Schur positions; enforce conjugate-pair unity.
 
+    ``values`` are in (generalized) Schur diagonal order, where each conjugate
+    pair sits at adjacent positions with its positive imaginary part first.
     Returns (positions, selected_values, warnings).
     """
     n = len(values)
@@ -153,17 +135,14 @@ def _select_positions(values, block_id, k, selection: Selection):
     else:  # pragma: no cover
         raise EigFailure(f"unknown selection kind {selection.kind!r}")
 
-    chosen_set = set(chosen.tolist())
+    inside = np.zeros(n, dtype=bool)
+    inside[chosen] = True
+    first = np.nonzero(values.imag > 0)[0]
+    if np.any(inside[first] != inside[first + 1]):
+        raise ConjugatePairSplit(
+            "selection boundary falls inside a complex conjugate pair"
+        )
     warns = []
-    # Conjugate pairs must be both in or both out.
-    for bid in np.unique(block_id):
-        members = np.nonzero(block_id == bid)[0]
-        if len(members) == 2:
-            inside = sum(1 for m in members if m in chosen_set)
-            if inside == 1:
-                raise ConjugatePairSplit(
-                    "selection boundary falls inside a complex conjugate pair"
-                )
     # Magnitude gap at the selection boundary (contiguous selections only).
     if selection.kind in ("largest", "smallest") and k < n:
         mags = np.abs(values[order])
@@ -180,14 +159,16 @@ def _subspace(basis, selected, warns) -> InvariantSubspace:
                              Y=basis[:k, :], X=basis[k:, :], warnings=warns)
 
 
-def invariant_subspace(M, k, selection: Selection) -> InvariantSubspace:
-    """Real orthonormal basis for the M-invariant subspace of the selection."""
-    M = np.asarray(M, dtype=float)
-    n = M.shape[0]
+def _schur(M):
+    """(T, Z, values): real Schur form M = Z T Z^T and T's diagonal eigenvalues."""
     T, Z = sla.schur(M, output="real")
-    values, block_id = _schur_blocks(T)
-    positions, selected, warns = _select_positions(values, block_id, k, selection)
-    select = np.zeros(n, dtype=np.int32)
+    return T, Z, _schur_values(T)
+
+
+def _reorder(M, T, Z, values, k, selection: Selection) -> InvariantSubspace:
+    """Reorder the Schur form (T, Z) of M so its leading k columns span the selection."""
+    positions, selected, warns = _select_positions(values, k, selection)
+    select = np.zeros(len(values), dtype=np.int32)
     select[positions] = 1
     ts, qs, wr, wi, m, s, sep, info = lapack.dtrsen(select, T, Z, job="N")
     if info != 0:
@@ -204,6 +185,12 @@ def invariant_subspace(M, k, selection: Selection) -> InvariantSubspace:
     if resid > EIG_RESID_TOL:
         raise EigFailure(f"invariant-subspace residual {resid:.3e} above tolerance")
     return _subspace(basis, selected, warns)
+
+
+def invariant_subspace(M, k, selection: Selection) -> InvariantSubspace:
+    """Real orthonormal basis for the M-invariant subspace of the selection."""
+    M = np.asarray(M, dtype=float)
+    return _reorder(M, *_schur(M), k, selection)
 
 
 def generalized_pairs(M1, M2T, k, selection: Selection) -> InvariantSubspace:
@@ -228,8 +215,7 @@ def generalized_pairs(M1, M2T, k, selection: Selection) -> InvariantSubspace:
         # its two betas differ in the last bits, so conjugate exactly.
         pairs = np.nonzero(alpha.imag > 0)[0]
         values[pairs + 1] = np.conj(values[pairs])
-        block_id = np.cumsum(alpha.imag >= 0) - 1
-        positions, selected, warns = _select_positions(values, block_id, k, selection)
+        positions, selected, warns = _select_positions(values, k, selection)
         mask = np.zeros(len(values), dtype=bool)
         mask[positions] = True
         return mask
@@ -247,27 +233,3 @@ def generalized_pairs(M1, M2T, k, selection: Selection) -> InvariantSubspace:
             f"generalized deflating-subspace residual {resid:.3e} above tolerance"
         )
     return _subspace(basis, selected, warns)
-
-
-def _pair_blocks(values):
-    """Group conjugate pairs among eigenvalues by value matching."""
-    n = len(values)
-    block_id = -np.ones(n, dtype=int)
-    scale = max(np.max(np.abs(values)), 1e-300)
-    bid = 0
-    for i in range(n):
-        if block_id[i] >= 0:
-            continue
-        block_id[i] = bid
-        if abs(values[i].imag) > 1e-12 * scale:
-            for j in range(i + 1, n):
-                if block_id[j] < 0 and abs(values[j] - np.conj(values[i])) <= 1e-8 * scale:
-                    block_id[j] = bid
-                    break
-        bid += 1
-    return block_id
-
-
-def principal_angles(U, V):
-    """Principal angles between the column spans of U and V."""
-    return sla.subspace_angles(np.asarray(U, float), np.asarray(V, float))

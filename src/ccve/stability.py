@@ -80,19 +80,6 @@ def perturbation_spectrum(blocks: CompositeBlocks, i: int, L_i):
     return (lam[:, None] / mu[None, :]).reshape(-1)
 
 
-def perturbation_operator(blocks: CompositeBlocks, i: int, L_i):
-    """Dense matrix of dL -> (bD_i - L_i bB_i) dL (bA_i + bB_i L_i)^{-1}.
-
-    The operator acts on vec(dL) with column-major stacking; its eigenvalues
-    must match perturbation_spectrum as a multiset.
-    """
-    bA, bB, _, bD = blocks.bold_blocks(i)
-    L_i = np.asarray(L_i, dtype=float)
-    left = bD - L_i @ bB
-    right_inv = np.linalg.inv(bA + bB @ L_i)
-    return np.kron(right_inv.T, left)
-
-
 def certify(blocks: CompositeBlocks, game: QuadraticGame, L1, L2) -> StabilityReport:
     """Stability certificate for a fixed conjecture pair."""
     H1, H1p, H2, H2p = h_matrices(blocks, game, L1, L2)

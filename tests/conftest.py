@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from ccve import builders
 from ccve.core import QuadraticGame
@@ -79,6 +80,24 @@ def random_lq_spec(rng, n_max=3, t_max=4):
         z0=rng.standard_normal(n),
         T=T,
     )
+
+
+def perturbation_operator(blocks, i, L_i):
+    """Dense matrix of dL -> (bD_i - L_i bB_i) dL (bA_i + bB_i L_i)^{-1}.
+
+    The operator acts on vec(dL) with column-major stacking; its eigenvalues
+    must match stability.perturbation_spectrum as a multiset.
+    """
+    bA, bB, _, bD = blocks.bold_blocks(i)
+    L_i = np.asarray(L_i, dtype=float)
+    left = bD - L_i @ bB
+    right_inv = np.linalg.inv(bA + bB @ L_i)
+    return np.kron(right_inv.T, left)
+
+
+def principal_angles(U, V):
+    """Principal angles between the column spans of U and V."""
+    return sla.subspace_angles(np.asarray(U, float), np.asarray(V, float))
 
 
 def match_multisets(a, b, tol):

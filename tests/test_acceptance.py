@@ -19,9 +19,15 @@ from ccve.errors import (
     DegenerateScalar,
     NoStableSelection,
 )
-from ccve.spectral import LargestMagnitude, SmallestMagnitude, principal_angles
+from ccve.spectral import LargestMagnitude, SmallestMagnitude
 
-from conftest import match_multisets, random_lq_spec, uniform_pool
+from conftest import (
+    match_multisets,
+    perturbation_operator,
+    principal_angles,
+    random_lq_spec,
+    uniform_pool,
+)
 
 
 def report(num, label, ok):
@@ -140,7 +146,7 @@ class TestAcceptance:
             for i, L in ((1, sol.L1), (2, sol.L2)):
                 ratios = stability.perturbation_spectrum(blocks, i, L)
                 op_eigs = np.linalg.eigvals(
-                    stability.perturbation_operator(blocks, i, L)
+                    perturbation_operator(blocks, i, L)
                 )
                 ok &= match_multisets(ratios, op_eigs,
                                       1e-6 * max(1.0, np.abs(ratios).max()))

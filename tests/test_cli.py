@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from ccve import cli
+from ccve import builders, cli
 from ccve.core import load_game, save_game
+from ccve.equilibrium import solve_ccve
 
 
 def run(argv):
@@ -196,6 +197,22 @@ class TestEnumerate:
         assert xi == sorted(xi)
         assert sum(c["stable"] for c in data["candidates"]) == 1
         assert all(s["reason"] for s in data["skipped"])
+
+    def test_failing_subset_is_skipped_by_error_class(self, tmp_path):
+        # Subset (2,) of this game has a singular best response; the other
+        # two subsets give the stable direct solution and an unstable one.
+        game = builders.random_game(1, 2, recipe="uniform", seed=0)
+        path = tmp_path / "uniform.json"
+        out = tmp_path / "enum.json"
+        save_game(game, path)
+        assert run(["enumerate", "--game", str(path),
+                    "--out", str(out)]) == cli.EXIT_OK
+        data = json.loads(out.read_text())
+        assert len(data["candidates"]) == 2
+        stable = [c for c in data["candidates"] if c["stable"]]
+        assert len(stable) == 1
+        assert np.array_equal(stable[0]["L1"], solve_ccve(game).L1)
+        assert data["skipped"] == [{"indices": [2], "reason": "SingularBestResponse"}]
 
     def test_cap_exceeded_is_error(self, tmp_path, bench_path):
         out = tmp_path / "enum.json"

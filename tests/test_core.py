@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ccve import builders
+from ccve import builders, core, equilibrium, lft
 from ccve.core import (
     Conjecture,
     QuadraticGame,
@@ -59,6 +59,33 @@ class TestValidation:
         )
         with pytest.raises(MSingular):
             validate_game(g)
+
+    def test_assemble_blocks_checks_a_before_m(self):
+        # A1 = -1 and M1 = [[-1, 1], [1, -1]] singular: A_i > 0 is checked first.
+        g = QuadraticGame.create(
+            1, 1, ([[-1.0]], [[1.0]], [[-1.0]], [0.0], [0.0]),
+            ([[1.0]], [[0.2]], [[1.0]], [0.0], [0.0]),
+        )
+        with pytest.raises(ANotPositiveDefinite):
+            assemble_blocks(g)
+
+    @pytest.mark.parametrize("call", [
+        equilibrium.solve_ccve,
+        equilibrium.solve_via_generalized,
+        equilibrium.enumerate_fixed_points,
+        lambda g: lft.iterate(g, lft.IterationConfig(mode="composite", max_iters=2)),
+    ], ids=["solve", "qz", "enumerate", "iterate-composite"])
+    def test_each_call_factors_m_once(self, monkeypatch, bench_game, call):
+        calls = []
+        factor_m = core._factor_m
+
+        def spy(game):
+            calls.append(game)
+            return factor_m(game)
+
+        monkeypatch.setattr(core, "_factor_m", spy)
+        call(bench_game)
+        assert len(calls) == 1
 
     def test_symmetrization_warns_on_asymmetric_d(self):
         D1 = [[0.1, 0.3], [0.0, 0.2]]

@@ -21,9 +21,9 @@ from ccve.errors import (
     SingularActionSystem,
     SubspaceNotGraph,
 )
-from ccve.spectral import Indices, LargestMagnitude, SmallestMagnitude, principal_angles
+from ccve.spectral import Indices, LargestMagnitude, SmallestMagnitude
 
-from conftest import match_multisets, uniform_pool
+from conftest import match_multisets, principal_angles, uniform_pool
 
 SQ3 = np.sqrt(3.0)
 WARM_L_STABLE = -2.0 + SQ3
@@ -194,6 +194,22 @@ class TestEnumerate:
         assert sorted(reason for _, reason in res.skipped) == [
             "SubspaceNotGraph", "SubspaceNotGraph",
         ]
+
+    def test_pool_never_raises_or_splits_pairs(self):
+        # Every subset is solved on one Schur form of boldM1, so a failing
+        # subset is skipped and the Schur blocks keep each pair whole; the
+        # only stable candidate is auto's solution.
+        for g in uniform_pool(400, dmax=3):
+            res = enumerate_fixed_points(g)
+            assert "ConjugatePairSplit" not in [reason for _, reason in res.skipped]
+            stable = [c for c in res.candidates if c.stable]
+            try:
+                L1 = solve_ccve(g).L1
+            except NoStableSelection:
+                assert stable == []
+                continue
+            assert len(stable) == 1
+            assert np.array_equal(stable[0].L1, L1)
 
     def test_cap_enforced(self, bench_game):
         with pytest.raises(EnumerationTooLarge):

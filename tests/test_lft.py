@@ -21,9 +21,9 @@ from ccve.lft import (
     trace_header,
     write_trace_csv,
 )
-from ccve.spectral import LargestMagnitude, invariant_subspace, principal_angles
+from ccve.spectral import LargestMagnitude, invariant_subspace
 
-from conftest import random_dense_game, uniform_pool
+from conftest import principal_angles, random_dense_game, uniform_pool
 
 SQ3 = np.sqrt(3.0)
 WARM_L = -2.0 + SQ3

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -14,8 +15,9 @@ from ccve.spectral import (
     eig,
     generalized_pairs,
     invariant_subspace,
-    principal_angles,
 )
+
+from conftest import principal_angles
 
 SQ3 = np.sqrt(3.0)
 WARM_BOLD = np.array([[-15.0, -4.0], [4.0, 1.0]])
@@ -55,6 +57,37 @@ class TestEig:
     def test_rejects_nonfinite(self):
         with pytest.raises(EigFailure):
             eig(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def schur_values_by_block(T):
+    """Reference: each diagonal block's eigenvalues from the general 2x2 formula."""
+    values = []
+    i = 0
+    while i < len(T):
+        if i + 1 < len(T) and T[i + 1, i] != 0.0:
+            a, b, c, d = T[i, i], T[i, i + 1], T[i + 1, i], T[i + 1, i + 1]
+            mean = 0.5 * (a + d)
+            root = np.sqrt(-(0.25 * (a - d) ** 2 + b * c))
+            values += [mean + 1j * root, mean - 1j * root]
+            i += 2
+        else:
+            values.append(complex(T[i, i]))
+            i += 1
+    return np.array(values)
+
+
+class TestSchurValues:
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_block_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        T = sla.schur(rng.standard_normal((n, n)), output="real")[0]
+        values = spectral._schur_values(T)
+        assert np.array_equal(values, schur_values_by_block(T))
+        # The pair rule: positive imaginary part first, exact conjugate next.
+        first = np.nonzero(values.imag > 0)[0]
+        assert np.array_equal(values[first + 1], np.conj(values[first]))
 
 
 class TestInvariantSubspace:

@@ -10,11 +10,10 @@ from ccve.errors import NotAFixedPoint
 from ccve.stability import (
     certify,
     h_matrices,
-    perturbation_operator,
     perturbation_spectrum,
 )
 
-from conftest import match_multisets, uniform_pool
+from conftest import match_multisets, perturbation_operator, uniform_pool
 
 SQ3 = np.sqrt(3.0)
 WARM_L = -2.0 + SQ3
