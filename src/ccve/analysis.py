@@ -6,16 +6,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
-from .core import QuadraticGame, _lu_rcond, eval_cost, stacked_m1, stacked_m2
+from .core import (RCOND_MIN, QuadraticGame, _solve_checked, eval_cost,
+                   stacked_m1, stacked_m2)
 from .errors import DimensionMismatch, SingularNashSystem, SingularSocialSystem
 
 # Minimum-eigenvalue threshold for positive definiteness of the effective
 # Hessians (absolute; games are expected to be O(1)-scaled).
 SECOND_ORDER_EIG_MIN = 1e-10
-# Condition bound: 1/(1-norm rcond estimate) in nash, exact 2-norm in social_optimum.
-_COND_MAX = 1e14
 
 
 @dataclass(frozen=True)
@@ -66,10 +64,9 @@ def nash(game: QuadraticGame):
     """Zero-conjecture stationary point: the Nash equilibrium actions."""
     d1, d2 = game.dims.d1, game.dims.d2
     K = np.block([[game.p1.A, game.p1.B.T], [game.p2.B.T, game.p2.A]])
-    lu, piv, rcond = _lu_rcond(K)
-    if rcond < 1.0 / _COND_MAX:
-        raise SingularNashSystem("stacked Nash stationarity system is singular")
-    z = lapack.dgetrs(lu, piv, -np.concatenate([game.p1.a, game.p2.a]))[0]
+    z = _solve_checked(K, -np.concatenate([game.p1.a, game.p2.a]),
+                       SingularNashSystem,
+                       "stacked Nash stationarity system is singular")
     return z[:d1], z[d1:]
 
 
@@ -89,7 +86,8 @@ def social_optimum(game: QuadraticGame):
     H = 0.5 * (M + M.T)
     g = np.concatenate([game.p1.a + game.p2.b, game.p1.b + game.p2.a])
     eig = np.linalg.eigvalsh(H)
-    if np.abs(eig).max() >= _COND_MAX * np.abs(eig).min():
+    # Exact 2-norm rcond of H from its eigenvalues.
+    if np.abs(eig).min() <= RCOND_MIN * np.abs(eig).max():
         raise SingularSocialSystem("sym(M1 + M2) is singular")
     z = np.linalg.solve(H, -g)
     if eig[0] <= 0.0:

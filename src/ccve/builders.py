@@ -9,6 +9,7 @@ import numpy as np
 
 from .core import QuadraticGame, assemble_blocks
 from .errors import ComplexFixedPoints, DegenerateScalar, DimensionMismatch
+from .stability import MARGINAL_BAND
 
 _PSD_TOL = 1e-10
 
@@ -274,13 +275,10 @@ class MobiusResult:
     infinite_root: bool = False
 
 
-_MARGINAL_BAND = 1e-9
-
-
 def _classify(xi_mag):
-    if xi_mag < 1.0 - _MARGINAL_BAND:
+    if xi_mag < 1.0 - MARGINAL_BAND:
         return "stable"
-    if xi_mag > 1.0 + _MARGINAL_BAND:
+    if xi_mag > 1.0 + MARGINAL_BAND:
         return "unstable"
     return "marginal"
 

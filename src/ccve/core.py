@@ -25,6 +25,10 @@ from .errors import ANotPositiveDefinite, DimensionMismatch, MSingular
 
 # M1/M2 count as singular below this 1-norm rcond estimate (LAPACK dgecon).
 RCOND_SINGULAR = 1e-12
+# Every other guard but Y1's (equilibrium.Y1_RCOND_MIN) counts its matrix as
+# singular below this rcond: the dgecon estimate, or the exact 2-norm rcond
+# where a symmetric matrix's eigenvalues are at hand.
+RCOND_MIN = 1e-14
 # Minimum eigenvalue threshold for A_i > 0.
 POSDEF_EIG_MIN = 1e-10
 # Relative asymmetry above which symmetrization of A/D emits a warning.
@@ -202,6 +206,17 @@ def _lu_rcond(a):
     lu, piv, info = lapack.dgetrf(a)
     rcond = lapack.dgecon(lu, lapack.dlange("1", a))[0] if info == 0 else 0.0
     return lu, piv, rcond
+
+
+def _solve_checked(a, b, error, *args, rcond_min=RCOND_MIN, trans=0):
+    """Solve ``a x = b`` (``a^T x = b`` if ``trans=1``) with one LU of ``a``.
+
+    Raises ``error(*args)`` when the 1-norm rcond estimate is below rcond_min.
+    """
+    lu, piv, rcond = _lu_rcond(a)
+    if rcond < rcond_min:
+        raise error(*args)
+    return lapack.dgetrs(lu, piv, b, trans=trans)[0]
 
 
 def _factor_m(game: QuadraticGame):

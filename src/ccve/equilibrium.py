@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import analysis, lft, spectral, stability
 from .core import (
     CompositeBlocks,
     QuadraticGame,
-    _lu_rcond,
+    _solve_checked,
     assemble_blocks,
     riccati_residual_norms,
 )
@@ -32,14 +31,13 @@ from .errors import (
     NotAFixedPoint,
     SingularActionSystem,
     SingularBestResponse,
+    SingularComposite,
     SubspaceNotGraph,
 )
 from .spectral import Indices, LargestMagnitude, Selection
 
 # Threshold on Y1's 1-norm rcond estimate below which Y1 counts as singular.
 Y1_RCOND_MIN = 1e-10
-# Bound on the inverse 1-norm rcond estimate of I - L2 L1.
-_COND_MAX = 1e14
 ENUMERATION_CAP = 5000
 
 
@@ -73,10 +71,8 @@ def solve_actions(L1, ell1, L2, ell2):
     ell1 = np.asarray(ell1, float).reshape(-1)
     ell2 = np.asarray(ell2, float).reshape(-1)
     K = np.eye(L2.shape[0]) - L2 @ L1
-    lu, piv, rcond = _lu_rcond(K)
-    if rcond < 1.0 / _COND_MAX:
-        raise SingularActionSystem("I - L2 L1 is singular")
-    x1 = lapack.dgetrs(lu, piv, L2 @ ell1 + ell2)[0]
+    x1 = _solve_checked(K, L2 @ ell1 + ell2, SingularActionSystem,
+                        "I - L2 L1 is singular")
     x2 = L1 @ x1 + ell1
     return x1, x2
 
@@ -87,14 +83,13 @@ def _solution_from_subspace(
     sub: spectral.InvariantSubspace,
     selection_label: str,
 ) -> CcveSolution:
-    Y1, X1 = sub.Y, sub.X
-    lu, piv, rcond = _lu_rcond(Y1)
-    if rcond < Y1_RCOND_MIN:
-        raise SubspaceNotGraph(
-            "the selected invariant subspace is not the graph of a conjecture "
-            "(Y1 numerically singular)"
-        )
-    L1 = lapack.dgetrs(lu, piv, X1.T, trans=1)[0].T
+    # L1 = X1 Y1^{-1}, solved as Y1^T L1^T = X1^T.
+    L1 = _solve_checked(
+        sub.Y, sub.X.T, SubspaceNotGraph,
+        "the selected invariant subspace is not the graph of a conjecture "
+        "(Y1 numerically singular)",
+        rcond_min=Y1_RCOND_MIN, trans=1,
+    ).T
     L2 = lft.lft_cross(game, 1, L1)
     ell2 = lft.offset_cross(game, 1, L1)
     ell1 = lft.offset_cross(game, 2, L2)
@@ -133,7 +128,7 @@ def _solve(game: QuadraticGame, selection, route: str) -> CcveSolution:
     try:
         sol = _solve_with(game, blocks, LargestMagnitude, route)
     except (SubspaceNotGraph, ConjugatePairSplit, SingularBestResponse,
-            SingularActionSystem, NotAFixedPoint) as exc:
+            SingularComposite, SingularActionSystem, NotAFixedPoint) as exc:
         raise NoStableSelection(
             f"largest-magnitude selection rejected: {type(exc).__name__}: {exc}"
         ) from exc

@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import analysis
 from .core import (
+    RCOND_MIN,
     CompositeBlocks,
     Conjecture,
     QuadraticGame,
-    _lu_rcond,
+    _solve_checked,
     assemble_blocks,
     eval_cost,
     riccati_residual_norms,
@@ -29,16 +29,6 @@ from .errors import DimensionMismatch, SingularBestResponse, SingularComposite
 
 # Conjecture-norm threshold beyond which the iteration counts as diverged.
 DIVERGENCE_NORM = 1e12
-# The maps' inverses count as singular below this 1-norm rcond estimate
-# (best_response: below this exact 2-norm rcond of sym(S)).
-_RCOND_MIN = 1e-14
-
-
-def _solve_or_none(A, B):
-    lu, piv, rcond = _lu_rcond(A)
-    if rcond < _RCOND_MIN:
-        return None
-    return lapack.dgetrs(lu, piv, B)[0]
 
 
 def lft_cross(game: QuadraticGame, i: int, L_i):
@@ -47,10 +37,7 @@ def lft_cross(game: QuadraticGame, i: int, L_i):
     L_i = np.asarray(L_i, dtype=float)
     lhs = p.A.T + L_i.T @ p.B
     rhs = p.B.T + L_i.T @ p.D.T
-    sol = _solve_or_none(lhs, rhs)
-    if sol is None:
-        raise SingularBestResponse(i)
-    return -sol
+    return -_solve_checked(lhs, rhs, SingularBestResponse, i)
 
 
 def offset_cross(game: QuadraticGame, i: int, L_i):
@@ -59,22 +46,16 @@ def offset_cross(game: QuadraticGame, i: int, L_i):
     L_i = np.asarray(L_i, dtype=float)
     lhs = (p.A + p.B.T @ L_i).T
     rhs = p.a + L_i.T @ p.b
-    sol = _solve_or_none(lhs, rhs)
-    if sol is None:
-        raise SingularBestResponse(i)
-    return -sol
+    return -_solve_checked(lhs, rhs, SingularBestResponse, i)
 
 
 def composite_step(blocks: CompositeBlocks, i: int, L_i):
     """One composite update L_i -> (C_i + D_i L_i)(A_i + B_i L_i)^{-1}."""
     bA, bB, bC, bD = blocks.bold_blocks(i)
     L_i = np.asarray(L_i, dtype=float)
-    lu, piv, rcond = _lu_rcond(bA + bB @ L_i)
-    if rcond < _RCOND_MIN:
-        raise SingularComposite(i)
     num = bC + bD @ L_i
     # Right division: solve X (A + B L) = (C + D L) via the transposed system.
-    return lapack.dgetrs(lu, piv, num.T, trans=1)[0].T
+    return _solve_checked(bA + bB @ L_i, num.T, SingularComposite, i, trans=1).T
 
 
 def best_response(game: QuadraticGame, i: int, conj: Conjecture):
@@ -91,7 +72,8 @@ def best_response(game: QuadraticGame, i: int, conj: Conjecture):
     S = p.A + L.T @ p.B + p.B.T @ L + L.T @ p.D @ L
     rhs = p.a + L.T @ p.b + p.B.T @ ell + L.T @ p.D.T @ ell
     eig = np.linalg.eigvalsh(0.5 * (S + S.T))
-    if np.abs(eig).min() <= _RCOND_MIN * np.abs(eig).max():
+    # Exact 2-norm rcond of sym(S) from its eigenvalues.
+    if np.abs(eig).min() <= RCOND_MIN * np.abs(eig).max():
         raise SingularBestResponse(i)
     sol = np.linalg.solve(S, rhs)
     if eig[0] <= 0.0:
@@ -161,7 +143,8 @@ class IterationTrace:
     steps: tuple[IterationStep, ...]
     status: str  # "converged" | "max_iters" | "diverged" | "singular"
     status_iter: int
-    change: float = field(default=np.nan)
+    # Largest step change of the last completed step; None before the first.
+    change: float | None = None
 
     @property
     def final(self) -> IterationStep:
@@ -217,7 +200,7 @@ def iterate(game: QuadraticGame, cfg: IterationConfig) -> IterationTrace:
         L2, ell2 = conj2.L.copy(), conj2.ell.copy()
 
     steps = [_record(game, 0, L1, ell1, L2, ell2)]
-    change = np.nan
+    change = None
     for k in range(1, cfg.max_iters + 1):
         try:
             if cfg.mode == "cross":

@@ -13,15 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompositeBlocks, QuadraticGame, _lu_rcond, riccati_residual_norms
+from .core import (RCOND_MIN, CompositeBlocks, QuadraticGame, _lu_rcond,
+                   _solve_checked, riccati_residual_norms)
 from .errors import NotAFixedPoint, SingularComposite
 
 # Residual threshold for accepting (L1, L2) as a fixed pair.
 FIXED_POINT_TOL = 1e-6
 # Half-width of the marginal band around |xi| = 1.
 MARGINAL_BAND = 1e-9
-# Bound on the inverse 1-norm rcond estimate of bA_i + bB_i L_i.
-_COND_MAX = 1e14
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,8 @@ def h_matrices(blocks: CompositeBlocks, game: QuadraticGame, L1, L2):
     H2 = blocks.A2 + blocks.B2 @ L2
     H2p = blocks.D2 - L2 @ blocks.B2
     lhs = game.p2.D.T + game.p2.B @ L1
-    alt = np.linalg.solve(lhs, game.p1.A + game.p1.B.T @ L1)
+    alt = _solve_checked(lhs, game.p1.A + game.p1.B.T @ L1, NotAFixedPoint,
+                         "D2^T + B2 L1 is singular: H1 has no alternate form")
     scale = max(np.linalg.norm(H1), 1e-300)
     if np.linalg.norm(alt - H1) / scale > 1e-8:
         raise NotAFixedPoint(
@@ -73,7 +73,7 @@ def perturbation_spectrum(blocks: CompositeBlocks, i: int, L_i):
     bA, bB, _, bD = blocks.bold_blocks(i)
     L_i = np.asarray(L_i, dtype=float)
     contract = bA + bB @ L_i
-    if _lu_rcond(contract)[2] < 1.0 / _COND_MAX:
+    if _lu_rcond(contract)[2] < RCOND_MIN:
         raise SingularComposite(i)
     lam = np.linalg.eigvals(bD - L_i @ bB)
     mu = np.linalg.eigvals(contract)

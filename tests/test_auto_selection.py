@@ -11,14 +11,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccve import builders, cli
-from ccve.core import save_game
+from ccve.core import QuadraticGame, save_game
 from ccve.equilibrium import solve_ccve, solve_via_generalized
-from ccve.errors import CcveError, ConjugatePairSplit, NoStableSelection
+from ccve.errors import (
+    CcveError,
+    ConjugatePairSplit,
+    NoStableSelection,
+    SingularComposite,
+)
 from ccve.spectral import LargestMagnitude, SmallestMagnitude
 
 from conftest import random_dense_game
 
 ELLIPTIC = builders.ScalarSpec(q1=1.5, r1=0.6, s1=-1.5, q2=1.4, r2=1.8, s2=1.6)
+
+
+def singular_composite_game():
+    """Decoupled 2x1 game: M1, M2 pass validation (rcond 1e-10, 1e-11), but
+    the largest selection gives H1 = diag(1e4, 1e-12), rcond 1e-16."""
+    z1, z2 = np.zeros(1), np.zeros(2)
+    return QuadraticGame.create(
+        2, 1,
+        (np.diag([1.0, 1e-5]), np.zeros((1, 2)), [[1e-10]], z2, z1),
+        ([[1e3]], np.zeros((2, 1)), np.diag([1e-4, 1e7]), z1, z2),
+    )
 
 
 def _outcome(solve, game, selection):
@@ -40,7 +56,7 @@ def _check_invariant(game):
             else:
                 assert auto.__cause__ is None and not largest.stable
         elif isinstance(auto, CcveError):
-            # Errors other than the five rejections pass through unchanged.
+            # Errors other than the six rejections pass through unchanged.
             assert type(auto) is type(largest)
         else:
             assert np.array_equal(auto.L1, largest.L1)
@@ -73,3 +89,19 @@ def test_cli_reports_the_cause(tmp_path, capsys):
     assert code == cli.EXIT_NOT_CERTIFIED == 2
     err = capsys.readouterr().err
     assert "NoStableSelection" in err and "ConjugatePairSplit" in err
+
+
+@pytest.mark.parametrize("solve", [solve_ccve, solve_via_generalized])
+def test_singular_composite_is_a_rejection(solve):
+    with pytest.raises(NoStableSelection, match="SingularComposite") as info:
+        solve(singular_composite_game())
+    assert isinstance(info.value.__cause__, SingularComposite)
+
+
+def test_cli_reports_singular_composite(tmp_path, capsys):
+    path = tmp_path / "singular_composite.json"
+    save_game(singular_composite_game(), path)
+    code = cli.main(["solve", "--game", str(path), "--out", str(tmp_path / "s.json")])
+    assert code == cli.EXIT_NOT_CERTIFIED == 2
+    err = capsys.readouterr().err
+    assert "NoStableSelection" in err and "SingularComposite" in err

@@ -162,6 +162,26 @@ class TestIterate:
         assert summary["status"] == "converged"
         assert summary["status_iter"] == 1
 
+    def test_singular_first_step_writes_strict_json(self, tmp_path, warmup_path):
+        # L2 = -4 makes A2 + B2^T L2 = 0, so the first cross step is singular.
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"L1": [[0.0]], "ell1": [0.0],
+                                    "L2": [[-4.0]], "ell2": [0.0]}))
+        trace = tmp_path / "trace.csv"
+        # The init's negative effective Hessian is reported, not an error.
+        with pytest.warns(UserWarning, match="NotCertifiedMin"):
+            assert run(["iterate", "--game", str(warmup_path), "--init", str(init),
+                        "--trace", str(trace)]) == cli.EXIT_OK
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        text = trace.with_suffix(".summary.json").read_text()
+        summary = json.loads(text, parse_constant=reject)
+        assert summary["status"] == "singular"
+        assert summary["status_iter"] == 1
+        assert summary["final_change"] is None
+
 
 class TestCheck:
     def test_certified_solution_passes(self, tmp_path, bench_path, capsys):

@@ -18,9 +18,11 @@ from scipy.linalg import lapack
 
 from ccve import analysis, equilibrium, spectral, stability
 from ccve.core import (
+    RCOND_MIN,
     RCOND_SINGULAR,
     Conjecture,
     QuadraticGame,
+    _lu_rcond,
     assemble_blocks,
     stacked_m1,
     stacked_m2,
@@ -165,6 +167,54 @@ class TestNearSingularRaises:
         sub = dataclasses.replace(sub, Y=planted(rng, 3))
         with pytest.raises(SubspaceNotGraph):
             equilibrium._solution_from_subspace(g, blocks, sub, "planted")
+
+
+def diag_rcond(t):
+    """diag(1, t): its 1-norm rcond is t, and dgecon estimates it exactly."""
+    return np.diag([1.0, t])
+
+
+def boundary_game(t):
+    """2x2 game with A1 = diag(1, t) and no cross terms.
+
+    At zero slopes the player-1 maps invert diag(1, t), and the Nash system
+    is diag(1, t, 1, 1).
+    """
+    z, eye, v = np.zeros((2, 2)), np.eye(2), np.zeros(2)
+    return QuadraticGame.create(2, 2, (diag_rcond(t), z, eye, v, v), (eye, z, eye, v, v))
+
+
+ZERO = np.zeros((2, 2))
+BOUNDARY_SITES = [
+    pytest.param(lambda t, blocks: lft_cross(boundary_game(t), 1, ZERO),
+                 SingularBestResponse, id="lft_cross"),
+    pytest.param(lambda t, blocks: offset_cross(boundary_game(t), 1, ZERO),
+                 SingularBestResponse, id="offset_cross"),
+    pytest.param(lambda t, blocks: composite_step(
+                     dataclasses.replace(blocks, A1=diag_rcond(t)), 1, ZERO),
+                 SingularComposite, id="composite_step"),
+    pytest.param(lambda t, blocks: stability.perturbation_spectrum(
+                     dataclasses.replace(blocks, A1=diag_rcond(t)), 1, ZERO),
+                 SingularComposite, id="perturbation_spectrum"),
+    # I - L2 L1 = diag(1, 1 - (1 - t)): t up to a rounding of about 1%.
+    pytest.param(lambda t, blocks: equilibrium.solve_actions(
+                     np.diag([0.0, 1.0]), np.zeros(2),
+                     np.diag([0.0, 1.0 - t]), np.zeros(2)),
+                 SingularActionSystem, id="solve_actions"),
+    pytest.param(lambda t, blocks: analysis.nash(boundary_game(t)),
+                 SingularNashSystem, id="nash"),
+]
+
+
+@pytest.mark.parametrize("call, error", BOUNDARY_SITES)
+def test_rcond_min_boundary(rng, call, error):
+    """Each guarded solve raises at rcond 0.5 RCOND_MIN and returns at 2 RCOND_MIN."""
+    blocks = assemble_blocks(random_dense_game(rng, 2, 2))
+    for t in (0.5 * RCOND_MIN, 2.0 * RCOND_MIN):
+        assert _lu_rcond(diag_rcond(t))[2] == t
+    with pytest.raises(error):
+        call(0.5 * RCOND_MIN, blocks)
+    call(2.0 * RCOND_MIN, blocks)
 
 
 def rel(x, ref):
