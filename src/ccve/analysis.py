@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (RCOND_MIN, QuadraticGame, _solve_checked, eval_cost,
-                   stacked_m1, stacked_m2)
+from .core import (RCOND_MIN, QuadraticGame, _posdef, _solve_checked,
+                   eval_cost, stacked_m1, stacked_m2)
 from .errors import DimensionMismatch, SingularNashSystem, SingularSocialSystem
 
 # Minimum-eigenvalue threshold for positive definiteness of the effective
@@ -50,13 +50,11 @@ def second_order_check(game: QuadraticGame, L1, L2) -> SecondOrderReport:
     S2 = effective_hessian(game, 2, L2)
     e1 = float(np.linalg.eigvalsh(S1).min())
     e2 = float(np.linalg.eigvalsh(S2).min())
-    m1, m2 = stacked_m1(game), stacked_m2(game)
-    m1_pd = bool(np.linalg.eigvalsh(0.5 * (m1 + m1.T)).min() > 0)
-    m2_pd = bool(np.linalg.eigvalsh(0.5 * (m2 + m2.T)).min() > 0)
     return SecondOrderReport(
         S1=S1, S2=S2, min_eig_1=e1, min_eig_2=e2,
         pass_=(e1 > SECOND_ORDER_EIG_MIN and e2 > SECOND_ORDER_EIG_MIN),
-        m1_posdef=m1_pd, m2_posdef=m2_pd,
+        # M_i is symmetric (A_i and D_i are symmetrized): one Cholesky attempt.
+        m1_posdef=_posdef(stacked_m1(game)), m2_posdef=_posdef(stacked_m2(game)),
     )
 
 

@@ -220,15 +220,18 @@ def random_game(d1, d2, recipe="paper7ex2", seed=0, lo=-1.0, hi=1.0) -> Quadrati
       * "uniform": like paper7ex2 but B entries uniform on (lo, hi) with the
         identity scale adapted to keep the game well conditioned.
 
-    The stream order is fixed: B1 is drawn first (row-major), then B2.
+    Only "uniform" takes bounds; the paper recipes raise ValueError for any
+    (lo, hi) other than (-1, 1).  The stream order is fixed: B1 is drawn
+    first (row-major), then B2.
     """
+    if recipe in ("paper7ex1", "paper7ex2") and (lo, hi) != (-1.0, 1.0):
+        raise ValueError(f"recipe {recipe!r} fixes lo, hi = -1, 1; got {lo:g}, {hi:g}")
     if recipe == "paper7ex1":
         if (d1, d2) != (2, 3):
             raise DimensionMismatch("paper7ex1 recipe is defined for d1=2, d2=3")
         return example1_game()
     rng = np.random.default_rng(seed)
     if recipe == "paper7ex2":
-        lo, hi = -1.0, 1.0
         scale = 13.0
     elif recipe == "uniform":
         scale = 1.0 + 2.0 * max(abs(lo), abs(hi)) * max(d1, d2)

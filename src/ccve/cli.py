@@ -173,8 +173,10 @@ def _lq_spec_from_json(path):
 def cmd_build(args, argv):
     t0 = time.monotonic()
     seed = None
+    config = {"kind": args.kind}
     if args.kind == "random":
         seed = args.seed
+        config.update(recipe=args.recipe, lo=args.lo, hi=args.hi)
         game = builders.random_game(args.d1, args.d2, recipe=args.recipe,
                                     seed=args.seed, lo=args.lo, hi=args.hi)
     elif args.kind == "scalar":
@@ -187,7 +189,7 @@ def cmd_build(args, argv):
         game = builders.build_lq_game(_lq_spec_from_json(args.spec))
     save_game(game, args.out)
     _write_manifest(args.out, argv, [args.spec] if args.kind == "lq" else [],
-                    seed=seed, config={"kind": args.kind}, t0=t0)
+                    seed=seed, config=config, t0=t0)
     return EXIT_OK
 
 

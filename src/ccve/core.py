@@ -219,6 +219,11 @@ def _solve_checked(a, b, error, *args, rcond_min=RCOND_MIN, trans=0):
     return lapack.dgetrs(lu, piv, b, trans=trans)[0]
 
 
+def _posdef(m):
+    """True when LAPACK dpotrf factors the symmetric matrix ``m`` (Cholesky)."""
+    return bool(lapack.dpotrf(m)[1] == 0)
+
+
 def _factor_m(game: QuadraticGame):
     """Check A_i > 0, then factor M1 and M2: (M, lu, piv) for each.
 

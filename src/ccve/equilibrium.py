@@ -94,7 +94,9 @@ def _solution_from_subspace(
     ell2 = lft.offset_cross(game, 1, L1)
     ell1 = lft.offset_cross(game, 2, L2)
     x1, x2 = solve_actions(L1, ell1, L2, ell2)
-    report = stability.certify(blocks, game, L1, L2)
+    # The certificate reads the split of spec(boldM1) the solve reordered.
+    report = stability.certify(blocks, game, L1, L2,
+                               spectra=(sub.eigenvalues, sub.complement))
     so = analysis.second_order_check(game, L1, L2)
     return CcveSolution(
         L1=L1, ell1=ell1, L2=L2, ell2=ell2, x1=x1, x2=x2,

@@ -59,7 +59,8 @@ class InvariantSubspace:
     """A real orthonormal basis for an invariant subspace of a real matrix."""
 
     basis: np.ndarray
-    eigenvalues: np.ndarray
+    eigenvalues: np.ndarray  # the selected spectrum, descending magnitude
+    complement: np.ndarray  # the rest of the spectrum, in the same order
     Y: np.ndarray
     X: np.ndarray
     warnings: tuple = field(default=())
@@ -114,7 +115,7 @@ def _select_positions(values, k, selection: Selection):
 
     ``values`` are in (generalized) Schur diagonal order, where each conjugate
     pair sits at adjacent positions with its positive imaginary part first.
-    Returns (positions, selected_values, warnings).
+    Returns (positions, selected_values, complement_values, warnings).
     """
     n = len(values)
     if not 1 <= k <= n:
@@ -150,12 +151,13 @@ def _select_positions(values, k, selection: Selection):
         lo, hi = mags[boundary - 1], mags[boundary]
         if abs(lo - hi) <= GAP_TOL * max(lo, hi, 1e-300):
             warns.append("NoSpectralGap")
-    return chosen, values[chosen], tuple(warns)
+    return chosen, values[chosen], values[~inside], tuple(warns)
 
 
-def _subspace(basis, selected, warns) -> InvariantSubspace:
+def _subspace(basis, selected, complement, warns) -> InvariantSubspace:
     k = basis.shape[1]
     return InvariantSubspace(basis=basis, eigenvalues=selected[_sort_key(selected)],
+                             complement=complement[_sort_key(complement)],
                              Y=basis[:k, :], X=basis[k:, :], warnings=warns)
 
 
@@ -167,7 +169,7 @@ def _schur(M):
 
 def _reorder(M, T, Z, values, k, selection: Selection) -> InvariantSubspace:
     """Reorder the Schur form (T, Z) of M so its leading k columns span the selection."""
-    positions, selected, warns = _select_positions(values, k, selection)
+    positions, selected, complement, warns = _select_positions(values, k, selection)
     select = np.zeros(len(values), dtype=np.int32)
     select[positions] = 1
     ts, qs, wr, wi, m, s, sep, info = lapack.dtrsen(select, T, Z, job="N")
@@ -184,7 +186,7 @@ def _reorder(M, T, Z, values, k, selection: Selection) -> InvariantSubspace:
     resid = np.linalg.norm(M @ basis - basis @ rep) / scale
     if resid > EIG_RESID_TOL:
         raise EigFailure(f"invariant-subspace residual {resid:.3e} above tolerance")
-    return _subspace(basis, selected, warns)
+    return _subspace(basis, selected, complement, warns)
 
 
 def invariant_subspace(M, k, selection: Selection) -> InvariantSubspace:
@@ -203,11 +205,11 @@ def generalized_pairs(M1, M2T, k, selection: Selection) -> InvariantSubspace:
     """
     M1 = np.asarray(M1, dtype=float)
     M2T = np.asarray(M2T, dtype=float)
-    selected = warns = None
+    selected = complement = warns = None
 
     def pick(alpha, beta):
         # Called once by ordqz, in QZ diagonal order, before the tgsen reorder.
-        nonlocal selected, warns
+        nonlocal selected, complement, warns
         if np.any(beta == 0.0):
             raise EigFailure("infinite generalized eigenvalue: M2^T is singular")
         values = alpha / beta
@@ -215,7 +217,7 @@ def generalized_pairs(M1, M2T, k, selection: Selection) -> InvariantSubspace:
         # its two betas differ in the last bits, so conjugate exactly.
         pairs = np.nonzero(alpha.imag > 0)[0]
         values[pairs + 1] = np.conj(values[pairs])
-        positions, selected, warns = _select_positions(values, k, selection)
+        positions, selected, complement, warns = _select_positions(values, k, selection)
         mask = np.zeros(len(values), dtype=bool)
         mask[positions] = True
         return mask
@@ -232,4 +234,4 @@ def generalized_pairs(M1, M2T, k, selection: Selection) -> InvariantSubspace:
         raise EigFailure(
             f"generalized deflating-subspace residual {resid:.3e} above tolerance"
         )
-    return _subspace(basis, selected, warns)
+    return _subspace(basis, selected, complement, warns)

@@ -4,7 +4,8 @@ At a fixed conjecture pair, the linearized conjecture dynamics for player i
 are dL -> (bD_i - L_i bB_i) dL (bA_i + bB_i L_i)^{-1}; their eigenvalues are
 all ratios lambda/mu between the complementary and selected spectra of the
 composite matrix.  Max ratio magnitude below one certifies local asymptotic
-stability of the iteration.
+stability of the iteration.  A solve hands in the two spectra from the
+Schur form it reordered; ``ccve check`` recomputes them from the H-matrices.
 """
 
 from __future__ import annotations
@@ -80,11 +81,25 @@ def perturbation_spectrum(blocks: CompositeBlocks, i: int, L_i):
     return (lam[:, None] / mu[None, :]).reshape(-1)
 
 
-def certify(blocks: CompositeBlocks, game: QuadraticGame, L1, L2) -> StabilityReport:
-    """Stability certificate for a fixed conjecture pair."""
+def certify(blocks: CompositeBlocks, game: QuadraticGame, L1, L2,
+            spectra=None) -> StabilityReport:
+    """Stability certificate for a fixed conjecture pair.
+
+    A solve passes ``spectra`` = (selected, complement), its split of
+    spec(boldM1) = spec(H1) + spec(H1'); both players' ratios are then
+    complement / selected, as boldM2^T is similar to boldM1^{-1}.  Without
+    them (``ccve check``) perturbation_spectrum recomputes them from the H's.
+    """
     H1, H1p, H2, H2p = h_matrices(blocks, game, L1, L2)
-    ratios_1 = perturbation_spectrum(blocks, 1, np.asarray(L1, float))
-    ratios_2 = perturbation_spectrum(blocks, 2, np.asarray(L2, float))
+    if spectra is None:
+        ratios_1 = perturbation_spectrum(blocks, 1, L1)
+        ratios_2 = perturbation_spectrum(blocks, 2, L2)
+    else:
+        for i, H in ((1, H1), (2, H2)):  # perturbation_spectrum's guard
+            if _lu_rcond(H)[2] < RCOND_MIN:
+                raise SingularComposite(i)
+        selected, complement = spectra
+        ratios_1 = ratios_2 = (complement[:, None] / selected[None, :]).reshape(-1)
     xi1 = float(np.max(np.abs(ratios_1)))
     xi2 = float(np.max(np.abs(ratios_2)))
     stable_1 = xi1 < 1.0 - MARGINAL_BAND

@@ -171,6 +171,18 @@ class TestRandomGame:
         with pytest.raises(ValueError):
             random_game(2, 2, recipe="gauss")
 
+    @pytest.mark.parametrize("recipe, d1, d2", [("paper7ex1", 2, 3), ("paper7ex2", 3, 4)])
+    def test_paper_recipes_reject_bounds(self, recipe, d1, d2):
+        # The paper recipes draw B on (-1, 1); other bounds are an error,
+        # not silently ignored.
+        for lo, hi in ((-5.0, 5.0), (-1.0, 0.5)):
+            with pytest.raises(ValueError, match="lo, hi"):
+                random_game(d1, d2, recipe=recipe, lo=lo, hi=hi)
+        explicit = random_game(d1, d2, recipe=recipe, lo=-1.0, hi=1.0)
+        default = random_game(d1, d2, recipe=recipe)
+        assert np.array_equal(explicit.p1.B, default.p1.B)
+        assert np.array_equal(explicit.p2.B, default.p2.B)
+
 
 class TestExample1Game:
     def test_frozen_constants(self):

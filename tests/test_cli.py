@@ -75,6 +75,24 @@ class TestBuild:
         assert manifest["command"][0] == "build"
         assert manifest["duration_s"] >= 0
 
+    def test_paper_recipe_with_bounds_exits_error(self, tmp_path, capsys):
+        out = tmp_path / "w.json"
+        code = run(["build", "random", "--recipe", "paper7ex2", "--d1", "2",
+                    "--d2", "3", "--lo", "-5", "--hi", "5", "--out", str(out)])
+        assert code == cli.EXIT_ERROR
+        assert not out.exists()
+        assert "lo, hi" in capsys.readouterr().err
+
+    def test_random_manifest_records_recipe_and_bounds(self, tmp_path):
+        out = tmp_path / "u.json"
+        assert run(["build", "random", "--recipe", "uniform", "--d1", "2",
+                    "--d2", "3", "--seed", "4", "--lo", "-2", "--hi", "0.5",
+                    "--out", str(out)]) == cli.EXIT_OK
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["seed"] == 4
+        assert manifest["config"] == {"kind": "random", "recipe": "uniform",
+                                      "lo": -2.0, "hi": 0.5}
+
 
 class TestSolve:
     def test_stable_solution(self, tmp_path, warmup_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ccve import builders, core, equilibrium, lft
+from ccve import builders, cli, core, equilibrium, lft, stability
 from ccve.core import (
     Conjecture,
     QuadraticGame,
@@ -86,6 +86,45 @@ class TestValidation:
         monkeypatch.setattr(core, "_factor_m", spy)
         call(bench_game)
         assert len(calls) == 1
+
+    @staticmethod
+    def spy_spectra(monkeypatch):
+        """Record calls to perturbation_spectrum (its player) and np.linalg.eigvals."""
+        calls = {"perturbation_spectrum": [], "eigvals": []}
+        spectrum, eigvals = stability.perturbation_spectrum, np.linalg.eigvals
+
+        def spy_spectrum(blocks, i, L_i):
+            calls["perturbation_spectrum"].append(i)
+            return spectrum(blocks, i, L_i)
+
+        def spy_eigvals(a):
+            calls["eigvals"].append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(stability, "perturbation_spectrum", spy_spectrum)
+        monkeypatch.setattr(np.linalg, "eigvals", spy_eigvals)
+        return calls
+
+    @pytest.mark.parametrize("call", [
+        equilibrium.solve_ccve,
+        equilibrium.solve_via_generalized,
+        equilibrium.enumerate_fixed_points,
+    ], ids=["solve", "qz", "enumerate"])
+    def test_solves_read_the_certificate_off_the_schur_form(
+            self, monkeypatch, bench_game, call):
+        calls = self.spy_spectra(monkeypatch)
+        call(bench_game)
+        assert calls == {"perturbation_spectrum": [], "eigvals": []}
+
+    def test_check_recomputes_the_certificate(self, monkeypatch, tmp_path, bench_game):
+        game_path, sol_path = tmp_path / "game.json", tmp_path / "sol.json"
+        save_game(bench_game, game_path)
+        equilibrium.save_solution(equilibrium.solve_ccve(bench_game), sol_path)
+        calls = self.spy_spectra(monkeypatch)
+        assert cli.main(["check", "--game", str(game_path),
+                         "--solution", str(sol_path)]) == cli.EXIT_OK
+        assert calls["perturbation_spectrum"] == [1, 2]
+        assert len(calls["eigvals"]) == 4
 
     def test_symmetrization_warns_on_asymmetric_d(self):
         D1 = [[0.1, 0.3], [0.0, 0.2]]

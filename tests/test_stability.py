@@ -5,8 +5,9 @@ import pytest
 
 from ccve import builders, lft, stability
 from ccve.core import assemble_blocks
-from ccve.equilibrium import solve_ccve
-from ccve.errors import NotAFixedPoint
+from ccve.equilibrium import solve_ccve, solve_via_generalized
+from ccve.errors import CcveError, NotAFixedPoint
+from ccve.spectral import LargestMagnitude
 from ccve.stability import (
     certify,
     h_matrices,
@@ -162,3 +163,38 @@ class TestMarginalBand:
         assert rep.marginal is False
         assert stability.MARGINAL_BAND == 1e-9
         assert stability.FIXED_POINT_TOL == 1e-6
+
+
+CROSS_CHECK_GAMES = [
+    pytest.param([builders.random_game(50, 60, seed=0)], id="paper7ex2-50x60-s0"),
+    pytest.param([builders.random_game(100, 120, seed=0)], id="paper7ex2-100x120-s0"),
+    pytest.param(uniform_pool(100), id="uniform_pool-100"),
+]
+
+
+@pytest.mark.parametrize("games", CROSS_CHECK_GAMES)
+def test_schur_certificate_matches_h_matrix_route(games):
+    """A solve's certificate, read off the reordered Schur diagonal, agrees
+    with certify's H-matrix route (the one ``ccve check`` uses)."""
+    compared = 0
+    for game in games:
+        blocks = assemble_blocks(game)
+        for solve in (solve_ccve, solve_via_generalized):
+            for selection in ("auto", LargestMagnitude):
+                try:
+                    sol = solve(game, selection)
+                except CcveError:
+                    continue
+                got = sol.stability
+                ref = certify(blocks, game, sol.L1, sol.L2)
+                for xi, xi_ref in ((got.xi_max_1, ref.xi_max_1),
+                                   (got.xi_max_2, ref.xi_max_2)):
+                    assert xi == pytest.approx(xi_ref, rel=1e-10)
+                for r, r_ref in ((got.ratios_1, ref.ratios_1),
+                                 (got.ratios_2, ref.ratios_2)):
+                    assert np.allclose(np.sort(np.abs(r)), np.sort(np.abs(r_ref)),
+                                       rtol=0.0, atol=1e-6)
+                assert got.stable == ref.stable
+                assert got.marginal == ref.marginal
+                compared += 1
+    assert compared >= len(games)
