@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (RCOND_MIN, QuadraticGame, _posdef, _solve_checked,
-                   eval_cost, stacked_m1, stacked_m2)
+from .core import (QuadraticGame, _posdef, _solve_checked, eval_cost,
+                   stacked_m1, stacked_m2)
 from .errors import DimensionMismatch, SingularNashSystem, SingularSocialSystem
 
 # Minimum-eigenvalue threshold for positive definiteness of the effective
@@ -83,12 +83,8 @@ def social_optimum(game: QuadraticGame):
     M = stacked_m1(game) + stacked_m2(game)
     H = 0.5 * (M + M.T)
     g = np.concatenate([game.p1.a + game.p2.b, game.p1.b + game.p2.a])
-    eig = np.linalg.eigvalsh(H)
-    # Exact 2-norm rcond of H from its eigenvalues.
-    if np.abs(eig).min() <= RCOND_MIN * np.abs(eig).max():
-        raise SingularSocialSystem("sym(M1 + M2) is singular")
-    z = np.linalg.solve(H, -g)
-    if eig[0] <= 0.0:
+    z = _solve_checked(H, -g, SingularSocialSystem, "sym(M1 + M2) is singular")
+    if not _posdef(H):
         warnings.warn(
             "NotCertifiedMin: sym(M1 + M2) is not positive definite; the "
             "social stationary point may not be a minimum",

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .core import QuadraticGame, assemble_blocks
 from .errors import ComplexFixedPoints, DegenerateScalar, DimensionMismatch
@@ -102,11 +103,6 @@ def _unroll_input_map(F, G, T):
     return W
 
 
-def _block_diag(blocks):
-    import scipy.linalg as sla
-    return sla.block_diag(*blocks)
-
-
 def build_lq_game(spec: LqSpec) -> QuadraticGame:
     """Unroll an LQ dynamic game into a static quadratic game in the stacked
     open-loop controls (d1 = m1*T, d2 = m2*T)."""
@@ -114,12 +110,12 @@ def build_lq_game(spec: LqSpec) -> QuadraticGame:
     W1 = _unroll_input_map(spec.F, spec.G1, T)
     W2 = _unroll_input_map(spec.F, spec.G2, T)
     Fbar = np.vstack([np.linalg.matrix_power(spec.F, t) for t in range(T + 1)])
-    bQ1 = _block_diag([spec.Q1] * T + [spec.Q1f])
-    bQ2 = _block_diag([spec.Q2] * T + [spec.Q2f])
-    bR1 = _block_diag([spec.R1] * T)
-    bR2 = _block_diag([spec.R2] * T)
-    bR12 = _block_diag([spec.R12] * T)
-    bR21 = _block_diag([spec.R21] * T)
+    bQ1 = block_diag(*[spec.Q1] * T, spec.Q1f)
+    bQ2 = block_diag(*[spec.Q2] * T, spec.Q2f)
+    bR1 = block_diag(*[spec.R1] * T)
+    bR2 = block_diag(*[spec.R2] * T)
+    bR12 = block_diag(*[spec.R12] * T)
+    bR21 = block_diag(*[spec.R21] * T)
     z0 = spec.z0
 
     A1 = bR1 + W1.T @ bQ1 @ W1
@@ -139,32 +135,6 @@ def build_lq_game(spec: LqSpec) -> QuadraticGame:
         (A1, B1, D1, a1, b1),
         (A2, B2, D2, a2, b2),
     )
-
-
-def rollout_cost(spec: LqSpec, i: int, u1, u2) -> float:
-    """Trajectory cost by explicit forward simulation (oracle for the unroll).
-
-    Measured relative to the uncontrolled trajectory from z0: the static
-    quadratic form carries no constant term, so the control-independent state
-    cost 1/2 sum_t (F^t z0)^T Q (F^t z0) is subtracted."""
-    T, n = spec.T, spec.n
-    u1 = np.asarray(u1, float).reshape(T, spec.m1)
-    u2 = np.asarray(u2, float).reshape(T, spec.m2)
-    Q = spec.Q1 if i == 1 else spec.Q2
-    Qf = spec.Q1f if i == 1 else spec.Q2f
-    R = spec.R1 if i == 1 else spec.R2
-    Rc = spec.R12 if i == 1 else spec.R21
-    u_own, u_opp = (u1, u2) if i == 1 else (u2, u1)
-    z = spec.z0.copy()
-    z_free = spec.z0.copy()
-    total = 0.0
-    for t in range(T):
-        total += 0.5 * (z @ Q @ z - z_free @ Q @ z_free)
-        total += 0.5 * u_own[t] @ R @ u_own[t] + u_own[t] @ Rc @ u_opp[t]
-        z = spec.F @ z + spec.G1 @ u1[t] + spec.G2 @ u2[t]
-        z_free = spec.F @ z_free
-    total += 0.5 * (z @ Qf @ z - z_free @ Qf @ z_free)
-    return float(total)
 
 
 @dataclass(frozen=True)

@@ -56,8 +56,7 @@ def _write_manifest(out_path, argv, inputs, seed=None, config=None, t0=None):
         "version": __version__,
         "duration_s": None if t0 is None else time.monotonic() - t0,
     }
-    path = out_path.parent / "manifest.json"
-    with open(path, "w") as fh:
+    with open(out_path.with_name(out_path.name + ".manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
 

@@ -26,8 +26,7 @@ from .errors import ANotPositiveDefinite, DimensionMismatch, MSingular
 # M1/M2 count as singular below this 1-norm rcond estimate (LAPACK dgecon).
 RCOND_SINGULAR = 1e-12
 # Every other guard but Y1's (equilibrium.Y1_RCOND_MIN) counts its matrix as
-# singular below this rcond: the dgecon estimate, or the exact 2-norm rcond
-# where a symmetric matrix's eigenvalues are at hand.
+# singular below this dgecon rcond estimate.
 RCOND_MIN = 1e-14
 # Minimum eigenvalue threshold for A_i > 0.
 POSDEF_EIG_MIN = 1e-10

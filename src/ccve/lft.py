@@ -15,10 +15,10 @@ import numpy as np
 
 from . import analysis
 from .core import (
-    RCOND_MIN,
     CompositeBlocks,
     Conjecture,
     QuadraticGame,
+    _posdef,
     _solve_checked,
     assemble_blocks,
     eval_cost,
@@ -69,14 +69,10 @@ def best_response(game: QuadraticGame, i: int, conj: Conjecture):
         raise DimensionMismatch(f"conjecture holder {conj.holder} != player {i}")
     p = game.player(i)
     L, ell = conj.L, conj.ell
-    S = p.A + L.T @ p.B + p.B.T @ L + L.T @ p.D @ L
+    S = analysis.effective_hessian(game, i, L)
     rhs = p.a + L.T @ p.b + p.B.T @ ell + L.T @ p.D.T @ ell
-    eig = np.linalg.eigvalsh(0.5 * (S + S.T))
-    # Exact 2-norm rcond of sym(S) from its eigenvalues.
-    if np.abs(eig).min() <= RCOND_MIN * np.abs(eig).max():
-        raise SingularBestResponse(i)
-    sol = np.linalg.solve(S, rhs)
-    if eig[0] <= 0.0:
+    sol = _solve_checked(S, rhs, SingularBestResponse, i)
+    if not _posdef(S):
         warnings.warn(
             f"NotCertifiedMin: player {i}'s effective Hessian is not positive "
             "definite; returned stationary point may not be a minimizer",

@@ -82,6 +82,32 @@ def random_lq_spec(rng, n_max=3, t_max=4):
     )
 
 
+def rollout_cost(spec, i, u1, u2):
+    """Trajectory cost by explicit forward simulation (oracle for the unroll).
+
+    Measured relative to the uncontrolled trajectory from z0: the static
+    quadratic form carries no constant term, so the control-independent state
+    cost 1/2 sum_t (F^t z0)^T Q (F^t z0) is subtracted."""
+    T = spec.T
+    u1 = np.asarray(u1, float).reshape(T, spec.m1)
+    u2 = np.asarray(u2, float).reshape(T, spec.m2)
+    Q = spec.Q1 if i == 1 else spec.Q2
+    Qf = spec.Q1f if i == 1 else spec.Q2f
+    R = spec.R1 if i == 1 else spec.R2
+    Rc = spec.R12 if i == 1 else spec.R21
+    u_own, u_opp = (u1, u2) if i == 1 else (u2, u1)
+    z = spec.z0.copy()
+    z_free = spec.z0.copy()
+    total = 0.0
+    for t in range(T):
+        total += 0.5 * (z @ Q @ z - z_free @ Q @ z_free)
+        total += 0.5 * u_own[t] @ R @ u_own[t] + u_own[t] @ Rc @ u_opp[t]
+        z = spec.F @ z + spec.G1 @ u1[t] + spec.G2 @ u2[t]
+        z_free = spec.F @ z_free
+    total += 0.5 * (z @ Qf @ z - z_free @ Qf @ z_free)
+    return float(total)
+
+
 def perturbation_operator(blocks, i, L_i):
     """Dense matrix of dL -> (bD_i - L_i bB_i) dL (bA_i + bB_i L_i)^{-1}.
 

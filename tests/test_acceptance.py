@@ -26,6 +26,7 @@ from conftest import (
     perturbation_operator,
     principal_angles,
     random_lq_spec,
+    rollout_cost,
     uniform_pool,
 )
 
@@ -281,7 +282,7 @@ class TestAcceptance:
             for i in (1, 2):
                 from ccve.core import eval_cost
                 static = eval_cost(g, i, u1, u2)
-                rolled = builders.rollout_cost(spec, i, u1, u2)
+                rolled = rollout_cost(spec, i, u1, u2)
                 ok &= abs(static - rolled) < 1e-10 * (1 + abs(static))
             # Analytic own-control gradient vs central finite differences.
             grad = g.p1.A @ u1 + g.p1.B.T @ u2 + g.p1.a
@@ -289,8 +290,8 @@ class TestAcceptance:
             for j in range(g.dims.d1):
                 e = np.zeros(g.dims.d1)
                 e[j] = h
-                fd = (builders.rollout_cost(spec, 1, u1 + e, u2)
-                      - builders.rollout_cost(spec, 1, u1 - e, u2)) / (2 * h)
+                fd = (rollout_cost(spec, 1, u1 + e, u2)
+                      - rollout_cost(spec, 1, u1 - e, u2)) / (2 * h)
                 ok &= abs(fd - grad[j]) < 1e-5 * max(1.0, abs(grad[j]))
         report(9, "20 random LQ specs: built-game costs equal rollout costs "
                   "to 1e-10 and analytic gradients match finite differences "

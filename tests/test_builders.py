@@ -12,12 +12,11 @@ from ccve.builders import (
     example1_game,
     mobius_fixed_points,
     random_game,
-    rollout_cost,
 )
 from ccve.core import eval_cost, validate_game
 from ccve.errors import ComplexFixedPoints, DegenerateScalar, DimensionMismatch
 
-from conftest import random_lq_spec
+from conftest import random_lq_spec, rollout_cost
 
 SQ3 = np.sqrt(3.0)
 

@@ -70,7 +70,7 @@ class TestBuild:
         assert g.p1.A[0, 0] == pytest.approx(3.0)
 
     def test_manifest_written(self, tmp_path, warmup_path):
-        manifest = json.loads((warmup_path.parent / "manifest.json").read_text())
+        manifest = json.loads((tmp_path / "warmup.json.manifest.json").read_text())
         assert manifest["version"]
         assert manifest["command"][0] == "build"
         assert manifest["duration_s"] >= 0
@@ -88,10 +88,19 @@ class TestBuild:
         assert run(["build", "random", "--recipe", "uniform", "--d1", "2",
                     "--d2", "3", "--seed", "4", "--lo", "-2", "--hi", "0.5",
                     "--out", str(out)]) == cli.EXIT_OK
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = json.loads((tmp_path / "u.json.manifest.json").read_text())
         assert manifest["seed"] == 4
         assert manifest["config"] == {"kind": "random", "recipe": "uniform",
                                       "lo": -2.0, "hi": 0.5}
+
+    def test_manifests_in_one_directory_do_not_overwrite(self, tmp_path, warmup_path):
+        sol = tmp_path / "sol.json"
+        assert run(["solve", "--game", str(warmup_path),
+                    "--out", str(sol)]) == cli.EXIT_OK
+        for out, command in ((warmup_path, "build"), (sol, "solve")):
+            manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
+            assert manifest["command"][0] == command
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestSolve:
