@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (QuadraticGame, _posdef, _solve_checked, eval_cost,
-                   stacked_m1, stacked_m2)
+from .core import (QuadraticGame, _posdef, _slope_terms, _solve_checked,
+                   eval_cost, stacked_m1, stacked_m2)
 from .errors import DimensionMismatch, SingularNashSystem, SingularSocialSystem
 
 # Minimum-eigenvalue threshold for positive definiteness of the effective
@@ -30,12 +30,17 @@ class SecondOrderReport:
     m2_posdef: bool
 
 
+def _effective_hessian(L, terms):
+    """sym(P + L^T Q) from the slope terms (P, Q) = _slope_terms(p, L)."""
+    P, Q = terms
+    S = P + L.T @ Q
+    return 0.5 * (S + S.T)
+
+
 def effective_hessian(game: QuadraticGame, i: int, L_i):
     """sym(A_i + L^T B_i + B_i^T L + L^T D_i L) for player i at slope L."""
-    p = game.player(i)
     L = np.asarray(L_i, dtype=float)
-    S = p.A + L.T @ p.B + p.B.T @ L + L.T @ p.D @ L
-    return 0.5 * (S + S.T)
+    return _effective_hessian(L, _slope_terms(game.player(i), L))
 
 
 def second_order_check(game: QuadraticGame, L1, L2) -> SecondOrderReport:

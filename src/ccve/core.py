@@ -285,6 +285,29 @@ def assemble_blocks(game: QuadraticGame) -> CompositeBlocks:
     )
 
 
+def _slope_terms(p: PlayerCost, L):
+    """(P, Q) = (A + B^T L, B + D L): the two products every per-slope quantity reads.
+
+    The cross map is -P^{-T} Q^T, the effective Hessian sym(P + L^T Q), the
+    best-response right-hand side a + L^T b + Q^T ell and the coupled
+    residual L_opp^T P + Q.
+    """
+    return p.A + p.B.T @ L, p.B + p.D @ L
+
+
+def _residuals(L1, L2, terms1, terms2):
+    """(R1, R2) = (L2^T P1 + Q1, L1^T P2 + Q2) from each slope's terms."""
+    (P1, Q1), (P2, Q2) = terms1, terms2
+    return L2.T @ P1 + Q1, L1.T @ P2 + Q2
+
+
+def _residual_norms(game: QuadraticGame, r1, r2):
+    """Frobenius norms of the residuals r1, r2, relative to ||A_i||_F."""
+    n1 = np.linalg.norm(r1) / np.linalg.norm(game.p1.A)
+    n2 = np.linalg.norm(r2) / np.linalg.norm(game.p2.A)
+    return float(n1), float(n2)
+
+
 def riccati_residual(game: QuadraticGame, L1, L2):
     """Residual matrices of the coupled conjecture equations.
 
@@ -294,18 +317,12 @@ def riccati_residual(game: QuadraticGame, L1, L2):
     dims = game.dims
     L1 = _as_matrix(L1, dims.d2, dims.d1, "L1")
     L2 = _as_matrix(L2, dims.d1, dims.d2, "L2")
-    p1, p2 = game.p1, game.p2
-    r1 = L2.T @ (p1.A + p1.B.T @ L1) + (p1.B + p1.D @ L1)
-    r2 = L1.T @ (p2.A + p2.B.T @ L2) + (p2.B + p2.D @ L2)
-    return r1, r2
+    return _residuals(L1, L2, _slope_terms(game.p1, L1), _slope_terms(game.p2, L2))
 
 
 def riccati_residual_norms(game: QuadraticGame, L1, L2):
     """Frobenius norms of the coupled residuals, relative to ||A_i||_F."""
-    r1, r2 = riccati_residual(game, L1, L2)
-    n1 = np.linalg.norm(r1) / np.linalg.norm(game.p1.A)
-    n2 = np.linalg.norm(r2) / np.linalg.norm(game.p2.A)
-    return float(n1), float(n2)
+    return _residual_norms(game, *riccati_residual(game, L1, L2))
 
 
 # --- Game JSON format -------------------------------------------------------

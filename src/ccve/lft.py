@@ -13,16 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis
+from . import analysis, core
 from .core import (
     CompositeBlocks,
     Conjecture,
     QuadraticGame,
     _posdef,
+    _residual_norms,
+    _residuals,
     _solve_checked,
     assemble_blocks,
     eval_cost,
-    riccati_residual_norms,
     validate_game,
 )
 from .errors import DimensionMismatch, SingularBestResponse, SingularComposite
@@ -31,22 +32,28 @@ from .errors import DimensionMismatch, SingularBestResponse, SingularComposite
 DIVERGENCE_NORM = 1e12
 
 
+def _cross(terms, i):
+    """-P^{-T} Q^T: the opponent slope from player i's slope terms (P, Q)."""
+    P, Q = terms
+    return -_solve_checked(P.T, Q.T, SingularBestResponse, i)
+
+
+def _offset(p, i, L, P):
+    """-P^{-T} (a + L^T b): the opponent offset at player i's slope L."""
+    return -_solve_checked(P.T, p.a + L.T @ p.b, SingularBestResponse, i)
+
+
 def lft_cross(game: QuadraticGame, i: int, L_i):
     """Opponent slope consistent with player i's data given i's slope L_i."""
-    p = game.player(i)
     L_i = np.asarray(L_i, dtype=float)
-    lhs = p.A.T + L_i.T @ p.B
-    rhs = p.B.T + L_i.T @ p.D.T
-    return -_solve_checked(lhs, rhs, SingularBestResponse, i)
+    return _cross(core._slope_terms(game.player(i), L_i), i)
 
 
 def offset_cross(game: QuadraticGame, i: int, L_i):
     """Opponent affine offset consistent with player i's data at slope L_i."""
     p = game.player(i)
     L_i = np.asarray(L_i, dtype=float)
-    lhs = (p.A + p.B.T @ L_i).T
-    rhs = p.a + L_i.T @ p.b
-    return -_solve_checked(lhs, rhs, SingularBestResponse, i)
+    return _offset(p, i, L_i, core._slope_terms(p, L_i)[0])
 
 
 def composite_step(blocks: CompositeBlocks, i: int, L_i):
@@ -56,6 +63,20 @@ def composite_step(blocks: CompositeBlocks, i: int, L_i):
     num = bC + bD @ L_i
     # Right division: solve X (A + B L) = (C + D L) via the transposed system.
     return _solve_checked(bA + bB @ L_i, num.T, SingularComposite, i, trans=1).T
+
+
+def _best_response(p, i, L, ell, terms):
+    """Player i's stationary action at (L, ell) from the slope terms of L."""
+    S = analysis._effective_hessian(L, terms)
+    rhs = p.a + L.T @ p.b + terms[1].T @ ell
+    sol = _solve_checked(S, rhs, SingularBestResponse, i)
+    if not _posdef(S):
+        warnings.warn(
+            f"NotCertifiedMin: player {i}'s effective Hessian is not positive "
+            "definite; returned stationary point may not be a minimizer",
+            stacklevel=3,
+        )
+    return -sol
 
 
 def best_response(game: QuadraticGame, i: int, conj: Conjecture):
@@ -68,17 +89,7 @@ def best_response(game: QuadraticGame, i: int, conj: Conjecture):
     if conj.holder != i:
         raise DimensionMismatch(f"conjecture holder {conj.holder} != player {i}")
     p = game.player(i)
-    L, ell = conj.L, conj.ell
-    S = analysis.effective_hessian(game, i, L)
-    rhs = p.a + L.T @ p.b + p.B.T @ ell + L.T @ p.D.T @ ell
-    sol = _solve_checked(S, rhs, SingularBestResponse, i)
-    if not _posdef(S):
-        warnings.warn(
-            f"NotCertifiedMin: player {i}'s effective Hessian is not positive "
-            "definite; returned stationary point may not be a minimizer",
-            stacklevel=2,
-        )
-    return -sol
+    return _best_response(p, i, conj.L, conj.ell, core._slope_terms(p, conj.L))
 
 
 def predict(conj: Conjecture, x_i):
@@ -151,21 +162,39 @@ class IterationTrace:
         return self.status == "converged"
 
 
-def _record(game, k, L1, ell1, L2, ell2) -> IterationStep:
-    conj1 = Conjecture(holder=1, L=L1, ell=ell1)
-    conj2 = Conjecture(holder=2, L=L2, ell=ell2)
-    x1 = best_response(game, 1, conj1)
-    x2 = best_response(game, 2, conj2)
-    xhat2 = predict(conj1, x1)
-    xhat1 = predict(conj2, x2)
+def _record(game, k, L1, ell1, L2, ell2, terms1, terms2) -> IterationStep:
+    """Step k of the trace, read from the slope terms of L1 and L2."""
+    x1 = _best_response(game.p1, 1, L1, ell1, terms1)
+    x2 = _best_response(game.p2, 2, L2, ell2, terms2)
+    xhat2 = predict(Conjecture(holder=1, L=L1, ell=ell1), x1)
+    xhat1 = predict(Conjecture(holder=2, L=L2, ell=ell2), x2)
     f1 = eval_cost(game, 1, x1, x2)
     f2 = eval_cost(game, 2, x1, x2)
-    res1, res2 = riccati_residual_norms(game, L1, L2)
+    res1, res2 = _residual_norms(game, *_residuals(L1, L2, terms1, terms2))
     return IterationStep(
         iteration=k, L1=L1, ell1=ell1, L2=L2, ell2=ell2,
         x1=x1, x2=x2, xhat1=xhat1, xhat2=xhat2,
         f1=f1, f2=f2, f_social=f1 + f2, res1=res1, res2=res2,
     )
+
+
+def _step(game, blocks, L1, L2, terms1, terms2):
+    """One map step: the new slopes, their terms and the offsets they give.
+
+    Cross mode reads the new slopes off the held terms of L1 and L2;
+    composite mode (``blocks`` given) applies composite_step.
+    """
+    if blocks is None:
+        L1n, L2n = _cross(terms2, 2), _cross(terms1, 1)
+    else:
+        L1n, L2n = composite_step(blocks, 1, L1), composite_step(blocks, 2, L2)
+    terms1n = core._slope_terms(game.p1, L1n)
+    terms2n = core._slope_terms(game.p2, L2n)
+    # Offsets follow the refreshed slopes so each (L, ell) pair stays
+    # best-response consistent within the step.
+    ell1n = _offset(game.p2, 2, L2n, terms2n[0])
+    ell2n = _offset(game.p1, 1, L1n, terms1n[0])
+    return L1n, ell1n, L2n, ell2n, terms1n, terms2n
 
 
 def iterate(game: QuadraticGame, cfg: IterationConfig) -> IterationTrace:
@@ -174,6 +203,12 @@ def iterate(game: QuadraticGame, cfg: IterationConfig) -> IterationTrace:
     Cross mode applies simultaneous cross updates; composite mode applies the
     composite update to each player independently. Offsets are refreshed from
     the current slopes at every step.
+
+    Status: "converged", "max_iters", "diverged", or "singular" when a step
+    k >= 1 meets a singular system (a slope or offset map, a composite
+    update, or a best response of its record); the trace then ends at step
+    k - 1 and ``status_iter`` is k. A singular best response at the initial
+    conjecture raises SingularBestResponse, since no step can be returned.
     """
     # assemble_blocks validates the game as it factors M1 and M2.
     blocks = None
@@ -195,20 +230,17 @@ def iterate(game: QuadraticGame, cfg: IterationConfig) -> IterationTrace:
         L1, ell1 = conj1.L.copy(), conj1.ell.copy()
         L2, ell2 = conj2.L.copy(), conj2.ell.copy()
 
-    steps = [_record(game, 0, L1, ell1, L2, ell2)]
+    # Each step forms the terms (P_i, Q_i) of its two new slopes once; the
+    # offsets, the record and the next step's cross map read them.
+    terms1 = core._slope_terms(game.p1, L1)
+    terms2 = core._slope_terms(game.p2, L2)
+    steps = [_record(game, 0, L1, ell1, L2, ell2, terms1, terms2)]
     change = None
     for k in range(1, cfg.max_iters + 1):
         try:
-            if cfg.mode == "cross":
-                L1n = lft_cross(game, 2, L2)
-                L2n = lft_cross(game, 1, L1)
-            else:
-                L1n = composite_step(blocks, 1, L1)
-                L2n = composite_step(blocks, 2, L2)
-            # Offsets follow the refreshed slopes so each (L, ell) pair stays
-            # best-response consistent within the step.
-            ell1n = offset_cross(game, 2, L2n)
-            ell2n = offset_cross(game, 1, L1n)
+            L1n, ell1n, L2n, ell2n, terms1, terms2 = _step(
+                game, blocks, L1, L2, terms1, terms2)
+            rec = _record(game, k, L1n, ell1n, L2n, ell2n, terms1, terms2)
         except (SingularBestResponse, SingularComposite):
             return IterationTrace(tuple(steps), "singular", k, change)
         change = max(
@@ -216,7 +248,6 @@ def iterate(game: QuadraticGame, cfg: IterationConfig) -> IterationTrace:
             np.linalg.norm(ell1n - ell1), np.linalg.norm(ell2n - ell2),
         )
         L1, ell1, L2, ell2 = L1n, ell1n, L2n, ell2n
-        rec = _record(game, k, L1, ell1, L2, ell2)
         steps.append(rec)
         norms = [np.linalg.norm(m) for m in (L1, L2, ell1, ell2)]
         if max(norms) > DIVERGENCE_NORM:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (RCOND_MIN, CompositeBlocks, QuadraticGame, _lu_rcond,
-                   _solve_checked, riccati_residual_norms)
+                   _slope_terms, _solve_checked, riccati_residual_norms)
 from .errors import NotAFixedPoint, SingularComposite
 
 # Residual threshold for accepting (L1, L2) as a fixed pair.
@@ -58,7 +58,7 @@ def h_matrices(blocks: CompositeBlocks, game: QuadraticGame, L1, L2):
     H2 = blocks.A2 + blocks.B2 @ L2
     H2p = blocks.D2 - L2 @ blocks.B2
     lhs = game.p2.D.T + game.p2.B @ L1
-    alt = _solve_checked(lhs, game.p1.A + game.p1.B.T @ L1, NotAFixedPoint,
+    alt = _solve_checked(lhs, _slope_terms(game.p1, L1)[0], NotAFixedPoint,
                          "D2^T + B2 L1 is singular: H1 has no alternate form")
     scale = max(np.linalg.norm(H1), 1e-300)
     if np.linalg.norm(alt - H1) / scale > 1e-8:

@@ -209,6 +209,26 @@ class TestIterate:
         assert summary["status_iter"] == 1
         assert summary["final_change"] is None
 
+    def test_singular_record_ends_the_run(self, tmp_path):
+        # Step 1 maps L2 = -2 to L1 = 1 exactly, where player 1's effective
+        # Hessian 1 - L1^2 vanishes: the run ends "singular", not exit 1.
+        game = tmp_path / "game.json"
+        assert run(["build", "scalar", "--q1", "1", "--r1", "0", "--s1", "-1",
+                    "--q2", "1", "--r2", "0", "--s2", "0.5",
+                    "--out", str(game)]) == cli.EXIT_OK
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"L1": [[0.0]], "ell1": [0.0],
+                                    "L2": [[-2.0]], "ell2": [0.0]}))
+        trace = tmp_path / "trace.csv"
+        assert run(["iterate", "--game", str(game), "--init", str(init),
+                    "--trace", str(trace)]) == cli.EXIT_OK
+        rows = trace.read_text().splitlines()
+        assert len(rows) == 2 and rows[1].split(",")[0] == "0"
+        summary = json.loads(trace.with_suffix(".summary.json").read_text())
+        assert summary["status"] == "singular"
+        assert summary["status_iter"] == 1
+        assert summary["final_change"] is None
+
 
 class TestCheck:
     def test_certified_solution_passes(self, tmp_path, bench_path, capsys):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ccve import analysis, builders, lft
-from ccve.core import Conjecture, assemble_blocks
+from ccve import analysis, builders, core, lft
+from ccve.core import (Conjecture, assemble_blocks, eval_cost,
+                       riccati_residual_norms)
 from ccve.errors import DimensionMismatch, SingularBestResponse
 from ccve.lft import (
     IterationConfig,
@@ -266,6 +267,97 @@ class TestIterate:
             Lk = trace.steps[k].L1
             W = np.vstack([np.eye(d1), Lk])
             assert np.max(principal_angles(V, W)) < 1e-6
+
+    def test_singular_record_ends_the_run(self):
+        # Step 1 maps L2 = -2 to L1 = 1 exactly, where S1 = 1 - L1^2 = 0.
+        g = scalar_game(q1=1.0, r1=0.0, s1=-1.0, q2=1.0, r2=0.0, s2=0.5)
+        init = (Conjecture.create(1, [[0.0]], [0.0], g.dims),
+                Conjecture.create(2, [[-2.0]], [0.0], g.dims))
+        trace = iterate(g, IterationConfig(init=init))
+        assert (trace.status, trace.status_iter) == ("singular", 1)
+        assert len(trace.steps) == 1 and trace.change is None
+
+    def test_singular_initial_record_raises(self):
+        # No step can be returned when the initial conjecture's S1 = 0.
+        g = scalar_game(q1=1.0, r1=0.0, s1=-1.0, q2=1.0, r2=0.0, s2=0.5)
+        init = (Conjecture.create(1, [[1.0]], [0.0], g.dims),
+                Conjecture.create(2, [[0.0]], [0.0], g.dims))
+        with pytest.raises(SingularBestResponse):
+            iterate(g, IterationConfig(init=init))
+
+    @pytest.mark.parametrize("game", ["2x3", "50x60"])
+    @pytest.mark.parametrize("mode", ["cross", "composite"])
+    def test_each_step_forms_slope_terms_once(self, monkeypatch, game, mode):
+        # n steps: two slopes' terms at the start and two per step; six LU
+        # factorizations per step (two slope maps, two offsets, two best
+        # responses) plus M1, M2, the Nash system and the initial record's two.
+        g = (builders.example1_game() if game == "2x3"
+             else builders.random_game(50, 60, recipe="paper7ex2", seed=0))
+        calls = {"_slope_terms": 0, "_lu_rcond": 0}
+
+        def spy(name):
+            fn = getattr(core, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(core, name, counted)
+
+        spy("_slope_terms")
+        spy("_lu_rcond")
+        trace = iterate(g, IterationConfig(mode=mode, tol=1e-10))
+        assert trace.converged
+        n = len(trace.steps) - 1
+        assert calls == {"_slope_terms": 2 * n + 2, "_lu_rcond": 6 * n + 5}
+        if (game, mode) == ("50x60", "cross"):
+            assert (n, calls["_lu_rcond"]) == (29, 179)
+
+
+def _rel(a, b):
+    return np.linalg.norm(np.subtract(a, b)) / max(np.linalg.norm(b), 1e-300)
+
+
+RECORD_GAMES = [pytest.param(g, id=f"pool{j}")
+                for j, g in enumerate(uniform_pool(100))]
+RECORD_GAMES += [
+    pytest.param(builders.random_game(50, 60, recipe="paper7ex2", seed=0),
+                 id="paper7ex2-50x60-s0"),
+    pytest.param(builders.example1_game(), id="2x3"),
+]
+
+
+@pytest.mark.parametrize("mode", ["cross", "composite"])
+@pytest.mark.parametrize("game", RECORD_GAMES)
+@pytest.mark.filterwarnings("ignore:NotCertifiedMin")
+def test_recorded_steps_match_public_functions(game, mode):
+    # Every quantity the trace records, and every map step between two
+    # recorded steps, agrees with the public function evaluated at that
+    # step's (L, ell): terms carried from the wrong slope would not.
+    trace = iterate(game, IterationConfig(mode=mode, max_iters=60))
+    blocks = assemble_blocks(game) if mode == "composite" else None
+    tol = 1e-12
+    for k, st in enumerate(trace.steps):
+        c1 = Conjecture(holder=1, L=st.L1, ell=st.ell1)
+        c2 = Conjecture(holder=2, L=st.L2, ell=st.ell2)
+        x1, x2 = best_response(game, 1, c1), best_response(game, 2, c2)
+        assert _rel(st.x1, x1) <= tol and _rel(st.x2, x2) <= tol
+        assert _rel(st.xhat2, predict(c1, x1)) <= tol
+        assert _rel(st.xhat1, predict(c2, x2)) <= tol
+        assert _rel(st.f1, eval_cost(game, 1, x1, x2)) <= tol
+        assert _rel(st.f2, eval_cost(game, 2, x1, x2)) <= tol
+        assert _rel((st.res1, st.res2),
+                    riccati_residual_norms(game, st.L1, st.L2)) <= tol
+        if k + 1 == len(trace.steps):
+            break
+        nxt = trace.steps[k + 1]
+        if blocks is None:
+            L1n, L2n = lft_cross(game, 2, st.L2), lft_cross(game, 1, st.L1)
+        else:
+            L1n = composite_step(blocks, 1, st.L1)
+            L2n = composite_step(blocks, 2, st.L2)
+        assert _rel(nxt.L1, L1n) <= tol and _rel(nxt.L2, L2n) <= tol
+        assert _rel(nxt.ell1, offset_cross(game, 2, nxt.L2)) <= tol
+        assert _rel(nxt.ell2, offset_cross(game, 1, nxt.L1)) <= tol
 
 
 class TestTraceCsv:
