@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__, analysis, builders, equilibrium, lft, stability
 from .core import (
     Conjecture,
+    _write_json,
     assemble_blocks,
     load_game,
     riccati_residual_norms,
@@ -56,9 +57,7 @@ def _write_manifest(out_path, argv, inputs, seed=None, config=None, t0=None):
         "version": __version__,
         "duration_s": None if t0 is None else time.monotonic() - t0,
     }
-    with open(out_path.with_name(out_path.name + ".manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_json(out_path.with_name(out_path.name + ".manifest.json"), manifest)
 
 
 def _selection(name):
@@ -119,9 +118,7 @@ def cmd_iterate(args, argv):
         dL2 = np.linalg.norm(trace.final.L2 - np.asarray(ref["L2"]))
         summary["distance_to_solution"] = {"L1": dL1, "L2": dL2}
     summary_path = args.summary or str(Path(args.trace).with_suffix(".summary.json"))
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_json(summary_path, summary)
     _write_manifest(args.trace, argv, [args.game],
                     config={"mode": args.mode, "max_iters": args.max_iters,
                             "tol": args.tol, "init": args.init}, t0=t0)
@@ -216,9 +213,7 @@ def cmd_enumerate(args, argv):
             for idx, reason in result.skipped
         ],
     }
-    with open(args.out, "w") as fh:
-        json.dump(out, fh, indent=2)
-        fh.write("\n")
+    _write_json(args.out, out)
     _write_manifest(args.out, argv, [args.game], config={"cap": args.cap}, t0=t0)
     return EXIT_OK
 

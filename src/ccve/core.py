@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -131,12 +131,6 @@ class QuadraticGame:
             return self.p2
         raise DimensionMismatch(f"player index must be 1 or 2, got {i}")
 
-    def own_dim(self, i):
-        return self.dims.d1 if i == 1 else self.dims.d2
-
-    def opp_dim(self, i):
-        return self.dims.d2 if i == 1 else self.dims.d1
-
 
 @dataclass(frozen=True)
 class Conjecture:
@@ -159,11 +153,10 @@ class Conjecture:
 
 @dataclass(frozen=True)
 class CompositeBlocks:
-    """M1, M2, their cross products and the named sub-blocks.
+    """M1, M2 and their cross products boldM1 = M2^{-T} M1, boldM2 = M1^{-T} M2.
 
-    boldM1 = M2^{-T} M1 partitions as [[A1, B1], [C1, D1]] with A1 of shape
-    d1 x d1; boldM2 = M1^{-T} M2 partitions as [[D2, C2], [B2, A2]] with D2
-    of shape d1 x d1.
+    boldM1 partitions as [[A1, B1], [C1, D1]] with A1 of shape d1 x d1;
+    boldM2 partitions as [[D2, C2], [B2, A2]] with D2 of shape d1 x d1.
     """
 
     dims: Dims
@@ -171,20 +164,15 @@ class CompositeBlocks:
     M2: np.ndarray
     boldM1: np.ndarray
     boldM2: np.ndarray
-    A1: np.ndarray = field(repr=False, default=None)
-    B1: np.ndarray = field(repr=False, default=None)
-    C1: np.ndarray = field(repr=False, default=None)
-    D1: np.ndarray = field(repr=False, default=None)
-    D2: np.ndarray = field(repr=False, default=None)
-    C2: np.ndarray = field(repr=False, default=None)
-    B2: np.ndarray = field(repr=False, default=None)
-    A2: np.ndarray = field(repr=False, default=None)
 
     def bold_blocks(self, i):
-        """Return (bA_i, bB_i, bC_i, bD_i) for the player-i composite update."""
+        """(bA_i, bB_i, bC_i, bD_i): views of boldM_i for the player-i composite update."""
+        d1 = self.dims.d1
         if i == 1:
-            return self.A1, self.B1, self.C1, self.D1
-        return self.A2, self.B2, self.C2, self.D2
+            m = self.boldM1
+            return m[:d1, :d1], m[:d1, d1:], m[d1:, :d1], m[d1:, d1:]
+        m = self.boldM2
+        return m[d1:, d1:], m[d1:, :d1], m[:d1, d1:], m[:d1, :d1]
 
 
 def stacked_m1(game: QuadraticGame) -> np.ndarray:
@@ -260,29 +248,14 @@ def eval_cost(game: QuadraticGame, i: int, x1, x2) -> float:
 
 
 def assemble_blocks(game: QuadraticGame) -> CompositeBlocks:
-    """Form M1, M2, boldM1 = M2^{-T} M1, boldM2 = M1^{-T} M2 and sub-blocks.
+    """Form M1, M2, boldM1 = M2^{-T} M1 and boldM2 = M1^{-T} M2.
 
     Validates the game as validate_game does, in the same pass.
     """
     (m1, lu1, piv1), (m2, lu2, piv2) = _factor_m(game)
     bold1 = lapack.dgetrs(lu2, piv2, m1, trans=1)[0]
     bold2 = lapack.dgetrs(lu1, piv1, m2, trans=1)[0]
-    d1 = game.dims.d1
-    return CompositeBlocks(
-        dims=game.dims,
-        M1=m1,
-        M2=m2,
-        boldM1=bold1,
-        boldM2=bold2,
-        A1=bold1[:d1, :d1],
-        B1=bold1[:d1, d1:],
-        C1=bold1[d1:, :d1],
-        D1=bold1[d1:, d1:],
-        D2=bold2[:d1, :d1],
-        C2=bold2[:d1, d1:],
-        B2=bold2[d1:, :d1],
-        A2=bold2[d1:, d1:],
-    )
+    return CompositeBlocks(dims=game.dims, M1=m1, M2=m2, boldM1=bold1, boldM2=bold2)
 
 
 def _slope_terms(p: PlayerCost, L):
@@ -377,10 +350,15 @@ def game_from_dict(data: dict) -> QuadraticGame:
     )
 
 
-def save_game(game: QuadraticGame, path) -> None:
+def _write_json(path, data) -> None:
+    """Write ``data`` to ``path`` as JSON indented by 2, with a trailing newline."""
     with open(path, "w") as fh:
-        json.dump(game_to_dict(game), fh, indent=2)
+        json.dump(data, fh, indent=2)
         fh.write("\n")
+
+
+def save_game(game: QuadraticGame, path) -> None:
+    _write_json(path, game_to_dict(game))
 
 
 def load_game(path) -> QuadraticGame:

@@ -8,7 +8,6 @@ formulas, and stability/second-order certificates are attached.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -20,6 +19,7 @@ from .core import (
     CompositeBlocks,
     QuadraticGame,
     _solve_checked,
+    _write_json,
     assemble_blocks,
     riccati_residual_norms,
 )
@@ -83,9 +83,11 @@ def _solution_from_subspace(
     sub: spectral.InvariantSubspace,
     selection_label: str,
 ) -> CcveSolution:
-    # L1 = X1 Y1^{-1}, solved as Y1^T L1^T = X1^T.
+    # basis = [Y1; X1] with Y1 of shape d1 x d1; L1 = X1 Y1^{-1}, solved
+    # as Y1^T L1^T = X1^T.
+    d1 = game.dims.d1
     L1 = _solve_checked(
-        sub.Y, sub.X.T, SubspaceNotGraph,
+        sub.basis[:d1], sub.basis[d1:].T, SubspaceNotGraph,
         "the selected invariant subspace is not the graph of a conjecture "
         "(Y1 numerically singular)",
         rcond_min=Y1_RCOND_MIN, trans=1,
@@ -273,6 +275,4 @@ def solution_to_dict(sol: CcveSolution) -> dict:
 
 
 def save_solution(sol: CcveSolution, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(solution_to_dict(sol), fh, indent=2)
-        fh.write("\n")
+    _write_json(path, solution_to_dict(sol))

@@ -61,8 +61,6 @@ class InvariantSubspace:
     basis: np.ndarray
     eigenvalues: np.ndarray  # the selected spectrum, descending magnitude
     complement: np.ndarray  # the rest of the spectrum, in the same order
-    Y: np.ndarray
-    X: np.ndarray
     warnings: tuple = field(default=())
 
 
@@ -155,10 +153,9 @@ def _select_positions(values, k, selection: Selection):
 
 
 def _subspace(basis, selected, complement, warns) -> InvariantSubspace:
-    k = basis.shape[1]
     return InvariantSubspace(basis=basis, eigenvalues=selected[_sort_key(selected)],
                              complement=complement[_sort_key(complement)],
-                             Y=basis[:k, :], X=basis[k:, :], warnings=warns)
+                             warnings=warns)
 
 
 def _schur(M):
@@ -180,10 +177,10 @@ def _reorder(M, T, Z, values, k, selection: Selection) -> InvariantSubspace:
             f"reordered subspace dimension {m} does not match requested {k}"
         )
     basis = np.ascontiguousarray(qs[:, :k])
-    # Orthonormality comes from the Schur vectors; verify invariance.
-    rep = basis.T @ M @ basis
+    # Orthonormality comes from the Schur vectors; verify invariance against
+    # the reordered leading Schur block, M Q_k = Q_k T_kk.
     scale = max(np.linalg.norm(M), 1e-300)
-    resid = np.linalg.norm(M @ basis - basis @ rep) / scale
+    resid = np.linalg.norm(M @ basis - basis @ ts[:k, :k]) / scale
     if resid > EIG_RESID_TOL:
         raise EigFailure(f"invariant-subspace residual {resid:.3e} above tolerance")
     return _subspace(basis, selected, complement, warns)

@@ -53,10 +53,12 @@ def h_matrices(blocks: CompositeBlocks, game: QuadraticGame, L1, L2):
         raise NotAFixedPoint(
             f"(L1, L2) residuals ({r1:.3e}, {r2:.3e}) above {FIXED_POINT_TOL:g}"
         )
-    H1 = blocks.A1 + blocks.B1 @ L1
-    H1p = blocks.D1 - L1 @ blocks.B1
-    H2 = blocks.A2 + blocks.B2 @ L2
-    H2p = blocks.D2 - L2 @ blocks.B2
+    bA1, bB1, _, bD1 = blocks.bold_blocks(1)
+    bA2, bB2, _, bD2 = blocks.bold_blocks(2)
+    H1 = bA1 + bB1 @ L1
+    H1p = bD1 - L1 @ bB1
+    H2 = bA2 + bB2 @ L2
+    H2p = bD2 - L2 @ bB2
     lhs = game.p2.D.T + game.p2.B @ L1
     alt = _solve_checked(lhs, _slope_terms(game.p1, L1)[0], NotAFixedPoint,
                          "D2^T + B2 L1 is singular: H1 has no alternate form")

@@ -232,7 +232,7 @@ class TestAcceptance:
             basis = sub.basis @ W
             Y, X = basis[:d1], basis[d1:]
             L_w = np.linalg.solve(Y.T, X.T).T
-            L_0 = np.linalg.solve(sub.Y.T, sub.X.T).T
+            L_0 = np.linalg.solve(sub.basis[:d1].T, sub.basis[d1:].T).T
             ok &= np.linalg.norm(L_w - L_0) < 1e-10 * (1 + np.linalg.norm(L_0))
         report(7, "generalized-eigenproblem route matches the direct route to "
                   "1e-8 and the recovered slope is basis invariant to 1e-10", ok)

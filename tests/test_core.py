@@ -217,12 +217,21 @@ class TestAssembleBlocks:
         blocks = assemble_blocks(g)
         d1 = g.dims.d1
         bm1, bm2 = blocks.boldM1, blocks.boldM2
-        assert np.array_equal(blocks.A1, bm1[:d1, :d1])
-        assert np.array_equal(blocks.B1, bm1[:d1, d1:])
-        assert np.array_equal(blocks.C1, bm1[d1:, :d1])
-        assert np.array_equal(blocks.D1, bm1[d1:, d1:])
-        assert np.array_equal(blocks.D2, bm2[:d1, :d1])
-        assert np.array_equal(blocks.A2, bm2[d1:, d1:])
+        A1, B1, C1, D1 = blocks.bold_blocks(1)
+        A2, B2, C2, D2 = blocks.bold_blocks(2)
+        assert np.array_equal(A1, bm1[:d1, :d1])
+        assert np.array_equal(B1, bm1[:d1, d1:])
+        assert np.array_equal(C1, bm1[d1:, :d1])
+        assert np.array_equal(D1, bm1[d1:, d1:])
+        assert np.array_equal(D2, bm2[:d1, :d1])
+        assert np.array_equal(C2, bm2[:d1, d1:])
+        assert np.array_equal(B2, bm2[d1:, :d1])
+        assert np.array_equal(A2, bm2[d1:, d1:])
+        # The blocks are views of boldM_i, not copies.
+        for block in (A1, B1, C1, D1):
+            assert np.shares_memory(block, bm1)
+        for block in (A2, B2, C2, D2):
+            assert np.shares_memory(block, bm2)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)

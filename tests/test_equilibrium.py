@@ -156,8 +156,8 @@ class TestGeneralizedRoute:
         sub_d = spectral.invariant_subspace(blocks.boldM1, d1, LargestMagnitude)
         sub_g = spectral.generalized_pairs(blocks.M1, blocks.M2.T, d1, LargestMagnitude)
         assert np.max(principal_angles(sub_d.basis, sub_g.basis)) < 1e-10
-        L_d = np.linalg.solve(sub_d.Y.T, sub_d.X.T).T
-        L_g = np.linalg.solve(sub_g.Y.T, sub_g.X.T).T
+        L_d = np.linalg.solve(sub_d.basis[:d1].T, sub_d.basis[d1:].T).T
+        L_g = np.linalg.solve(sub_g.basis[:d1].T, sub_g.basis[d1:].T).T
         assert np.allclose(L_d, L_g, atol=1e-10)
 
 

@@ -83,6 +83,19 @@ def with_player(game, i, A=None, B=None, D=None):
     return QuadraticGame.create(game.dims.d1, game.dims.d2, blocks_of(game.p1), new)
 
 
+def planted_bold(blocks, player, a):
+    """Copy of ``blocks`` whose boldM_player has ``a`` as its bA block.
+
+    bA1 is the leading d1 x d1 block of boldM1, bA2 the trailing d2 x d2
+    block of boldM2.
+    """
+    d1 = blocks.dims.d1
+    name, span = ("boldM1", slice(None, d1)) if player == 1 else ("boldM2", slice(d1, None))
+    m = getattr(blocks, name).copy()
+    m[span, span] = a
+    return dataclasses.replace(blocks, **{name: m})
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20230519)
@@ -121,8 +134,7 @@ class TestNearSingularRaises:
     @pytest.mark.parametrize("player", [1, 2])
     def test_singular_composite(self, rng, player):
         blocks = assemble_blocks(random_dense_game(rng, 3, 3))
-        field = "A1" if player == 1 else "A2"
-        blocks = dataclasses.replace(blocks, **{field: planted(rng, 3)})
+        blocks = planted_bold(blocks, player, planted(rng, 3))
         zero = np.zeros((3, 3))
         # At L = 0 the composite denominator bA + bB L is bA itself.
         with pytest.raises(SingularComposite):
@@ -164,7 +176,9 @@ class TestNearSingularRaises:
         g = random_dense_game(rng, 3, 3)
         blocks = assemble_blocks(g)
         sub = spectral.invariant_subspace(blocks.boldM1, 3, spectral.LargestMagnitude)
-        sub = dataclasses.replace(sub, Y=planted(rng, 3))
+        basis = sub.basis.copy()
+        basis[:3] = planted(rng, 3)  # Y1, the top d1 rows
+        sub = dataclasses.replace(sub, basis=basis)
         with pytest.raises(SubspaceNotGraph):
             equilibrium._solution_from_subspace(g, blocks, sub, "planted")
 
@@ -200,10 +214,10 @@ BOUNDARY_SITES = [
     pytest.param(lambda t, blocks: offset_cross(boundary_game(t), 1, ZERO),
                  SingularBestResponse, id="offset_cross"),
     pytest.param(lambda t, blocks: composite_step(
-                     dataclasses.replace(blocks, A1=diag_rcond(t)), 1, ZERO),
+                     planted_bold(blocks, 1, diag_rcond(t)), 1, ZERO),
                  SingularComposite, id="composite_step"),
     pytest.param(lambda t, blocks: stability.perturbation_spectrum(
-                     dataclasses.replace(blocks, A1=diag_rcond(t)), 1, ZERO),
+                     planted_bold(blocks, 1, diag_rcond(t)), 1, ZERO),
                  SingularComposite, id="perturbation_spectrum"),
     # I - L2 L1 = diag(1, 1 - (1 - t)): t up to a rounding of about 1%.
     pytest.param(lambda t, blocks: equilibrium.solve_actions(

@@ -110,7 +110,7 @@ class TestInvariantSubspace:
         # [1, -2 + sqrt(3)] (from (-15 - lam) y - 4 x = 0).
         sub = invariant_subspace(WARM_BOLD, 1, LargestMagnitude)
         assert sub.eigenvalues[0].real == pytest.approx(WARM_EIGS[1], abs=1e-12)
-        slope = sub.X[0, 0] / sub.Y[0, 0]
+        slope = sub.basis[1, 0] / sub.basis[0, 0]
         assert slope == pytest.approx(-2.0 + SQ3, abs=1e-12)
 
     def test_basis_orthonormal_and_invariant(self):

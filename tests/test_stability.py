@@ -81,8 +81,10 @@ class TestPerturbationSpectrum:
         ratios = perturbation_spectrum(blocks, 1, sol.L1)
         d1, d2 = bench_game.dims.d1, bench_game.dims.d2
         assert ratios.shape == (d1 * d2,)
-        lam = np.linalg.eigvals(blocks.D1 - sol.L1 @ blocks.B1)
-        mu = np.linalg.eigvals(blocks.A1 + blocks.B1 @ sol.L1)
+        bm1 = blocks.boldM1
+        A1, B1, D1 = bm1[:d1, :d1], bm1[:d1, d1:], bm1[d1:, d1:]
+        lam = np.linalg.eigvals(D1 - sol.L1 @ B1)
+        mu = np.linalg.eigvals(A1 + B1 @ sol.L1)
         expected = [l / m for l in lam for m in mu]
         assert match_multisets(ratios, expected, 1e-10)
 
