@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (QuadraticGame, _posdef, _slope_terms, _solve_checked,
-                   eval_cost, stacked_m1, stacked_m2)
+                   _solve_sym_checked, eval_cost, stacked_m1, stacked_m2)
 from .errors import DimensionMismatch, SingularNashSystem, SingularSocialSystem
 
 # Minimum-eigenvalue threshold for positive definiteness of the effective
@@ -88,8 +88,9 @@ def social_optimum(game: QuadraticGame):
     M = stacked_m1(game) + stacked_m2(game)
     H = 0.5 * (M + M.T)
     g = np.concatenate([game.p1.a + game.p2.b, game.p1.b + game.p2.a])
-    z = _solve_checked(H, -g, SingularSocialSystem, "sym(M1 + M2) is singular")
-    if not _posdef(H):
+    z, posdef = _solve_sym_checked(H, -g, SingularSocialSystem,
+                                   "sym(M1 + M2) is singular")
+    if not posdef:
         warnings.warn(
             "NotCertifiedMin: sym(M1 + M2) is not positive definite; the "
             "social stationary point may not be a minimum",

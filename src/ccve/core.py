@@ -206,6 +206,22 @@ def _solve_checked(a, b, error, *args, rcond_min=RCOND_MIN, trans=0):
     return lapack.dgetrs(lu, piv, b, trans=trans)[0]
 
 
+def _solve_sym_checked(a, b, error, *args):
+    """Solve the symmetric system ``a x = b`` with one factorization: (x, posdef).
+
+    Tries a Cholesky factorization (dpotrf) first. When it succeeds, ``a`` is
+    positive definite (posdef True), dpocon's 1-norm rcond estimate is held to
+    RCOND_MIN and dpotrs solves. Otherwise posdef is False and the solve is
+    _solve_checked's LU. Either way raises ``error(*args)`` below RCOND_MIN.
+    """
+    c, info = lapack.dpotrf(a)
+    if info != 0:
+        return _solve_checked(a, b, error, *args), False
+    if lapack.dpocon(c, lapack.dlange("1", a))[0] < RCOND_MIN:
+        raise error(*args)
+    return lapack.dpotrs(c, b)[0], True
+
+
 def _posdef(m):
     """True when LAPACK dpotrf factors the symmetric matrix ``m`` (Cholesky)."""
     return bool(lapack.dpotrf(m)[1] == 0)
@@ -240,7 +256,11 @@ def eval_cost(game: QuadraticGame, i: int, x1, x2) -> float:
     x1 = _as_vector(x1, game.dims.d1, "x1")
     x2 = _as_vector(x2, game.dims.d2, "x2")
     p = game.player(i)
-    x_own, x_opp = (x1, x2) if i == 1 else (x2, x1)
+    return _cost(p, x1, x2) if i == 1 else _cost(p, x2, x1)
+
+
+def _cost(p: PlayerCost, x_own, x_opp) -> float:
+    """f(x_own, x_opp) from one player's blocks; the actions are not checked."""
     quad = 0.5 * (
         x_own @ p.A @ x_own + 2.0 * x_opp @ p.B @ x_own + x_opp @ p.D @ x_opp
     )
@@ -274,10 +294,15 @@ def _residuals(L1, L2, terms1, terms2):
     return L2.T @ P1 + Q1, L1.T @ P2 + Q2
 
 
-def _residual_norms(game: QuadraticGame, r1, r2):
-    """Frobenius norms of the residuals r1, r2, relative to ||A_i||_F."""
-    n1 = np.linalg.norm(r1) / np.linalg.norm(game.p1.A)
-    n2 = np.linalg.norm(r2) / np.linalg.norm(game.p2.A)
+def _a_norms(game: QuadraticGame):
+    """(||A_1||_F, ||A_2||_F): the scales of the residual norms."""
+    return np.linalg.norm(game.p1.A), np.linalg.norm(game.p2.A)
+
+
+def _residual_norms(r1, r2, a_norms):
+    """Frobenius norms of the residuals r1, r2, relative to a_norms = _a_norms(game)."""
+    n1 = np.linalg.norm(r1) / a_norms[0]
+    n2 = np.linalg.norm(r2) / a_norms[1]
     return float(n1), float(n2)
 
 
@@ -295,7 +320,7 @@ def riccati_residual(game: QuadraticGame, L1, L2):
 
 def riccati_residual_norms(game: QuadraticGame, L1, L2):
     """Frobenius norms of the coupled residuals, relative to ||A_i||_F."""
-    return _residual_norms(game, *riccati_residual(game, L1, L2))
+    return _residual_norms(*riccati_residual(game, L1, L2), _a_norms(game))
 
 
 # --- Game JSON format -------------------------------------------------------

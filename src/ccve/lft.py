@@ -18,12 +18,13 @@ from .core import (
     CompositeBlocks,
     Conjecture,
     QuadraticGame,
-    _posdef,
+    _a_norms,
+    _cost,
     _residual_norms,
     _residuals,
     _solve_checked,
+    _solve_sym_checked,
     assemble_blocks,
-    eval_cost,
     validate_game,
 )
 from .errors import DimensionMismatch, SingularBestResponse, SingularComposite
@@ -69,8 +70,8 @@ def _best_response(p, i, L, ell, terms):
     """Player i's stationary action at (L, ell) from the slope terms of L."""
     S = analysis._effective_hessian(L, terms)
     rhs = p.a + L.T @ p.b + terms[1].T @ ell
-    sol = _solve_checked(S, rhs, SingularBestResponse, i)
-    if not _posdef(S):
+    sol, posdef = _solve_sym_checked(S, rhs, SingularBestResponse, i)
+    if not posdef:
         warnings.warn(
             f"NotCertifiedMin: player {i}'s effective Hessian is not positive "
             "definite; returned stationary point may not be a minimizer",
@@ -162,20 +163,31 @@ class IterationTrace:
         return self.status == "converged"
 
 
-def _record(game, k, L1, ell1, L2, ell2, terms1, terms2) -> IterationStep:
-    """Step k of the trace, read from the slope terms of L1 and L2."""
+def _record(game, k, L1, ell1, L2, ell2, terms1, terms2, a_norms) -> IterationStep:
+    """Step k of the trace, read from the slope terms of L1 and L2.
+
+    ``a_norms`` is _a_norms(game). The actions are checked for finiteness,
+    as eval_cost would; shapes are known.
+    """
     x1 = _best_response(game.p1, 1, L1, ell1, terms1)
     x2 = _best_response(game.p2, 2, L2, ell2, terms2)
-    xhat2 = predict(Conjecture(holder=1, L=L1, ell=ell1), x1)
-    xhat1 = predict(Conjecture(holder=2, L=L2, ell=ell2), x2)
-    f1 = eval_cost(game, 1, x1, x2)
-    f2 = eval_cost(game, 2, x1, x2)
-    res1, res2 = _residual_norms(game, *_residuals(L1, L2, terms1, terms2))
+    for name, x in (("x1", x1), ("x2", x2)):
+        if not np.isfinite(x).all():
+            raise DimensionMismatch(f"{name} contains non-finite entries")
+    f1 = _cost(game.p1, x1, x2)
+    f2 = _cost(game.p2, x2, x1)
+    res1, res2 = _residual_norms(*_residuals(L1, L2, terms1, terms2), a_norms)
     return IterationStep(
         iteration=k, L1=L1, ell1=ell1, L2=L2, ell2=ell2,
-        x1=x1, x2=x2, xhat1=xhat1, xhat2=xhat2,
+        x1=x1, x2=x2, xhat1=L2 @ x2 + ell2, xhat2=L1 @ x1 + ell1,
         f1=f1, f2=f2, f_social=f1 + f2, res1=res1, res2=res2,
     )
+
+
+def _max_norm(*arrays):
+    """max(np.linalg.norm(m) for m in arrays), bit for bit: norm is the sqrt of
+    the ravel-order dot product, and sqrt is monotone."""
+    return np.sqrt(max(v.dot(v) for v in (m.ravel(order="K") for m in arrays)))
 
 
 def _step(game, blocks, L1, L2, terms1, terms2):
@@ -234,23 +246,20 @@ def iterate(game: QuadraticGame, cfg: IterationConfig) -> IterationTrace:
     # offsets, the record and the next step's cross map read them.
     terms1 = core._slope_terms(game.p1, L1)
     terms2 = core._slope_terms(game.p2, L2)
-    steps = [_record(game, 0, L1, ell1, L2, ell2, terms1, terms2)]
+    a_norms = _a_norms(game)
+    steps = [_record(game, 0, L1, ell1, L2, ell2, terms1, terms2, a_norms)]
     change = None
     for k in range(1, cfg.max_iters + 1):
         try:
             L1n, ell1n, L2n, ell2n, terms1, terms2 = _step(
                 game, blocks, L1, L2, terms1, terms2)
-            rec = _record(game, k, L1n, ell1n, L2n, ell2n, terms1, terms2)
+            rec = _record(game, k, L1n, ell1n, L2n, ell2n, terms1, terms2, a_norms)
         except (SingularBestResponse, SingularComposite):
             return IterationTrace(tuple(steps), "singular", k, change)
-        change = max(
-            np.linalg.norm(L1n - L1), np.linalg.norm(L2n - L2),
-            np.linalg.norm(ell1n - ell1), np.linalg.norm(ell2n - ell2),
-        )
+        change = _max_norm(L1n - L1, L2n - L2, ell1n - ell1, ell2n - ell2)
         L1, ell1, L2, ell2 = L1n, ell1n, L2n, ell2n
         steps.append(rec)
-        norms = [np.linalg.norm(m) for m in (L1, L2, ell1, ell2)]
-        if max(norms) > DIVERGENCE_NORM:
+        if _max_norm(L1, L2, ell1, ell2) > DIVERGENCE_NORM:
             return IterationTrace(tuple(steps), "diverged", k, change)
         # Converged when the iterate stops moving or is already a fixed pair
         # (the step-change metric lags fixed-point proximity by one step).

@@ -220,13 +220,16 @@ def generalized_pairs(M1, M2T, k, selection: Selection) -> InvariantSubspace:
         return mask
 
     try:
-        Z = sla.ordqz(M1, M2T, sort=pick, output="real")[5]
+        AA, BB, _, _, Q, Z = sla.ordqz(M1, M2T, sort=pick, output="real")
     except ValueError as exc:  # e.g. tgsen refuses an ill-conditioned reorder
         raise EigFailure(f"ordered QZ failed: {exc}") from exc
     basis = np.ascontiguousarray(Z[:, :k])
-    rep = np.linalg.lstsq(M2T @ basis, M1 @ basis, rcond=None)[0]
-    scale = max(np.linalg.norm(M1), 1e-300)
-    resid = np.linalg.norm(M1 @ basis - M2T @ basis @ rep) / scale
+    # Orthonormality comes from Z; verify deflation against the reordered
+    # leading blocks, M1 Z_k = Q_k AA_kk and M2^T Z_k = Q_k BB_kk.
+    resid = max(
+        np.linalg.norm(M @ basis - Q[:, :k] @ R[:k, :k]) / max(np.linalg.norm(M), 1e-300)
+        for M, R in ((M1, AA), (M2T, BB))
+    )
     if resid > EIG_RESID_TOL:
         raise EigFailure(
             f"generalized deflating-subspace residual {resid:.3e} above tolerance"

@@ -1,9 +1,11 @@
-"""Numerical guards: LU + 1-norm condition estimates at the guarded solves.
+"""Numerical guards: one factorization + 1-norm condition estimate per solve.
 
 Each guard factors its matrix once (LAPACK dgetrf), compares dgecon's 1-norm
 reciprocal-condition estimate with its threshold, and solves with the same
-LU; the symmetric systems of best_response and social_optimum follow the
-same rule.  Near-singular inputs must still raise the site's typed error,
+LU.  The symmetric systems of best_response and social_optimum factor once
+too: a Cholesky (dpotrf) flags definiteness and, when it succeeds, solves
+(dpotrs) once dpocon's estimate passes RCOND_MIN; only when it fails do they
+take the LU.  Near-singular inputs must still raise the site's typed error,
 and well-conditioned inputs must give the same answers as
 ``np.linalg.solve``.
 """
@@ -23,6 +25,7 @@ from ccve.core import (
     Conjecture,
     QuadraticGame,
     _lu_rcond,
+    _solve_sym_checked,
     assemble_blocks,
     stacked_m1,
     stacked_m2,
@@ -246,8 +249,42 @@ def test_rcond_min_boundary(rng, call, error):
     call(2.0 * RCOND_MIN, blocks)
 
 
+@pytest.mark.parametrize("sign, posdef", [(1.0, True), (-1.0, False)],
+                         ids=["cholesky", "lu"])
+def test_sym_solve_rcond_min_boundary(sign, posdef):
+    """Both branches of the symmetric solve raise at 0.5 RCOND_MIN and solve at 2 RCOND_MIN.
+
+    diag(1, t) takes the Cholesky branch (dpocon decides), diag(-1, t) the LU.
+    """
+    b = np.array([1.0, 1.0])
+    for t in (0.5 * RCOND_MIN, 2.0 * RCOND_MIN):
+        assert (lapack.dpotrf(np.diag([sign, t]))[1] == 0) == posdef
+    with pytest.raises(SingularBestResponse):
+        _solve_sym_checked(np.diag([sign, 0.5 * RCOND_MIN]), b, SingularBestResponse, 1)
+    t = 2.0 * RCOND_MIN
+    x, flag = _solve_sym_checked(np.diag([sign, t]), b, SingularBestResponse, 1)
+    assert flag is posdef
+    assert np.array_equal(x, [sign, 1.0 / t])
+
+
 def rel(x, ref):
     return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+def test_indefinite_best_response_warns_and_solves():
+    """A well-conditioned indefinite S_1 takes the LU, warns and matches numpy."""
+    rng = np.random.default_rng(5)
+    # A1 = I, B1 = 0, D1 = -2 I; at L1 = diag(1, 0, 1) S_1 = diag(-1, 1, -1).
+    A1, D1 = np.eye(3), -2.0 * np.eye(3)
+    p1 = (A1, np.zeros((3, 3)), D1, rng.standard_normal(3), rng.standard_normal(3))
+    p2 = (np.eye(3), np.zeros((3, 3)), np.eye(3), np.zeros(3), np.zeros(3))
+    g = QuadraticGame.create(3, 3, p1, p2)
+    L, ell = np.diag([1.0, 0.0, 1.0]), rng.standard_normal(3)
+    S = A1 + L.T @ D1 @ L
+    with pytest.warns(UserWarning, match="NotCertifiedMin"):
+        x = best_response(g, 1, Conjecture(1, L, ell))
+    ref = -np.linalg.solve(S, p1[3] + L.T @ p1[4] + (L.T @ D1) @ ell)
+    assert rel(x, ref) < 1e-14
 
 
 @given(st.integers(0, 10**6), st.integers(1, 6), st.integers(1, 7))
@@ -255,7 +292,7 @@ def rel(x, ref):
 # A few draws have an indefinite S_i or sym(M1 + M2); the solve is still checked.
 @pytest.mark.filterwarnings("ignore:NotCertifiedMin")
 def test_lu_solves_match_numpy(seed, d1, d2):
-    """On well-conditioned games every LU-backed solve matches np.linalg.solve."""
+    """On well-conditioned games every guarded solve matches np.linalg.solve."""
     rng = np.random.default_rng(seed)
     g = random_dense_game(rng, d1, d2)
     scale = 0.3 / np.sqrt(max(d1, d2))

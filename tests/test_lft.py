@@ -285,32 +285,57 @@ class TestIterate:
         with pytest.raises(SingularBestResponse):
             iterate(g, IterationConfig(init=init))
 
+    def test_non_finite_action_raises(self):
+        # S1 = 1 - L1^2 is about 2**-49 and the right-hand side about -1e300,
+        # so x1 overflows to inf in the initial record.
+        g = scalar_game(q1=1.0, r1=0.0, s1=-1.0, q2=1.0, r2=0.0, s2=0.5)
+        init = (Conjecture.create(1, [[1.0 - 2.0**-50]], [1e300], g.dims),
+                Conjecture.create(2, [[0.0]], [0.0], g.dims))
+        with pytest.raises(DimensionMismatch, match="x1 contains non-finite entries"):
+            iterate(g, IterationConfig(init=init))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_cost_is_recorded(self):
+        # x_i = -0.5e308 is finite, but the cost 0.5 x_i^2 + ... overflows.
+        g = scalar_game(q1=1.0, r1=0.5, s1=0.0)
+        init = (Conjecture.create(1, [[0.0]], [1e308], g.dims),
+                Conjecture.create(2, [[0.0]], [1e308], g.dims))
+        trace = iterate(g, IterationConfig(init=init, max_iters=3))
+        first = trace.steps[0]
+        assert np.isfinite(first.x1).all() and np.isfinite(first.x2).all()
+        assert first.f1 == np.inf
+        assert (trace.status, trace.status_iter, len(trace.steps)) == ("max_iters", 3, 4)
+
     @pytest.mark.parametrize("game", ["2x3", "50x60"])
     @pytest.mark.parametrize("mode", ["cross", "composite"])
     def test_each_step_forms_slope_terms_once(self, monkeypatch, game, mode):
-        # n steps: two slopes' terms at the start and two per step; six LU
-        # factorizations per step (two slope maps, two offsets, two best
-        # responses) plus M1, M2, the Nash system and the initial record's two.
+        # n steps: two slopes' terms at the start and two per step; four LU
+        # factorizations per step (two slope maps, two offsets) plus M1, M2
+        # and the Nash system; one Cholesky per best response, which also
+        # solves it (every S_i here is positive definite), two per step and
+        # the initial record's two.
         g = (builders.example1_game() if game == "2x3"
              else builders.random_game(50, 60, recipe="paper7ex2", seed=0))
-        calls = {"_slope_terms": 0, "_lu_rcond": 0}
+        calls = {"_slope_terms": 0, "_lu_rcond": 0, "dpotrf": 0}
 
-        def spy(name):
-            fn = getattr(core, name)
+        def spy(module, name):
+            fn = getattr(module, name)
 
-            def counted(*args):
+            def counted(*args, **kwargs):
                 calls[name] += 1
-                return fn(*args)
-            monkeypatch.setattr(core, name, counted)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
 
-        spy("_slope_terms")
-        spy("_lu_rcond")
+        spy(core, "_slope_terms")
+        spy(core, "_lu_rcond")
+        spy(core.lapack, "dpotrf")
         trace = iterate(g, IterationConfig(mode=mode, tol=1e-10))
         assert trace.converged
         n = len(trace.steps) - 1
-        assert calls == {"_slope_terms": 2 * n + 2, "_lu_rcond": 6 * n + 5}
+        assert calls == {"_slope_terms": 2 * n + 2, "_lu_rcond": 4 * n + 3,
+                         "dpotrf": 2 * n + 2}
         if (game, mode) == ("50x60", "cross"):
-            assert (n, calls["_lu_rcond"]) == (29, 179)
+            assert (n, calls["_lu_rcond"]) == (29, 119)
 
 
 def _rel(a, b):

@@ -62,3 +62,25 @@ def test_refused_reorder_is_a_typed_error(monkeypatch):
     with pytest.raises(EigFailure, match="ordered QZ failed") as info:
         generalized_pairs(np.diag([2.0, 1.0]), np.eye(2), 1, LargestMagnitude)
     assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_non_deflating_basis_is_rejected(monkeypatch):
+    # A rotation between a selected and an unselected column of Z keeps the
+    # basis orthonormal but makes its span no deflating subspace of the
+    # pencil (M1 symmetric, M2^T positive definite: real eigenvalues).
+    rng = np.random.default_rng(7)
+    M1 = rng.standard_normal((4, 4))
+    M1 = M1 + M1.T
+    M2T = np.eye(4) + 0.1 * np.diag(rng.random(4))
+    real_ordqz = sla.ordqz
+
+    def rotated(*args, **kwargs):
+        AA, BB, alpha, beta, Q, Z = real_ordqz(*args, **kwargs)
+        Z = Z.copy()
+        Z[:, [1, 2]] = Z[:, [1, 2]] @ (np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0))
+        return AA, BB, alpha, beta, Q, Z
+
+    generalized_pairs(M1, M2T, 2, LargestMagnitude)
+    monkeypatch.setattr(sla, "ordqz", rotated)
+    with pytest.raises(EigFailure, match="deflating-subspace residual"):
+        generalized_pairs(M1, M2T, 2, LargestMagnitude)
