@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (QuadraticGame, _posdef, _slope_terms, _solve_checked,
-                   _solve_sym_checked, eval_cost, stacked_m1, stacked_m2)
+                   _solve_sym_checked, _stack, eval_cost, stacked_m1,
+                   stacked_m2)
 from .errors import DimensionMismatch, SingularNashSystem, SingularSocialSystem
 
 # Minimum-eigenvalue threshold for positive definiteness of the effective
@@ -51,22 +52,28 @@ def second_order_check(game: QuadraticGame, L1, L2) -> SecondOrderReport:
         raise DimensionMismatch(f"L1 has shape {L1.shape}")
     if L2.shape != (game.dims.d1, game.dims.d2):
         raise DimensionMismatch(f"L2 has shape {L2.shape}")
-    S1 = effective_hessian(game, 1, L1)
-    S2 = effective_hessian(game, 2, L2)
+    return _second_order(L1, L2, _slope_terms(game.p1, L1), _slope_terms(game.p2, L2),
+                         stacked_m1(game), stacked_m2(game))
+
+
+def _second_order(L1, L2, terms1, terms2, M1, M2) -> SecondOrderReport:
+    """second_order_check from the slope terms of (L1, L2) and the stacked M1, M2."""
+    S1 = _effective_hessian(L1, terms1)
+    S2 = _effective_hessian(L2, terms2)
     e1 = float(np.linalg.eigvalsh(S1).min())
     e2 = float(np.linalg.eigvalsh(S2).min())
     return SecondOrderReport(
         S1=S1, S2=S2, min_eig_1=e1, min_eig_2=e2,
         pass_=(e1 > SECOND_ORDER_EIG_MIN and e2 > SECOND_ORDER_EIG_MIN),
         # M_i is symmetric (A_i and D_i are symmetrized): one Cholesky attempt.
-        m1_posdef=_posdef(stacked_m1(game)), m2_posdef=_posdef(stacked_m2(game)),
+        m1_posdef=_posdef(M1), m2_posdef=_posdef(M2),
     )
 
 
 def nash(game: QuadraticGame):
     """Zero-conjecture stationary point: the Nash equilibrium actions."""
     d1, d2 = game.dims.d1, game.dims.d2
-    K = np.block([[game.p1.A, game.p1.B.T], [game.p2.B.T, game.p2.A]])
+    K = _stack(game.p1.A, game.p1.B.T, game.p2.B.T, game.p2.A)
     z = _solve_checked(K, -np.concatenate([game.p1.a, game.p2.a]),
                        SingularNashSystem,
                        "stacked Nash stationarity system is singular")

@@ -175,14 +175,26 @@ class CompositeBlocks:
         return m[d1:, d1:], m[d1:, :d1], m[:d1, d1:], m[:d1, :d1]
 
 
+def _stack(top_left, top_right, bottom_left, bottom_right):
+    """The 2x2 block matrix [[top_left, top_right], [bottom_left, bottom_right]],
+    assembled by slice assignment into one new array."""
+    r, c = top_left.shape
+    out = np.empty((r + bottom_left.shape[0], c + top_right.shape[1]))
+    out[:r, :c] = top_left
+    out[:r, c:] = top_right
+    out[r:, :c] = bottom_left
+    out[r:, c:] = bottom_right
+    return out
+
+
 def stacked_m1(game: QuadraticGame) -> np.ndarray:
     p1 = game.p1
-    return np.block([[p1.A, p1.B.T], [p1.B, p1.D]])
+    return _stack(p1.A, p1.B.T, p1.B, p1.D)
 
 
 def stacked_m2(game: QuadraticGame) -> np.ndarray:
     p2 = game.p2
-    return np.block([[p2.D, p2.B], [p2.B.T, p2.A]])
+    return _stack(p2.D, p2.B, p2.B.T, p2.A)
 
 
 def _lu_rcond(a):
@@ -198,11 +210,15 @@ def _lu_rcond(a):
 def _solve_checked(a, b, error, *args, rcond_min=RCOND_MIN, trans=0):
     """Solve ``a x = b`` (``a^T x = b`` if ``trans=1``) with one LU of ``a``.
 
+    ``b`` may be a tuple of right-hand sides: the same LU then solves each
+    with its own dgetrs, and the solutions come back as a tuple.
     Raises ``error(*args)`` when the 1-norm rcond estimate is below rcond_min.
     """
     lu, piv, rcond = _lu_rcond(a)
     if rcond < rcond_min:
         raise error(*args)
+    if isinstance(b, tuple):
+        return tuple(lapack.dgetrs(lu, piv, rhs, trans=trans)[0] for rhs in b)
     return lapack.dgetrs(lu, piv, b, trans=trans)[0]
 
 
@@ -230,10 +246,16 @@ def _posdef(m):
 def _factor_m(game: QuadraticGame):
     """Check A_i > 0, then factor M1 and M2: (M, lu, piv) for each.
 
-    Raises ANotPositiveDefinite, then MSingular below RCOND_SINGULAR.
+    A_i passes when A_i - POSDEF_EIG_MIN I has a Cholesky factor; only when it
+    has none does eigvalsh decide (min eigenvalue <= POSDEF_EIG_MIN fails) and
+    give the value ANotPositiveDefinite reports. Then raises MSingular below
+    RCOND_SINGULAR.
     """
     for i in (1, 2):
-        min_eig = np.linalg.eigvalsh(game.player(i).A).min()
+        A = game.player(i).A
+        if _posdef(A - POSDEF_EIG_MIN * np.eye(A.shape[0])):
+            continue
+        min_eig = np.linalg.eigvalsh(A).min()
         if min_eig <= POSDEF_EIG_MIN:
             raise ANotPositiveDefinite(i, min_eig)
     factors = []

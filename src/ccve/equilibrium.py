@@ -18,6 +18,7 @@ from . import analysis, lft, spectral, stability
 from .core import (
     CompositeBlocks,
     QuadraticGame,
+    _slope_terms,
     _solve_checked,
     _write_json,
     assemble_blocks,
@@ -92,14 +93,17 @@ def _solution_from_subspace(
         "(Y1 numerically singular)",
         rcond_min=Y1_RCOND_MIN, trans=1,
     ).T
-    L2 = lft.lft_cross(game, 1, L1)
-    ell2 = lft.offset_cross(game, 1, L1)
-    ell1 = lft.offset_cross(game, 2, L2)
+    # Each slope's terms (P_i, Q_i) are formed once; L2 and ell2 share one
+    # LU of P1^T, and the certificate and second-order test read the terms.
+    terms1 = _slope_terms(game.p1, L1)
+    L2, ell2 = lft._cross_offset(game.p1, 1, L1, terms1)
+    terms2 = _slope_terms(game.p2, L2)
+    ell1 = lft._offset(game.p2, 2, L2, terms2[0])
     x1, x2 = solve_actions(L1, ell1, L2, ell2)
     # The certificate reads the split of spec(boldM1) the solve reordered.
-    report = stability.certify(blocks, game, L1, L2,
-                               spectra=(sub.eigenvalues, sub.complement))
-    so = analysis.second_order_check(game, L1, L2)
+    report = stability._certify(blocks, game, L1, L2,
+                                (sub.eigenvalues, sub.complement), (terms1, terms2))
+    so = analysis._second_order(L1, L2, terms1, terms2, blocks.M1, blocks.M2)
     return CcveSolution(
         L1=L1, ell1=ell1, L2=L2, ell2=ell2, x1=x1, x2=x2,
         # spec(H1) is the selected set: [I; L1] spans the subspace.

@@ -44,6 +44,14 @@ def _offset(p, i, L, P):
     return -_solve_checked(P.T, p.a + L.T @ p.b, SingularBestResponse, i)
 
 
+def _cross_offset(p, i, L, terms):
+    """(_cross(terms, i), _offset(p, i, L, P)) from one LU of P^T, bit for bit."""
+    P, Q = terms
+    L_opp, ell_opp = _solve_checked(P.T, (Q.T, p.a + L.T @ p.b),
+                                    SingularBestResponse, i)
+    return -L_opp, -ell_opp
+
+
 def lft_cross(game: QuadraticGame, i: int, L_i):
     """Opponent slope consistent with player i's data given i's slope L_i."""
     L_i = np.asarray(L_i, dtype=float)

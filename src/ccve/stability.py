@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (RCOND_MIN, CompositeBlocks, QuadraticGame, _lu_rcond,
-                   _slope_terms, _solve_checked, riccati_residual_norms)
+from .core import (RCOND_MIN, CompositeBlocks, QuadraticGame, _a_norms,
+                   _as_matrix, _lu_rcond, _residual_norms, _residuals,
+                   _slope_terms, _solve_checked)
 from .errors import NotAFixedPoint, SingularComposite
 
 # Residual threshold for accepting (L1, L2) as a fixed pair.
@@ -46,9 +47,17 @@ def h_matrices(blocks: CompositeBlocks, game: QuadraticGame, L1, L2):
     H1 = bA1 + bB1 L1, H1' = bD1 - L1 bB1 (and analogously for player 2).
     Cross-checks the alternate form H1 = (D2^T + B2 L1)^{-1}(A1 + B1^T L1).
     """
-    L1 = np.asarray(L1, dtype=float)
-    L2 = np.asarray(L2, dtype=float)
-    r1, r2 = riccati_residual_norms(game, L1, L2)
+    return _h_matrices(blocks, game, L1, L2)
+
+
+def _h_matrices(blocks, game, L1, L2, terms=None):
+    """h_matrices, reading terms = (_slope_terms(p1, L1), _slope_terms(p2, L2))
+    when the caller has them; (L1, L2) is checked as riccati_residual checks it."""
+    dims = game.dims
+    L1 = _as_matrix(L1, dims.d2, dims.d1, "L1")
+    L2 = _as_matrix(L2, dims.d1, dims.d2, "L2")
+    terms1, terms2 = terms or (_slope_terms(game.p1, L1), _slope_terms(game.p2, L2))
+    r1, r2 = _residual_norms(*_residuals(L1, L2, terms1, terms2), _a_norms(game))
     if max(r1, r2) > FIXED_POINT_TOL:
         raise NotAFixedPoint(
             f"(L1, L2) residuals ({r1:.3e}, {r2:.3e}) above {FIXED_POINT_TOL:g}"
@@ -60,7 +69,7 @@ def h_matrices(blocks: CompositeBlocks, game: QuadraticGame, L1, L2):
     H2 = bA2 + bB2 @ L2
     H2p = bD2 - L2 @ bB2
     lhs = game.p2.D.T + game.p2.B @ L1
-    alt = _solve_checked(lhs, _slope_terms(game.p1, L1)[0], NotAFixedPoint,
+    alt = _solve_checked(lhs, terms1[0], NotAFixedPoint,
                          "D2^T + B2 L1 is singular: H1 has no alternate form")
     scale = max(np.linalg.norm(H1), 1e-300)
     if np.linalg.norm(alt - H1) / scale > 1e-8:
@@ -92,7 +101,12 @@ def certify(blocks: CompositeBlocks, game: QuadraticGame, L1, L2,
     complement / selected, as boldM2^T is similar to boldM1^{-1}.  Without
     them (``ccve check``) perturbation_spectrum recomputes them from the H's.
     """
-    H1, H1p, H2, H2p = h_matrices(blocks, game, L1, L2)
+    return _certify(blocks, game, L1, L2, spectra)
+
+
+def _certify(blocks, game, L1, L2, spectra, terms=None):
+    """certify, reading the slope terms of (L1, L2) as _h_matrices does."""
+    H1, H1p, H2, H2p = _h_matrices(blocks, game, L1, L2, terms)
     if spectra is None:
         ratios_1 = perturbation_spectrum(blocks, 1, L1)
         ratios_2 = perturbation_spectrum(blocks, 2, L2)

@@ -1,5 +1,13 @@
 """Shared fixtures and helpers for the test suite."""
 
+import os
+
+# One BLAS thread unless the caller chose otherwise. Set before the first
+# numpy import, which reads it: threads that wait on a busy core can make
+# the suite many times slower.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 import scipy.linalg as sla

@@ -60,6 +60,45 @@ class TestValidation:
         with pytest.raises(MSingular):
             validate_game(g)
 
+    @staticmethod
+    def game_with_min_eig(t):
+        """A 2x1 game whose A1 is a rotation of diag(t, 1)."""
+        c, s = np.cos(0.3), np.sin(0.3)
+        R = np.array([[c, -s], [s, c]])
+        A1 = R @ np.diag([t, 1.0]) @ R.T
+        return QuadraticGame.create(
+            2, 1, (A1, np.zeros((1, 2)), [[1.0]], np.zeros(2), [0.0]),
+            ([[1.0]], [[0.2], [0.1]], np.eye(2), [0.0], np.zeros(2)),
+        )
+
+    def spy_eigvalsh(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a):
+            calls.append(np.shape(a))
+            return eigvalsh(a)
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        return calls
+
+    def test_a_above_posdef_threshold_passes_by_cholesky(self, monkeypatch):
+        # POSDEF_EIG_MIN = 1e-10: A1 - 1e-10 I has a Cholesky factor, so
+        # no eigenvalue is computed.
+        g = self.game_with_min_eig(2e-10)
+        calls = self.spy_eigvalsh(monkeypatch)
+        assert validate_game(g) is g
+        assert calls == []
+
+    def test_a_below_posdef_threshold_reports_min_eig(self, monkeypatch):
+        g = self.game_with_min_eig(5e-11)
+        calls = self.spy_eigvalsh(monkeypatch)
+        with pytest.raises(ANotPositiveDefinite,
+                           match=r"A1 .* \(min eigenvalue 5\.000e-11\)") as exc:
+            validate_game(g)
+        assert exc.value.player == 1
+        assert exc.value.min_eig == pytest.approx(5e-11, rel=1e-4)
+        assert calls == [(2, 2)]
+
     def test_assemble_blocks_checks_a_before_m(self):
         # A1 = -1 and M1 = [[-1, 1], [1, -1]] singular: A_i > 0 is checked first.
         g = QuadraticGame.create(

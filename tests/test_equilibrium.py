@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ccve import builders, equilibrium, lft
+from ccve import analysis, builders, core, equilibrium, lft, spectral, stability
 from ccve.core import QuadraticGame, assemble_blocks, riccati_residual_norms
 from ccve.equilibrium import (
     enumerate_fixed_points,
@@ -159,6 +159,76 @@ class TestGeneralizedRoute:
         L_d = np.linalg.solve(sub_d.basis[:d1].T, sub_d.basis[d1:].T).T
         L_g = np.linalg.solve(sub_g.basis[:d1].T, sub_g.basis[d1:].T).T
         assert np.allclose(L_d, L_g, atol=1e-10)
+
+
+ROUTES = [pytest.param(solve_ccve, id="direct"),
+          pytest.param(solve_via_generalized, id="qz")]
+ONE_PASS_GAMES = [
+    pytest.param(builders.example1_game(), id="2x3"),
+    pytest.param(builders.random_game(50, 60, recipe="paper7ex2", seed=0),
+                 id="paper7ex2-50x60-s0"),
+]
+
+
+class TestOnePassPerSolve:
+    @staticmethod
+    def spy(monkeypatch):
+        """Count calls of core._slope_terms and core._lu_rcond through every
+        module that binds them, and of np.block and np.linalg.eigvalsh."""
+        targets = [(np, "block"), (np.linalg, "eigvalsh")]
+        for name in ("_slope_terms", "_lu_rcond"):
+            fn = getattr(core, name)
+            targets += [(m, name) for m in (core, analysis, equilibrium, lft,
+                                            spectral, stability)
+                        if getattr(m, name, None) is fn]
+        calls = dict.fromkeys([name for _, name in targets], 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in targets:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        return calls
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("game", ONE_PASS_GAMES)
+    def test_each_slope_forms_its_terms_once(self, monkeypatch, game, route):
+        # Two slope terms (L1 and L2). Nine LU factorizations: M1, M2, Y1,
+        # one P1^T for both L2 and ell2, P2^T for ell1, I - L2 L1, the
+        # alternate form of H1 and the H1, H2 guards. The A_i > 0 checks
+        # are Cholesky attempts, so eigvalsh runs only for S1 and S2.
+        calls = self.spy(monkeypatch)
+        route(game)
+        assert calls == {"block": 0, "eigvalsh": 2, "_slope_terms": 2, "_lu_rcond": 9}
+
+
+AGREEMENT_GAMES = [pytest.param(g, id=f"pool{j}")
+                   for j, g in enumerate(uniform_pool(100))] + ONE_PASS_GAMES
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("game", AGREEMENT_GAMES)
+def test_solve_matches_public_functions(game, route):
+    # The solve reads L2, the offsets, the H-matrices and the second-order
+    # report off its own slope terms; each equals, bit for bit, the public
+    # function evaluated at the solved slopes.
+    sol = route(game)
+    L1, L2 = sol.L1, sol.L2
+    assert np.array_equal(L2, lft.lft_cross(game, 1, L1))
+    assert np.array_equal(sol.ell2, lft.offset_cross(game, 1, L1))
+    assert np.array_equal(sol.ell1, lft.offset_cross(game, 2, L2))
+    H = stability.h_matrices(assemble_blocks(game), game, L1, L2)
+    rep = sol.stability
+    for got, want in zip((rep.H1, rep.H1p, rep.H2, rep.H2p), H):
+        assert np.array_equal(got, want)
+    so, want = sol.second_order, analysis.second_order_check(game, L1, L2)
+    assert np.array_equal(so.S1, want.S1) and np.array_equal(so.S2, want.S2)
+    assert ((so.min_eig_1, so.min_eig_2, so.pass_, so.m1_posdef, so.m2_posdef)
+            == (want.min_eig_1, want.min_eig_2, want.pass_, want.m1_posdef,
+                want.m2_posdef))
 
 
 class TestEnumerate:

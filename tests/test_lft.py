@@ -313,7 +313,7 @@ class TestIterate:
         # factorizations per step (two slope maps, two offsets) plus M1, M2
         # and the Nash system; one Cholesky per best response, which also
         # solves it (every S_i here is positive definite), two per step and
-        # the initial record's two.
+        # the initial record's two, plus the A_1 > 0 and A_2 > 0 checks.
         g = (builders.example1_game() if game == "2x3"
              else builders.random_game(50, 60, recipe="paper7ex2", seed=0))
         calls = {"_slope_terms": 0, "_lu_rcond": 0, "dpotrf": 0}
@@ -333,7 +333,7 @@ class TestIterate:
         assert trace.converged
         n = len(trace.steps) - 1
         assert calls == {"_slope_terms": 2 * n + 2, "_lu_rcond": 4 * n + 3,
-                         "dpotrf": 2 * n + 2}
+                         "dpotrf": 2 * n + 4}
         if (game, mode) == ("50x60", "cross"):
             assert (n, calls["_lu_rcond"]) == (29, 119)
 
