@@ -18,11 +18,13 @@ from . import analysis, lft, spectral, stability
 from .core import (
     CompositeBlocks,
     QuadraticGame,
+    _a_norms,
+    _residual_norms,
+    _residuals,
     _slope_terms,
     _solve_checked,
     _write_json,
     assemble_blocks,
-    riccati_residual_norms,
 )
 from .errors import (
     CcveError,
@@ -83,7 +85,9 @@ def _solution_from_subspace(
     blocks: CompositeBlocks,
     sub: spectral.InvariantSubspace,
     selection_label: str,
-) -> CcveSolution:
+):
+    """(solution, (terms1, terms2)): the solution at the subspace's L1 and
+    the slope terms of its L1 and L2."""
     # basis = [Y1; X1] with Y1 of shape d1 x d1; L1 = X1 Y1^{-1}, solved
     # as Y1^T L1^T = X1^T.
     d1 = game.dims.d1
@@ -112,7 +116,7 @@ def _solution_from_subspace(
         second_order=so,
         selection_used=selection_label,
         warnings=sub.warnings,
-    )
+    ), (terms1, terms2)
 
 
 def _solve_with(game, blocks, selection: Selection, route: str) -> CcveSolution:
@@ -121,7 +125,7 @@ def _solve_with(game, blocks, selection: Selection, route: str) -> CcveSolution:
         sub = spectral.invariant_subspace(blocks.boldM1, d1, selection)
     else:
         sub = spectral.generalized_pairs(blocks.M1, blocks.M2.T, d1, selection)
-    return _solution_from_subspace(game, blocks, sub, str(selection))
+    return _solution_from_subspace(game, blocks, sub, str(selection))[0]
 
 
 def _solve(game: QuadraticGame, selection, route: str) -> CcveSolution:
@@ -207,6 +211,7 @@ def enumerate_fixed_points(game: QuadraticGame, cap=ENUMERATION_CAP) -> Enumerat
         tuple(sorted(rank[a:b].tolist()))
         for a, b in zip(starts, np.append(starts[1:], d))
     )
+    a_norms = _a_norms(game)
     candidates = []
     skipped = []
     # r whole blocks hold at least r eigenvalues, so r <= d1.
@@ -217,7 +222,8 @@ def enumerate_fixed_points(game: QuadraticGame, cap=ENUMERATION_CAP) -> Enumerat
                 continue
             try:
                 sub = spectral._reorder(blocks.boldM1, T, Z, values, d1, Indices(idx))
-                sol = _solution_from_subspace(game, blocks, sub, f"indices{list(idx)}")
+                sol, terms = _solution_from_subspace(game, blocks, sub,
+                                                     f"indices{list(idx)}")
             except CcveError as exc:
                 skipped.append((idx, type(exc).__name__))
                 continue
@@ -226,7 +232,8 @@ def enumerate_fixed_points(game: QuadraticGame, cap=ENUMERATION_CAP) -> Enumerat
                 eigenvalues=values[order[list(idx)]],
                 L1=sol.L1,
                 L2=sol.L2,
-                residuals=riccati_residual_norms(game, sol.L1, sol.L2),
+                residuals=_residual_norms(*_residuals(sol.L1, sol.L2, *terms),
+                                          a_norms),
                 xi_max_1=sol.stability.xi_max_1,
                 xi_max_2=sol.stability.xi_max_2,
                 stable=sol.stable,

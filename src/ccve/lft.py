@@ -198,23 +198,31 @@ def _max_norm(*arrays):
     return np.sqrt(max(v.dot(v) for v in (m.ravel(order="K") for m in arrays)))
 
 
-def _step(game, blocks, L1, L2, terms1, terms2):
-    """One map step: the new slopes, their terms and the offsets they give.
+def _step(game, blocks, L1, L2, terms1, terms2, cross):
+    """One map step: the new slopes, their terms, the offsets they give and,
+    in cross mode, the next step's slopes.
 
-    Cross mode reads the new slopes off the held terms of L1 and L2;
-    composite mode (``blocks`` given) applies composite_step.
+    Cross mode takes the new slopes from ``cross``, the pair the previous
+    step returned, or at step 1 (``cross`` None) reads them off the held
+    terms of L1 and L2; composite mode (``blocks`` given) applies
+    composite_step.
     """
     if blocks is None:
-        L1n, L2n = _cross(terms2, 2), _cross(terms1, 1)
+        L1n, L2n = cross or (_cross(terms2, 2), _cross(terms1, 1))
     else:
         L1n, L2n = composite_step(blocks, 1, L1), composite_step(blocks, 2, L2)
     terms1n = core._slope_terms(game.p1, L1n)
     terms2n = core._slope_terms(game.p2, L2n)
     # Offsets follow the refreshed slopes so each (L, ell) pair stays
-    # best-response consistent within the step.
+    # best-response consistent within the step. In cross mode the one LU of
+    # each P_i^T that gives the offset also gives the next step's slope.
+    if blocks is None:
+        L1x, ell1n = _cross_offset(game.p2, 2, L2n, terms2n)
+        L2x, ell2n = _cross_offset(game.p1, 1, L1n, terms1n)
+        return L1n, ell1n, L2n, ell2n, terms1n, terms2n, (L1x, L2x)
     ell1n = _offset(game.p2, 2, L2n, terms2n[0])
     ell2n = _offset(game.p1, 1, L1n, terms1n[0])
-    return L1n, ell1n, L2n, ell2n, terms1n, terms2n
+    return L1n, ell1n, L2n, ell2n, terms1n, terms2n, None
 
 
 def iterate(game: QuadraticGame, cfg: IterationConfig) -> IterationTrace:
@@ -222,7 +230,8 @@ def iterate(game: QuadraticGame, cfg: IterationConfig) -> IterationTrace:
 
     Cross mode applies simultaneous cross updates; composite mode applies the
     composite update to each player independently. Offsets are refreshed from
-    the current slopes at every step.
+    the current slopes at every step; in cross mode one LU of each
+    P_i^T = (A_i + B_i^T L_i)^T gives both its offset and the next step's slope.
 
     Status: "converged", "max_iters", "diverged", or "singular" when a step
     k >= 1 meets a singular system (a slope or offset map, a composite
@@ -256,11 +265,11 @@ def iterate(game: QuadraticGame, cfg: IterationConfig) -> IterationTrace:
     terms2 = core._slope_terms(game.p2, L2)
     a_norms = _a_norms(game)
     steps = [_record(game, 0, L1, ell1, L2, ell2, terms1, terms2, a_norms)]
-    change = None
+    change = cross = None
     for k in range(1, cfg.max_iters + 1):
         try:
-            L1n, ell1n, L2n, ell2n, terms1, terms2 = _step(
-                game, blocks, L1, L2, terms1, terms2)
+            L1n, ell1n, L2n, ell2n, terms1, terms2, cross = _step(
+                game, blocks, L1, L2, terms1, terms2, cross)
             rec = _record(game, k, L1n, ell1n, L2n, ell2n, terms1, terms2, a_norms)
         except (SingularBestResponse, SingularComposite):
             return IterationTrace(tuple(steps), "singular", k, change)

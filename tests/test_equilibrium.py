@@ -204,6 +204,17 @@ class TestOnePassPerSolve:
         route(game)
         assert calls == {"block": 0, "eigvalsh": 2, "_slope_terms": 2, "_lu_rcond": 9}
 
+    def test_enumeration_forms_each_candidates_terms_once(self, monkeypatch,
+                                                          bench_game):
+        # Each candidate's residuals read the terms of its own solve: two
+        # slope terms a candidate (the 4 skipped subsets fail before any),
+        # and the norms equal riccati_residual_norms bit for bit.
+        calls = self.spy(monkeypatch)
+        res = enumerate_fixed_points(bench_game)
+        assert (len(res.candidates), calls["_slope_terms"]) == (6, 12)
+        for c in res.candidates:
+            assert c.residuals == riccati_residual_norms(bench_game, c.L1, c.L2)
+
 
 AGREEMENT_GAMES = [pytest.param(g, id=f"pool{j}")
                    for j, g in enumerate(uniform_pool(100))] + ONE_PASS_GAMES

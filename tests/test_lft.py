@@ -1,6 +1,7 @@
 """Cross/composite conjecture maps, best responses, and the iteration driver."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +278,17 @@ class TestIterate:
         assert (trace.status, trace.status_iter) == ("singular", 1)
         assert len(trace.steps) == 1 and trace.change is None
 
+    def test_singular_offset_ends_the_run_at_its_step(self):
+        # P1 = q1 + r1 L1 = 1 + L1. Step 1 maps L1 = -0.5 to L2 = 1 and
+        # step 2 maps L2 = 1 to L1 = -s2 L2 = -1 exactly, so P1^T is singular
+        # at step 2: the offset and the next slope map share that one LU.
+        g = scalar_game(q1=1.0, r1=1.0, s1=3.0, q2=1.0, r2=0.0, s2=1.0)
+        init = (Conjecture.create(1, [[-0.5]], [0.0], g.dims),
+                Conjecture.create(2, [[0.0]], [0.0], g.dims))
+        trace = iterate(g, IterationConfig(mode="cross", init=init))
+        assert (trace.status, trace.status_iter, len(trace.steps)) == ("singular", 2, 2)
+        assert trace.steps[1].L2[0, 0] == 1.0
+
     def test_singular_initial_record_raises(self):
         # No step can be returned when the initial conjecture's S1 = 0.
         g = scalar_game(q1=1.0, r1=0.0, s1=-1.0, q2=1.0, r2=0.0, s2=0.5)
@@ -309,11 +321,14 @@ class TestIterate:
     @pytest.mark.parametrize("game", ["2x3", "50x60"])
     @pytest.mark.parametrize("mode", ["cross", "composite"])
     def test_each_step_forms_slope_terms_once(self, monkeypatch, game, mode):
-        # n steps: two slopes' terms at the start and two per step; four LU
-        # factorizations per step (two slope maps, two offsets) plus M1, M2
-        # and the Nash system; one Cholesky per best response, which also
-        # solves it (every S_i here is positive definite), two per step and
-        # the initial record's two, plus the A_1 > 0 and A_2 > 0 checks.
+        # n steps: two slopes' terms at the start and two per step. LU
+        # factorizations beyond M1, M2 and the Nash system: composite, four
+        # per step (two composite updates, two offsets); cross, two per step
+        # (one P_i^T per player gives its offset and the next step's slope)
+        # plus step 1's two slope maps. One Cholesky per best response,
+        # which also solves it (every S_i here is positive definite), two
+        # per step and the initial record's two, plus the A_1 > 0 and
+        # A_2 > 0 checks.
         g = (builders.example1_game() if game == "2x3"
              else builders.random_game(50, 60, recipe="paper7ex2", seed=0))
         calls = {"_slope_terms": 0, "_lu_rcond": 0, "dpotrf": 0}
@@ -332,10 +347,11 @@ class TestIterate:
         trace = iterate(g, IterationConfig(mode=mode, tol=1e-10))
         assert trace.converged
         n = len(trace.steps) - 1
-        assert calls == {"_slope_terms": 2 * n + 2, "_lu_rcond": 4 * n + 3,
+        lu = 2 * n + 5 if mode == "cross" else 4 * n + 3
+        assert calls == {"_slope_terms": 2 * n + 2, "_lu_rcond": lu,
                          "dpotrf": 2 * n + 4}
         if (game, mode) == ("50x60", "cross"):
-            assert (n, calls["_lu_rcond"]) == (29, 119)
+            assert (n, calls["_lu_rcond"]) == (29, 63)
 
 
 def _rel(a, b):
@@ -385,6 +401,17 @@ def test_recorded_steps_match_public_functions(game, mode):
         assert _rel(nxt.ell2, offset_cross(game, 1, nxt.L1)) <= tol
 
 
+# Golden traces of example1_game (tol 1e-10), written by write_trace_csv,
+# with the status and status_iter of their runs.
+GOLDEN_DIR = Path(__file__).parent / "data"
+GOLDEN_RUNS = {"cross": ("converged", 25), "composite": ("converged", 13)}
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 class TestTraceCsv:
     def test_header_layout(self, bench_game):
         cols = trace_header(bench_game.dims)
@@ -410,3 +437,19 @@ class TestTraceCsv:
         assert float(last["L1_00"]) == st_last.L1[0, 0]
         assert float(last["f_social"]) == st_last.f_social
         assert float(last["res2"]) == st_last.res2
+
+    @pytest.mark.parametrize("mode", ["cross", "composite"])
+    def test_matches_golden_trace(self, tmp_path, bench_game, mode):
+        # Status and step count exactly; every recorded value to 1e-12
+        # relative, so a change to how a step is computed cannot move them.
+        trace = iterate(bench_game, IterationConfig(mode=mode, tol=1e-10))
+        assert (trace.status, trace.status_iter) == GOLDEN_RUNS[mode]
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, bench_game.dims, path)
+        fresh = _read_csv(path)
+        golden = _read_csv(GOLDEN_DIR / f"example1_trace_{mode}.csv")
+        assert fresh[0] == golden[0]
+        assert len(fresh) == len(golden) == trace.status_iter + 2
+        np.testing.assert_allclose(np.array(fresh[1:], dtype=float),
+                                   np.array(golden[1:], dtype=float),
+                                   rtol=1e-12, atol=0)
