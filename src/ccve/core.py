@@ -15,6 +15,7 @@ by these matrices.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -277,16 +278,32 @@ def eval_cost(game: QuadraticGame, i: int, x1, x2) -> float:
     """Player i's quadratic cost at the joint action (x1, x2)."""
     x1 = _as_vector(x1, game.dims.d1, "x1")
     x2 = _as_vector(x2, game.dims.d2, "x2")
-    p = game.player(i)
-    return _cost(p, x1, x2) if i == 1 else _cost(p, x2, x1)
+    game.player(i)  # rejects an index other than 1 or 2
+    operands = _cost_operands(game, stacked_m1(game), stacked_m2(game))
+    return _costs(operands, x1, x2)[i - 1]
 
 
-def _cost(p: PlayerCost, x_own, x_opp) -> float:
-    """f(x_own, x_opp) from one player's blocks; the actions are not checked."""
-    quad = 0.5 * (
-        x_own @ p.A @ x_own + 2.0 * x_opp @ p.B @ x_own + x_opp @ p.D @ x_opp
-    )
-    return float(quad + p.a @ x_own + p.b @ x_opp)
+def _cost_operands(game: QuadraticGame, M1, M2):
+    """(MM, G) for _costs: the stacked [M1; M2] and the rows g1 = [a1; b1] and
+    g2 = [b2; a2], the linear terms in the joint coordinates z = [x1; x2]."""
+    p1, p2 = game.p1, game.p2
+    G = np.stack((np.concatenate((p1.a, p1.b)), np.concatenate((p2.b, p2.a))))
+    return np.concatenate((M1, M2)), G
+
+
+def _costs(operands, x1, x2):
+    """(f1, f2) at the joint action z = [x1; x2] from one product of the
+    stacked [M1; M2] with z: f_i = z . (M_i z / 2 + g_i).
+
+    ``operands`` is _cost_operands(game, M1, M2). The actions are not checked:
+    a non-finite entry makes both costs non-finite, and an overflow gives an
+    infinite cost, each without a floating-point warning.
+    """
+    MM, G = operands
+    z = np.concatenate((x1, x2))
+    with np.errstate(invalid="ignore", over="ignore"):
+        f1, f2 = (0.5 * MM.dot(z).reshape(2, -1) + G).dot(z).tolist()
+    return f1, f2
 
 
 def assemble_blocks(game: QuadraticGame) -> CompositeBlocks:
@@ -318,14 +335,22 @@ def _residuals(L1, L2, terms1, terms2):
 
 def _a_norms(game: QuadraticGame):
     """(||A_1||_F, ||A_2||_F): the scales of the residual norms."""
-    return np.linalg.norm(game.p1.A), np.linalg.norm(game.p2.A)
+    return float(np.linalg.norm(game.p1.A)), float(np.linalg.norm(game.p2.A))
+
+
+def _sq_norm(m):
+    """The sum of squares of the entries of ``m``, formed as np.linalg.norm(m)
+    forms it before its sqrt: the dot product of the ravel-order entries."""
+    v = m.ravel(order="K")
+    return v.dot(v)
 
 
 def _residual_norms(r1, r2, a_norms):
-    """Frobenius norms of the residuals r1, r2, relative to a_norms = _a_norms(game)."""
-    n1 = np.linalg.norm(r1) / a_norms[0]
-    n2 = np.linalg.norm(r2) / a_norms[1]
-    return float(n1), float(n2)
+    """Frobenius norms of the residuals r1, r2, relative to a_norms = _a_norms(game).
+
+    Bit for bit np.linalg.norm(r_i) / a_norms[i - 1]: sqrt is correctly rounded.
+    """
+    return math.sqrt(_sq_norm(r1)) / a_norms[0], math.sqrt(_sq_norm(r2)) / a_norms[1]
 
 
 def riccati_residual(game: QuadraticGame, L1, L2):

@@ -100,9 +100,9 @@ def _solution_from_subspace(
     # Each slope's terms (P_i, Q_i) are formed once; L2 and ell2 share one
     # LU of P1^T, and the certificate and second-order test read the terms.
     terms1 = _slope_terms(game.p1, L1)
-    L2, ell2 = lft._cross_offset(game.p1, 1, L1, terms1)
+    L2, ell2 = lft._cross_offset(1, lft._linear(game.p1, L1), terms1)
     terms2 = _slope_terms(game.p2, L2)
-    ell1 = lft._offset(game.p2, 2, L2, terms2[0])
+    ell1 = lft._offset(2, lft._linear(game.p2, L2), terms2[0])
     x1, x2 = solve_actions(L1, ell1, L2, ell2)
     # The certificate reads the split of spec(boldM1) the solve reordered.
     report = stability._certify(blocks, game, L1, L2,

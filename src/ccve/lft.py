@@ -8,6 +8,7 @@ and is represented compactly by the blocks of boldM1/boldM2.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -19,13 +20,11 @@ from .core import (
     Conjecture,
     QuadraticGame,
     _a_norms,
-    _cost,
     _residual_norms,
     _residuals,
     _solve_checked,
     _solve_sym_checked,
     assemble_blocks,
-    validate_game,
 )
 from .errors import DimensionMismatch, SingularBestResponse, SingularComposite
 
@@ -39,16 +38,21 @@ def _cross(terms, i):
     return -_solve_checked(P.T, Q.T, SingularBestResponse, i)
 
 
-def _offset(p, i, L, P):
-    """-P^{-T} (a + L^T b): the opponent offset at player i's slope L."""
-    return -_solve_checked(P.T, p.a + L.T @ p.b, SingularBestResponse, i)
+def _linear(p, L):
+    """a + L^T b: player p's linear term along its slope L, which both the
+    opponent offset and the best response read."""
+    return p.a + L.T @ p.b
 
 
-def _cross_offset(p, i, L, terms):
-    """(_cross(terms, i), _offset(p, i, L, P)) from one LU of P^T, bit for bit."""
+def _offset(i, c, P):
+    """-P^{-T} c: the opponent offset at player i's slope L, with c = _linear(p, L)."""
+    return -_solve_checked(P.T, c, SingularBestResponse, i)
+
+
+def _cross_offset(i, c, terms):
+    """(_cross(terms, i), _offset(i, c, P)) from one LU of P^T, bit for bit."""
     P, Q = terms
-    L_opp, ell_opp = _solve_checked(P.T, (Q.T, p.a + L.T @ p.b),
-                                    SingularBestResponse, i)
+    L_opp, ell_opp = _solve_checked(P.T, (Q.T, c), SingularBestResponse, i)
     return -L_opp, -ell_opp
 
 
@@ -62,7 +66,7 @@ def offset_cross(game: QuadraticGame, i: int, L_i):
     """Opponent affine offset consistent with player i's data at slope L_i."""
     p = game.player(i)
     L_i = np.asarray(L_i, dtype=float)
-    return _offset(p, i, L_i, core._slope_terms(p, L_i)[0])
+    return _offset(i, _linear(p, L_i), core._slope_terms(p, L_i)[0])
 
 
 def composite_step(blocks: CompositeBlocks, i: int, L_i):
@@ -74,18 +78,13 @@ def composite_step(blocks: CompositeBlocks, i: int, L_i):
     return _solve_checked(bA + bB @ L_i, num.T, SingularComposite, i, trans=1).T
 
 
-def _best_response(p, i, L, ell, terms):
-    """Player i's stationary action at (L, ell) from the slope terms of L."""
+def _best_response(i, L, ell, terms, c):
+    """(x, posdef): player i's stationary action at (L, ell), from the slope
+    terms of L and c = _linear(p, L), and whether its effective Hessian is
+    positive definite."""
     S = analysis._effective_hessian(L, terms)
-    rhs = p.a + L.T @ p.b + terms[1].T @ ell
-    sol, posdef = _solve_sym_checked(S, rhs, SingularBestResponse, i)
-    if not posdef:
-        warnings.warn(
-            f"NotCertifiedMin: player {i}'s effective Hessian is not positive "
-            "definite; returned stationary point may not be a minimizer",
-            stacklevel=3,
-        )
-    return -sol
+    sol, posdef = _solve_sym_checked(S, c + terms[1].T @ ell, SingularBestResponse, i)
+    return -sol, posdef
 
 
 def best_response(game: QuadraticGame, i: int, conj: Conjecture):
@@ -98,7 +97,15 @@ def best_response(game: QuadraticGame, i: int, conj: Conjecture):
     if conj.holder != i:
         raise DimensionMismatch(f"conjecture holder {conj.holder} != player {i}")
     p = game.player(i)
-    return _best_response(p, i, conj.L, conj.ell, core._slope_terms(p, conj.L))
+    x, posdef = _best_response(i, conj.L, conj.ell, core._slope_terms(p, conj.L),
+                               _linear(p, conj.L))
+    if not posdef:
+        warnings.warn(
+            f"NotCertifiedMin: player {i}'s effective Hessian is not positive "
+            "definite; returned stationary point may not be a minimizer",
+            stacklevel=2,
+        )
+    return x
 
 
 def predict(conj: Conjecture, x_i):
@@ -171,36 +178,41 @@ class IterationTrace:
         return self.status == "converged"
 
 
-def _record(game, k, L1, ell1, L2, ell2, terms1, terms2, a_norms) -> IterationStep:
-    """Step k of the trace, read from the slope terms of L1 and L2.
+def _record(k, L1, ell1, L2, ell2, terms1, terms2, c1, c2, a_norms, cost_operands):
+    """(step, posdef): step k of the trace, read from the slope terms of L1
+    and L2 and their linear terms c_i = _linear(p_i, L_i), and the posdef
+    flags of the two effective Hessians.
 
-    ``a_norms`` is _a_norms(game). The actions are checked for finiteness,
-    as eval_cost would; shapes are known.
+    ``a_norms`` is _a_norms(game) and ``cost_operands`` is
+    core._cost_operands(game, M1, M2). The actions are checked for
+    finiteness, as eval_cost would; shapes are known.
     """
-    x1 = _best_response(game.p1, 1, L1, ell1, terms1)
-    x2 = _best_response(game.p2, 2, L2, ell2, terms2)
-    for name, x in (("x1", x1), ("x2", x2)):
-        if not np.isfinite(x).all():
-            raise DimensionMismatch(f"{name} contains non-finite entries")
-    f1 = _cost(game.p1, x1, x2)
-    f2 = _cost(game.p2, x2, x1)
+    x1, posdef1 = _best_response(1, L1, ell1, terms1, c1)
+    x2, posdef2 = _best_response(2, L2, ell2, terms2, c2)
+    f1, f2 = core._costs(cost_operands, x1, x2)
+    # A non-finite action makes both costs non-finite, so the actions are
+    # read only then; finite actions whose cost overflows are recorded.
+    if not (math.isfinite(f1) and math.isfinite(f2)):
+        for name, x in (("x1", x1), ("x2", x2)):
+            if not np.isfinite(x).all():
+                raise DimensionMismatch(f"{name} contains non-finite entries")
     res1, res2 = _residual_norms(*_residuals(L1, L2, terms1, terms2), a_norms)
-    return IterationStep(
+    step = IterationStep(
         iteration=k, L1=L1, ell1=ell1, L2=L2, ell2=ell2,
         x1=x1, x2=x2, xhat1=L2 @ x2 + ell2, xhat2=L1 @ x1 + ell1,
         f1=f1, f2=f2, f_social=f1 + f2, res1=res1, res2=res2,
     )
+    return step, (posdef1, posdef2)
 
 
 def _max_norm(*arrays):
-    """max(np.linalg.norm(m) for m in arrays), bit for bit: norm is the sqrt of
-    the ravel-order dot product, and sqrt is monotone."""
-    return np.sqrt(max(v.dot(v) for v in (m.ravel(order="K") for m in arrays)))
+    """max(np.linalg.norm(m) for m in arrays), bit for bit: sqrt is monotone."""
+    return math.sqrt(max(map(core._sq_norm, arrays)))
 
 
 def _step(game, blocks, L1, L2, terms1, terms2, cross):
-    """One map step: the new slopes, their terms, the offsets they give and,
-    in cross mode, the next step's slopes.
+    """One map step: the new slopes, the offsets they give, their terms and
+    linear terms and, in cross mode, the next step's slopes.
 
     Cross mode takes the new slopes from ``cross``, the pair the previous
     step returned, or at step 1 (``cross`` None) reads them off the held
@@ -213,16 +225,19 @@ def _step(game, blocks, L1, L2, terms1, terms2, cross):
         L1n, L2n = composite_step(blocks, 1, L1), composite_step(blocks, 2, L2)
     terms1n = core._slope_terms(game.p1, L1n)
     terms2n = core._slope_terms(game.p2, L2n)
+    c1n, c2n = _linear(game.p1, L1n), _linear(game.p2, L2n)
     # Offsets follow the refreshed slopes so each (L, ell) pair stays
     # best-response consistent within the step. In cross mode the one LU of
     # each P_i^T that gives the offset also gives the next step's slope.
     if blocks is None:
-        L1x, ell1n = _cross_offset(game.p2, 2, L2n, terms2n)
-        L2x, ell2n = _cross_offset(game.p1, 1, L1n, terms1n)
-        return L1n, ell1n, L2n, ell2n, terms1n, terms2n, (L1x, L2x)
-    ell1n = _offset(game.p2, 2, L2n, terms2n[0])
-    ell2n = _offset(game.p1, 1, L1n, terms1n[0])
-    return L1n, ell1n, L2n, ell2n, terms1n, terms2n, None
+        L1x, ell1n = _cross_offset(2, c2n, terms2n)
+        L2x, ell2n = _cross_offset(1, c1n, terms1n)
+        cross = (L1x, L2x)
+    else:
+        ell1n = _offset(2, c2n, terms2n[0])
+        ell2n = _offset(1, c1n, terms1n[0])
+        cross = None
+    return L1n, ell1n, L2n, ell2n, terms1n, terms2n, c1n, c2n, cross
 
 
 def iterate(game: QuadraticGame, cfg: IterationConfig) -> IterationTrace:
@@ -238,13 +253,20 @@ def iterate(game: QuadraticGame, cfg: IterationConfig) -> IterationTrace:
     update, or a best response of its record); the trace then ends at step
     k - 1 and ``status_iter`` is k. A singular best response at the initial
     conjecture raises SingularBestResponse, since no step can be returned.
+
+    Warns NotCertifiedMin once, naming the first step and player whose
+    effective Hessian is not positive definite.
     """
-    # assemble_blocks validates the game as it factors M1 and M2.
-    blocks = None
+    # _factor_m validates the game as it stacks and factors M1 and M2; the
+    # record reads them stacked as [M1; M2].
     if cfg.mode == "composite":
         blocks = assemble_blocks(game)
+        cost_operands = core._cost_operands(game, blocks.M1, blocks.M2)
     else:
-        validate_game(game)
+        blocks = None
+        (M1, _, _), (M2, _, _) = core._factor_m(game)
+        cost_operands = core._cost_operands(game, M1, M2)
+        del M1, M2  # the stacked copy is all the run keeps
     dims = game.dims
     if cfg.init is None:
         x1ne, x2ne = analysis.nash(game)
@@ -259,30 +281,50 @@ def iterate(game: QuadraticGame, cfg: IterationConfig) -> IterationTrace:
         L1, ell1 = conj1.L.copy(), conj1.ell.copy()
         L2, ell2 = conj2.L.copy(), conj2.ell.copy()
 
-    # Each step forms the terms (P_i, Q_i) of its two new slopes once; the
-    # offsets, the record and the next step's cross map read them.
+    # Each step forms the terms (P_i, Q_i) and the linear term a_i + L_i^T b_i
+    # of its two new slopes once; the offsets, the record and the next step's
+    # cross map read them.
     terms1 = core._slope_terms(game.p1, L1)
     terms2 = core._slope_terms(game.p2, L2)
+    c1, c2 = _linear(game.p1, L1), _linear(game.p2, L2)
     a_norms = _a_norms(game)
-    steps = [_record(game, 0, L1, ell1, L2, ell2, terms1, terms2, a_norms)]
-    change = cross = None
+    rec, posdef = _record(0, L1, ell1, L2, ell2, terms1, terms2, c1, c2,
+                          a_norms, cost_operands)
+    steps = [rec]
+    # (step, player) of the first effective Hessian that is not positive definite.
+    uncertified = None if all(posdef) else (0, posdef.index(False) + 1)
+    status, change, cross = "max_iters", None, None
     for k in range(1, cfg.max_iters + 1):
         try:
-            L1n, ell1n, L2n, ell2n, terms1, terms2, cross = _step(
+            L1n, ell1n, L2n, ell2n, terms1, terms2, c1, c2, cross = _step(
                 game, blocks, L1, L2, terms1, terms2, cross)
-            rec = _record(game, k, L1n, ell1n, L2n, ell2n, terms1, terms2, a_norms)
+            rec, posdef = _record(k, L1n, ell1n, L2n, ell2n, terms1, terms2,
+                                  c1, c2, a_norms, cost_operands)
         except (SingularBestResponse, SingularComposite):
-            return IterationTrace(tuple(steps), "singular", k, change)
+            status = "singular"
+            break
+        if uncertified is None and not all(posdef):
+            uncertified = (k, posdef.index(False) + 1)
         change = _max_norm(L1n - L1, L2n - L2, ell1n - ell1, ell2n - ell2)
         L1, ell1, L2, ell2 = L1n, ell1n, L2n, ell2n
         steps.append(rec)
         if _max_norm(L1, L2, ell1, ell2) > DIVERGENCE_NORM:
-            return IterationTrace(tuple(steps), "diverged", k, change)
+            status = "diverged"
+            break
         # Converged when the iterate stops moving or is already a fixed pair
         # (the step-change metric lags fixed-point proximity by one step).
         if change < cfg.tol or max(rec.res1, rec.res2) < cfg.tol:
-            return IterationTrace(tuple(steps), "converged", k, change)
-    return IterationTrace(tuple(steps), "max_iters", cfg.max_iters, change)
+            status = "converged"
+            break
+    if uncertified is not None:
+        first, player = uncertified
+        warnings.warn(
+            f"NotCertifiedMin: player {player}'s effective Hessian is not "
+            f"positive definite at step {first}, the first such step of this "
+            "run; recorded stationary points may not be minimizers",
+            stacklevel=2,
+        )
+    return IterationTrace(tuple(steps), status, k, change)
 
 
 # --- Trace CSV --------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Data model, validation, cost evaluation, block assembly, and game JSON."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,30 @@ class TestEvalCost:
         f2 = 0.5 * z2 @ M2p @ z2 + np.concatenate([g.p2.a, g.p2.b]) @ z2
         assert eval_cost(g, 1, x1, x2) == pytest.approx(f1, rel=1e-12)
         assert eval_cost(g, 2, x1, x2) == pytest.approx(f2, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("player", [1, 2])
+    @pytest.mark.parametrize("game", ["2x3", "uncoupled"])
+    def test_non_finite_action_gives_non_finite_costs(self, game, player, bad):
+        # The iteration record reads the actions only when a cost is not
+        # finite, so any non-finite entry must make both costs non-finite,
+        # also where it meets a zero block (uncoupled: B_i = 0), and the
+        # product must not warn.
+        g = builders.example1_game() if game == "2x3" else scalar_game(r=0.0, s=-1.0)
+        x1, x2 = np.ones(g.dims.d1), np.ones(g.dims.d2)
+        (x1 if player == 1 else x2)[0] = bad
+        operands = core._cost_operands(g, stacked_m1(g), stacked_m2(g))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f1, f2 = core._costs(operands, x1, x2)
+        assert not np.isfinite(f1) and not np.isfinite(f2)
+
+    def test_overflowing_cost_is_infinite(self):
+        # Finite actions whose cost overflows give inf, without a warning.
+        g = scalar_game(q=1.0, r=0.5, s=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eval_cost(g, 1, [-0.5e308], [-0.5e308]) == np.inf
 
     @given(st.integers(0, 10**6), st.floats(0.1, 10.0))
     @settings(max_examples=25, deadline=None)

@@ -1,6 +1,7 @@
 """Cross/composite conjecture maps, best responses, and the iteration driver."""
 
 import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +354,42 @@ class TestIterate:
         if (game, mode) == ("50x60", "cross"):
             assert (n, calls["_lu_rcond"]) == (29, 63)
 
+    @pytest.mark.parametrize("max_iters", [1, 10])
+    @pytest.mark.parametrize("mode", ["cross", "composite"])
+    def test_each_run_stacks_m_once(self, monkeypatch, bench_game, mode, max_iters):
+        # M1 and M2 are stacked and factored once a run, and the Nash system
+        # stacked once; the record reads the stacked M1 and M2 at every step.
+        calls = {"_factor_m": 0, "_stack": 0}
+
+        def spy(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        spy(core, "_factor_m")
+        spy(core, "_stack")
+        spy(analysis, "_stack")
+        trace = iterate(bench_game, IterationConfig(mode=mode, max_iters=max_iters,
+                                                    tol=1e-30))
+        assert len(trace.steps) == max_iters + 1
+        assert calls == {"_factor_m": 1, "_stack": 3}
+
+    def test_one_not_certified_min_warning_a_run(self):
+        # From 100x120 up paper7ex2 leaves S_i indefinite at most steps; the
+        # run warns once, naming the first step and player.
+        g = builders.random_game(100, 120, recipe="paper7ex2", seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            trace = iterate(g, IterationConfig(max_iters=20))
+        assert len(trace.steps) == 21
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 1
+        assert messages[0].startswith("NotCertifiedMin: player 1's effective "
+                                      "Hessian is not positive definite at step 2,")
+
 
 def _rel(a, b):
     return np.linalg.norm(np.subtract(a, b)) / max(np.linalg.norm(b), 1e-300)
@@ -384,8 +421,9 @@ def test_recorded_steps_match_public_functions(game, mode):
         assert _rel(st.x1, x1) <= tol and _rel(st.x2, x2) <= tol
         assert _rel(st.xhat2, predict(c1, x1)) <= tol
         assert _rel(st.xhat1, predict(c2, x2)) <= tol
-        assert _rel(st.f1, eval_cost(game, 1, x1, x2)) <= tol
-        assert _rel(st.f2, eval_cost(game, 2, x1, x2)) <= tol
+        # The record and eval_cost evaluate both costs by one helper.
+        assert st.f1 == eval_cost(game, 1, x1, x2)
+        assert st.f2 == eval_cost(game, 2, x1, x2)
         assert _rel((st.res1, st.res2),
                     riccati_residual_norms(game, st.L1, st.L2)) <= tol
         if k + 1 == len(trace.steps):
