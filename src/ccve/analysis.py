@@ -7,10 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (QuadraticGame, _posdef, _slope_terms, _solve_checked,
-                   _solve_sym_checked, _stack, eval_cost, stacked_m1,
-                   stacked_m2)
-from .errors import DimensionMismatch, SingularNashSystem, SingularSocialSystem
+from .core import (QuadraticGame, _as_vector, _checked_slope, _cost_operands,
+                   _costs, _posdef, _solve_checked, _solve_sym_checked, _stack,
+                   stacked_m1, stacked_m2)
+from .errors import SingularNashSystem, SingularSocialSystem
 
 # Minimum-eigenvalue threshold for positive definiteness of the effective
 # Hessians (absolute; games are expected to be O(1)-scaled).
@@ -31,35 +31,27 @@ class SecondOrderReport:
     m2_posdef: bool
 
 
-def _effective_hessian(L, terms):
-    """sym(P + L^T Q) from the slope terms (P, Q) = _slope_terms(p, L)."""
-    P, Q = terms
-    S = P + L.T @ Q
+def _effective_hessian(s):
+    """sym(P + L^T Q) from the slope s = _slope_terms(p, L)."""
+    S = s.P + s.L.T @ s.Q
     return 0.5 * (S + S.T)
 
 
 def effective_hessian(game: QuadraticGame, i: int, L_i):
     """sym(A_i + L^T B_i + B_i^T L + L^T D_i L) for player i at slope L."""
-    L = np.asarray(L_i, dtype=float)
-    return _effective_hessian(L, _slope_terms(game.player(i), L))
+    return _effective_hessian(_checked_slope(game, i, L_i))
 
 
 def second_order_check(game: QuadraticGame, L1, L2) -> SecondOrderReport:
     """Check strong convexity of each player's conjectured problem."""
-    L1 = np.asarray(L1, dtype=float)
-    L2 = np.asarray(L2, dtype=float)
-    if L1.shape != (game.dims.d2, game.dims.d1):
-        raise DimensionMismatch(f"L1 has shape {L1.shape}")
-    if L2.shape != (game.dims.d1, game.dims.d2):
-        raise DimensionMismatch(f"L2 has shape {L2.shape}")
-    return _second_order(L1, L2, _slope_terms(game.p1, L1), _slope_terms(game.p2, L2),
+    return _second_order(_checked_slope(game, 1, L1), _checked_slope(game, 2, L2),
                          stacked_m1(game), stacked_m2(game))
 
 
-def _second_order(L1, L2, terms1, terms2, M1, M2) -> SecondOrderReport:
-    """second_order_check from the slope terms of (L1, L2) and the stacked M1, M2."""
-    S1 = _effective_hessian(L1, terms1)
-    S2 = _effective_hessian(L2, terms2)
+def _second_order(s1, s2, M1, M2) -> SecondOrderReport:
+    """second_order_check from the two players' slopes and the stacked M1, M2."""
+    S1 = _effective_hessian(s1)
+    S2 = _effective_hessian(s2)
     e1 = float(np.linalg.eigvalsh(S1).min())
     e2 = float(np.linalg.eigvalsh(S2).min())
     return SecondOrderReport(
@@ -82,7 +74,10 @@ def nash(game: QuadraticGame):
 
 def social_cost(game: QuadraticGame, x1, x2) -> float:
     """Total cost f1 + f2 at the joint action."""
-    return eval_cost(game, 1, x1, x2) + eval_cost(game, 2, x1, x2)
+    x1 = _as_vector(x1, game.dims.d1, "x1")
+    x2 = _as_vector(x2, game.dims.d2, "x2")
+    f1, f2 = _costs(_cost_operands(game, stacked_m1(game), stacked_m2(game)), x1, x2)
+    return f1 + f2
 
 
 def social_optimum(game: QuadraticGame):
@@ -92,7 +87,8 @@ def social_optimum(game: QuadraticGame):
     not positive definite (the stationary point is then not a certified
     minimum).
     """
-    M = stacked_m1(game) + stacked_m2(game)
+    M1, M2 = stacked_m1(game), stacked_m2(game)
+    M = M1 + M2
     H = 0.5 * (M + M.T)
     g = np.concatenate([game.p1.a + game.p2.b, game.p1.b + game.p2.a])
     z, posdef = _solve_sym_checked(H, -g, SingularSocialSystem,
@@ -105,4 +101,5 @@ def social_optimum(game: QuadraticGame):
         )
     d1 = game.dims.d1
     x1, x2 = z[:d1], z[d1:]
-    return x1, x2, social_cost(game, x1, x2)
+    f1, f2 = _costs(_cost_operands(game, M1, M2), x1, x2)
+    return x1, x2, f1 + f2

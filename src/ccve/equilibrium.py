@@ -86,8 +86,8 @@ def _solution_from_subspace(
     sub: spectral.InvariantSubspace,
     selection_label: str,
 ):
-    """(solution, (terms1, terms2)): the solution at the subspace's L1 and
-    the slope terms of its L1 and L2."""
+    """(solution, (s1, s2)): the solution at the subspace's L1 and the
+    slopes of its L1 and L2."""
     # basis = [Y1; X1] with Y1 of shape d1 x d1; L1 = X1 Y1^{-1}, solved
     # as Y1^T L1^T = X1^T.
     d1 = game.dims.d1
@@ -97,17 +97,17 @@ def _solution_from_subspace(
         "(Y1 numerically singular)",
         rcond_min=Y1_RCOND_MIN, trans=1,
     ).T
-    # Each slope's terms (P_i, Q_i) are formed once; L2 and ell2 share one
-    # LU of P1^T, and the certificate and second-order test read the terms.
-    terms1 = _slope_terms(game.p1, L1)
-    L2, ell2 = lft._cross_offset(1, lft._linear(game.p1, L1), terms1)
-    terms2 = _slope_terms(game.p2, L2)
-    ell1 = lft._offset(2, lft._linear(game.p2, L2), terms2[0])
+    # Each slope (L_i, P_i, Q_i, c_i) is formed once; L2 and ell2 share one
+    # LU of P1^T, and the certificate and second-order test read the slopes.
+    s1 = _slope_terms(game.p1, L1)
+    L2, ell2 = lft._cross_offset(1, s1)
+    s2 = _slope_terms(game.p2, L2)
+    ell1 = lft._offset(2, s2)
     x1, x2 = solve_actions(L1, ell1, L2, ell2)
     # The certificate reads the split of spec(boldM1) the solve reordered.
-    report = stability._certify(blocks, game, L1, L2,
-                                (sub.eigenvalues, sub.complement), (terms1, terms2))
-    so = analysis._second_order(L1, L2, terms1, terms2, blocks.M1, blocks.M2)
+    report = stability._certify(blocks, game, s1, s2,
+                                (sub.eigenvalues, sub.complement))
+    so = analysis._second_order(s1, s2, blocks.M1, blocks.M2)
     return CcveSolution(
         L1=L1, ell1=ell1, L2=L2, ell2=ell2, x1=x1, x2=x2,
         # spec(H1) is the selected set: [I; L1] spans the subspace.
@@ -116,7 +116,7 @@ def _solution_from_subspace(
         second_order=so,
         selection_used=selection_label,
         warnings=sub.warnings,
-    ), (terms1, terms2)
+    ), (s1, s2)
 
 
 def _solve_with(game, blocks, selection: Selection, route: str) -> CcveSolution:
@@ -222,8 +222,8 @@ def enumerate_fixed_points(game: QuadraticGame, cap=ENUMERATION_CAP) -> Enumerat
                 continue
             try:
                 sub = spectral._reorder(blocks.boldM1, T, Z, values, d1, Indices(idx))
-                sol, terms = _solution_from_subspace(game, blocks, sub,
-                                                     f"indices{list(idx)}")
+                sol, slopes = _solution_from_subspace(game, blocks, sub,
+                                                      f"indices{list(idx)}")
             except CcveError as exc:
                 skipped.append((idx, type(exc).__name__))
                 continue
@@ -232,8 +232,7 @@ def enumerate_fixed_points(game: QuadraticGame, cap=ENUMERATION_CAP) -> Enumerat
                 eigenvalues=values[order[list(idx)]],
                 L1=sol.L1,
                 L2=sol.L2,
-                residuals=_residual_norms(*_residuals(sol.L1, sol.L2, *terms),
-                                          a_norms),
+                residuals=_residual_norms(*_residuals(*slopes), a_norms),
                 xi_max_1=sol.stability.xi_max_1,
                 xi_max_2=sol.stability.xi_max_2,
                 stable=sol.stable,

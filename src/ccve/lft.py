@@ -32,41 +32,30 @@ from .errors import DimensionMismatch, SingularBestResponse, SingularComposite
 DIVERGENCE_NORM = 1e12
 
 
-def _cross(terms, i):
-    """-P^{-T} Q^T: the opponent slope from player i's slope terms (P, Q)."""
-    P, Q = terms
-    return -_solve_checked(P.T, Q.T, SingularBestResponse, i)
+def _cross(s, i):
+    """-P^{-T} Q^T: the opponent slope from player i's slope s."""
+    return -_solve_checked(s.P.T, s.Q.T, SingularBestResponse, i)
 
 
-def _linear(p, L):
-    """a + L^T b: player p's linear term along its slope L, which both the
-    opponent offset and the best response read."""
-    return p.a + L.T @ p.b
+def _offset(i, s):
+    """-P^{-T} c: the opponent offset at player i's slope s."""
+    return -_solve_checked(s.P.T, s.c, SingularBestResponse, i)
 
 
-def _offset(i, c, P):
-    """-P^{-T} c: the opponent offset at player i's slope L, with c = _linear(p, L)."""
-    return -_solve_checked(P.T, c, SingularBestResponse, i)
-
-
-def _cross_offset(i, c, terms):
-    """(_cross(terms, i), _offset(i, c, P)) from one LU of P^T, bit for bit."""
-    P, Q = terms
-    L_opp, ell_opp = _solve_checked(P.T, (Q.T, c), SingularBestResponse, i)
+def _cross_offset(i, s):
+    """(_cross(s, i), _offset(i, s)) from one LU of P^T, bit for bit."""
+    L_opp, ell_opp = _solve_checked(s.P.T, (s.Q.T, s.c), SingularBestResponse, i)
     return -L_opp, -ell_opp
 
 
 def lft_cross(game: QuadraticGame, i: int, L_i):
     """Opponent slope consistent with player i's data given i's slope L_i."""
-    L_i = np.asarray(L_i, dtype=float)
-    return _cross(core._slope_terms(game.player(i), L_i), i)
+    return _cross(core._checked_slope(game, i, L_i), i)
 
 
 def offset_cross(game: QuadraticGame, i: int, L_i):
     """Opponent affine offset consistent with player i's data at slope L_i."""
-    p = game.player(i)
-    L_i = np.asarray(L_i, dtype=float)
-    return _offset(i, _linear(p, L_i), core._slope_terms(p, L_i)[0])
+    return _offset(i, core._checked_slope(game, i, L_i))
 
 
 def composite_step(blocks: CompositeBlocks, i: int, L_i):
@@ -78,12 +67,11 @@ def composite_step(blocks: CompositeBlocks, i: int, L_i):
     return _solve_checked(bA + bB @ L_i, num.T, SingularComposite, i, trans=1).T
 
 
-def _best_response(i, L, ell, terms, c):
-    """(x, posdef): player i's stationary action at (L, ell), from the slope
-    terms of L and c = _linear(p, L), and whether its effective Hessian is
-    positive definite."""
-    S = analysis._effective_hessian(L, terms)
-    sol, posdef = _solve_sym_checked(S, c + terms[1].T @ ell, SingularBestResponse, i)
+def _best_response(i, s, ell):
+    """(x, posdef): player i's stationary action at its slope s and offset
+    ell, and whether its effective Hessian is positive definite."""
+    S = analysis._effective_hessian(s)
+    sol, posdef = _solve_sym_checked(S, s.c + s.Q.T @ ell, SingularBestResponse, i)
     return -sol, posdef
 
 
@@ -96,9 +84,8 @@ def best_response(game: QuadraticGame, i: int, conj: Conjecture):
     """
     if conj.holder != i:
         raise DimensionMismatch(f"conjecture holder {conj.holder} != player {i}")
-    p = game.player(i)
-    x, posdef = _best_response(i, conj.L, conj.ell, core._slope_terms(p, conj.L),
-                               _linear(p, conj.L))
+    x, posdef = _best_response(i, core._slope_terms(game.player(i), conj.L),
+                               conj.ell)
     if not posdef:
         warnings.warn(
             f"NotCertifiedMin: player {i}'s effective Hessian is not positive "
@@ -178,17 +165,16 @@ class IterationTrace:
         return self.status == "converged"
 
 
-def _record(k, L1, ell1, L2, ell2, terms1, terms2, c1, c2, a_norms, cost_operands):
-    """(step, posdef): step k of the trace, read from the slope terms of L1
-    and L2 and their linear terms c_i = _linear(p_i, L_i), and the posdef
-    flags of the two effective Hessians.
+def _record(k, s1, ell1, s2, ell2, a_norms, cost_operands):
+    """(step, posdef): step k of the trace at the slopes s1, s2 and offsets
+    ell1, ell2, and the posdef flags of the two effective Hessians.
 
     ``a_norms`` is _a_norms(game) and ``cost_operands`` is
     core._cost_operands(game, M1, M2). The actions are checked for
     finiteness, as eval_cost would; shapes are known.
     """
-    x1, posdef1 = _best_response(1, L1, ell1, terms1, c1)
-    x2, posdef2 = _best_response(2, L2, ell2, terms2, c2)
+    x1, posdef1 = _best_response(1, s1, ell1)
+    x2, posdef2 = _best_response(2, s2, ell2)
     f1, f2 = core._costs(cost_operands, x1, x2)
     # A non-finite action makes both costs non-finite, so the actions are
     # read only then; finite actions whose cost overflows are recorded.
@@ -196,10 +182,10 @@ def _record(k, L1, ell1, L2, ell2, terms1, terms2, c1, c2, a_norms, cost_operand
         for name, x in (("x1", x1), ("x2", x2)):
             if not np.isfinite(x).all():
                 raise DimensionMismatch(f"{name} contains non-finite entries")
-    res1, res2 = _residual_norms(*_residuals(L1, L2, terms1, terms2), a_norms)
+    res1, res2 = _residual_norms(*_residuals(s1, s2), a_norms)
     step = IterationStep(
-        iteration=k, L1=L1, ell1=ell1, L2=L2, ell2=ell2,
-        x1=x1, x2=x2, xhat1=L2 @ x2 + ell2, xhat2=L1 @ x1 + ell1,
+        iteration=k, L1=s1.L, ell1=ell1, L2=s2.L, ell2=ell2,
+        x1=x1, x2=x2, xhat1=s2.L @ x2 + ell2, xhat2=s1.L @ x1 + ell1,
         f1=f1, f2=f2, f_social=f1 + f2, res1=res1, res2=res2,
     )
     return step, (posdef1, posdef2)
@@ -210,34 +196,32 @@ def _max_norm(*arrays):
     return math.sqrt(max(map(core._sq_norm, arrays)))
 
 
-def _step(game, blocks, L1, L2, terms1, terms2, cross):
-    """One map step: the new slopes, the offsets they give, their terms and
-    linear terms and, in cross mode, the next step's slopes.
+def _step(game, blocks, s1, s2, cross):
+    """One map step from the slopes s1, s2: the new slopes, the offsets they
+    give and, in cross mode, the next step's slope matrices.
 
     Cross mode takes the new slopes from ``cross``, the pair the previous
-    step returned, or at step 1 (``cross`` None) reads them off the held
-    terms of L1 and L2; composite mode (``blocks`` given) applies
-    composite_step.
+    step returned, or at step 1 (``cross`` None) maps s1 and s2; composite
+    mode (``blocks`` given) applies composite_step.
     """
     if blocks is None:
-        L1n, L2n = cross or (_cross(terms2, 2), _cross(terms1, 1))
+        L1n, L2n = cross or (_cross(s2, 2), _cross(s1, 1))
     else:
-        L1n, L2n = composite_step(blocks, 1, L1), composite_step(blocks, 2, L2)
-    terms1n = core._slope_terms(game.p1, L1n)
-    terms2n = core._slope_terms(game.p2, L2n)
-    c1n, c2n = _linear(game.p1, L1n), _linear(game.p2, L2n)
+        L1n, L2n = composite_step(blocks, 1, s1.L), composite_step(blocks, 2, s2.L)
+    s1n = core._slope_terms(game.p1, L1n)
+    s2n = core._slope_terms(game.p2, L2n)
     # Offsets follow the refreshed slopes so each (L, ell) pair stays
     # best-response consistent within the step. In cross mode the one LU of
     # each P_i^T that gives the offset also gives the next step's slope.
     if blocks is None:
-        L1x, ell1n = _cross_offset(2, c2n, terms2n)
-        L2x, ell2n = _cross_offset(1, c1n, terms1n)
+        L1x, ell1n = _cross_offset(2, s2n)
+        L2x, ell2n = _cross_offset(1, s1n)
         cross = (L1x, L2x)
     else:
-        ell1n = _offset(2, c2n, terms2n[0])
-        ell2n = _offset(1, c1n, terms1n[0])
+        ell1n = _offset(2, s2n)
+        ell2n = _offset(1, s1n)
         cross = None
-    return L1n, ell1n, L2n, ell2n, terms1n, terms2n, c1n, c2n, cross
+    return s1n, ell1n, s2n, ell2n, cross
 
 
 def iterate(game: QuadraticGame, cfg: IterationConfig) -> IterationTrace:
@@ -281,41 +265,39 @@ def iterate(game: QuadraticGame, cfg: IterationConfig) -> IterationTrace:
         L1, ell1 = conj1.L.copy(), conj1.ell.copy()
         L2, ell2 = conj2.L.copy(), conj2.ell.copy()
 
-    # Each step forms the terms (P_i, Q_i) and the linear term a_i + L_i^T b_i
-    # of its two new slopes once; the offsets, the record and the next step's
-    # cross map read them.
-    terms1 = core._slope_terms(game.p1, L1)
-    terms2 = core._slope_terms(game.p2, L2)
-    c1, c2 = _linear(game.p1, L1), _linear(game.p2, L2)
+    # Each step forms the _Slope of each new L_i once; the offsets, the
+    # record and the next step's cross map read it.
+    s1 = core._slope_terms(game.p1, L1)
+    s2 = core._slope_terms(game.p2, L2)
     a_norms = _a_norms(game)
-    rec, posdef = _record(0, L1, ell1, L2, ell2, terms1, terms2, c1, c2,
-                          a_norms, cost_operands)
+    rec, posdef = _record(0, s1, ell1, s2, ell2, a_norms, cost_operands)
     steps = [rec]
     # (step, player) of the first effective Hessian that is not positive definite.
     uncertified = None if all(posdef) else (0, posdef.index(False) + 1)
     status, change, cross = "max_iters", None, None
-    for k in range(1, cfg.max_iters + 1):
-        try:
-            L1n, ell1n, L2n, ell2n, terms1, terms2, c1, c2, cross = _step(
-                game, blocks, L1, L2, terms1, terms2, cross)
-            rec, posdef = _record(k, L1n, ell1n, L2n, ell2n, terms1, terms2,
-                                  c1, c2, a_norms, cost_operands)
-        except (SingularBestResponse, SingularComposite):
-            status = "singular"
-            break
-        if uncertified is None and not all(posdef):
-            uncertified = (k, posdef.index(False) + 1)
-        change = _max_norm(L1n - L1, L2n - L2, ell1n - ell1, ell2n - ell2)
-        L1, ell1, L2, ell2 = L1n, ell1n, L2n, ell2n
-        steps.append(rec)
-        if _max_norm(L1, L2, ell1, ell2) > DIVERGENCE_NORM:
-            status = "diverged"
-            break
-        # Converged when the iterate stops moving or is already a fixed pair
-        # (the step-change metric lags fixed-point proximity by one step).
-        if change < cfg.tol or max(rec.res1, rec.res2) < cfg.tol:
-            status = "converged"
-            break
+    # The norms square each entry: one that overflows only means the norm is
+    # far above DIVERGENCE_NORM or tol, so the run does not warn of it.
+    with np.errstate(over="ignore"):
+        for k in range(1, cfg.max_iters + 1):
+            try:
+                s1n, ell1n, s2n, ell2n, cross = _step(game, blocks, s1, s2, cross)
+                rec, posdef = _record(k, s1n, ell1n, s2n, ell2n, a_norms, cost_operands)
+            except (SingularBestResponse, SingularComposite):
+                status = "singular"
+                break
+            if uncertified is None and not all(posdef):
+                uncertified = (k, posdef.index(False) + 1)
+            change = _max_norm(s1n.L - s1.L, s2n.L - s2.L, ell1n - ell1, ell2n - ell2)
+            s1, ell1, s2, ell2 = s1n, ell1n, s2n, ell2n
+            steps.append(rec)
+            if _max_norm(s1.L, s2.L, ell1, ell2) > DIVERGENCE_NORM:
+                status = "diverged"
+                break
+            # Converged when the iterate stops moving or is already a fixed pair
+            # (the step-change metric lags fixed-point proximity by one step).
+            if change < cfg.tol or max(rec.res1, rec.res2) < cfg.tol:
+                status = "converged"
+                break
     if uncertified is not None:
         first, player = uncertified
         warnings.warn(

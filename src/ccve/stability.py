@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (RCOND_MIN, CompositeBlocks, QuadraticGame, _a_norms,
-                   _as_matrix, _lu_rcond, _residual_norms, _residuals,
-                   _slope_terms, _solve_checked)
+                   _checked_slope, _lu_rcond, _residual_norms, _residuals,
+                   _solve_checked)
 from .errors import NotAFixedPoint, SingularComposite
 
 # Residual threshold for accepting (L1, L2) as a fixed pair.
@@ -47,17 +47,14 @@ def h_matrices(blocks: CompositeBlocks, game: QuadraticGame, L1, L2):
     H1 = bA1 + bB1 L1, H1' = bD1 - L1 bB1 (and analogously for player 2).
     Cross-checks the alternate form H1 = (D2^T + B2 L1)^{-1}(A1 + B1^T L1).
     """
-    return _h_matrices(blocks, game, L1, L2)
+    return _h_matrices(blocks, game, _checked_slope(game, 1, L1),
+                       _checked_slope(game, 2, L2))
 
 
-def _h_matrices(blocks, game, L1, L2, terms=None):
-    """h_matrices, reading terms = (_slope_terms(p1, L1), _slope_terms(p2, L2))
-    when the caller has them; (L1, L2) is checked as riccati_residual checks it."""
-    dims = game.dims
-    L1 = _as_matrix(L1, dims.d2, dims.d1, "L1")
-    L2 = _as_matrix(L2, dims.d1, dims.d2, "L2")
-    terms1, terms2 = terms or (_slope_terms(game.p1, L1), _slope_terms(game.p2, L2))
-    r1, r2 = _residual_norms(*_residuals(L1, L2, terms1, terms2), _a_norms(game))
+def _h_matrices(blocks, game, s1, s2):
+    """h_matrices from the two players' slopes s_i = _slope_terms(p_i, L_i)."""
+    L1, L2 = s1.L, s2.L
+    r1, r2 = _residual_norms(*_residuals(s1, s2), _a_norms(game))
     if max(r1, r2) > FIXED_POINT_TOL:
         raise NotAFixedPoint(
             f"(L1, L2) residuals ({r1:.3e}, {r2:.3e}) above {FIXED_POINT_TOL:g}"
@@ -69,7 +66,7 @@ def _h_matrices(blocks, game, L1, L2, terms=None):
     H2 = bA2 + bB2 @ L2
     H2p = bD2 - L2 @ bB2
     lhs = game.p2.D.T + game.p2.B @ L1
-    alt = _solve_checked(lhs, terms1[0], NotAFixedPoint,
+    alt = _solve_checked(lhs, s1.P, NotAFixedPoint,
                          "D2^T + B2 L1 is singular: H1 has no alternate form")
     scale = max(np.linalg.norm(H1), 1e-300)
     if np.linalg.norm(alt - H1) / scale > 1e-8:
@@ -85,7 +82,7 @@ def perturbation_spectrum(blocks: CompositeBlocks, i: int, L_i):
     bA, bB, _, bD = blocks.bold_blocks(i)
     L_i = np.asarray(L_i, dtype=float)
     contract = bA + bB @ L_i
-    if _lu_rcond(contract)[2] < RCOND_MIN:
+    if not _lu_rcond(contract)[2] >= RCOND_MIN:
         raise SingularComposite(i)
     lam = np.linalg.eigvals(bD - L_i @ bB)
     mu = np.linalg.eigvals(contract)
@@ -101,18 +98,19 @@ def certify(blocks: CompositeBlocks, game: QuadraticGame, L1, L2,
     complement / selected, as boldM2^T is similar to boldM1^{-1}.  Without
     them (``ccve check``) perturbation_spectrum recomputes them from the H's.
     """
-    return _certify(blocks, game, L1, L2, spectra)
+    return _certify(blocks, game, _checked_slope(game, 1, L1),
+                    _checked_slope(game, 2, L2), spectra)
 
 
-def _certify(blocks, game, L1, L2, spectra, terms=None):
-    """certify, reading the slope terms of (L1, L2) as _h_matrices does."""
-    H1, H1p, H2, H2p = _h_matrices(blocks, game, L1, L2, terms)
+def _certify(blocks, game, s1, s2, spectra):
+    """certify from the two players' slopes, as _h_matrices reads them."""
+    H1, H1p, H2, H2p = _h_matrices(blocks, game, s1, s2)
     if spectra is None:
-        ratios_1 = perturbation_spectrum(blocks, 1, L1)
-        ratios_2 = perturbation_spectrum(blocks, 2, L2)
+        ratios_1 = perturbation_spectrum(blocks, 1, s1.L)
+        ratios_2 = perturbation_spectrum(blocks, 2, s2.L)
     else:
         for i, H in ((1, H1), (2, H2)):  # perturbation_spectrum's guard
-            if _lu_rcond(H)[2] < RCOND_MIN:
+            if not _lu_rcond(H)[2] >= RCOND_MIN:
                 raise SingularComposite(i)
         selected, complement = spectra
         ratios_1 = ratios_2 = (complement[:, None] / selected[None, :]).reshape(-1)

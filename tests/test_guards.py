@@ -25,6 +25,7 @@ from ccve.core import (
     Conjecture,
     QuadraticGame,
     _lu_rcond,
+    _solve_checked,
     _solve_sym_checked,
     assemble_blocks,
     stacked_m1,
@@ -32,6 +33,7 @@ from ccve.core import (
     validate_game,
 )
 from ccve.errors import (
+    DimensionMismatch,
     MSingular,
     SingularActionSystem,
     SingularBestResponse,
@@ -265,6 +267,77 @@ def test_sym_solve_rcond_min_boundary(sign, posdef):
     x, flag = _solve_sym_checked(np.diag([sign, t]), b, SingularBestResponse, 1)
     assert flag is posdef
     assert np.array_equal(x, [sign, 1.0 / t])
+
+
+def with_nan(m):
+    """Copy of ``m`` with a NaN as its first entry."""
+    m = m.copy()
+    m.flat[0] = np.nan
+    return m
+
+
+def nan_in_b1(game):
+    """Copy of ``game`` with a NaN in B1, made past QuadraticGame.create's
+    finiteness check: M1 holds the NaN, A1 and A2 do not."""
+    return dataclasses.replace(game, p1=dataclasses.replace(game.p1, B=with_nan(game.p1.B)))
+
+
+NAN_SITES = [
+    # dgecon's estimate on [[1, nan], [0, 1]] is NaN.
+    pytest.param(lambda g, sol, blocks: _solve_checked(
+                     np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2),
+                     SingularBestResponse, 1),
+                 SingularBestResponse, id="solve_checked"),
+    # dpotrf reads the upper triangle of [[1, 0], [nan, 1]] and factors it;
+    # the 1-norm is NaN, and so is dpocon's estimate.
+    pytest.param(lambda g, sol, blocks: _solve_sym_checked(
+                     np.array([[1.0, 0.0], [np.nan, 1.0]]), np.ones(2),
+                     SingularBestResponse, 1),
+                 SingularBestResponse, id="solve_sym_checked"),
+    pytest.param(lambda g, sol, blocks: validate_game(nan_in_b1(g)),
+                 MSingular, id="factor_m"),
+    # A NaN in bA2 makes H2 = bA2 + bB2 L2 NaN; H1 and its alternate form
+    # do not read bA2.
+    pytest.param(lambda g, sol, blocks: stability.perturbation_spectrum(
+                     planted_bold(blocks, 2, with_nan(blocks.bold_blocks(2)[0])),
+                     2, sol.L2),
+                 SingularComposite, id="perturbation_spectrum"),
+    pytest.param(lambda g, sol, blocks: stability.certify(
+                     planted_bold(blocks, 2, with_nan(blocks.bold_blocks(2)[0])),
+                     g, sol.L1, sol.L2, (np.ones(2), np.ones(3))),
+                 SingularComposite, id="certify"),
+]
+
+
+@pytest.mark.parametrize("call, error", NAN_SITES)
+def test_nan_rcond_estimate_raises(bench_game, call, error):
+    """A NaN condition estimate fails its guard: it is not above any threshold."""
+    sol = equilibrium.solve_ccve(bench_game)
+    with pytest.raises(error):
+        call(bench_game, sol, assemble_blocks(bench_game))
+
+
+def wrong_shape(L):
+    return np.zeros((L.shape[0] + 1, L.shape[1]))
+
+
+PUBLIC_SLOPE_CALLS = [
+    pytest.param(lambda g, L1, L2: lft_cross(g, 1, L1), id="lft_cross"),
+    pytest.param(lambda g, L1, L2: offset_cross(g, 1, L1), id="offset_cross"),
+    pytest.param(lambda g, L1, L2: analysis.effective_hessian(g, 1, L1),
+                 id="effective_hessian"),
+    pytest.param(lambda g, L1, L2: analysis.second_order_check(g, L1, L2),
+                 id="second_order_check"),
+]
+
+
+@pytest.mark.parametrize("bad", [wrong_shape, with_nan], ids=["shape", "nan"])
+@pytest.mark.parametrize("call", PUBLIC_SLOPE_CALLS)
+def test_public_slope_is_checked(bench_game, call, bad):
+    """A public function given a wrong-shape or NaN slope raises DimensionMismatch."""
+    L1 = bad(np.zeros((3, 2)))
+    with pytest.raises(DimensionMismatch, match="L1"):
+        call(bench_game, L1, np.zeros((2, 3)))
 
 
 def rel(x, ref):

@@ -307,13 +307,17 @@ class TestIterate:
         with pytest.raises(DimensionMismatch, match="x1 contains non-finite entries"):
             iterate(g, IterationConfig(init=init))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_cost_is_recorded(self):
         # x_i = -0.5e308 is finite, but the cost 0.5 x_i^2 + ... overflows.
+        # Neither the cost nor the step-change norm, which squares the
+        # offsets' change of about 1e308, warns of the overflow.
         g = scalar_game(q1=1.0, r1=0.5, s1=0.0)
         init = (Conjecture.create(1, [[0.0]], [1e308], g.dims),
                 Conjecture.create(2, [[0.0]], [1e308], g.dims))
-        trace = iterate(g, IterationConfig(init=init, max_iters=3))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            trace = iterate(g, IterationConfig(init=init, max_iters=3))
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         first = trace.steps[0]
         assert np.isfinite(first.x1).all() and np.isfinite(first.x2).all()
         assert first.f1 == np.inf
