@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (QuadraticGame, _as_vector, _checked_slope, _cost_operands,
-                   _costs, _posdef, _solve_checked, _solve_sym_checked, _stack,
-                   stacked_m1, stacked_m2)
+                   _costs, _min_eig, _posdef, _solve_checked, _solve_sym_checked,
+                   _stack, stacked_m1, stacked_m2)
 from .errors import SingularNashSystem, SingularSocialSystem
 
 # Minimum-eigenvalue threshold for positive definiteness of the effective
@@ -52,8 +52,8 @@ def _second_order(s1, s2, M1, M2) -> SecondOrderReport:
     """second_order_check from the two players' slopes and the stacked M1, M2."""
     S1 = _effective_hessian(s1)
     S2 = _effective_hessian(s2)
-    e1 = float(np.linalg.eigvalsh(S1).min())
-    e2 = float(np.linalg.eigvalsh(S2).min())
+    e1 = _min_eig(S1)
+    e2 = _min_eig(S2)
     return SecondOrderReport(
         S1=S1, S2=S2, min_eig_1=e1, min_eig_2=e2,
         pass_=(e1 > SECOND_ORDER_EIG_MIN and e2 > SECOND_ORDER_EIG_MIN),

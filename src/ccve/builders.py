@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag
 
-from .core import QuadraticGame, assemble_blocks
+from .core import QuadraticGame, _min_eig, assemble_blocks
 from .errors import ComplexFixedPoints, DegenerateScalar, DimensionMismatch
 from .stability import MARGINAL_BAND
 
@@ -64,13 +64,13 @@ class LqSpec:
             raise DimensionMismatch("horizon T must be >= 1")
         for name in ("R1", "R2"):
             m = getattr(spec, name)
-            if np.linalg.eigvalsh(0.5 * (m + m.T)).min() <= 0:
+            if _min_eig(0.5 * (m + m.T)) <= 0:
                 raise DimensionMismatch(f"{name} must be positive definite")
         for name in ("Q1", "Q2", "Q1f", "Q2f"):
             m = getattr(spec, name)
             if np.linalg.norm(m - m.T) > _PSD_TOL * max(1.0, np.linalg.norm(m)):
                 raise DimensionMismatch(f"{name} must be symmetric")
-            if np.linalg.eigvalsh(0.5 * (m + m.T)).min() < -_PSD_TOL:
+            if _min_eig(0.5 * (m + m.T)) < -_PSD_TOL:
                 raise DimensionMismatch(f"{name} must be positive semidefinite")
         return spec
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import ANotPositiveDefinite, DimensionMismatch, MSingular
+from .errors import ANotPositiveDefinite, DimensionMismatch, EigFailure, MSingular
 
 # M1/M2 count as singular below this 1-norm rcond estimate (LAPACK dgecon).
 RCOND_SINGULAR = 1e-12
@@ -247,20 +247,27 @@ def _posdef(m):
     return bool(lapack.dpotrf(m)[1] == 0)
 
 
+def _min_eig(S):
+    """Smallest eigenvalue of symmetric ``S`` by LAPACK dsyevd (lower triangle)."""
+    w, _, info = lapack.dsyevd(S, compute_v=0, lower=1)
+    if info != 0:
+        raise EigFailure(f"dsyevd failed with info={info}")
+    return float(w[0])
+
+
 def _factor_m(game: QuadraticGame):
     """Check A_i > 0, then factor M1 and M2: (M, lu, piv) for each.
 
     A_i passes when A_i - POSDEF_EIG_MIN I has a Cholesky factor; only when it
-    has none does eigvalsh decide (min eigenvalue <= POSDEF_EIG_MIN fails) and
+    has none does _min_eig decide (min eigenvalue <= POSDEF_EIG_MIN fails) and
     give the value ANotPositiveDefinite reports. Then raises MSingular below
     RCOND_SINGULAR or at a NaN estimate.
     """
     for i in (1, 2):
         A = game.player(i).A
-        if _posdef(A - POSDEF_EIG_MIN * np.eye(A.shape[0])):
-            continue
-        min_eig = np.linalg.eigvalsh(A).min()
-        if min_eig <= POSDEF_EIG_MIN:
+        shifted = A.copy()
+        shifted.flat[::A.shape[0] + 1] -= POSDEF_EIG_MIN
+        if not _posdef(shifted) and (min_eig := _min_eig(A)) <= POSDEF_EIG_MIN:
             raise ANotPositiveDefinite(i, min_eig)
     factors = []
     for i, m in ((1, stacked_m1(game)), (2, stacked_m2(game))):
@@ -342,12 +349,15 @@ def _slope_terms(p: PlayerCost, L) -> _Slope:
     return tuple.__new__(_Slope, (L, p.A + p.B.T @ L, p.B + p.D @ L, p.a + L.T @ p.b))
 
 
+def _checked_L(dims: Dims, i, L):
+    """Player i's slope L, once _as_matrix has checked it is finite and d_{-i} x d_i."""
+    shape = (dims.d2, dims.d1) if i == 1 else (dims.d1, dims.d2)
+    return _as_matrix(L, *shape, f"L{i}")
+
+
 def _checked_slope(game: QuadraticGame, i, L) -> _Slope:
-    """_slope_terms of player i's slope L, once _as_matrix has checked that L
-    is a finite d_{-i} x d_i matrix."""
-    d = game.dims
-    shape = (d.d2, d.d1) if i == 1 else (d.d1, d.d2)
-    return _slope_terms(game.player(i), _as_matrix(L, *shape, f"L{i}"))
+    """_slope_terms of player i's slope L, checked by _checked_L."""
+    return _slope_terms(game.player(i), _checked_L(game.dims, i, L))
 
 
 def _residuals(s1: _Slope, s2: _Slope):
@@ -355,16 +365,16 @@ def _residuals(s1: _Slope, s2: _Slope):
     return s2.L.T @ s1.P + s1.Q, s1.L.T @ s2.P + s2.Q
 
 
-def _a_norms(game: QuadraticGame):
-    """(||A_1||_F, ||A_2||_F): the scales of the residual norms."""
-    return float(np.linalg.norm(game.p1.A)), float(np.linalg.norm(game.p2.A))
-
-
 def _sq_norm(m):
     """The sum of squares of the entries of ``m``, formed as np.linalg.norm(m)
     forms it before its sqrt: the dot product of the ravel-order entries."""
     v = m.ravel(order="K")
     return v.dot(v)
+
+
+def _a_norms(game: QuadraticGame):
+    """(||A_1||_F, ||A_2||_F): the scales of the residual norms."""
+    return math.sqrt(_sq_norm(game.p1.A)), math.sqrt(_sq_norm(game.p2.A))
 
 
 def _residual_norms(r1, r2, a_norms):

@@ -73,7 +73,9 @@ def solve_actions(L1, ell1, L2, ell2):
     L2 = np.asarray(L2, float)
     ell1 = np.asarray(ell1, float).reshape(-1)
     ell2 = np.asarray(ell2, float).reshape(-1)
-    K = np.eye(L2.shape[0]) - L2 @ L1
+    # I - L2 L1 in place; 0.0 - p gives each zero the sign np.eye(n) - p would.
+    K = 0.0 - L2 @ L1
+    K.flat[::K.shape[0] + 1] += 1.0
     x1 = _solve_checked(K, L2 @ ell1 + ell2, SingularActionSystem,
                         "I - L2 L1 is singular")
     x2 = L1 @ x1 + ell1

@@ -60,8 +60,12 @@ def offset_cross(game: QuadraticGame, i: int, L_i):
 
 def composite_step(blocks: CompositeBlocks, i: int, L_i):
     """One composite update L_i -> (C_i + D_i L_i)(A_i + B_i L_i)^{-1}."""
+    return _composite(blocks, i, core._checked_L(blocks.dims, i, L_i))
+
+
+def _composite(blocks, i, L_i):
+    """composite_step at a slope L_i already checked, as the iteration's are."""
     bA, bB, bC, bD = blocks.bold_blocks(i)
-    L_i = np.asarray(L_i, dtype=float)
     num = bC + bD @ L_i
     # Right division: solve X (A + B L) = (C + D L) via the transposed system.
     return _solve_checked(bA + bB @ L_i, num.T, SingularComposite, i, trans=1).T
@@ -202,12 +206,12 @@ def _step(game, blocks, s1, s2, cross):
 
     Cross mode takes the new slopes from ``cross``, the pair the previous
     step returned, or at step 1 (``cross`` None) maps s1 and s2; composite
-    mode (``blocks`` given) applies composite_step.
+    mode (``blocks`` given) applies composite_step unchecked.
     """
     if blocks is None:
         L1n, L2n = cross or (_cross(s2, 2), _cross(s1, 1))
     else:
-        L1n, L2n = composite_step(blocks, 1, s1.L), composite_step(blocks, 2, s2.L)
+        L1n, L2n = _composite(blocks, 1, s1.L), _composite(blocks, 2, s2.L)
     s1n = core._slope_terms(game.p1, L1n)
     s2n = core._slope_terms(game.p2, L2n)
     # Offsets follow the refreshed slopes so each (L, ell) pair stays

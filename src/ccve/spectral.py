@@ -8,12 +8,14 @@ closed under conjugation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
+from .core import _sq_norm
 from .errors import ConjugatePairSplit, EigFailure
 
 # Relative residual tolerance for eigenpairs and subspace checks.
@@ -113,7 +115,8 @@ def _select_positions(values, k, selection: Selection):
 
     ``values`` are in (generalized) Schur diagonal order, where each conjugate
     pair sits at adjacent positions with its positive imaginary part first.
-    Returns (positions, selected_values, complement_values, warnings).
+    Returns (inside, selected_values, complement_values, warnings): the mask of
+    the selection, each value set sorted as its own _sort_key (lexsort is stable).
     """
     n = len(values)
     if not 1 <= k <= n:
@@ -149,27 +152,27 @@ def _select_positions(values, k, selection: Selection):
         lo, hi = mags[boundary - 1], mags[boundary]
         if abs(lo - hi) <= GAP_TOL * max(lo, hi, 1e-300):
             warns.append("NoSpectralGap")
-    return chosen, values[chosen], values[~inside], tuple(warns)
-
-
-def _subspace(basis, selected, complement, warns) -> InvariantSubspace:
-    return InvariantSubspace(basis=basis, eigenvalues=selected[_sort_key(selected)],
-                             complement=complement[_sort_key(complement)],
-                             warnings=warns)
+    ranked = inside[order]
+    return inside, values[order[ranked]], values[order[~ranked]], tuple(warns)
 
 
 def _schur(M):
-    """(T, Z, values): real Schur form M = Z T Z^T and T's diagonal eigenvalues."""
-    T, Z = sla.schur(M, output="real")
+    """(T, Z, values): real Schur form M = Z T Z^T and T's diagonal eigenvalues,
+    from LAPACK dgees at its queried lwork: bit for bit scipy.linalg.schur's."""
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not np.isfinite(M).all():
+        raise EigFailure(f"expected a finite square matrix, got shape {M.shape}")
+    unsorted = lambda wr, wi: 0  # the select callback, called only to sort
+    lwork = int(lapack.dgees(unsorted, M, lwork=-1)[-2][0])
+    T, _, _, _, Z, _, info = lapack.dgees(unsorted, M, lwork=lwork)
+    if info != 0:
+        raise EigFailure(f"dgees failed with info={info}")
     return T, Z, _schur_values(T)
 
 
 def _reorder(M, T, Z, values, k, selection: Selection) -> InvariantSubspace:
     """Reorder the Schur form (T, Z) of M so its leading k columns span the selection."""
-    positions, selected, complement, warns = _select_positions(values, k, selection)
-    select = np.zeros(len(values), dtype=np.int32)
-    select[positions] = 1
-    ts, qs, wr, wi, m, s, sep, info = lapack.dtrsen(select, T, Z, job="N")
+    inside, selected, complement, warns = _select_positions(values, k, selection)
+    ts, qs, wr, wi, m, s, sep, info = lapack.dtrsen(inside.astype(np.int32), T, Z, job="N")
     if info != 0:
         raise EigFailure(f"trsen failed with info={info}")
     if m != k:
@@ -179,11 +182,11 @@ def _reorder(M, T, Z, values, k, selection: Selection) -> InvariantSubspace:
     basis = np.ascontiguousarray(qs[:, :k])
     # Orthonormality comes from the Schur vectors; verify invariance against
     # the reordered leading Schur block, M Q_k = Q_k T_kk.
-    scale = max(np.linalg.norm(M), 1e-300)
-    resid = np.linalg.norm(M @ basis - basis @ ts[:k, :k]) / scale
+    scale = max(math.sqrt(_sq_norm(M)), 1e-300)
+    resid = math.sqrt(_sq_norm(M @ basis - basis @ ts[:k, :k])) / scale
     if resid > EIG_RESID_TOL:
         raise EigFailure(f"invariant-subspace residual {resid:.3e} above tolerance")
-    return _subspace(basis, selected, complement, warns)
+    return InvariantSubspace(basis, selected, complement, warns)
 
 
 def invariant_subspace(M, k, selection: Selection) -> InvariantSubspace:
@@ -214,10 +217,8 @@ def generalized_pairs(M1, M2T, k, selection: Selection) -> InvariantSubspace:
         # its two betas differ in the last bits, so conjugate exactly.
         pairs = np.nonzero(alpha.imag > 0)[0]
         values[pairs + 1] = np.conj(values[pairs])
-        positions, selected, complement, warns = _select_positions(values, k, selection)
-        mask = np.zeros(len(values), dtype=bool)
-        mask[positions] = True
-        return mask
+        inside, selected, complement, warns = _select_positions(values, k, selection)
+        return inside
 
     try:
         AA, BB, _, _, Q, Z = sla.ordqz(M1, M2T, sort=pick, output="real")
@@ -227,11 +228,12 @@ def generalized_pairs(M1, M2T, k, selection: Selection) -> InvariantSubspace:
     # Orthonormality comes from Z; verify deflation against the reordered
     # leading blocks, M1 Z_k = Q_k AA_kk and M2^T Z_k = Q_k BB_kk.
     resid = max(
-        np.linalg.norm(M @ basis - Q[:, :k] @ R[:k, :k]) / max(np.linalg.norm(M), 1e-300)
+        math.sqrt(_sq_norm(M @ basis - Q[:, :k] @ R[:k, :k]))
+        / max(math.sqrt(_sq_norm(M)), 1e-300)
         for M, R in ((M1, AA), (M2T, BB))
     )
     if resid > EIG_RESID_TOL:
         raise EigFailure(
             f"generalized deflating-subspace residual {resid:.3e} above tolerance"
         )
-    return _subspace(basis, selected, complement, warns)
+    return InvariantSubspace(basis, selected, complement, warns)

@@ -10,13 +10,14 @@ Schur form it reordered; ``ccve check`` recomputes them from the H-matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (RCOND_MIN, CompositeBlocks, QuadraticGame, _a_norms,
-                   _checked_slope, _lu_rcond, _residual_norms, _residuals,
-                   _solve_checked)
+                   _checked_L, _checked_slope, _lu_rcond, _residual_norms,
+                   _residuals, _solve_checked, _sq_norm)
 from .errors import NotAFixedPoint, SingularComposite
 
 # Residual threshold for accepting (L1, L2) as a fixed pair.
@@ -55,7 +56,7 @@ def _h_matrices(blocks, game, s1, s2):
     """h_matrices from the two players' slopes s_i = _slope_terms(p_i, L_i)."""
     L1, L2 = s1.L, s2.L
     r1, r2 = _residual_norms(*_residuals(s1, s2), _a_norms(game))
-    if max(r1, r2) > FIXED_POINT_TOL:
+    if not (r1 <= FIXED_POINT_TOL and r2 <= FIXED_POINT_TOL):
         raise NotAFixedPoint(
             f"(L1, L2) residuals ({r1:.3e}, {r2:.3e}) above {FIXED_POINT_TOL:g}"
         )
@@ -68,8 +69,8 @@ def _h_matrices(blocks, game, s1, s2):
     lhs = game.p2.D.T + game.p2.B @ L1
     alt = _solve_checked(lhs, s1.P, NotAFixedPoint,
                          "D2^T + B2 L1 is singular: H1 has no alternate form")
-    scale = max(np.linalg.norm(H1), 1e-300)
-    if np.linalg.norm(alt - H1) / scale > 1e-8:
+    scale = max(math.sqrt(_sq_norm(H1)), 1e-300)
+    if not math.sqrt(_sq_norm(alt - H1)) / scale <= 1e-8:
         raise NotAFixedPoint(
             "alternate form of H1 disagrees with the block form; "
             "(L1, L2) is not a consistent fixed pair"
@@ -80,7 +81,7 @@ def _h_matrices(blocks, game, s1, s2):
 def perturbation_spectrum(blocks: CompositeBlocks, i: int, L_i):
     """All eigenvalue ratios of the linearized conjecture dynamics at L_i."""
     bA, bB, _, bD = blocks.bold_blocks(i)
-    L_i = np.asarray(L_i, dtype=float)
+    L_i = _checked_L(blocks.dims, i, L_i)
     contract = bA + bB @ L_i
     if not _lu_rcond(contract)[2] >= RCOND_MIN:
         raise SingularComposite(i)
@@ -115,7 +116,7 @@ def _certify(blocks, game, s1, s2, spectra):
         selected, complement = spectra
         ratios_1 = ratios_2 = (complement[:, None] / selected[None, :]).reshape(-1)
     xi1 = float(np.max(np.abs(ratios_1)))
-    xi2 = float(np.max(np.abs(ratios_2)))
+    xi2 = xi1 if ratios_2 is ratios_1 else float(np.max(np.abs(ratios_2)))
     stable_1 = xi1 < 1.0 - MARGINAL_BAND
     stable_2 = xi2 < 1.0 - MARGINAL_BAND
     marginal = (abs(xi1 - 1.0) <= MARGINAL_BAND) or (abs(xi2 - 1.0) <= MARGINAL_BAND)

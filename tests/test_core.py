@@ -72,27 +72,27 @@ class TestValidation:
             ([[1.0]], [[0.2], [0.1]], np.eye(2), [0.0], np.zeros(2)),
         )
 
-    def spy_eigvalsh(self, monkeypatch):
+    def spy_min_eig(self, monkeypatch):
         calls = []
-        eigvalsh = np.linalg.eigvalsh
+        min_eig = core._min_eig
 
         def spy(a):
             calls.append(np.shape(a))
-            return eigvalsh(a)
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+            return min_eig(a)
+        monkeypatch.setattr(core, "_min_eig", spy)
         return calls
 
     def test_a_above_posdef_threshold_passes_by_cholesky(self, monkeypatch):
         # POSDEF_EIG_MIN = 1e-10: A1 - 1e-10 I has a Cholesky factor, so
         # no eigenvalue is computed.
         g = self.game_with_min_eig(2e-10)
-        calls = self.spy_eigvalsh(monkeypatch)
+        calls = self.spy_min_eig(monkeypatch)
         assert validate_game(g) is g
         assert calls == []
 
     def test_a_below_posdef_threshold_reports_min_eig(self, monkeypatch):
         g = self.game_with_min_eig(5e-11)
-        calls = self.spy_eigvalsh(monkeypatch)
+        calls = self.spy_min_eig(monkeypatch)
         with pytest.raises(ANotPositiveDefinite,
                            match=r"A1 .* \(min eigenvalue 5\.000e-11\)") as exc:
             validate_game(g)

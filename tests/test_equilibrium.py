@@ -173,10 +173,10 @@ ONE_PASS_GAMES = [
 class TestOnePassPerSolve:
     @staticmethod
     def spy(monkeypatch):
-        """Count calls of core._slope_terms and core._lu_rcond through every
-        module that binds them, and of np.block and np.linalg.eigvalsh."""
-        targets = [(np, "block"), (np.linalg, "eigvalsh")]
-        for name in ("_slope_terms", "_lu_rcond"):
+        """Count calls of core._slope_terms, core._lu_rcond and core._min_eig
+        through every module that binds them, and of np.block."""
+        targets = [(np, "block")]
+        for name in ("_slope_terms", "_lu_rcond", "_min_eig"):
             fn = getattr(core, name)
             targets += [(m, name) for m in (core, analysis, equilibrium, lft,
                                             spectral, stability)
@@ -199,10 +199,10 @@ class TestOnePassPerSolve:
         # Two slope terms (L1 and L2). Nine LU factorizations: M1, M2, Y1,
         # one P1^T for both L2 and ell2, P2^T for ell1, I - L2 L1, the
         # alternate form of H1 and the H1, H2 guards. The A_i > 0 checks
-        # are Cholesky attempts, so eigvalsh runs only for S1 and S2.
+        # are Cholesky attempts, so _min_eig runs only for S1 and S2.
         calls = self.spy(monkeypatch)
         route(game)
-        assert calls == {"block": 0, "eigvalsh": 2, "_slope_terms": 2, "_lu_rcond": 9}
+        assert calls == {"block": 0, "_min_eig": 2, "_slope_terms": 2, "_lu_rcond": 9}
 
     def test_enumeration_forms_each_candidates_terms_once(self, monkeypatch,
                                                           bench_game):

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
-from ccve import analysis, equilibrium, spectral, stability
+from ccve import analysis, core, equilibrium, spectral, stability
 from ccve.core import (
     RCOND_MIN,
     RCOND_SINGULAR,
@@ -34,7 +34,9 @@ from ccve.core import (
 )
 from ccve.errors import (
     DimensionMismatch,
+    EigFailure,
     MSingular,
+    NotAFixedPoint,
     SingularActionSystem,
     SingularBestResponse,
     SingularComposite,
@@ -317,6 +319,64 @@ def test_nan_rcond_estimate_raises(bench_game, call, error):
         call(bench_game, sol, assemble_blocks(bench_game))
 
 
+NAN_FIXED_POINT_SITES = [
+    # H1 = bA1 + bB1 L1 is NaN, and so is its distance to the alternate form.
+    pytest.param(lambda g, blocks: (g, planted_bold(blocks, 1, with_nan(
+                     blocks.bold_blocks(1)[0]))), "alternate form", id="bA1"),
+    # A NaN A2 makes the residual R2 and its scale ||A2|| NaN; H1's
+    # alternate form and the H-matrices read neither.
+    pytest.param(lambda g, blocks: (dataclasses.replace(g, p2=dataclasses.replace(
+                     g.p2, A=with_nan(g.p2.A))), blocks), "residuals", id="A2"),
+]
+
+
+@pytest.mark.parametrize("plant, match", NAN_FIXED_POINT_SITES)
+def test_nan_is_not_a_fixed_point(bench_game, plant, match):
+    """A NaN residual or H-matrix fails h_matrices' tests instead of passing them."""
+    sol = equilibrium.solve_ccve(bench_game)
+    game, blocks = plant(bench_game, assemble_blocks(bench_game))
+    with pytest.raises(NotAFixedPoint, match=match):
+        stability.h_matrices(blocks, game, sol.L1, sol.L2)
+
+
+def failing_dgees(select, a, lwork=None):
+    """dgees's outputs with info = 1 (the QR algorithm did not converge)."""
+    n = a.shape[0]
+    return a, 0, np.zeros(n), np.zeros(n), np.eye(n), np.array([3.0 * n]), 1
+
+
+def failing_dsyevd(a, compute_v=1, lower=0):
+    """dsyevd's outputs with info = 1 (an off-diagonal did not converge)."""
+    return np.zeros(a.shape[0]), np.zeros((0, 0)), 1
+
+
+# A 1x1 game whose A1 = 5e-11 fails the Cholesky test, so dsyevd decides.
+SMALL_A1 = QuadraticGame.create(1, 1, ([[5e-11]], [[0.0]], [[1.0]], [0.0], [0.0]),
+                                ([[1.0]], [[0.2]], [[1.0]], [0.0], [0.0]))
+
+LAPACK_FAILURES = [
+    pytest.param("dgees", failing_dgees, lambda g, sol: spectral.invariant_subspace(
+                     assemble_blocks(g).boldM1, 2, spectral.LargestMagnitude),
+                 id="dgees-invariant_subspace"),
+    pytest.param("dgees", failing_dgees, lambda g, sol: equilibrium.solve_ccve(g),
+                 id="dgees-solve_ccve"),
+    pytest.param("dsyevd", failing_dsyevd,
+                 lambda g, sol: analysis.second_order_check(g, sol.L1, sol.L2),
+                 id="dsyevd-second_order_check"),
+    pytest.param("dsyevd", failing_dsyevd, lambda g, sol: validate_game(SMALL_A1),
+                 id="dsyevd-factor_m"),
+]
+
+
+@pytest.mark.parametrize("kernel, fake, call", LAPACK_FAILURES)
+def test_lapack_failure_is_typed(monkeypatch, bench_game, kernel, fake, call):
+    """A LAPACK eigenvalue kernel reporting info != 0 raises EigFailure."""
+    sol = equilibrium.solve_ccve(bench_game)
+    monkeypatch.setattr(core.lapack, kernel, fake)
+    with pytest.raises(EigFailure, match=f"{kernel} failed with info=1"):
+        call(bench_game, sol)
+
+
 def wrong_shape(L):
     return np.zeros((L.shape[0] + 1, L.shape[1]))
 
@@ -328,6 +388,10 @@ PUBLIC_SLOPE_CALLS = [
                  id="effective_hessian"),
     pytest.param(lambda g, L1, L2: analysis.second_order_check(g, L1, L2),
                  id="second_order_check"),
+    pytest.param(lambda g, L1, L2: composite_step(assemble_blocks(g), 1, L1),
+                 id="composite_step"),
+    pytest.param(lambda g, L1, L2: stability.perturbation_spectrum(
+                     assemble_blocks(g), 1, L1), id="perturbation_spectrum"),
 ]
 
 

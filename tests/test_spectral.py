@@ -6,7 +6,8 @@ import scipy.linalg as sla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ccve import spectral
+from ccve import builders, spectral
+from ccve.core import assemble_blocks
 from ccve.errors import ConjugatePairSplit, EigFailure
 from ccve.spectral import (
     Indices,
@@ -17,7 +18,7 @@ from ccve.spectral import (
     invariant_subspace,
 )
 
-from conftest import principal_angles
+from conftest import principal_angles, uniform_pool
 
 SQ3 = np.sqrt(3.0)
 WARM_BOLD = np.array([[-15.0, -4.0], [4.0, 1.0]])
@@ -239,3 +240,105 @@ class TestPrincipalAngles:
         U = np.eye(4)[:, :2]
         V = np.eye(4)[:, 2:]
         assert np.allclose(principal_angles(U, V), np.pi / 2)
+
+
+def bitwise_equal(a, b):
+    """Same dtype, shape and bytes: signed zeros and NaNs count too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+KERNEL_POOLS = [
+    pytest.param(lambda: [builders.example1_game()], id="2x3"),
+    pytest.param(lambda: uniform_pool(20), id="uniform_pool"),
+    pytest.param(lambda: [builders.random_game(50, 60, recipe="paper7ex2", seed=0)],
+                 id="paper7ex2-50x60-s0"),
+]
+
+
+def old_select(values, k, selection):
+    """(inside, selected, complement) as resolved before one sort served the
+    whole selection: each value set sorted by its own _sort_key."""
+    n = len(values)
+    order = spectral._sort_key(values)
+    if selection.kind == "largest":
+        chosen = order[:k]
+    elif selection.kind == "smallest":
+        chosen = order[n - k:]
+    else:
+        chosen = order[list(selection.indices)]
+    inside = np.zeros(n, dtype=bool)
+    inside[chosen] = True
+    selected, complement = values[chosen], values[~inside]
+    return (inside, selected[spectral._sort_key(selected)],
+            complement[spectral._sort_key(complement)])
+
+
+def assert_one_sort_selection(values, k, selection):
+    try:
+        got = spectral._select_positions(values, k, selection)
+    except ConjugatePairSplit:
+        return False
+    for new, old in zip(got, old_select(values, k, selection)):
+        assert bitwise_equal(new, old)
+    return True
+
+
+class TestDirectKernels:
+    @pytest.mark.parametrize("pool", KERNEL_POOLS)
+    def test_schur_is_scipy_schur_bit_for_bit(self, pool):
+        for game in pool():
+            M = assemble_blocks(game).boldM1
+            T, Z, values = spectral._schur(M)
+            T0, Z0 = sla.schur(M, output="real")
+            assert bitwise_equal(T, T0) and bitwise_equal(Z, Z0)
+            assert bitwise_equal(values, spectral._schur_values(T0))
+
+    @pytest.mark.parametrize("M", [np.array([[np.nan, 0.0], [1.0, 2.0]]),
+                                   np.array([[np.inf, 0.0], [1.0, 2.0]]),
+                                   np.ones((2, 3)), np.ones(3)],
+                             ids=["nan", "inf", "2x3", "1-d"])
+    def test_non_finite_or_non_square_matrix_raises_eig_failure(self, M):
+        with pytest.raises(EigFailure, match="expected a finite square matrix"):
+            invariant_subspace(M, 1, LargestMagnitude)
+
+    @pytest.mark.parametrize("pool", KERNEL_POOLS)
+    def test_one_sort_selection_matches_per_set_sorts(self, pool):
+        rng = np.random.default_rng(7)
+        checked = 0
+        for game in pool():
+            values = spectral._schur(assemble_blocks(game).boldM1)[2]
+            n = len(values)
+            for k in range(1, n + 1):
+                idx = rng.permutation(n)[:k]  # unsorted positions
+                for selection in (LargestMagnitude, SmallestMagnitude, Indices(idx)):
+                    checked += assert_one_sort_selection(values, k, selection)
+        assert checked > 0
+
+    def test_one_sort_selection_with_exact_ties(self):
+        # A conjugate pair, a real value of the same magnitude and two equal
+        # real values: ties broken by real part, then by position.
+        values = np.array([1 + 1j, 1 - 1j, -SQ3 + 0j, 2.0, 2.0, -2.0, 1.0])
+        for k in range(1, len(values) + 1):
+            for idx in ([3, 4, 0, 1, 2, 6, 5][:k], [4, 2, 3, 1, 0, 6, 5][:k]):
+                for selection in (LargestMagnitude, SmallestMagnitude, Indices(idx)):
+                    assert_one_sort_selection(values, k, selection)
+
+    @pytest.mark.parametrize("pool", KERNEL_POOLS)
+    def test_qz_pick_matches_per_set_sorts(self, monkeypatch, pool):
+        seen = []
+        select = spectral._select_positions
+
+        def spy(values, k, selection):
+            seen.append((values.copy(), k, selection))
+            return select(values, k, selection)
+        monkeypatch.setattr(spectral, "_select_positions", spy)
+        for game in pool():
+            blocks = assemble_blocks(game)
+            for selection in (LargestMagnitude, SmallestMagnitude):
+                try:
+                    generalized_pairs(blocks.M1, blocks.M2.T, game.dims.d1, selection)
+                except (ConjugatePairSplit, EigFailure):
+                    pass
+        monkeypatch.undo()
+        assert any([assert_one_sort_selection(*args) for args in seen])
