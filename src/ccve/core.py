@@ -6,10 +6,10 @@ A two-player quadratic game is described by each player's cost
                        + [a_i; b_i]^T [x_i; x_{-i}]
 
 with A_i of shape d_i x d_i, B_i of shape d_{-i} x d_i and D_i of shape
-d_{-i} x d_{-i}.  The composite matrices M1, M2 and the products
-boldM1 = M2^{-T} M1, boldM2 = M1^{-T} M2 drive everything downstream:
-conjecture best responses are linear fractional transformations represented
-by these matrices.
+d_{-i} x d_{-i}.  The composite matrices M1, M2 and boldM1 = M2^{-T} M1
+drive everything downstream: conjecture best responses are linear fractional
+transformations represented by the blocks of boldM1; player 2's M1^{-T} M2
+is boldM1^{-1}, as both M_i are symmetric.
 """
 
 from __future__ import annotations
@@ -146,35 +146,27 @@ class Conjecture:
     def create(cls, holder, L, ell, dims: Dims):
         if holder not in (1, 2):
             raise DimensionMismatch(f"holder must be 1 or 2, got {holder}")
-        d_own = dims.d1 if holder == 1 else dims.d2
-        d_opp = dims.d2 if holder == 1 else dims.d1
-        L = _as_matrix(L, d_opp, d_own, f"L{holder}")
-        ell = _as_vector(ell, d_opp, f"ell{holder}")
-        return cls(holder=holder, L=L, ell=ell)
+        L = _checked_L(dims, holder, L)
+        return cls(holder=holder, L=L, ell=_as_vector(ell, L.shape[0], f"ell{holder}"))
 
 
 @dataclass(frozen=True)
 class CompositeBlocks:
-    """M1, M2 and their cross products boldM1 = M2^{-T} M1, boldM2 = M1^{-T} M2.
+    """M1, M2 and their cross product boldM1 = M2^{-T} M1.
 
-    boldM1 partitions as [[A1, B1], [C1, D1]] with A1 of shape d1 x d1;
-    boldM2 partitions as [[D2, C2], [B2, A2]] with D2 of shape d1 x d1.
+    boldM1 partitions as [[bA1, bB1], [bC1, bD1]] with bA1 of shape d1 x d1.
+    Player 2's partner M1^{-T} M2 is boldM1^{-1}, since both M_i are symmetric.
     """
 
     dims: Dims
     M1: np.ndarray
     M2: np.ndarray
     boldM1: np.ndarray
-    boldM2: np.ndarray
 
-    def bold_blocks(self, i):
-        """(bA_i, bB_i, bC_i, bD_i): views of boldM_i for the player-i composite update."""
-        d1 = self.dims.d1
-        if i == 1:
-            m = self.boldM1
-            return m[:d1, :d1], m[:d1, d1:], m[d1:, :d1], m[d1:, d1:]
-        m = self.boldM2
-        return m[d1:, d1:], m[d1:, :d1], m[:d1, d1:], m[:d1, :d1]
+    def bold_blocks(self):
+        """(bA1, bB1, bC1, bD1): the four blocks of boldM1, as views."""
+        d1, m = self.dims.d1, self.boldM1
+        return m[:d1, :d1], m[:d1, d1:], m[d1:, :d1], m[d1:, d1:]
 
 
 def _stack(top_left, top_right, bottom_left, bottom_right):
@@ -225,6 +217,14 @@ def _solve_checked(a, b, error, *args, rcond_min=RCOND_MIN, trans=0):
     return lapack.dgetrs(lu, piv, b, trans=trans)[0]
 
 
+def _inv_checked(a, error, *args):
+    """``a^{-1}`` from one LU (dgetrf, dgetri), guarded as _solve_checked is."""
+    lu, piv, rcond = _lu_rcond(a)
+    if not rcond >= RCOND_MIN:
+        raise error(*args)
+    return lapack.dgetri(lu, piv)[0]
+
+
 def _solve_sym_checked(a, b, error, *args):
     """Solve the symmetric system ``a x = b`` with one factorization: (x, posdef).
 
@@ -248,10 +248,10 @@ def _posdef(m):
 
 
 def _min_eig(S):
-    """Smallest eigenvalue of symmetric ``S`` by LAPACK dsyevd (lower triangle)."""
-    w, _, info = lapack.dsyevd(S, compute_v=0, lower=1)
+    """Smallest eigenvalue of symmetric ``S``, the only one LAPACK dsyevr computes."""
+    w, _, _, _, info = lapack.dsyevr(S, compute_v=0, range="I", il=1, iu=1, lower=1)
     if info != 0:
-        raise EigFailure(f"dsyevd failed with info={info}")
+        raise EigFailure(f"dsyevr failed with info={info}")
     return float(w[0])
 
 
@@ -317,14 +317,13 @@ def _costs(operands, x1, x2):
 
 
 def assemble_blocks(game: QuadraticGame) -> CompositeBlocks:
-    """Form M1, M2, boldM1 = M2^{-T} M1 and boldM2 = M1^{-T} M2.
+    """Form M1, M2 and boldM1 = M2^{-T} M1.
 
     Validates the game as validate_game does, in the same pass.
     """
-    (m1, lu1, piv1), (m2, lu2, piv2) = _factor_m(game)
+    (m1, _, _), (m2, lu2, piv2) = _factor_m(game)
     bold1 = lapack.dgetrs(lu2, piv2, m1, trans=1)[0]
-    bold2 = lapack.dgetrs(lu1, piv1, m2, trans=1)[0]
-    return CompositeBlocks(dims=game.dims, M1=m1, M2=m2, boldM1=bold1, boldM2=bold2)
+    return CompositeBlocks(dims=game.dims, M1=m1, M2=m2, boldM1=bold1)
 
 
 class _Slope(NamedTuple):

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import analysis, lft, spectral, stability
+from . import analysis, core, lft, spectral, stability
 from .core import (
     CompositeBlocks,
     QuadraticGame,
@@ -29,6 +29,7 @@ from .core import (
 from .errors import (
     CcveError,
     ConjugatePairSplit,
+    DimensionMismatch,
     EnumerationTooLarge,
     NoStableSelection,
     NotAFixedPoint,
@@ -68,11 +69,18 @@ class CcveSolution:
 
 
 def solve_actions(L1, ell1, L2, ell2):
-    """Equilibrium actions from the two affine conjectures."""
+    """Equilibrium actions from the two affine conjectures; the shape of L1
+    (d2 x d1) fixes the others', and a misfit or non-finite raises DimensionMismatch."""
     L1 = np.asarray(L1, float)
-    L2 = np.asarray(L2, float)
-    ell1 = np.asarray(ell1, float).reshape(-1)
-    ell2 = np.asarray(ell2, float).reshape(-1)
+    if L1.ndim != 2:
+        raise DimensionMismatch(f"L1 must be a matrix, got shape {L1.shape}")
+    d = core.Dims(L1.shape[1], L1.shape[0])
+    return _solve_actions(core._checked_L(d, 1, L1), core._as_vector(ell1, d.d2, "ell1"),
+                          core._checked_L(d, 2, L2), core._as_vector(ell2, d.d1, "ell2"))
+
+
+def _solve_actions(L1, ell1, L2, ell2):
+    """solve_actions at checked slopes and offsets, as a solve's are."""
     # I - L2 L1 in place; 0.0 - p gives each zero the sign np.eye(n) - p would.
     K = 0.0 - L2 @ L1
     K.flat[::K.shape[0] + 1] += 1.0
@@ -105,7 +113,7 @@ def _solution_from_subspace(
     L2, ell2 = lft._cross_offset(1, s1)
     s2 = _slope_terms(game.p2, L2)
     ell1 = lft._offset(2, s2)
-    x1, x2 = solve_actions(L1, ell1, L2, ell2)
+    x1, x2 = _solve_actions(L1, ell1, L2, ell2)
     # The certificate reads the split of spec(boldM1) the solve reordered.
     report = stability._certify(blocks, game, s1, s2,
                                 (sub.eigenvalues, sub.complement))

@@ -2,7 +2,7 @@
 
 The cross update maps one player's conjecture slope to the opponent's
 consistent best-response slope; the composite update chains two cross steps
-and is represented compactly by the blocks of boldM1/boldM2.
+and is represented compactly by the blocks of boldM1 (player 2's: its inverse).
 """
 
 from __future__ import annotations
@@ -59,16 +59,19 @@ def offset_cross(game: QuadraticGame, i: int, L_i):
 
 
 def composite_step(blocks: CompositeBlocks, i: int, L_i):
-    """One composite update L_i -> (C_i + D_i L_i)(A_i + B_i L_i)^{-1}."""
+    """One composite update: L1 -> (bC1 + bD1 L1)(bA1 + bB1 L1)^{-1}, or
+    L2 -> (bA1 - L2 bC1)^{-1}(L2 bD1 - bB1), as player 2's composite is boldM1^{-1}."""
     return _composite(blocks, i, core._checked_L(blocks.dims, i, L_i))
 
 
 def _composite(blocks, i, L_i):
     """composite_step at a slope L_i already checked, as the iteration's are."""
-    bA, bB, bC, bD = blocks.bold_blocks(i)
+    bA, bB, bC, bD = blocks.bold_blocks()
+    if i == 2:
+        return _solve_checked(bA - L_i @ bC, L_i @ bD - bB, SingularComposite, 2)
     num = bC + bD @ L_i
     # Right division: solve X (A + B L) = (C + D L) via the transposed system.
-    return _solve_checked(bA + bB @ L_i, num.T, SingularComposite, i, trans=1).T
+    return _solve_checked(bA + bB @ L_i, num.T, SingularComposite, 1, trans=1).T
 
 
 def _best_response(i, s, ell):
@@ -84,12 +87,13 @@ def best_response(game: QuadraticGame, i: int, conj: Conjecture):
 
     Solves the stationarity condition of f_i(x_i, L x_i + ell); emits a
     NotCertifiedMin warning when the effective Hessian is not positive
-    definite.
+    definite. An L or ell of the wrong shape or not finite raises DimensionMismatch.
     """
     if conj.holder != i:
         raise DimensionMismatch(f"conjecture holder {conj.holder} != player {i}")
-    x, posdef = _best_response(i, core._slope_terms(game.player(i), conj.L),
-                               conj.ell)
+    s = core._checked_slope(game, i, conj.L)
+    ell = core._as_vector(conj.ell, s.L.shape[0], f"ell{i}")
+    x, posdef = _best_response(i, s, ell)
     if not posdef:
         warnings.warn(
             f"NotCertifiedMin: player {i}'s effective Hessian is not positive "

@@ -156,13 +156,23 @@ def _select_positions(values, k, selection: Selection):
     return inside, values[order[ranked]], values[order[~ranked]], tuple(warns)
 
 
+# dgees's queried lwork by matrix order: the query sizes the Hessenberg QR
+# with ilo = 1, ihi = n whatever the matrix, so its answer depends on n alone.
+_DGEES_LWORK = {}
+
+
 def _schur(M):
     """(T, Z, values): real Schur form M = Z T Z^T and T's diagonal eigenvalues,
     from LAPACK dgees at its queried lwork: bit for bit scipy.linalg.schur's."""
     if M.ndim != 2 or M.shape[0] != M.shape[1] or not np.isfinite(M).all():
         raise EigFailure(f"expected a finite square matrix, got shape {M.shape}")
     unsorted = lambda wr, wi: 0  # the select callback, called only to sort
-    lwork = int(lapack.dgees(unsorted, M, lwork=-1)[-2][0])
+    lwork = _DGEES_LWORK.get(M.shape[0])
+    if lwork is None:  # the query, once per order; a failed one is not kept
+        work, info = lapack.dgees(unsorted, M, lwork=-1)[-2:]
+        lwork = int(work[0])
+        if info == 0:
+            _DGEES_LWORK[M.shape[0]] = lwork
     T, _, _, _, Z, _, info = lapack.dgees(unsorted, M, lwork=lwork)
     if info != 0:
         raise EigFailure(f"dgees failed with info={info}")

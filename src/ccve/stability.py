@@ -1,11 +1,12 @@
 """Perturbation-dynamics spectra and local stability certification.
 
-At a fixed conjecture pair, the linearized conjecture dynamics for player i
-are dL -> (bD_i - L_i bB_i) dL (bA_i + bB_i L_i)^{-1}; their eigenvalues are
-all ratios lambda/mu between the complementary and selected spectra of the
-composite matrix.  Max ratio magnitude below one certifies local asymptotic
-stability of the iteration.  A solve hands in the two spectra from the
-Schur form it reordered; ``ccve check`` recomputes them from the H-matrices.
+At a fixed conjecture pair, the linearized conjecture dynamics are
+dL -> (bD1 - L1 bB1) dL (bA1 + bB1 L1)^{-1} and, as player 2's composite is
+boldM1^{-1}, dL -> (bA1 - L2 bC1)^{-1} dL (bC1 L2 + bD1); their eigenvalues
+are all ratios between the complementary and selected spectra of boldM1.
+Max ratio magnitude below one certifies local asymptotic stability.  A solve
+hands in the spectra from its reordered Schur form; ``ccve check`` recomputes
+them from these four matrices.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (RCOND_MIN, CompositeBlocks, QuadraticGame, _a_norms,
-                   _checked_L, _checked_slope, _lu_rcond, _residual_norms,
-                   _residuals, _solve_checked, _sq_norm)
+                   _checked_L, _checked_slope, _inv_checked, _lu_rcond,
+                   _residual_norms, _residuals, _solve_checked, _sq_norm)
 from .errors import NotAFixedPoint, SingularComposite
 
 # Residual threshold for accepting (L1, L2) as a fixed pair.
@@ -45,7 +46,8 @@ class StabilityReport:
 def h_matrices(blocks: CompositeBlocks, game: QuadraticGame, L1, L2):
     """Similarity-transform diagonal blocks at a fixed pair (L1, L2).
 
-    H1 = bA1 + bB1 L1, H1' = bD1 - L1 bB1 (and analogously for player 2).
+    H1 = bA1 + bB1 L1, H1' = bD1 - L1 bB1, H2 = (bC1 L2 + bD1)^{-1} and
+    H2' = (bA1 - L2 bC1)^{-1}, as player 2's composite is boldM1^{-1}.
     Cross-checks the alternate form H1 = (D2^T + B2 L1)^{-1}(A1 + B1^T L1).
     """
     return _h_matrices(blocks, game, _checked_slope(game, 1, L1),
@@ -60,12 +62,9 @@ def _h_matrices(blocks, game, s1, s2):
         raise NotAFixedPoint(
             f"(L1, L2) residuals ({r1:.3e}, {r2:.3e}) above {FIXED_POINT_TOL:g}"
         )
-    bA1, bB1, _, bD1 = blocks.bold_blocks(1)
-    bA2, bB2, _, bD2 = blocks.bold_blocks(2)
+    bA1, bB1, bC1, bD1 = blocks.bold_blocks()
     H1 = bA1 + bB1 @ L1
     H1p = bD1 - L1 @ bB1
-    H2 = bA2 + bB2 @ L2
-    H2p = bD2 - L2 @ bB2
     lhs = game.p2.D.T + game.p2.B @ L1
     alt = _solve_checked(lhs, s1.P, NotAFixedPoint,
                          "D2^T + B2 L1 is singular: H1 has no alternate form")
@@ -75,17 +74,23 @@ def _h_matrices(blocks, game, s1, s2):
             "alternate form of H1 disagrees with the block form; "
             "(L1, L2) is not a consistent fixed pair"
         )
+    H2 = _inv_checked(bC1 @ L2 + bD1, SingularComposite, 2)
+    H2p = _inv_checked(bA1 - L2 @ bC1, SingularComposite, 2)
     return H1, H1p, H2, H2p
 
 
 def perturbation_spectrum(blocks: CompositeBlocks, i: int, L_i):
-    """All eigenvalue ratios of the linearized conjecture dynamics at L_i."""
-    bA, bB, _, bD = blocks.bold_blocks(i)
+    """All eigenvalue ratios of the linearized conjecture dynamics at L_i:
+    spec(rest) / spec(contract), for player 2 with neither matrix inverted."""
+    bA, bB, bC, bD = blocks.bold_blocks()
     L_i = _checked_L(blocks.dims, i, L_i)
-    contract = bA + bB @ L_i
+    if i == 1:
+        contract, rest = bA + bB @ L_i, bD - L_i @ bB
+    else:
+        contract, rest = bA - L_i @ bC, bC @ L_i + bD
     if not _lu_rcond(contract)[2] >= RCOND_MIN:
         raise SingularComposite(i)
-    lam = np.linalg.eigvals(bD - L_i @ bB)
+    lam = np.linalg.eigvals(rest)
     mu = np.linalg.eigvals(contract)
     return (lam[:, None] / mu[None, :]).reshape(-1)
 
@@ -96,8 +101,8 @@ def certify(blocks: CompositeBlocks, game: QuadraticGame, L1, L2,
 
     A solve passes ``spectra`` = (selected, complement), its split of
     spec(boldM1) = spec(H1) + spec(H1'); both players' ratios are then
-    complement / selected, as boldM2^T is similar to boldM1^{-1}.  Without
-    them (``ccve check``) perturbation_spectrum recomputes them from the H's.
+    complement / selected, as player 2's composite is boldM1^{-1}.  Without
+    them (``ccve check``) perturbation_spectrum recomputes them independently.
     """
     return _certify(blocks, game, _checked_slope(game, 1, L1),
                     _checked_slope(game, 2, L2), spectra)
@@ -110,9 +115,8 @@ def _certify(blocks, game, s1, s2, spectra):
         ratios_1 = perturbation_spectrum(blocks, 1, s1.L)
         ratios_2 = perturbation_spectrum(blocks, 2, s2.L)
     else:
-        for i, H in ((1, H1), (2, H2)):  # perturbation_spectrum's guard
-            if not _lu_rcond(H)[2] >= RCOND_MIN:
-                raise SingularComposite(i)
+        if not _lu_rcond(H1)[2] >= RCOND_MIN:  # H2's guard is its inverse's
+            raise SingularComposite(1)
         selected, complement = spectra
         ratios_1 = ratios_2 = (complement[:, None] / selected[None, :]).reshape(-1)
     xi1 = float(np.max(np.abs(ratios_1)))

@@ -116,13 +116,45 @@ def rollout_cost(spec, i, u1, u2):
     return float(total)
 
 
+def partner_composite(blocks):
+    """Player 2's composite M1^{-T} M2, formed from M1 and M2 with numpy."""
+    return np.linalg.solve(blocks.M1.T, blocks.M2)
+
+
+# The games the player-2 forms are compared on: the acceptance pool and
+# paper7ex2 at 50x60 s0 and 200x240 s1, built when a test asks for them.
+PARTNER_GAMES = [
+    pytest.param(lambda: uniform_pool(100, seed0=1000, dmax=6), id="pool"),
+    pytest.param(lambda: [builders.random_game(50, 60, recipe="paper7ex2", seed=0)],
+                 id="paper7ex2-50x60-s0"),
+    pytest.param(lambda: [builders.random_game(200, 240, recipe="paper7ex2", seed=1)],
+                 id="paper7ex2-200x240-s1"),
+]
+
+
+def composite_blocks(blocks, i):
+    """(bA_i, bB_i, bC_i, bD_i): the blocks of player i's composite matrix.
+
+    Player 1's is boldM1 = M2^{-T} M1, partitioned [[bA1, bB1], [bC1, bD1]].
+    Player 2's partner composite M1^{-T} M2 is formed here from M1 and M2,
+    not read from the package, and partitions as [[bD2, bC2], [bB2, bA2]]
+    with bD2 of shape d1 x d1.
+    """
+    d1 = blocks.dims.d1
+    if i == 1:
+        m = blocks.boldM1
+        return m[:d1, :d1], m[:d1, d1:], m[d1:, :d1], m[d1:, d1:]
+    m = partner_composite(blocks)
+    return m[d1:, d1:], m[d1:, :d1], m[:d1, d1:], m[:d1, :d1]
+
+
 def perturbation_operator(blocks, i, L_i):
     """Dense matrix of dL -> (bD_i - L_i bB_i) dL (bA_i + bB_i L_i)^{-1}.
 
     The operator acts on vec(dL) with column-major stacking; its eigenvalues
     must match stability.perturbation_spectrum as a multiset.
     """
-    bA, bB, _, bD = blocks.bold_blocks(i)
+    bA, bB, _, bD = composite_blocks(blocks, i)
     L_i = np.asarray(L_i, dtype=float)
     left = bD - L_i @ bB
     right_inv = np.linalg.inv(bA + bB @ L_i)

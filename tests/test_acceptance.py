@@ -119,7 +119,8 @@ class TestAcceptance:
                 [np.linalg.eigvals(rep.H1), np.linalg.eigvals(rep.H1p)]
             )
             ok &= match_multisets(split, full1, 1e-6 * scale)
-            recip = 1.0 / np.linalg.eigvals(blocks.boldM2)
+            partner = np.linalg.solve(blocks.M1.T, blocks.M2)
+            recip = 1.0 / np.linalg.eigvals(partner)
             ok &= match_multisets(full1, recip, 1e-6 * scale)
             h2p = np.linalg.eigvals(rep.H2p)
             h1_inv = 1.0 / np.linalg.eigvals(rep.H1)

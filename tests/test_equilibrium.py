@@ -196,13 +196,16 @@ class TestOnePassPerSolve:
     @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("game", ONE_PASS_GAMES)
     def test_each_slope_forms_its_terms_once(self, monkeypatch, game, route):
-        # Two slope terms (L1 and L2). Nine LU factorizations: M1, M2, Y1,
+        # Two slope terms (L1 and L2). Ten LU factorizations: M1, M2, Y1,
         # one P1^T for both L2 and ell2, P2^T for ell1, I - L2 L1, the
-        # alternate form of H1 and the H1, H2 guards. The A_i > 0 checks
-        # are Cholesky attempts, so _min_eig runs only for S1 and S2.
+        # alternate form of H1, the H1 guard, and K = bC1 L2 + bD1 and
+        # J = bA1 - L2 bC1, whose guarded inverses are H2 and H2'. K's LU
+        # replaces the H2 guard; J's is new, since H2' is no longer a block
+        # of a second composite matrix. The A_i > 0 checks are Cholesky
+        # attempts, so _min_eig runs only for S1 and S2.
         calls = self.spy(monkeypatch)
         route(game)
-        assert calls == {"block": 0, "_min_eig": 2, "_slope_terms": 2, "_lu_rcond": 9}
+        assert calls == {"block": 0, "_min_eig": 2, "_slope_terms": 2, "_lu_rcond": 10}
 
     def test_enumeration_forms_each_candidates_terms_once(self, monkeypatch,
                                                           bench_game):

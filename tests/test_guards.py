@@ -23,6 +23,7 @@ from ccve.core import (
     RCOND_MIN,
     RCOND_SINGULAR,
     Conjecture,
+    Dims,
     QuadraticGame,
     _lu_rcond,
     _solve_checked,
@@ -90,17 +91,16 @@ def with_player(game, i, A=None, B=None, D=None):
     return QuadraticGame.create(game.dims.d1, game.dims.d2, blocks_of(game.p1), new)
 
 
-def planted_bold(blocks, player, a):
-    """Copy of ``blocks`` whose boldM_player has ``a`` as its bA block.
-
-    bA1 is the leading d1 x d1 block of boldM1, bA2 the trailing d2 x d2
-    block of boldM2.
-    """
+def planted_bold(blocks, name, a):
+    """Copy of ``blocks`` whose boldM1 = [[bA1, bB1], [bC1, bD1]] has ``a``
+    as its block ``name``; bA1 is the leading d1 x d1 block."""
     d1 = blocks.dims.d1
-    name, span = ("boldM1", slice(None, d1)) if player == 1 else ("boldM2", slice(d1, None))
-    m = getattr(blocks, name).copy()
-    m[span, span] = a
-    return dataclasses.replace(blocks, **{name: m})
+    head, tail = slice(None, d1), slice(d1, None)
+    rows, cols = {"bA1": (head, head), "bB1": (head, tail),
+                  "bC1": (tail, head), "bD1": (tail, tail)}[name]
+    m = blocks.boldM1.copy()
+    m[rows, cols] = a
+    return dataclasses.replace(blocks, boldM1=m)
 
 
 @pytest.fixture
@@ -141,9 +141,10 @@ class TestNearSingularRaises:
     @pytest.mark.parametrize("player", [1, 2])
     def test_singular_composite(self, rng, player):
         blocks = assemble_blocks(random_dense_game(rng, 3, 3))
-        blocks = planted_bold(blocks, player, planted(rng, 3))
+        blocks = planted_bold(blocks, "bA1", planted(rng, 3))
         zero = np.zeros((3, 3))
-        # At L = 0 the composite denominator bA + bB L is bA itself.
+        # At L = 0 both composite denominators, bA1 + bB1 L1 and
+        # bA1 - L2 bC1, are bA1 itself.
         with pytest.raises(SingularComposite):
             composite_step(blocks, player, zero)
         with pytest.raises(SingularComposite):
@@ -221,10 +222,10 @@ BOUNDARY_SITES = [
     pytest.param(lambda t, blocks: offset_cross(boundary_game(t), 1, ZERO),
                  SingularBestResponse, id="offset_cross"),
     pytest.param(lambda t, blocks: composite_step(
-                     planted_bold(blocks, 1, diag_rcond(t)), 1, ZERO),
+                     planted_bold(blocks, "bA1", diag_rcond(t)), 1, ZERO),
                  SingularComposite, id="composite_step"),
     pytest.param(lambda t, blocks: stability.perturbation_spectrum(
-                     planted_bold(blocks, 1, diag_rcond(t)), 1, ZERO),
+                     planted_bold(blocks, "bA1", diag_rcond(t)), 1, ZERO),
                  SingularComposite, id="perturbation_spectrum"),
     # I - L2 L1 = diag(1, 1 - (1 - t)): t up to a rounding of about 1%.
     pytest.param(lambda t, blocks: equilibrium.solve_actions(
@@ -298,14 +299,14 @@ NAN_SITES = [
                  SingularBestResponse, id="solve_sym_checked"),
     pytest.param(lambda g, sol, blocks: validate_game(nan_in_b1(g)),
                  MSingular, id="factor_m"),
-    # A NaN in bA2 makes H2 = bA2 + bB2 L2 NaN; H1 and its alternate form
-    # do not read bA2.
+    # A NaN in bC1 makes player 2's bA1 - L2 bC1 and bC1 L2 + bD1 NaN;
+    # H1, H1' and H1's alternate form do not read bC1.
     pytest.param(lambda g, sol, blocks: stability.perturbation_spectrum(
-                     planted_bold(blocks, 2, with_nan(blocks.bold_blocks(2)[0])),
+                     planted_bold(blocks, "bC1", with_nan(blocks.bold_blocks()[2])),
                      2, sol.L2),
                  SingularComposite, id="perturbation_spectrum"),
     pytest.param(lambda g, sol, blocks: stability.certify(
-                     planted_bold(blocks, 2, with_nan(blocks.bold_blocks(2)[0])),
+                     planted_bold(blocks, "bC1", with_nan(blocks.bold_blocks()[2])),
                      g, sol.L1, sol.L2, (np.ones(2), np.ones(3))),
                  SingularComposite, id="certify"),
 ]
@@ -321,8 +322,8 @@ def test_nan_rcond_estimate_raises(bench_game, call, error):
 
 NAN_FIXED_POINT_SITES = [
     # H1 = bA1 + bB1 L1 is NaN, and so is its distance to the alternate form.
-    pytest.param(lambda g, blocks: (g, planted_bold(blocks, 1, with_nan(
-                     blocks.bold_blocks(1)[0]))), "alternate form", id="bA1"),
+    pytest.param(lambda g, blocks: (g, planted_bold(blocks, "bA1", with_nan(
+                     blocks.bold_blocks()[0]))), "alternate form", id="bA1"),
     # A NaN A2 makes the residual R2 and its scale ||A2|| NaN; H1's
     # alternate form and the H-matrices read neither.
     pytest.param(lambda g, blocks: (dataclasses.replace(g, p2=dataclasses.replace(
@@ -345,12 +346,12 @@ def failing_dgees(select, a, lwork=None):
     return a, 0, np.zeros(n), np.zeros(n), np.eye(n), np.array([3.0 * n]), 1
 
 
-def failing_dsyevd(a, compute_v=1, lower=0):
-    """dsyevd's outputs with info = 1 (an off-diagonal did not converge)."""
-    return np.zeros(a.shape[0]), np.zeros((0, 0)), 1
+def failing_dsyevr(a, **options):
+    """dsyevr's outputs with info = 1 (an internal error in the eigenvalue search)."""
+    return np.zeros(a.shape[0]), np.zeros((0, 0)), 0, np.zeros(0, np.int32), 1
 
 
-# A 1x1 game whose A1 = 5e-11 fails the Cholesky test, so dsyevd decides.
+# A 1x1 game whose A1 = 5e-11 fails the Cholesky test, so dsyevr decides.
 SMALL_A1 = QuadraticGame.create(1, 1, ([[5e-11]], [[0.0]], [[1.0]], [0.0], [0.0]),
                                 ([[1.0]], [[0.2]], [[1.0]], [0.0], [0.0]))
 
@@ -360,11 +361,11 @@ LAPACK_FAILURES = [
                  id="dgees-invariant_subspace"),
     pytest.param("dgees", failing_dgees, lambda g, sol: equilibrium.solve_ccve(g),
                  id="dgees-solve_ccve"),
-    pytest.param("dsyevd", failing_dsyevd,
+    pytest.param("dsyevr", failing_dsyevr,
                  lambda g, sol: analysis.second_order_check(g, sol.L1, sol.L2),
-                 id="dsyevd-second_order_check"),
-    pytest.param("dsyevd", failing_dsyevd, lambda g, sol: validate_game(SMALL_A1),
-                 id="dsyevd-factor_m"),
+                 id="dsyevr-second_order_check"),
+    pytest.param("dsyevr", failing_dsyevr, lambda g, sol: validate_game(SMALL_A1),
+                 id="dsyevr-factor_m"),
 ]
 
 
@@ -402,6 +403,45 @@ def test_public_slope_is_checked(bench_game, call, bad):
     L1 = bad(np.zeros((3, 2)))
     with pytest.raises(DimensionMismatch, match="L1"):
         call(bench_game, L1, np.zeros((2, 3)))
+
+
+BAD_ACTION_INPUTS = [
+    pytest.param(([[0.5, 0.1]], [0.1], [[0.5]], [0.2]), "L2 must have shape",
+                 id="slope-shape"),
+    pytest.param(([0.5], [0.1], [[0.5]], [0.2]), "L1 must be a matrix", id="1-d-slope"),
+    pytest.param(([[np.nan]], [0.1], [[0.5]], [0.2]), "L1 contains non-finite",
+                 id="nan-slope"),
+    pytest.param(([[0.5]], [0.1], [[0.5]], [np.nan]), "ell2 contains non-finite",
+                 id="nan-offset"),
+    pytest.param(([[0.5]], [0.1, 0.2], [[0.5]], [0.2]), "ell1 must have length 1",
+                 id="offset-length"),
+]
+
+
+@pytest.mark.parametrize("args, match", BAD_ACTION_INPUTS)
+def test_solve_actions_checks_its_inputs(args, match):
+    """L1 fixes the dimensions; every other slope and offset is held to them."""
+    with pytest.raises(DimensionMismatch, match=match):
+        equilibrium.solve_actions(*args)
+
+
+BAD_CONJECTURES = [
+    pytest.param(1, lambda: Conjecture.create(1, [[0.1, 0.2]], [0.1], Dims(2, 1)),
+                 "L1 must have shape", id="other-game"),
+    pytest.param(1, lambda: Conjecture(1, np.full((3, 2), np.nan), np.zeros(3)),
+                 "L1 contains non-finite", id="nan-slope"),
+    pytest.param(1, lambda: Conjecture(1, np.zeros((3, 2)), np.zeros(2)),
+                 "ell1 must have length 3", id="offset-length"),
+    pytest.param(2, lambda: Conjecture(2, np.zeros((2, 3)), [np.nan, 0.0]),
+                 "ell2 contains non-finite", id="nan-offset"),
+]
+
+
+@pytest.mark.parametrize("player, conj, match", BAD_CONJECTURES)
+def test_best_response_checks_its_conjecture(bench_game, player, conj, match):
+    """A conjecture that does not fit the game raises DimensionMismatch."""
+    with pytest.raises(DimensionMismatch, match=match):
+        best_response(bench_game, player, conj())
 
 
 def rel(x, ref):
@@ -445,20 +485,24 @@ def test_lu_solves_match_numpy(seed, d1, d2):
     blocks = assemble_blocks(g)
 
     assert rel(blocks.boldM1, np.linalg.solve(M2.T, M1)) < 1e-12
-    assert rel(blocks.boldM2, np.linalg.solve(M1.T, M2)) < 1e-12
 
+    bA, bB, bC, bD = blocks.bold_blocks()
     for i, L, ell in ((1, L1, ell1), (2, L2, ell2)):
         p = g.player(i)
         lhs = (p.A + p.B.T @ L).T
-        bA, bB, bC, bD = blocks.bold_blocks(i)
-        den = bA + bB @ L
+        # composite_step solves X (bA1 + bB1 L1) = bC1 + bD1 L1 for player 1
+        # and (bA1 - L2 bC1) X = L2 bD1 - bB1 for player 2.
+        den = bA + bB @ L if i == 1 else bA - L @ bC
         S = p.A + L.T @ p.B + p.B.T @ L + L.T @ p.D @ L
         assume(max(np.linalg.cond(m) for m in (lhs, den, S)) < 1e3)
         ref = -np.linalg.solve(lhs, p.B.T + L.T @ p.D.T)
         assert rel(lft_cross(g, i, L), ref) < 1e-12
         ref = -np.linalg.solve(lhs, p.a + L.T @ p.b)
         assert rel(offset_cross(g, i, L), ref) < 1e-12
-        ref = np.linalg.solve(den.T, (bC + bD @ L).T).T
+        if i == 1:
+            ref = np.linalg.solve(den.T, (bC + bD @ L).T).T
+        else:
+            ref = np.linalg.solve(den, L @ bD - bB)
         assert rel(composite_step(blocks, i, L), ref) < 1e-12
         ref = -np.linalg.solve(S, p.a + L.T @ p.b + (p.B.T + L.T @ p.D) @ ell)
         assert rel(best_response(g, i, Conjecture(i, L, ell)), ref) < 1e-12

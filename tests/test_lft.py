@@ -26,7 +26,8 @@ from ccve.lft import (
 )
 from ccve.spectral import LargestMagnitude, invariant_subspace
 
-from conftest import principal_angles, random_dense_game, uniform_pool
+from conftest import (PARTNER_GAMES, composite_blocks, principal_angles,
+                      random_dense_game, uniform_pool)
 
 SQ3 = np.sqrt(3.0)
 WARM_L = -2.0 + SQ3
@@ -113,6 +114,20 @@ class TestCompositeStep:
             one_shot = composite_step(blocks, 2, L2)
             chained = lft_cross(g, 1, lft_cross(g, 2, L2))
             assert np.allclose(one_shot, chained, atol=1e-10 * (1 + np.linalg.norm(one_shot)))
+
+    @pytest.mark.parametrize("games", PARTNER_GAMES[:2])  # the pool and 50x60 s0
+    def test_player2_matches_partner_block_form(self, games):
+        # (bA1 - L2 bC1)^{-1} (L2 bD1 - bB1) against the partner composite's
+        # (bC2 + bD2 L2)(bA2 + bB2 L2)^{-1}, formed here, to 1e-12 relative
+        # (4.4e-14 measured up to 200x240 s1).
+        rng = np.random.default_rng(16)
+        for game in games():
+            blocks = assemble_blocks(game)
+            d1, d2 = game.dims.d1, game.dims.d2
+            L2 = 0.3 / np.sqrt(max(d1, d2)) * rng.standard_normal((d1, d2))
+            bA2, bB2, bC2, bD2 = composite_blocks(blocks, 2)
+            ref = np.linalg.solve((bA2 + bB2 @ L2).T, (bC2 + bD2 @ L2).T).T
+            assert _rel(composite_step(blocks, 2, L2), ref) <= 1e-12
 
     def test_fixed_point_of_composite(self, warmup_game):
         blocks = assemble_blocks(warmup_game)

@@ -1,0 +1,109 @@
+"""Source rules of the package, checked line by line over src/ccve.
+
+Each rule is a regular expression that no line of its files may match:
+LAPACK stays in core and spectral, linear solves go through the guarded LU,
+block matrices through core._stack, slope products through
+core._slope_terms, and the Schur form and the smallest symmetric eigenvalue
+through the package's direct LAPACK calls.  Each rule is also shown to catch
+a planted violating line, so a rule that matches nothing cannot pass
+unnoticed.
+"""
+
+import re
+from pathlib import Path
+from typing import NamedTuple
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ccve"
+
+
+class Rule(NamedTuple):
+    pattern: str
+    files: tuple  # file names under src/ccve; () means every *.py
+    exempt: tuple  # file names the rule does not read
+    message: str
+    planted: str  # a line the rule must catch
+
+
+RULES = {
+    "lapack-in-core-and-spectral": Rule(
+        r"lapack",
+        ("lft.py", "equilibrium.py", "analysis.py", "stability.py",
+         "builders.py", "cli.py"),
+        (),
+        "call LAPACK only from ccve.core and ccve.spectral",
+        "    lu, piv, info = lapack.dgetrf(a)",
+    ),
+    "guarded-solves": Rule(
+        r"(np\.linalg|sla|scipy\.linalg)\.(solve|inv|cho_solve|lu_solve)\b"
+        r"|from scipy\.linalg import .*\b(solve|inv|cho_solve|lu_solve)\b",
+        (),
+        (),
+        "solve through core._solve_checked, or core._solve_sym_checked for a "
+        "symmetric system (core._factor_m for M_i, core._inv_checked for an "
+        "inverse)",
+        "    H = np.linalg.inv(K)",
+    ),
+    "blocks-through-stack": Rule(
+        r"np\.block",
+        (),
+        (),
+        "assemble through core._stack",
+        "    m = np.block([[a, b], [c, d]])",
+    ),
+    "slope-products-in-slope-terms": Rule(
+        r"\.B\.T @|\.D @ |\.T @ [a-z0-9_]+\.b\b",
+        (),
+        ("core.py",),
+        "form A + B^T L, B + D L and a + L^T b through core._slope_terms",
+        "    P = p.A + p.B.T @ L",
+    ),
+    "spectral-kernels-through-lapack": Rule(
+        r"sla\.schur|np\.linalg\.eigvalsh",
+        (),
+        (),
+        "take the Schur form from spectral._schur (dgees) and a smallest "
+        "eigenvalue from core._min_eig (dsyevr)",
+        "    w = np.linalg.eigvalsh(S)",
+    ),
+}
+
+
+def rule_files(rule, root=SRC):
+    """The files a rule reads under ``root``."""
+    paths = [root / name for name in rule.files] or sorted(root.glob("*.py"))
+    return [p for p in paths if p.name not in rule.exempt]
+
+
+def violations(rule, paths):
+    """'file:line: text' for each line of ``paths`` that the rule matches."""
+    regex = re.compile(rule.pattern)
+    found = []
+    for path in paths:
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if regex.search(line):
+                found.append(f"{path.name}:{number}: {line.strip()}")
+    return found
+
+
+@pytest.mark.parametrize("name", RULES)
+def test_source_rule_holds(name):
+    rule = RULES[name]
+    paths = rule_files(rule)
+    assert paths and all(p.is_file() for p in paths), f"{name} reads no file"
+    found = violations(rule, paths)
+    assert not found, rule.message + ":\n" + "\n".join(found)
+
+
+@pytest.mark.parametrize("name", RULES)
+def test_source_rule_catches_a_planted_line(tmp_path, name):
+    """Copies of the package's files, each with one violating line added,
+    fail the rule once in each file it reads and nowhere else."""
+    rule = RULES[name]
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text() + rule.planted + "\n")
+    found = violations(rule, rule_files(rule, tmp_path))
+    assert sorted(line.split(":")[0] for line in found) == \
+        sorted(p.name for p in rule_files(rule))
+    assert all(line.endswith(rule.planted.strip()) for line in found)

@@ -6,6 +6,8 @@ import scipy.linalg as sla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg import lapack
+
 from ccve import builders, spectral
 from ccve.core import assemble_blocks
 from ccve.errors import ConjugatePairSplit, EigFailure
@@ -293,6 +295,42 @@ class TestDirectKernels:
             T0, Z0 = sla.schur(M, output="real")
             assert bitwise_equal(T, T0) and bitwise_equal(Z, Z0)
             assert bitwise_equal(values, spectral._schur_values(T0))
+
+    @pytest.mark.parametrize("n", list(range(1, 17)) + [50, 110, 220, 440])
+    def test_cached_lwork_is_a_fresh_query(self, monkeypatch, n):
+        # The first Schur form of order n queries dgees's lwork; the cached
+        # answer equals a fresh query on any matrix of that order, and a
+        # later form passes it to its one dgees call.
+        monkeypatch.setattr(spectral, "_DGEES_LWORK", {})
+        rng = np.random.default_rng(n)
+        spectral._schur(np.triu(rng.standard_normal((n, n))))
+        cached = spectral._DGEES_LWORK[n]
+        for M in (rng.standard_normal((n, n)), np.triu(rng.standard_normal((n, n))),
+                  np.eye(n), np.zeros((n, n))):
+            assert int(lapack.dgees(lambda wr, wi: 0, M, lwork=-1)[-2][0]) == cached
+        calls = []
+        dgees = lapack.dgees
+
+        def spy(select, a, lwork=None):
+            calls.append(lwork)
+            return dgees(select, a, lwork=lwork)
+        monkeypatch.setattr(spectral.lapack, "dgees", spy)
+        spectral._schur(np.triu(rng.standard_normal((n, n))))
+        assert calls == [cached]
+
+    def test_failed_lwork_query_is_not_cached(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_DGEES_LWORK", {})
+        calls = []
+
+        def failing(select, a, lwork=None):
+            calls.append(lwork)
+            n = a.shape[0]
+            return a, 0, np.zeros(n), np.zeros(n), np.eye(n), np.array([3.0 * n]), -2
+        monkeypatch.setattr(spectral.lapack, "dgees", failing)
+        with pytest.raises(EigFailure, match="info=-2"):
+            spectral._schur(np.eye(4))
+        assert calls == [-1, 12]
+        assert spectral._DGEES_LWORK == {}
 
     @pytest.mark.parametrize("M", [np.array([[np.nan, 0.0], [1.0, 2.0]]),
                                    np.array([[np.inf, 0.0], [1.0, 2.0]]),

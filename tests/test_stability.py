@@ -14,7 +14,8 @@ from ccve.stability import (
     perturbation_spectrum,
 )
 
-from conftest import match_multisets, perturbation_operator, uniform_pool
+from conftest import (PARTNER_GAMES, composite_blocks, match_multisets,
+                      partner_composite, perturbation_operator, uniform_pool)
 
 SQ3 = np.sqrt(3.0)
 WARM_L = -2.0 + SQ3
@@ -46,9 +47,30 @@ class TestHMatrices:
         full = np.linalg.eigvals(blocks.boldM1)
         both = np.concatenate([np.linalg.eigvals(H1), np.linalg.eigvals(H1p)])
         assert match_multisets(both, full, 1e-8)
-        full2 = np.linalg.eigvals(blocks.boldM2)
+        full2 = np.linalg.eigvals(partner_composite(blocks))
         both2 = np.concatenate([np.linalg.eigvals(H2), np.linalg.eigvals(H2p)])
         assert match_multisets(both2, full2, 1e-8)
+
+    @pytest.mark.parametrize("games", PARTNER_GAMES)
+    def test_player2_matches_partner_block_forms(self, games):
+        # H2 = K^{-1} and H2' = J^{-1} (K = bC1 L2 + bD1, J = bA1 - L2 bC1)
+        # against bA2 + bB2 L2 and bD2 - L2 bB2, the blocks of the partner
+        # composite formed here. Tolerance: relative Frobenius distance
+        # 1e-12 + eps cond(K), resp. eps cond(J), as inverting K or J
+        # amplifies its rounding by its condition number. Measured at
+        # 200x240 s1: 3.2e-9 for H2 (cond(K) = 2.3e8), 6.0e-11 for H2'.
+        eps = np.finfo(float).eps
+        for game in games():
+            sol = solve_ccve(game)
+            blocks = assemble_blocks(game)
+            bA1, _, bC1, bD1 = blocks.bold_blocks()
+            bA2, bB2, _, bD2 = composite_blocks(blocks, 2)
+            L2, rep = sol.L2, sol.stability
+            for H, block_form, factor in (
+                    (rep.H2, bA2 + bB2 @ L2, bC1 @ L2 + bD1),
+                    (rep.H2p, bD2 - L2 @ bB2, bA1 - L2 @ bC1)):
+                dist = np.linalg.norm(H - block_form) / np.linalg.norm(block_form)
+                assert dist <= 1e-12 + eps * np.linalg.cond(factor)
 
     def test_h2p_spectrum_reciprocal_to_h1(self, bench_game):
         # H2' is similar to H1^{-T}: the spectra are elementwise reciprocal.
@@ -99,7 +121,7 @@ class TestPerturbationSpectrum:
     def test_operator_action_identity(self, bench_game):
         sol = solve_ccve(bench_game)
         blocks = assemble_blocks(bench_game)
-        bA, bB, _, bD = blocks.bold_blocks(1)
+        bA, bB, _, bD = blocks.bold_blocks()
         left = bD - sol.L1 @ bB
         right_inv = np.linalg.inv(bA + bB @ sol.L1)
         op = perturbation_operator(blocks, 1, sol.L1)
