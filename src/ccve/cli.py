@@ -142,7 +142,7 @@ def cmd_check(args, argv):
           f"pass={so.pass_}")
     print(f"M1 positive definite: {so.m1_posdef}; M2 positive definite: "
           f"{so.m2_posdef}")
-    ok = max(r1, r2) <= stability.FIXED_POINT_TOL
+    ok = r1 <= stability.FIXED_POINT_TOL and r2 <= stability.FIXED_POINT_TOL
     stable = False
     if ok:
         report = stability.certify(blocks, game, L1, L2)

@@ -1,9 +1,10 @@
 """Eigendecomposition and real ordered invariant subspaces.
 
 Invariant subspaces are extracted from the real Schur form with eigenvalue
-reordering (LAPACK trsen), so complex conjugate pairs travel together and
-real input matrices yield real bases whenever the selected eigenvalue set is
-closed under conjugation.
+reordering (LAPACK trsen), or from the real generalized Schur form of a
+pencil reordered by LAPACK tgsen, so complex conjugate pairs travel together
+and real input matrices yield real bases whenever the selected eigenvalue set
+is closed under conjugation.
 """
 
 from __future__ import annotations
@@ -133,6 +134,8 @@ def _select_positions(values, k, selection: Selection):
             )
         if any(i < 0 or i >= n for i in selection.indices):
             raise EigFailure("Indices selection out of range")
+        if len(set(selection.indices)) != k:
+            raise EigFailure("Indices selection repeats a position")
         chosen = order[list(selection.indices)]
     else:  # pragma: no cover
         raise EigFailure(f"unknown selection kind {selection.kind!r}")
@@ -205,6 +208,49 @@ def invariant_subspace(M, k, selection: Selection) -> InvariantSubspace:
     return _reorder(M, *_schur(M), k, selection)
 
 
+# dgges's queried lwork by pencil order: the query sizes the QR of B and the
+# application of its Q at order n whatever the pencil, so n alone decides it.
+_DGGES_LWORK = {}
+
+# dtgsen's answer, info = 1, to a swap it cannot make stably.
+_TGSEN_REFUSED = (
+    "Reordering of (A, B) failed because the transformed matrix pair (A, B) "
+    "would be too far from generalized Schur form; the problem is very "
+    "ill-conditioned. (A, B) may have been partially reordered."
+)
+
+
+def _qz(M1, M2T):
+    """(AA, BB, Q, Z, values): real generalized Schur form (M1, M2T) =
+    (Q AA Z^T, Q BB Z^T) and its eigenvalues in diagonal order, from LAPACK
+    dgges at its queried lwork: bit for bit scipy.linalg.qz's."""
+    if not (M1.ndim == M2T.ndim == 2 and M1.shape[0] == M1.shape[1]
+            and M1.shape == M2T.shape
+            and np.isfinite(M1).all() and np.isfinite(M2T).all()):
+        raise EigFailure(
+            f"expected a finite square pencil, got shapes {M1.shape} and {M2T.shape}"
+        )
+    unsorted = lambda ar, ai, b: 0  # the select callback, called only to sort
+    lwork = _DGGES_LWORK.get(M1.shape[0])
+    if lwork is None:  # the query, once per order; a failed one is not kept
+        work, info = lapack.dgges(unsorted, M1, M2T, lwork=-1)[-2:]
+        lwork = int(work[0])
+        if info == 0:
+            _DGGES_LWORK[M1.shape[0]] = lwork
+    AA, BB, _, alphar, alphai, beta, Q, Z, _, info = lapack.dgges(
+        unsorted, M1, M2T, lwork=lwork)
+    if info != 0:
+        raise EigFailure(f"dgges failed with info={info}")
+    if np.any(beta == 0.0):
+        raise EigFailure("infinite generalized eigenvalue: M2^T is singular")
+    values = (alphar + alphai * 1j) / beta
+    # A 2x2 block gives a conjugate pair, positive imaginary part first; its
+    # two betas differ in the last bits, so conjugate exactly.
+    pairs = np.nonzero(alphai > 0)[0]
+    values[pairs + 1] = np.conj(values[pairs])
+    return AA, BB, Q, Z, values
+
+
 def generalized_pairs(M1, M2T, k, selection: Selection) -> InvariantSubspace:
     """Invariant subspace via the generalized problem M1 K = M2^T K Lambda.
 
@@ -215,25 +261,20 @@ def generalized_pairs(M1, M2T, k, selection: Selection) -> InvariantSubspace:
     """
     M1 = np.asarray(M1, dtype=float)
     M2T = np.asarray(M2T, dtype=float)
-    selected = complement = warns = None
-
-    def pick(alpha, beta):
-        # Called once by ordqz, in QZ diagonal order, before the tgsen reorder.
-        nonlocal selected, complement, warns
-        if np.any(beta == 0.0):
-            raise EigFailure("infinite generalized eigenvalue: M2^T is singular")
-        values = alpha / beta
-        # A 2x2 block gives a conjugate pair, positive imaginary part first;
-        # its two betas differ in the last bits, so conjugate exactly.
-        pairs = np.nonzero(alpha.imag > 0)[0]
-        values[pairs + 1] = np.conj(values[pairs])
-        inside, selected, complement, warns = _select_positions(values, k, selection)
-        return inside
-
-    try:
-        AA, BB, _, _, Q, Z = sla.ordqz(M1, M2T, sort=pick, output="real")
-    except ValueError as exc:  # e.g. tgsen refuses an ill-conditioned reorder
-        raise EigFailure(f"ordered QZ failed: {exc}") from exc
+    AA, BB, Q, Z, values = _qz(M1, M2T)
+    inside, selected, complement, warns = _select_positions(values, k, selection)
+    # scipy.linalg.ordqz's tgsen arguments; the reorder overwrites the form.
+    AA, BB, _, _, _, Q, Z, m, _, _, _, info = lapack.dtgsen(
+        inside.astype(np.int32), AA, BB, Q, Z, ijob=0,
+        lwork=4 * M1.shape[0] + 16, liwork=1,
+        overwrite_a=1, overwrite_b=1, overwrite_q=1, overwrite_z=1)
+    if info != 0:
+        reason = _TGSEN_REFUSED if info == 1 else f"dtgsen failed with info={info}"
+        raise EigFailure(f"ordered QZ failed: {reason}")
+    if m != k:
+        raise EigFailure(
+            f"reordered subspace dimension {m} does not match requested {k}"
+        )
     basis = np.ascontiguousarray(Z[:, :k])
     # Orthonormality comes from Z; verify deflation against the reordered
     # leading blocks, M1 Z_k = Q_k AA_kk and M2^T Z_k = Q_k BB_kk.

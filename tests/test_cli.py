@@ -251,6 +251,20 @@ class TestCheck:
                     "--solution", str(sol)]) == cli.EXIT_NOT_CERTIFIED
         assert "certification: FAIL" in capsys.readouterr().out
 
+    def test_nan_residual_skips_stability(self, tmp_path, bench_path, capsys,
+                                          monkeypatch):
+        # max(0.0, nan) is 0.0: a NaN second residual must not pass the gate.
+        sol = tmp_path / "sol.json"
+        assert run(["solve", "--game", str(bench_path),
+                    "--out", str(sol)]) == cli.EXIT_OK
+        monkeypatch.setattr(cli, "riccati_residual_norms",
+                            lambda game, L1, L2: (0.0, float("nan")))
+        assert run(["check", "--game", str(bench_path),
+                    "--solution", str(sol)]) == cli.EXIT_NOT_CERTIFIED == 2
+        out = capsys.readouterr().out
+        assert "stability: skipped" in out
+        assert "certification: FAIL" in out
+
 
 class TestEnumerate:
     def test_candidates_sorted_by_multiplier(self, tmp_path, bench_path):

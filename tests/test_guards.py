@@ -346,6 +346,13 @@ def failing_dgees(select, a, lwork=None):
     return a, 0, np.zeros(n), np.zeros(n), np.eye(n), np.array([3.0 * n]), 1
 
 
+def failing_dgges(select, a, b, lwork=None):
+    """dgges's outputs with info = 1 (the QZ iteration did not converge)."""
+    n = a.shape[0]
+    return (a, b, 0, np.ones(n), np.zeros(n), np.ones(n), np.eye(n), np.eye(n),
+            np.array([8.0 * n + 16]), 1)
+
+
 def failing_dsyevr(a, **options):
     """dsyevr's outputs with info = 1 (an internal error in the eigenvalue search)."""
     return np.zeros(a.shape[0]), np.zeros((0, 0)), 0, np.zeros(0, np.int32), 1
@@ -361,6 +368,13 @@ LAPACK_FAILURES = [
                  id="dgees-invariant_subspace"),
     pytest.param("dgees", failing_dgees, lambda g, sol: equilibrium.solve_ccve(g),
                  id="dgees-solve_ccve"),
+    pytest.param("dgges", failing_dgges, lambda g, sol: spectral.generalized_pairs(
+                     assemble_blocks(g).M1, assemble_blocks(g).M2.T, 2,
+                     spectral.LargestMagnitude),
+                 id="dgges-generalized_pairs"),
+    pytest.param("dgges", failing_dgges,
+                 lambda g, sol: equilibrium.solve_via_generalized(g),
+                 id="dgges-solve_via_generalized"),
     pytest.param("dsyevr", failing_dsyevr,
                  lambda g, sol: analysis.second_order_check(g, sol.L1, sol.L2),
                  id="dsyevr-second_order_check"),

@@ -1,7 +1,9 @@
 """The QZ route selects its deflating subspace by position, not by value.
 
 It must return the subspace of exactly the selected eigenvalues, however close
-their neighbours, and agree with the Schur route.
+their neighbours, agree with the Schur route, and reorder the pencil bit for
+bit as scipy.linalg.ordqz does: the route calls LAPACK dgges and dtgsen
+itself, and ordqz stays here as the oracle.
 """
 
 import numpy as np
@@ -9,9 +11,14 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
+from ccve import spectral
+from ccve.builders import example1_game
+from ccve.equilibrium import solve_ccve, solve_via_generalized
 from ccve.errors import ConjugatePairSplit, EigFailure
 from ccve.spectral import (
+    Indices,
     LargestMagnitude,
     SmallestMagnitude,
     generalized_pairs,
@@ -50,18 +57,66 @@ def test_matches_schur_route_for_every_accepted_k(seed, n):
             assert np.max(sla.subspace_angles(sub.basis, direct.basis)) < 1e-8
 
 
-def test_refused_reorder_is_a_typed_error(monkeypatch):
-    # tgsen refuses a swap of (nearly) equal eigenvalues it cannot do stably,
-    # e.g. the smallest selection of the uniform 1x6 game with seed 70, whose
-    # boldM1 has the eigenvalue -1/65 five times; scipy reports it as a
-    # ValueError.
-    def refuse(*args, **kwargs):
-        raise ValueError("Reordering of (A, B) failed")
+def ordqz_oracle(M1, M2T, k, selection):
+    """scipy.linalg.ordqz's (AA, BB, Q, Z), the selection picked from its
+    unordered form as the QZ route resolves it."""
+    def pick(alpha, beta):
+        values = alpha / beta
+        pairs = np.nonzero(alpha.imag > 0)[0]
+        values[pairs + 1] = np.conj(values[pairs])
+        return spectral._select_positions(values, k, selection)[0]
 
-    monkeypatch.setattr(sla, "ordqz", refuse)
-    with pytest.raises(EigFailure, match="ordered QZ failed") as info:
+    AA, BB, _, _, Q, Z = sla.ordqz(M1, M2T, sort=pick, output="real")
+    return AA, BB, Q, Z
+
+
+def bitwise_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8))
+@settings(max_examples=60, deadline=None)
+def test_ordered_form_is_ordqz_bit_for_bit(seed, n):
+    rng = np.random.default_rng(seed)
+    M1 = rng.standard_normal((n, n))
+    M2T = rng.standard_normal((n, n)) + n * np.eye(n)
+    dtgsen = lapack.dtgsen
+    forms = []
+
+    def spy(*args, **kwargs):
+        out = dtgsen(*args, **kwargs)
+        forms.append(tuple(out[i].copy() for i in (0, 1, 5, 6)))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral.lapack, "dtgsen", spy)
+        for selection in (LargestMagnitude, SmallestMagnitude):
+            for k in range(1, n):
+                try:
+                    oracle = ordqz_oracle(M1, M2T, k, selection)
+                except ConjugatePairSplit:
+                    with pytest.raises(ConjugatePairSplit):
+                        generalized_pairs(M1, M2T, k, selection)
+                    continue
+                sub = generalized_pairs(M1, M2T, k, selection)
+                assert all(bitwise_equal(a, b) for a, b in zip(forms.pop(), oracle))
+                assert bitwise_equal(sub.basis, np.ascontiguousarray(oracle[3][:, :k]))
+    assert forms == []
+
+
+def refusing_dtgsen(select, a, b, q, z, **options):
+    """dtgsen's outputs with info = 1: a swap it cannot make stably, e.g. in
+    the smallest selection of the uniform 1x6 game with seed 70, whose boldM1
+    has the eigenvalue -1/65 five times."""
+    n = a.shape[0]
+    zeros = np.zeros(n)
+    return a, b, zeros, zeros, zeros, q, z, 0, 0.0, 0.0, np.zeros(2), 1
+
+
+def test_refused_reorder_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(spectral.lapack, "dtgsen", refusing_dtgsen)
+    with pytest.raises(EigFailure, match=r"ordered QZ failed: Reordering of \(A, B\)"):
         generalized_pairs(np.diag([2.0, 1.0]), np.eye(2), 1, LargestMagnitude)
-    assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_non_deflating_basis_is_rejected(monkeypatch):
@@ -72,15 +127,36 @@ def test_non_deflating_basis_is_rejected(monkeypatch):
     M1 = rng.standard_normal((4, 4))
     M1 = M1 + M1.T
     M2T = np.eye(4) + 0.1 * np.diag(rng.random(4))
-    real_ordqz = sla.ordqz
+    real_dtgsen = lapack.dtgsen
 
     def rotated(*args, **kwargs):
-        AA, BB, alpha, beta, Q, Z = real_ordqz(*args, **kwargs)
-        Z = Z.copy()
+        out = list(real_dtgsen(*args, **kwargs))
+        Z = out[6].copy()
         Z[:, [1, 2]] = Z[:, [1, 2]] @ (np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0))
-        return AA, BB, alpha, beta, Q, Z
+        out[6] = Z
+        return tuple(out)
 
     generalized_pairs(M1, M2T, 2, LargestMagnitude)
-    monkeypatch.setattr(sla, "ordqz", rotated)
+    monkeypatch.setattr(spectral.lapack, "dtgsen", rotated)
     with pytest.raises(EigFailure, match="deflating-subspace residual"):
         generalized_pairs(M1, M2T, 2, LargestMagnitude)
+
+
+def test_reorder_of_the_wrong_dimension_is_rejected(monkeypatch):
+    # A mask with one position fewer than k: dtgsen reorders k - 1 values.
+    select = spectral._select_positions
+
+    def short(values, k, selection):
+        inside, *rest = select(values, k, selection)
+        inside[np.nonzero(inside)[0][-1]] = False
+        return (inside, *rest)
+
+    monkeypatch.setattr(spectral, "_select_positions", short)
+    with pytest.raises(EigFailure, match="dimension 1 does not match requested 2"):
+        generalized_pairs(np.diag([3.0, 2.0, 1.0]), np.eye(3), 2, LargestMagnitude)
+
+
+@pytest.mark.parametrize("solve", [solve_ccve, solve_via_generalized])
+def test_repeated_indices_are_rejected(solve):
+    with pytest.raises(EigFailure, match="repeats a position"):
+        solve(example1_game(), Indices((0, 0)))

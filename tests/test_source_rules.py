@@ -3,10 +3,10 @@
 Each rule is a regular expression that no line of its files may match:
 LAPACK stays in core and spectral, linear solves go through the guarded LU,
 block matrices through core._stack, slope products through
-core._slope_terms, and the Schur form and the smallest symmetric eigenvalue
-through the package's direct LAPACK calls.  Each rule is also shown to catch
-a planted violating line, so a rule that matches nothing cannot pass
-unnoticed.
+core._slope_terms, and the Schur form, the ordered QZ form and the smallest
+symmetric eigenvalue through the package's direct LAPACK calls.  Each rule is
+also shown to catch a planted violating line, so a rule that matches nothing
+cannot pass unnoticed.
 """
 
 import re
@@ -60,11 +60,12 @@ RULES = {
         "    P = p.A + p.B.T @ L",
     ),
     "spectral-kernels-through-lapack": Rule(
-        r"sla\.schur|np\.linalg\.eigvalsh",
+        r"sla\.schur|np\.linalg\.eigvalsh|sla\.ordqz|sla\.qz\b",
         (),
         (),
-        "take the Schur form from spectral._schur (dgees) and a smallest "
-        "eigenvalue from core._min_eig (dsyevr)",
+        "take the Schur form from spectral._schur (dgees), the QZ form from "
+        "spectral._qz (dgges, reordered by dtgsen) and a smallest eigenvalue "
+        "from core._min_eig (dsyevr)",
         "    w = np.linalg.eigvalsh(S)",
     ),
 }

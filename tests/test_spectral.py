@@ -10,6 +10,7 @@ from scipy.linalg import lapack
 
 from ccve import builders, spectral
 from ccve.core import assemble_blocks
+from ccve.equilibrium import solve_via_generalized
 from ccve.errors import ConjugatePairSplit, EigFailure
 from ccve.spectral import (
     Indices,
@@ -331,6 +332,88 @@ class TestDirectKernels:
             spectral._schur(np.eye(4))
         assert calls == [-1, 12]
         assert spectral._DGEES_LWORK == {}
+
+    @pytest.mark.parametrize("pool", KERNEL_POOLS)
+    def test_qz_is_scipy_qz_bit_for_bit(self, pool):
+        for game in pool():
+            blocks = assemble_blocks(game)
+            AA, BB, Q, Z, _ = spectral._qz(blocks.M1, blocks.M2.T)
+            for got, want in zip((AA, BB, Q, Z),
+                                 sla.qz(blocks.M1, blocks.M2.T, output="real")):
+                assert bitwise_equal(got, want)
+
+    @pytest.mark.parametrize("n", list(range(1, 17)) + [50, 110, 220])
+    def test_cached_qz_lwork_is_a_fresh_query(self, monkeypatch, n):
+        # The first QZ form of order n queries dgges's lwork; the cached
+        # answer equals a fresh query on any pencil of that order, and a
+        # later form passes it to its one dgges call.
+        monkeypatch.setattr(spectral, "_DGGES_LWORK", {})
+        rng = np.random.default_rng(n)
+        spectral._qz(np.triu(rng.standard_normal((n, n))), np.eye(n))
+        cached = spectral._DGGES_LWORK[n]
+        for A, B in ((rng.standard_normal((n, n)), rng.standard_normal((n, n))),
+                     (np.triu(rng.standard_normal((n, n))),
+                      np.triu(rng.standard_normal((n, n)))),
+                     (np.eye(n), np.eye(n))):
+            assert int(lapack.dgges(lambda ar, ai, b: 0, A, B, lwork=-1)[-2][0]) == cached
+        calls = []
+        dgges = lapack.dgges
+
+        def spy(select, a, b, lwork=None):
+            calls.append(lwork)
+            return dgges(select, a, b, lwork=lwork)
+        monkeypatch.setattr(spectral.lapack, "dgges", spy)
+        spectral._qz(np.triu(rng.standard_normal((n, n))), np.eye(n))
+        assert calls == [cached]
+
+    def test_failed_qz_lwork_query_is_not_cached(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_DGGES_LWORK", {})
+        calls = []
+
+        def failing(select, a, b, lwork=None):
+            calls.append(lwork)
+            n = a.shape[0]
+            zeros = np.zeros(n)
+            return a, b, 0, zeros, zeros, zeros, np.eye(n), np.eye(n), \
+                np.array([8.0 * n + 16]), -3
+        monkeypatch.setattr(spectral.lapack, "dgges", failing)
+        with pytest.raises(EigFailure, match="dgges failed with info=-3"):
+            spectral._qz(np.eye(4), np.eye(4))
+        assert calls == [-1, 48]
+        assert spectral._DGGES_LWORK == {}
+
+    def test_one_qz_call_each_per_solve(self, monkeypatch):
+        # Each QZ solve makes one dgges call (two on the first solve of an
+        # order, the workspace query) and one dtgsen call.
+        monkeypatch.setattr(spectral, "_DGGES_LWORK", {})
+        calls = []
+
+        def counted(name):
+            kernel = getattr(lapack, name)
+
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return kernel(*args, **kwargs)
+            return spy
+        for name in ("dgges", "dtgsen"):
+            monkeypatch.setattr(spectral.lapack, name, counted(name))
+        game = builders.example1_game()
+        solve_via_generalized(game, LargestMagnitude)
+        assert calls == ["dgges", "dgges", "dtgsen"]
+        del calls[:]
+        solve_via_generalized(game, LargestMagnitude)
+        assert calls == ["dgges", "dtgsen"]
+
+    @pytest.mark.parametrize("M1, M2T", [
+        (np.array([[np.nan, 0.0], [1.0, 2.0]]), np.eye(2)),
+        (np.eye(2), np.array([[np.inf, 0.0], [1.0, 2.0]])),
+        (np.ones((2, 3)), np.ones((2, 3))),
+        (np.eye(2), np.eye(3)),
+        (np.ones(3), np.ones(3)),
+    ], ids=["nan", "inf", "2x3", "2-and-3", "1-d"])
+    def test_non_finite_or_non_square_pencil_raises_eig_failure(self, M1, M2T):
+        with pytest.raises(EigFailure, match="expected a finite square pencil"):
+            generalized_pairs(M1, M2T, 1, LargestMagnitude)
 
     @pytest.mark.parametrize("M", [np.array([[np.nan, 0.0], [1.0, 2.0]]),
                                    np.array([[np.inf, 0.0], [1.0, 2.0]]),
