@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__, analysis, builders, equilibrium, lft, stability
 from .core import (
     Conjecture,
+    _checked_L,
     _write_json,
     assemble_blocks,
     load_game,
@@ -94,9 +95,18 @@ def _load_init(path, dims):
     return conj1, conj2
 
 
+def _solution_slopes(path, dims):
+    """[L1, L2] of a solution file, each checked against the game's dims."""
+    with open(path) as fh:
+        data = json.load(fh)
+    return [_checked_L(dims, i, data[f"L{i}"]) for i in (1, 2)]
+
+
 def cmd_iterate(args, argv):
     t0 = time.monotonic()
     game = load_game(args.game)
+    # Read before the run, so a solution of another game is refused up front.
+    ref = None if args.compare is None else _solution_slopes(args.compare, game.dims)
     init = None
     if args.init != "nash":
         init = _load_init(args.init, game.dims)
@@ -111,11 +121,9 @@ def cmd_iterate(args, argv):
         "final_change": trace.change,
         "iterations": len(trace.steps) - 1,
     }
-    if args.compare is not None:
-        with open(args.compare) as fh:
-            ref = json.load(fh)
-        dL1 = np.linalg.norm(trace.final.L1 - np.asarray(ref["L1"]))
-        dL2 = np.linalg.norm(trace.final.L2 - np.asarray(ref["L2"]))
+    if ref is not None:
+        dL1 = np.linalg.norm(trace.final.L1 - ref[0])
+        dL2 = np.linalg.norm(trace.final.L2 - ref[1])
         summary["distance_to_solution"] = {"L1": dL1, "L2": dL2}
     summary_path = args.summary or str(Path(args.trace).with_suffix(".summary.json"))
     _write_json(summary_path, summary)
@@ -131,10 +139,7 @@ def cmd_iterate(args, argv):
 def cmd_check(args, argv):
     game = load_game(args.game)
     blocks = assemble_blocks(game)
-    with open(args.solution) as fh:
-        data = json.load(fh)
-    L1 = np.asarray(data["L1"], float)
-    L2 = np.asarray(data["L2"], float)
+    L1, L2 = _solution_slopes(args.solution, game.dims)
     r1, r2 = riccati_residual_norms(game, L1, L2)
     print(f"riccati residuals: {r1:.6e} {r2:.6e}")
     so = analysis.second_order_check(game, L1, L2)

@@ -201,27 +201,30 @@ def _lu_rcond(a):
     return lu, piv, rcond
 
 
-def _solve_checked(a, b, error, *args, rcond_min=RCOND_MIN, trans=0):
-    """Solve ``a x = b`` (``a^T x = b`` if ``trans=1``) with one LU of ``a``.
-
-    ``b`` may be a tuple of right-hand sides: the same LU then solves each
-    with its own dgetrs, and the solutions come back as a tuple.
-    Raises ``error(*args)`` when the 1-norm rcond estimate is below rcond_min
-    or NaN (a NaN entry of ``a`` gives a NaN estimate).
-    """
+def _lu_checked(a, error, *args, rcond_min=RCOND_MIN):
+    """(lu, piv): dgetrf of square ``a``, the guard rule of every checked LU: raises
+    ``error(*args)`` when dgecon's 1-norm rcond estimate is below rcond_min or NaN."""
     lu, piv, rcond = _lu_rcond(a)
     if not rcond >= rcond_min:
         raise error(*args)
+    return lu, piv
+
+
+def _solve_checked(a, b, error, *args, rcond_min=RCOND_MIN, trans=0):
+    """Solve ``a x = b`` (``a^T x = b`` if ``trans=1``) with one _lu_checked LU.
+
+    ``b`` may be a tuple of right-hand sides: the same LU then solves each
+    with its own dgetrs, and the solutions come back as a tuple.
+    """
+    lu, piv = _lu_checked(a, error, *args, rcond_min=rcond_min)
     if isinstance(b, tuple):
         return tuple(lapack.dgetrs(lu, piv, rhs, trans=trans)[0] for rhs in b)
     return lapack.dgetrs(lu, piv, b, trans=trans)[0]
 
 
 def _inv_checked(a, error, *args):
-    """``a^{-1}`` from one LU (dgetrf, dgetri), guarded as _solve_checked is."""
-    lu, piv, rcond = _lu_rcond(a)
-    if not rcond >= RCOND_MIN:
-        raise error(*args)
+    """``a^{-1}`` from one LU (dgetrf, dgetri), guarded by _lu_checked."""
+    lu, piv = _lu_checked(a, error, *args)
     return lapack.dgetri(lu, piv)[0]
 
 
@@ -422,26 +425,24 @@ def game_to_dict(game: QuadraticGame) -> dict:
     }
 
 
-def game_from_dict(data: dict) -> QuadraticGame:
+def _checked_keys(data, keys, name, what):
+    """``data`` once it is an object with exactly ``keys``; otherwise raises
+    DimensionMismatch naming the object ``name`` or its ``what`` keys."""
     if not isinstance(data, dict):
-        raise DimensionMismatch("game JSON must be an object")
-    unknown = set(data) - _GAME_KEYS
+        raise DimensionMismatch(f"{name} must be an object")
+    unknown = set(data) - keys
     if unknown:
-        raise DimensionMismatch(f"unknown game keys: {sorted(unknown)}")
-    missing = _GAME_KEYS - set(data)
+        raise DimensionMismatch(f"unknown {what} keys: {sorted(unknown)}")
+    missing = keys - set(data)
     if missing:
-        raise DimensionMismatch(f"missing game keys: {sorted(missing)}")
-    for key in ("player1", "player2"):
-        pdata = data[key]
-        if not isinstance(pdata, dict):
-            raise DimensionMismatch(f"{key} must be an object")
-        unknown = set(pdata) - _PLAYER_KEYS
-        if unknown:
-            raise DimensionMismatch(f"unknown {key} keys: {sorted(unknown)}")
-        missing = _PLAYER_KEYS - set(pdata)
-        if missing:
-            raise DimensionMismatch(f"missing {key} keys: {sorted(missing)}")
-    p1, p2 = data["player1"], data["player2"]
+        raise DimensionMismatch(f"missing {what} keys: {sorted(missing)}")
+    return data
+
+
+def game_from_dict(data: dict) -> QuadraticGame:
+    _checked_keys(data, _GAME_KEYS, "game JSON", "game")
+    p1, p2 = (_checked_keys(data[key], _PLAYER_KEYS, key, key)
+              for key in ("player1", "player2"))
     return QuadraticGame.create(
         int(data["d1"]),
         int(data["d2"]),

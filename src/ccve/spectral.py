@@ -159,9 +159,27 @@ def _select_positions(values, k, selection: Selection):
     return inside, values[order[ranked]], values[order[~ranked]], tuple(warns)
 
 
-# dgees's queried lwork by matrix order: the query sizes the Hessenberg QR
-# with ilo = 1, ihi = n whatever the matrix, so its answer depends on n alone.
-_DGEES_LWORK = {}
+# LAPACK's queried lwork by (kernel, order): dgees sizes its Hessenberg QR
+# and dgges the QR of B at order n whatever the input, so n alone decides it.
+_LWORK = {}
+
+
+def _form(name, *mats):
+    """The outputs of LAPACK ``name`` (dgees or dgges) on ``mats`` at its queried
+    lwork, unsorted; raises EigFailure when the form's info != 0."""
+    kernel = getattr(lapack, name)
+    unsorted = lambda *values: 0  # the select callback, called only to sort
+    key = (name, mats[0].shape[0])
+    lwork = _LWORK.get(key)
+    if lwork is None:  # the query, once per kernel and order; a failed one is not kept
+        work, info = kernel(unsorted, *mats, lwork=-1)[-2:]
+        lwork = int(work[0])
+        if info == 0:
+            _LWORK[key] = lwork
+    out = kernel(unsorted, *mats, lwork=lwork)
+    if out[-1] != 0:
+        raise EigFailure(f"{name} failed with info={out[-1]}")
+    return out
 
 
 def _schur(M):
@@ -169,17 +187,30 @@ def _schur(M):
     from LAPACK dgees at its queried lwork: bit for bit scipy.linalg.schur's."""
     if M.ndim != 2 or M.shape[0] != M.shape[1] or not np.isfinite(M).all():
         raise EigFailure(f"expected a finite square matrix, got shape {M.shape}")
-    unsorted = lambda wr, wi: 0  # the select callback, called only to sort
-    lwork = _DGEES_LWORK.get(M.shape[0])
-    if lwork is None:  # the query, once per order; a failed one is not kept
-        work, info = lapack.dgees(unsorted, M, lwork=-1)[-2:]
-        lwork = int(work[0])
-        if info == 0:
-            _DGEES_LWORK[M.shape[0]] = lwork
-    T, _, _, _, Z, _, info = lapack.dgees(unsorted, M, lwork=lwork)
-    if info != 0:
-        raise EigFailure(f"dgees failed with info={info}")
+    T, _, _, _, Z, _, _ = _form("dgees", M)
     return T, Z, _schur_values(T)
+
+
+def _leading_basis(m, k, V, U, checks, what):
+    """The contiguous leading k columns of the reordered right transform V.
+
+    Raises EigFailure, naming the ``what`` residual, unless m == k and each
+    (M, R) in ``checks`` deflates: M V_k = U_k R_kk to EIG_RESID_TOL relative
+    to ||M||, where U_k is the basis itself when U is None (a Schur form)."""
+    if m != k:
+        raise EigFailure(
+            f"reordered subspace dimension {m} does not match requested {k}"
+        )
+    basis = np.ascontiguousarray(V[:, :k])
+    left = basis if U is None else U[:, :k]
+    resid = max(
+        math.sqrt(_sq_norm(M @ basis - left @ R[:k, :k]))
+        / max(math.sqrt(_sq_norm(M)), 1e-300)
+        for M, R in checks
+    )
+    if resid > EIG_RESID_TOL:
+        raise EigFailure(f"{what} residual {resid:.3e} above tolerance")
+    return basis
 
 
 def _reorder(M, T, Z, values, k, selection: Selection) -> InvariantSubspace:
@@ -188,17 +219,8 @@ def _reorder(M, T, Z, values, k, selection: Selection) -> InvariantSubspace:
     ts, qs, wr, wi, m, s, sep, info = lapack.dtrsen(inside.astype(np.int32), T, Z, job="N")
     if info != 0:
         raise EigFailure(f"trsen failed with info={info}")
-    if m != k:
-        raise EigFailure(
-            f"reordered subspace dimension {m} does not match requested {k}"
-        )
-    basis = np.ascontiguousarray(qs[:, :k])
-    # Orthonormality comes from the Schur vectors; verify invariance against
-    # the reordered leading Schur block, M Q_k = Q_k T_kk.
-    scale = max(math.sqrt(_sq_norm(M)), 1e-300)
-    resid = math.sqrt(_sq_norm(M @ basis - basis @ ts[:k, :k])) / scale
-    if resid > EIG_RESID_TOL:
-        raise EigFailure(f"invariant-subspace residual {resid:.3e} above tolerance")
+    # The Schur vectors are orthonormal; check invariance, M Q_k = Q_k T_kk.
+    basis = _leading_basis(m, k, qs, None, ((M, ts),), "invariant-subspace")
     return InvariantSubspace(basis, selected, complement, warns)
 
 
@@ -207,10 +229,6 @@ def invariant_subspace(M, k, selection: Selection) -> InvariantSubspace:
     M = np.asarray(M, dtype=float)
     return _reorder(M, *_schur(M), k, selection)
 
-
-# dgges's queried lwork by pencil order: the query sizes the QR of B and the
-# application of its Q at order n whatever the pencil, so n alone decides it.
-_DGGES_LWORK = {}
 
 # dtgsen's answer, info = 1, to a swap it cannot make stably.
 _TGSEN_REFUSED = (
@@ -230,17 +248,7 @@ def _qz(M1, M2T):
         raise EigFailure(
             f"expected a finite square pencil, got shapes {M1.shape} and {M2T.shape}"
         )
-    unsorted = lambda ar, ai, b: 0  # the select callback, called only to sort
-    lwork = _DGGES_LWORK.get(M1.shape[0])
-    if lwork is None:  # the query, once per order; a failed one is not kept
-        work, info = lapack.dgges(unsorted, M1, M2T, lwork=-1)[-2:]
-        lwork = int(work[0])
-        if info == 0:
-            _DGGES_LWORK[M1.shape[0]] = lwork
-    AA, BB, _, alphar, alphai, beta, Q, Z, _, info = lapack.dgges(
-        unsorted, M1, M2T, lwork=lwork)
-    if info != 0:
-        raise EigFailure(f"dgges failed with info={info}")
+    AA, BB, _, alphar, alphai, beta, Q, Z, _, _ = _form("dgges", M1, M2T)
     if np.any(beta == 0.0):
         raise EigFailure("infinite generalized eigenvalue: M2^T is singular")
     values = (alphar + alphai * 1j) / beta
@@ -271,20 +279,7 @@ def generalized_pairs(M1, M2T, k, selection: Selection) -> InvariantSubspace:
     if info != 0:
         reason = _TGSEN_REFUSED if info == 1 else f"dtgsen failed with info={info}"
         raise EigFailure(f"ordered QZ failed: {reason}")
-    if m != k:
-        raise EigFailure(
-            f"reordered subspace dimension {m} does not match requested {k}"
-        )
-    basis = np.ascontiguousarray(Z[:, :k])
-    # Orthonormality comes from Z; verify deflation against the reordered
-    # leading blocks, M1 Z_k = Q_k AA_kk and M2^T Z_k = Q_k BB_kk.
-    resid = max(
-        math.sqrt(_sq_norm(M @ basis - Q[:, :k] @ R[:k, :k]))
-        / max(math.sqrt(_sq_norm(M)), 1e-300)
-        for M, R in ((M1, AA), (M2T, BB))
-    )
-    if resid > EIG_RESID_TOL:
-        raise EigFailure(
-            f"generalized deflating-subspace residual {resid:.3e} above tolerance"
-        )
+    # Z is orthonormal; check M1 Z_k = Q_k AA_kk and M2^T Z_k = Q_k BB_kk.
+    basis = _leading_basis(m, k, Z, Q, ((M1, AA), (M2T, BB)),
+                           "generalized deflating-subspace")
     return InvariantSubspace(basis, selected, complement, warns)

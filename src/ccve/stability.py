@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (RCOND_MIN, CompositeBlocks, QuadraticGame, _a_norms,
-                   _checked_L, _checked_slope, _inv_checked, _lu_rcond,
-                   _residual_norms, _residuals, _solve_checked, _sq_norm)
+from .core import (CompositeBlocks, QuadraticGame, _a_norms, _checked_L,
+                   _checked_slope, _inv_checked, _lu_checked, _residual_norms,
+                   _residuals, _solve_checked, _sq_norm)
 from .errors import NotAFixedPoint, SingularComposite
 
 # Residual threshold for accepting (L1, L2) as a fixed pair.
@@ -88,8 +88,7 @@ def perturbation_spectrum(blocks: CompositeBlocks, i: int, L_i):
         contract, rest = bA + bB @ L_i, bD - L_i @ bB
     else:
         contract, rest = bA - L_i @ bC, bC @ L_i + bD
-    if not _lu_rcond(contract)[2] >= RCOND_MIN:
-        raise SingularComposite(i)
+    _lu_checked(contract, SingularComposite, i)
     lam = np.linalg.eigvals(rest)
     mu = np.linalg.eigvals(contract)
     return (lam[:, None] / mu[None, :]).reshape(-1)
@@ -115,8 +114,7 @@ def _certify(blocks, game, s1, s2, spectra):
         ratios_1 = perturbation_spectrum(blocks, 1, s1.L)
         ratios_2 = perturbation_spectrum(blocks, 2, s2.L)
     else:
-        if not _lu_rcond(H1)[2] >= RCOND_MIN:  # H2's guard is its inverse's
-            raise SingularComposite(1)
+        _lu_checked(H1, SingularComposite, 1)  # H2's guard is its inverse's
         selected, complement = spectra
         ratios_1 = ratios_2 = (complement[:, None] / selected[None, :]).reshape(-1)
     xi1 = float(np.max(np.abs(ratios_1)))

@@ -1,6 +1,7 @@
 """Black-box tests of the command-line interface via its main() entry point."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,17 @@ def warmup_path(tmp_path):
     assert run(["build", "scalar", "--q1", "1.0", "--r1", "0.25", "--s1", "0.0",
                 "--out", str(path)]) == cli.EXIT_OK
     return path
+
+
+@pytest.fixture(scope="module")
+def paper_50x60(tmp_path_factory):
+    """(game, solution): paper7ex2 50x60 seed 0, built and solved by the CLI."""
+    d = tmp_path_factory.mktemp("paper_50x60")
+    game, sol = d / "game.json", d / "solution.json"
+    assert run(["build", "random", "--recipe", "paper7ex2", "--d1", "50",
+                "--d2", "60", "--seed", "0", "--out", str(game)]) == cli.EXIT_OK
+    assert run(["solve", "--game", str(game), "--out", str(sol)]) == cli.EXIT_OK
+    return game, sol
 
 
 @pytest.fixture
@@ -165,6 +177,21 @@ class TestIterate:
         data = json.loads(summary.read_text())
         assert data["distance_to_solution"]["L1"] < 1e-6
 
+    def test_compare_against_another_games_solution_is_an_error(
+            self, tmp_path, bench_path, warmup_path, capsys):
+        # A 1x1 game's solution against a 2x3 iterate: its L1 and L2 would
+        # broadcast, so the file is checked against the game before the run.
+        sol = tmp_path / "sol.json"
+        assert run(["solve", "--game", str(warmup_path),
+                    "--out", str(sol)]) == cli.EXIT_OK
+        trace = tmp_path / "trace.csv"
+        assert run(["iterate", "--game", str(bench_path), "--tol", "1e-10",
+                    "--trace", str(trace), "--compare", str(sol)]) == cli.EXIT_ERROR
+        assert ("DimensionMismatch: L1 must have shape (3, 2), got (1, 1)"
+                in capsys.readouterr().err)
+        assert not trace.exists()
+        assert not trace.with_suffix(".summary.json").exists()
+
     def test_divergence_exit_code(self, tmp_path):
         game = tmp_path / "div.json"
         assert run(["build", "scalar", "--q1", "2.0", "--r1", "1.0",
@@ -307,3 +334,40 @@ class TestRoundTrip:
         second = tmp_path / "copy.json"
         save_game(g, second)
         assert json.loads(bench_path.read_text()) == json.loads(second.read_text())
+
+    def test_certificate_round_trip_at_50x60(self, paper_50x60):
+        # solve reads the certificate off the reordered Schur form; check
+        # recomputes it from H1 and H1' and, for player 2, from
+        # bC1 L2 + bD1 and bA1 - L2 bC1, and must certify it.
+        game, sol = paper_50x60
+        assert run(["check", "--game", str(game),
+                    "--solution", str(sol)]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("mode, steps", [("cross", 29), ("composite", 15)])
+    def test_iteration_round_trip_at_50x60(self, tmp_path, paper_50x60, mode, steps):
+        # From the Nash initialization each iteration converges to the solved
+        # L1 (cross: 29 steps, distance about 1e-9; composite, which reads
+        # the blocks of boldM1, player 2 through its inverse: 15 steps,
+        # distance about 6e-10), its step count within 1.
+        game, sol = paper_50x60
+        trace = tmp_path / f"trace-{mode}.csv"
+        assert run(["iterate", "--game", str(game), "--mode", mode,
+                    "--trace", str(trace), "--compare", str(sol),
+                    "--tol", "1e-10"]) == cli.EXIT_OK
+        summary = json.loads(trace.with_suffix(".summary.json").read_text())
+        assert summary["status"] == "converged"
+        assert summary["distance_to_solution"]["L1"] <= 1e-6
+        assert abs(summary["iterations"] - steps) <= 1
+
+    def test_one_not_certified_min_warning_a_run_at_100x120(self, tmp_path):
+        # From 100x120 up paper7ex2 leaves the effective Hessians S_i
+        # indefinite at most steps. Even with every warning shown, a 20-step
+        # cross run warns once and exits 0.
+        game = tmp_path / "game.json"
+        assert run(["build", "random", "--recipe", "paper7ex2", "--d1", "100",
+                    "--d2", "120", "--seed", "0", "--out", str(game)]) == cli.EXIT_OK
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            assert run(["iterate", "--game", str(game), "--max-iters", "20",
+                        "--trace", str(tmp_path / "trace.csv")]) == cli.EXIT_OK
+        assert sum("NotCertifiedMin" in str(w.message) for w in caught) == 1

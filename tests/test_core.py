@@ -406,6 +406,24 @@ class TestGameJson:
         with pytest.raises(DimensionMismatch, match="missing game keys"):
             game_from_dict(data)
 
+    def test_missing_player_keys_rejected(self, bench_game):
+        data = game_to_dict(bench_game)
+        del data["player2"]["b"]
+        with pytest.raises(DimensionMismatch, match=r"missing player2 keys: \['b'\]"):
+            game_from_dict(data)
+
+    @pytest.mark.parametrize("key", ["player1", "player2"])
+    def test_player_not_an_object_rejected(self, bench_game, key):
+        data = game_to_dict(bench_game)
+        data[key] = [[1.0]]
+        with pytest.raises(DimensionMismatch, match=f"{key} must be an object"):
+            game_from_dict(data)
+
+    @pytest.mark.parametrize("data", [[], "game", 1.0, None])
+    def test_top_level_not_an_object_rejected(self, data):
+        with pytest.raises(DimensionMismatch, match="game JSON must be an object"):
+            game_from_dict(data)
+
     def test_file_is_strict_json(self, tmp_path, bench_game):
         path = tmp_path / "game.json"
         save_game(bench_game, path)

@@ -3,8 +3,9 @@
 Each rule is a regular expression that no line of its files may match:
 LAPACK stays in core and spectral, linear solves go through the guarded LU,
 block matrices through core._stack, slope products through
-core._slope_terms, and the Schur form, the ordered QZ form and the smallest
-symmetric eigenvalue through the package's direct LAPACK calls.  Each rule is
+core._slope_terms, the Schur form, the ordered QZ form and the smallest
+symmetric eigenvalue through the package's direct LAPACK calls, and every
+rcond estimate is read and compared in core alone.  Each rule is
 also shown to catch a planted violating line, so a rule that matches nothing
 cannot pass unnoticed.
 """
@@ -67,6 +68,14 @@ RULES = {
         "spectral._qz (dgges, reordered by dtgsen) and a smallest eigenvalue "
         "from core._min_eig (dsyevr)",
         "    w = np.linalg.eigvalsh(S)",
+    ),
+    "rcond-guards-in-core": Rule(
+        r"_lu_rcond\(|\brcond\w* *[<>]=?",
+        (),
+        ("core.py",),
+        "guard an LU through core._lu_checked (or core._solve_checked, "
+        "core._inv_checked): only ccve.core reads or compares an rcond estimate",
+        "    if not _lu_rcond(H1)[2] >= RCOND_MIN:",
     ),
 }
 

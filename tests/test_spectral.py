@@ -287,6 +287,70 @@ def assert_one_sort_selection(values, k, selection):
     return True
 
 
+# spectral's form through each kernel of its one lwork cache, and the number
+# of n x n matrices it takes.
+LWORK_FORMS = {"dgees": (spectral._schur, 1), "dgges": (spectral._qz, 2)}
+
+
+def first_form_input(kernel, rng, n):
+    """The input of the first form of order n, which fills the cache."""
+    M = np.triu(rng.standard_normal((n, n)))
+    return (M,) if kernel == "dgees" else (M, np.eye(n))
+
+
+def assert_cached_lwork_is_a_fresh_query(monkeypatch, kernel, n):
+    # The first form of order n queries the kernel's lwork; the cached
+    # answer equals a fresh query on any input of that order, and a later
+    # form passes it to its one kernel call.
+    monkeypatch.setattr(spectral, "_LWORK", {})
+    form = LWORK_FORMS[kernel][0]
+    rng = np.random.default_rng(n)
+    form(*first_form_input(kernel, rng, n))
+    cached = spectral._LWORK[(kernel, n)]
+    if kernel == "dgees":
+        inputs = [(rng.standard_normal((n, n)),), (np.triu(rng.standard_normal((n, n))),),
+                  (np.eye(n),), (np.zeros((n, n)),)]
+    else:
+        inputs = [(rng.standard_normal((n, n)), rng.standard_normal((n, n))),
+                  (np.triu(rng.standard_normal((n, n))),
+                   np.triu(rng.standard_normal((n, n)))),
+                  (np.eye(n), np.eye(n))]
+    call = getattr(lapack, kernel)
+    for mats in inputs:
+        assert int(call(lambda *values: 0, *mats, lwork=-1)[-2][0]) == cached
+    calls = []
+
+    def spy(select, *mats, lwork=None):
+        calls.append(lwork)
+        return call(select, *mats, lwork=lwork)
+    monkeypatch.setattr(spectral.lapack, kernel, spy)
+    form(*first_form_input(kernel, rng, n))
+    assert calls == [cached]
+
+
+def assert_failed_lwork_query_is_not_cached(monkeypatch, kernel):
+    # A query answering info < 0 is used for the one form call, which then
+    # fails with that info, and nothing is cached.
+    monkeypatch.setattr(spectral, "_LWORK", {})
+    form, arity = LWORK_FORMS[kernel]
+    calls = []
+
+    def failing(select, *mats, lwork=None):
+        calls.append(lwork)
+        n = mats[0].shape[0]
+        zeros = np.zeros(n)
+        if kernel == "dgees":
+            return mats[0], 0, zeros, zeros, np.eye(n), np.array([3.0 * n]), -2
+        return (*mats, 0, zeros, zeros, zeros, np.eye(n), np.eye(n),
+                np.array([8.0 * n + 16]), -3)
+    monkeypatch.setattr(spectral.lapack, kernel, failing)
+    info, lwork = (-2, 12) if kernel == "dgees" else (-3, 48)
+    with pytest.raises(EigFailure, match=f"{kernel} failed with info={info}"):
+        form(*[np.eye(4)] * arity)
+    assert calls == [-1, lwork]
+    assert spectral._LWORK == {}
+
+
 class TestDirectKernels:
     @pytest.mark.parametrize("pool", KERNEL_POOLS)
     def test_schur_is_scipy_schur_bit_for_bit(self, pool):
@@ -297,41 +361,47 @@ class TestDirectKernels:
             assert bitwise_equal(T, T0) and bitwise_equal(Z, Z0)
             assert bitwise_equal(values, spectral._schur_values(T0))
 
+    # The dgees and dgges cases share one body over the kernel; each kernel
+    # keeps its own test name.
     @pytest.mark.parametrize("n", list(range(1, 17)) + [50, 110, 220, 440])
     def test_cached_lwork_is_a_fresh_query(self, monkeypatch, n):
-        # The first Schur form of order n queries dgees's lwork; the cached
-        # answer equals a fresh query on any matrix of that order, and a
-        # later form passes it to its one dgees call.
-        monkeypatch.setattr(spectral, "_DGEES_LWORK", {})
-        rng = np.random.default_rng(n)
-        spectral._schur(np.triu(rng.standard_normal((n, n))))
-        cached = spectral._DGEES_LWORK[n]
-        for M in (rng.standard_normal((n, n)), np.triu(rng.standard_normal((n, n))),
-                  np.eye(n), np.zeros((n, n))):
-            assert int(lapack.dgees(lambda wr, wi: 0, M, lwork=-1)[-2][0]) == cached
-        calls = []
-        dgees = lapack.dgees
+        assert_cached_lwork_is_a_fresh_query(monkeypatch, "dgees", n)
 
-        def spy(select, a, lwork=None):
-            calls.append(lwork)
-            return dgees(select, a, lwork=lwork)
-        monkeypatch.setattr(spectral.lapack, "dgees", spy)
-        spectral._schur(np.triu(rng.standard_normal((n, n))))
-        assert calls == [cached]
+    @pytest.mark.parametrize("n", list(range(1, 17)) + [50, 110, 220])
+    def test_cached_qz_lwork_is_a_fresh_query(self, monkeypatch, n):
+        assert_cached_lwork_is_a_fresh_query(monkeypatch, "dgges", n)
 
     def test_failed_lwork_query_is_not_cached(self, monkeypatch):
-        monkeypatch.setattr(spectral, "_DGEES_LWORK", {})
+        assert_failed_lwork_query_is_not_cached(monkeypatch, "dgees")
+
+    def test_failed_qz_lwork_query_is_not_cached(self, monkeypatch):
+        assert_failed_lwork_query_is_not_cached(monkeypatch, "dgges")
+
+    @pytest.mark.parametrize("n", [1, 6, 50])
+    def test_schur_and_qz_forms_keep_separate_lwork(self, monkeypatch, n):
+        # One cache, keyed by kernel and order: a Schur form of order n does
+        # not answer dgges's query, and each kernel is passed its own lwork.
+        monkeypatch.setattr(spectral, "_LWORK", {})
         calls = []
 
-        def failing(select, a, lwork=None):
-            calls.append(lwork)
-            n = a.shape[0]
-            return a, 0, np.zeros(n), np.zeros(n), np.eye(n), np.array([3.0 * n]), -2
-        monkeypatch.setattr(spectral.lapack, "dgees", failing)
-        with pytest.raises(EigFailure, match="info=-2"):
-            spectral._schur(np.eye(4))
-        assert calls == [-1, 12]
-        assert spectral._DGEES_LWORK == {}
+        def counted(name):
+            kernel = getattr(lapack, name)
+
+            def spy(select, *mats, lwork=None):
+                calls.append((name, lwork))
+                return kernel(select, *mats, lwork=lwork)
+            return spy
+        for name in ("dgees", "dgges"):
+            monkeypatch.setattr(spectral.lapack, name, counted(name))
+        M = np.triu(np.random.default_rng(n).standard_normal((n, n)))
+        for _ in range(2):
+            spectral._schur(M)
+            spectral._qz(M, np.eye(n))
+        schur, qz = spectral._LWORK[("dgees", n)], spectral._LWORK[("dgges", n)]
+        assert spectral._LWORK == {("dgees", n): schur, ("dgges", n): qz}
+        assert schur != qz
+        assert calls == [("dgees", -1), ("dgees", schur), ("dgges", -1), ("dgges", qz),
+                         ("dgees", schur), ("dgges", qz)]
 
     @pytest.mark.parametrize("pool", KERNEL_POOLS)
     def test_qz_is_scipy_qz_bit_for_bit(self, pool):
@@ -342,50 +412,10 @@ class TestDirectKernels:
                                  sla.qz(blocks.M1, blocks.M2.T, output="real")):
                 assert bitwise_equal(got, want)
 
-    @pytest.mark.parametrize("n", list(range(1, 17)) + [50, 110, 220])
-    def test_cached_qz_lwork_is_a_fresh_query(self, monkeypatch, n):
-        # The first QZ form of order n queries dgges's lwork; the cached
-        # answer equals a fresh query on any pencil of that order, and a
-        # later form passes it to its one dgges call.
-        monkeypatch.setattr(spectral, "_DGGES_LWORK", {})
-        rng = np.random.default_rng(n)
-        spectral._qz(np.triu(rng.standard_normal((n, n))), np.eye(n))
-        cached = spectral._DGGES_LWORK[n]
-        for A, B in ((rng.standard_normal((n, n)), rng.standard_normal((n, n))),
-                     (np.triu(rng.standard_normal((n, n))),
-                      np.triu(rng.standard_normal((n, n)))),
-                     (np.eye(n), np.eye(n))):
-            assert int(lapack.dgges(lambda ar, ai, b: 0, A, B, lwork=-1)[-2][0]) == cached
-        calls = []
-        dgges = lapack.dgges
-
-        def spy(select, a, b, lwork=None):
-            calls.append(lwork)
-            return dgges(select, a, b, lwork=lwork)
-        monkeypatch.setattr(spectral.lapack, "dgges", spy)
-        spectral._qz(np.triu(rng.standard_normal((n, n))), np.eye(n))
-        assert calls == [cached]
-
-    def test_failed_qz_lwork_query_is_not_cached(self, monkeypatch):
-        monkeypatch.setattr(spectral, "_DGGES_LWORK", {})
-        calls = []
-
-        def failing(select, a, b, lwork=None):
-            calls.append(lwork)
-            n = a.shape[0]
-            zeros = np.zeros(n)
-            return a, b, 0, zeros, zeros, zeros, np.eye(n), np.eye(n), \
-                np.array([8.0 * n + 16]), -3
-        monkeypatch.setattr(spectral.lapack, "dgges", failing)
-        with pytest.raises(EigFailure, match="dgges failed with info=-3"):
-            spectral._qz(np.eye(4), np.eye(4))
-        assert calls == [-1, 48]
-        assert spectral._DGGES_LWORK == {}
-
     def test_one_qz_call_each_per_solve(self, monkeypatch):
         # Each QZ solve makes one dgges call (two on the first solve of an
         # order, the workspace query) and one dtgsen call.
-        monkeypatch.setattr(spectral, "_DGGES_LWORK", {})
+        monkeypatch.setattr(spectral, "_LWORK", {})
         calls = []
 
         def counted(name):
