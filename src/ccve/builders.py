@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .core import QuadraticGame, _min_eig, assemble_blocks
 from .errors import ComplexFixedPoints, DegenerateScalar, DimensionMismatch
@@ -85,6 +84,17 @@ class LqSpec:
     @property
     def m2(self):
         return self.G2.shape[1]
+
+
+def block_diag(*blocks):
+    """The block-diagonal matrix of the 2-D float ``blocks``: each is written
+    into one zero matrix, as scipy.linalg.block_diag does."""
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 def _unroll_input_map(F, G, T):

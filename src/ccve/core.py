@@ -16,14 +16,40 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy
 
 from .errors import ANotPositiveDefinite, DimensionMismatch, EigFailure, MSingular
+
+
+def _load_lapack():
+    """scipy's compiled LAPACK module, scipy.linalg._flapack, loaded by itself.
+
+    Importing scipy.linalg would also load scipy's array-API layer, which
+    loads numpy.f2py, numpy.testing, numpy.ma and numpy.random: about 200 ms
+    a command, against a few ms for this extension. ``import scipy`` above has
+    run scipy's own set-up. The module is loaded under its real name, which
+    CPython enters in sys.modules, so a later ``import scipy.linalg`` reuses it:
+    scipy.linalg.lapack.dgees is lapack.dgees.
+    """
+    directory = os.path.join(scipy.__path__[0], "linalg")
+    finder = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack is not in {directory}")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _load_lapack()
 
 # M1/M2 count as singular below this 1-norm rcond estimate (LAPACK dgecon).
 RCOND_SINGULAR = 1e-12
@@ -439,13 +465,22 @@ def _checked_keys(data, keys, name, what):
     return data
 
 
+def _checked_dim(data, key):
+    """``data[key]`` once it is a JSON integer (an int that is not a bool);
+    otherwise raises DimensionMismatch naming the key."""
+    value = data[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DimensionMismatch(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def game_from_dict(data: dict) -> QuadraticGame:
     _checked_keys(data, _GAME_KEYS, "game JSON", "game")
     p1, p2 = (_checked_keys(data[key], _PLAYER_KEYS, key, key)
               for key in ("player1", "player2"))
     return QuadraticGame.create(
-        int(data["d1"]),
-        int(data["d2"]),
+        _checked_dim(data, "d1"),
+        _checked_dim(data, "d2"),
         (p1["A"], p1["B"], p1["D"], p1["a"], p1["b"]),
         (p2["A"], p2["B"], p2["D"], p2["a"], p2["b"]),
     )

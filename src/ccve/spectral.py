@@ -13,10 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
 
-from .core import _sq_norm
+from .core import _sq_norm, lapack
 from .errors import ConjugatePairSplit, EigFailure
 
 # Relative residual tolerance for eigenpairs and subspace checks.
@@ -74,6 +72,8 @@ def _sort_key(values):
 
 def eig(M) -> Spectrum:
     """Full eigendecomposition of a real square matrix."""
+    import scipy.linalg as sla  # only here: the package loads LAPACK through core
+
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise EigFailure(f"expected a square matrix, got shape {M.shape}")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from ccve import builders, equilibrium
 from ccve.builders import (
@@ -51,6 +52,20 @@ class TestLqSpec:
 
 
 class TestBuildLqGame:
+    # (n, m1, m2, T) of the small-games LQ unrolls.
+    @pytest.mark.parametrize("n, m1, m2, T", [
+        (1, 1, 1, 2), (1, 1, 1, 3), (2, 1, 1, 2), (2, 1, 2, 2), (2, 2, 1, 3), (2, 2, 2, 2),
+    ])
+    def test_block_diag_is_scipys_bit_for_bit(self, n, m1, m2, T):
+        rng = np.random.default_rng([n, m1, m2, T])
+        Q, Qf = rng.standard_normal((2, n, n))
+        R1, R12 = rng.standard_normal((m1, m1)), rng.standard_normal((m1, m2))
+        # Signed zeros survive only if each block is written, not added, in.
+        for blocks in ([Q] * T + [Qf], [R1] * T, [R12] * T, [-0.0 * R12] * T):
+            ours, oracle = builders.block_diag(*blocks), sla.block_diag(*blocks)
+            assert ours.dtype == oracle.dtype and ours.shape == oracle.shape
+            assert ours.tobytes() == oracle.tobytes()
+
     def test_hand_unroll_terminal_cost_only(self):
         # n = 1, F = G = 1, Q = 0, Qf = 1, R = 1, z0 = 0, T = 2: the terminal
         # state is u(0) + u(1), so A_i = I + ones and B_i = D_i = ones.

@@ -1,14 +1,22 @@
-"""Data model, validation, cost evaluation, block assembly, and game JSON."""
+"""Data model, validation, cost evaluation, block assembly, game JSON, and the
+LAPACK loader."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
+import scipy.linalg as sla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ccve import builders, cli, core, equilibrium, lft, stability
+from ccve import builders, cli, core, equilibrium, lft, spectral, stability
 from ccve.core import (
     Conjecture,
     QuadraticGame,
@@ -424,9 +432,48 @@ class TestGameJson:
         with pytest.raises(DimensionMismatch, match="game JSON must be an object"):
             game_from_dict(data)
 
+    @pytest.mark.parametrize("key, value", [
+        ("d1", 2.9), ("d1", "2"), ("d1", True), ("d1", 2.0), ("d2", 3.0), ("d2", None),
+    ])
+    def test_dimension_not_a_json_integer_rejected(self, bench_game, key, value):
+        data = game_to_dict(bench_game)
+        data[key] = value
+        with pytest.raises(DimensionMismatch, match=f"{key} must be a JSON integer"):
+            game_from_dict(data)
+
     def test_file_is_strict_json(self, tmp_path, bench_game):
         path = tmp_path / "game.json"
         save_game(bench_game, path)
         data = json.loads(path.read_text())
         assert set(data) == {"d1", "d2", "player1", "player2"}
         assert set(data["player1"]) == {"A", "B", "D", "a", "b"}
+
+
+class TestLapackLoader:
+    """ccve.core loads scipy.linalg._flapack itself and never scipy.linalg."""
+
+    SRC = Path(core.__file__).resolve().parent
+
+    def test_cli_import_loads_neither_scipy_linalg_nor_numpy_extras(self):
+        code = ("import sys, ccve.cli; print(sorted(m for m in sys.modules if m in "
+                "('scipy.linalg', 'numpy.f2py', 'numpy.testing', 'scipy.linalg._flapack')))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(self.SRC.parent), os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "['scipy.linalg._flapack']"
+
+    def test_every_called_kernel_is_scipys(self):
+        called = {"dgees", "dgges"}  # spectral._form calls these by name
+        for name in ("core.py", "spectral.py"):
+            called |= set(re.findall(r"\blapack\.(\w+)", (self.SRC / name).read_text()))
+        assert {"dgetrf", "dgecon", "dsyevr", "dtrsen", "dtgsen"} <= called
+        assert spectral.lapack is core.lapack
+        assert sys.modules["scipy.linalg._flapack"] is core.lapack
+        for name in sorted(called):
+            assert getattr(core.lapack, name) is getattr(sla.lapack, name), name
+
+    def test_missing_extension_is_an_import_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+            core._load_lapack()

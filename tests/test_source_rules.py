@@ -4,10 +4,10 @@ Each rule is a regular expression that no line of its files may match:
 LAPACK stays in core and spectral, linear solves go through the guarded LU,
 block matrices through core._stack, slope products through
 core._slope_terms, the Schur form, the ordered QZ form and the smallest
-symmetric eigenvalue through the package's direct LAPACK calls, and every
-rcond estimate is read and compared in core alone.  Each rule is
-also shown to catch a planted violating line, so a rule that matches nothing
-cannot pass unnoticed.
+symmetric eigenvalue through the package's direct LAPACK calls, every
+rcond estimate is read and compared in core alone, and only core imports
+scipy at module level.  Each rule is also shown to catch a planted violating
+line, so a rule that matches nothing cannot pass unnoticed.
 """
 
 import re
@@ -76,6 +76,14 @@ RULES = {
         "guard an LU through core._lu_checked (or core._solve_checked, "
         "core._inv_checked): only ccve.core reads or compares an rcond estimate",
         "    if not _lu_rcond(H1)[2] >= RCOND_MIN:",
+    ),
+    "scipy-only-in-core": Rule(
+        r"^(import|from) scipy\b",
+        (),
+        ("core.py",),
+        "take LAPACK from ccve.core.lapack: only ccve.core imports scipy, and "
+        "it loads scipy.linalg._flapack without scipy.linalg",
+        "from scipy.linalg import lapack",
     ),
 }
 
