@@ -26,7 +26,7 @@ from .core import (
     riccati_residual_norms,
     save_game,
 )
-from .errors import CcveError, NoStableSelection
+from .errors import CcveError, DimensionMismatch, NoStableSelection
 from .spectral import LargestMagnitude, SmallestMagnitude
 
 log = logging.getLogger("ccve")
@@ -87,9 +87,18 @@ def cmd_solve(args, argv):
     return EXIT_OK
 
 
-def _load_init(path, dims):
+def _json_object(path):
+    """The JSON object a file holds; DimensionMismatch names the path when
+    the file holds any other JSON value."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise DimensionMismatch(f"{path} must hold a JSON object")
+    return data
+
+
+def _load_init(path, dims):
+    data = _json_object(path)
     conj1 = Conjecture.create(1, data["L1"], data["ell1"], dims)
     conj2 = Conjecture.create(2, data["L2"], data["ell2"], dims)
     return conj1, conj2
@@ -97,8 +106,7 @@ def _load_init(path, dims):
 
 def _solution_slopes(path, dims):
     """[L1, L2] of a solution file, each checked against the game's dims."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _json_object(path)
     return [_checked_L(dims, i, data[f"L{i}"]) for i in (1, 2)]
 
 
@@ -162,8 +170,7 @@ def cmd_check(args, argv):
 
 
 def _lq_spec_from_json(path):
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _json_object(path)
     return builders.LqSpec.create(
         data["F"], data["G1"], data["G2"], data["Q1"], data["Q2"],
         data["Q1f"], data["Q2f"], data["R1"], data["R2"],

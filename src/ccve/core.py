@@ -248,12 +248,6 @@ def _solve_checked(a, b, error, *args, rcond_min=RCOND_MIN, trans=0):
     return lapack.dgetrs(lu, piv, b, trans=trans)[0]
 
 
-def _inv_checked(a, error, *args):
-    """``a^{-1}`` from one LU (dgetrf, dgetri), guarded by _lu_checked."""
-    lu, piv = _lu_checked(a, error, *args)
-    return lapack.dgetri(lu, piv)[0]
-
-
 def _solve_sym_checked(a, b, error, *args):
     """Solve the symmetric system ``a x = b`` with one factorization: (x, posdef).
 

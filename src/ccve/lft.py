@@ -132,7 +132,7 @@ class IterationConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
 
 

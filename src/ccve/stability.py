@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CompositeBlocks, QuadraticGame, _a_norms, _checked_L,
-                   _checked_slope, _inv_checked, _lu_checked, _residual_norms,
-                   _residuals, _solve_checked, _sq_norm)
+                   _checked_slope, _lu_checked, _residual_norms, _residuals,
+                   _solve_checked, _sq_norm)
 from .errors import NotAFixedPoint, SingularComposite
 
 # Residual threshold for accepting (L1, L2) as a fixed pair.
@@ -29,10 +29,6 @@ MARGINAL_BAND = 1e-9
 
 @dataclass(frozen=True)
 class StabilityReport:
-    H1: np.ndarray
-    H1p: np.ndarray
-    H2: np.ndarray
-    H2p: np.ndarray
     ratios_1: np.ndarray
     ratios_2: np.ndarray
     xi_max_1: float
@@ -41,42 +37,6 @@ class StabilityReport:
     marginal: bool
     # Set when the two per-player certificates disagree beyond tolerance.
     internal_inconsistency: bool
-
-
-def h_matrices(blocks: CompositeBlocks, game: QuadraticGame, L1, L2):
-    """Similarity-transform diagonal blocks at a fixed pair (L1, L2).
-
-    H1 = bA1 + bB1 L1, H1' = bD1 - L1 bB1, H2 = (bC1 L2 + bD1)^{-1} and
-    H2' = (bA1 - L2 bC1)^{-1}, as player 2's composite is boldM1^{-1}.
-    Cross-checks the alternate form H1 = (D2^T + B2 L1)^{-1}(A1 + B1^T L1).
-    """
-    return _h_matrices(blocks, game, _checked_slope(game, 1, L1),
-                       _checked_slope(game, 2, L2))
-
-
-def _h_matrices(blocks, game, s1, s2):
-    """h_matrices from the two players' slopes s_i = _slope_terms(p_i, L_i)."""
-    L1, L2 = s1.L, s2.L
-    r1, r2 = _residual_norms(*_residuals(s1, s2), _a_norms(game))
-    if not (r1 <= FIXED_POINT_TOL and r2 <= FIXED_POINT_TOL):
-        raise NotAFixedPoint(
-            f"(L1, L2) residuals ({r1:.3e}, {r2:.3e}) above {FIXED_POINT_TOL:g}"
-        )
-    bA1, bB1, bC1, bD1 = blocks.bold_blocks()
-    H1 = bA1 + bB1 @ L1
-    H1p = bD1 - L1 @ bB1
-    lhs = game.p2.D.T + game.p2.B @ L1
-    alt = _solve_checked(lhs, s1.P, NotAFixedPoint,
-                         "D2^T + B2 L1 is singular: H1 has no alternate form")
-    scale = max(math.sqrt(_sq_norm(H1)), 1e-300)
-    if not math.sqrt(_sq_norm(alt - H1)) / scale <= 1e-8:
-        raise NotAFixedPoint(
-            "alternate form of H1 disagrees with the block form; "
-            "(L1, L2) is not a consistent fixed pair"
-        )
-    H2 = _inv_checked(bC1 @ L2 + bD1, SingularComposite, 2)
-    H2p = _inv_checked(bA1 - L2 @ bC1, SingularComposite, 2)
-    return H1, H1p, H2, H2p
 
 
 def perturbation_spectrum(blocks: CompositeBlocks, i: int, L_i):
@@ -108,13 +68,36 @@ def certify(blocks: CompositeBlocks, game: QuadraticGame, L1, L2,
 
 
 def _certify(blocks, game, s1, s2, spectra):
-    """certify from the two players' slopes, as _h_matrices reads them."""
-    H1, H1p, H2, H2p = _h_matrices(blocks, game, s1, s2)
+    """certify from the two players' slopes s_i = _slope_terms(p_i, L_i).
+
+    Checks the residuals, then H1 = bA1 + bB1 L1 against its alternate form
+    (D2^T + B2 L1)^{-1}(A1 + B1^T L1), then guards K = bC1 L2 + bD1 and
+    J = bA1 - L2 bC1, whose inverses are player 2's H2 and H2'.
+    """
+    L1, L2 = s1.L, s2.L
+    r1, r2 = _residual_norms(*_residuals(s1, s2), _a_norms(game))
+    if not (r1 <= FIXED_POINT_TOL and r2 <= FIXED_POINT_TOL):
+        raise NotAFixedPoint(
+            f"(L1, L2) residuals ({r1:.3e}, {r2:.3e}) above {FIXED_POINT_TOL:g}"
+        )
+    bA1, bB1, bC1, bD1 = blocks.bold_blocks()
+    H1 = bA1 + bB1 @ L1
+    lhs = game.p2.D.T + game.p2.B @ L1
+    alt = _solve_checked(lhs, s1.P, NotAFixedPoint,
+                         "D2^T + B2 L1 is singular: H1 has no alternate form")
+    scale = max(math.sqrt(_sq_norm(H1)), 1e-300)
+    if not math.sqrt(_sq_norm(alt - H1)) / scale <= 1e-8:
+        raise NotAFixedPoint(
+            "alternate form of H1 disagrees with the block form; "
+            "(L1, L2) is not a consistent fixed pair"
+        )
+    _lu_checked(bC1 @ L2 + bD1, SingularComposite, 2)
+    _lu_checked(bA1 - L2 @ bC1, SingularComposite, 2)
     if spectra is None:
-        ratios_1 = perturbation_spectrum(blocks, 1, s1.L)
-        ratios_2 = perturbation_spectrum(blocks, 2, s2.L)
+        ratios_1 = perturbation_spectrum(blocks, 1, L1)
+        ratios_2 = perturbation_spectrum(blocks, 2, L2)
     else:
-        _lu_checked(H1, SingularComposite, 1)  # H2's guard is its inverse's
+        _lu_checked(H1, SingularComposite, 1)
         selected, complement = spectra
         ratios_1 = ratios_2 = (complement[:, None] / selected[None, :]).reshape(-1)
     xi1 = float(np.max(np.abs(ratios_1)))
@@ -124,7 +107,6 @@ def _certify(blocks, game, s1, s2, spectra):
     marginal = (abs(xi1 - 1.0) <= MARGINAL_BAND) or (abs(xi2 - 1.0) <= MARGINAL_BAND)
     inconsistent = (stable_1 != stable_2) and not marginal
     return StabilityReport(
-        H1=H1, H1p=H1p, H2=H2, H2p=H2p,
         ratios_1=ratios_1, ratios_2=ratios_2,
         xi_max_1=xi1, xi_max_2=xi2,
         stable=stable_1 and not marginal,

@@ -148,6 +148,19 @@ def composite_blocks(blocks, i):
     return m[d1:, d1:], m[d1:, :d1], m[:d1, d1:], m[:d1, :d1]
 
 
+def h_matrices(blocks, L1, L2):
+    """(H1, H1', H2, H2'): the similarity-transform diagonal blocks at a fixed
+    pair (L1, L2), formed here with numpy.
+
+    H1 = bA1 + bB1 L1 and H1' = bD1 - L1 bB1; player 2's composite is
+    boldM1^{-1}, so H2 = (bC1 L2 + bD1)^{-1} and H2' = (bA1 - L2 bC1)^{-1}.
+    """
+    bA1, bB1, bC1, bD1 = composite_blocks(blocks, 1)
+    L1, L2 = np.asarray(L1, dtype=float), np.asarray(L2, dtype=float)
+    return (bA1 + bB1 @ L1, bD1 - L1 @ bB1,
+            np.linalg.inv(bC1 @ L2 + bD1), np.linalg.inv(bA1 - L2 @ bC1))
+
+
 def perturbation_operator(blocks, i, L_i):
     """Dense matrix of dL -> (bD_i - L_i bB_i) dL (bA_i + bB_i L_i)^{-1}.
 

@@ -256,6 +256,14 @@ class TestIterate:
         assert summary["status_iter"] == 1
         assert summary["final_change"] is None
 
+    def test_nan_tol_is_an_error(self, tmp_path, bench_path, capsys):
+        # tol <= 0 is False for NaN; such a run would go to max_iters.
+        trace = tmp_path / "trace.csv"
+        assert run(["iterate", "--game", str(bench_path), "--tol", "nan",
+                    "--max-iters", "50", "--trace", str(trace)]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == "error: tol must be positive\n"
+        assert not trace.exists()
+
 
 class TestCheck:
     def test_certified_solution_passes(self, tmp_path, bench_path, capsys):
@@ -291,6 +299,37 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "stability: skipped" in out
         assert "certification: FAIL" in out
+
+
+# Each CLI reader of a JSON file, as (argv, output path) from the file's
+# path, the 2x3 game's path and a directory for outputs.
+JSON_READERS = [
+    pytest.param(lambda f, game, d: (["iterate", "--game", game, "--init", f,
+                                      "--trace", str(d / "t.csv")], d / "t.csv"),
+                 id="iterate-init"),
+    pytest.param(lambda f, game, d: (["iterate", "--game", game, "--compare", f,
+                                      "--trace", str(d / "t.csv")], d / "t.csv"),
+                 id="iterate-compare"),
+    pytest.param(lambda f, game, d: (["check", "--game", game, "--solution", f],
+                                     None),
+                 id="check-solution"),
+    pytest.param(lambda f, game, d: (["build", "lq", "--spec", f,
+                                      "--out", str(d / "g.json")], d / "g.json"),
+                 id="build-lq-spec"),
+]
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "null"])
+@pytest.mark.parametrize("reader", JSON_READERS)
+def test_json_file_that_is_not_an_object_is_an_error(tmp_path, bench_path, capsys,
+                                                     reader, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv, out = reader(str(path), str(bench_path), tmp_path)
+    assert run(argv) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"DimensionMismatch: {path} must hold a JSON object\n"
+    assert out is None or not out.exists()
 
 
 class TestEnumerate:

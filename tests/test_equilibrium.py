@@ -23,7 +23,7 @@ from ccve.errors import (
 )
 from ccve.spectral import Indices, LargestMagnitude, SmallestMagnitude
 
-from conftest import match_multisets, principal_angles, uniform_pool
+from conftest import h_matrices, match_multisets, principal_angles, uniform_pool
 
 SQ3 = np.sqrt(3.0)
 WARM_L_STABLE = -2.0 + SQ3
@@ -111,7 +111,7 @@ class TestSolveCcve:
         sol = solve_ccve(bench_game)
         blocks = assemble_blocks(bench_game)
         full = np.linalg.eigvals(blocks.boldM1)
-        h1p = np.linalg.eigvals(sol.stability.H1p)
+        h1p = np.linalg.eigvals(h_matrices(blocks, sol.L1, sol.L2)[1])
         # Selected spectrum plus complement reassembles spec(boldM1).
         assert match_multisets(np.concatenate([sol.H1_spectrum, h1p]), full, 1e-8)
 
@@ -198,11 +198,10 @@ class TestOnePassPerSolve:
     def test_each_slope_forms_its_terms_once(self, monkeypatch, game, route):
         # Two slope terms (L1 and L2). Ten LU factorizations: M1, M2, Y1,
         # one P1^T for both L2 and ell2, P2^T for ell1, I - L2 L1, the
-        # alternate form of H1, the H1 guard, and K = bC1 L2 + bD1 and
-        # J = bA1 - L2 bC1, whose guarded inverses are H2 and H2'. K's LU
-        # replaces the H2 guard; J's is new, since H2' is no longer a block
-        # of a second composite matrix. The A_i > 0 checks are Cholesky
-        # attempts, so _min_eig runs only for S1 and S2.
+        # alternate form of H1, the H1 guard, and the guards of
+        # K = bC1 L2 + bD1 and J = bA1 - L2 bC1 (H2 = K^{-1}, H2' = J^{-1}).
+        # The A_i > 0 checks are Cholesky attempts, so _min_eig runs only
+        # for S1 and S2.
         calls = self.spy(monkeypatch)
         route(game)
         assert calls == {"block": 0, "_min_eig": 2, "_slope_terms": 2, "_lu_rcond": 10}
@@ -226,18 +225,14 @@ AGREEMENT_GAMES = [pytest.param(g, id=f"pool{j}")
 @pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("game", AGREEMENT_GAMES)
 def test_solve_matches_public_functions(game, route):
-    # The solve reads L2, the offsets, the H-matrices and the second-order
-    # report off its own slope terms; each equals, bit for bit, the public
-    # function evaluated at the solved slopes.
+    # The solve reads L2, the offsets and the second-order report off its
+    # own slope terms; each equals, bit for bit, the public function
+    # evaluated at the solved slopes.
     sol = route(game)
     L1, L2 = sol.L1, sol.L2
     assert np.array_equal(L2, lft.lft_cross(game, 1, L1))
     assert np.array_equal(sol.ell2, lft.offset_cross(game, 1, L1))
     assert np.array_equal(sol.ell1, lft.offset_cross(game, 2, L2))
-    H = stability.h_matrices(assemble_blocks(game), game, L1, L2)
-    rep = sol.stability
-    for got, want in zip((rep.H1, rep.H1p, rep.H2, rep.H2p), H):
-        assert np.array_equal(got, want)
     so, want = sol.second_order, analysis.second_order_check(game, L1, L2)
     assert np.array_equal(so.S1, want.S1) and np.array_equal(so.S2, want.S2)
     assert ((so.min_eig_1, so.min_eig_2, so.pass_, so.m1_posdef, so.m2_posdef)

@@ -325,7 +325,7 @@ NAN_FIXED_POINT_SITES = [
     pytest.param(lambda g, blocks: (g, planted_bold(blocks, "bA1", with_nan(
                      blocks.bold_blocks()[0]))), "alternate form", id="bA1"),
     # A NaN A2 makes the residual R2 and its scale ||A2|| NaN; H1's
-    # alternate form and the H-matrices read neither.
+    # alternate form and the K and J guards read neither.
     pytest.param(lambda g, blocks: (dataclasses.replace(g, p2=dataclasses.replace(
                      g.p2, A=with_nan(g.p2.A))), blocks), "residuals", id="A2"),
 ]
@@ -333,11 +333,11 @@ NAN_FIXED_POINT_SITES = [
 
 @pytest.mark.parametrize("plant, match", NAN_FIXED_POINT_SITES)
 def test_nan_is_not_a_fixed_point(bench_game, plant, match):
-    """A NaN residual or H-matrix fails h_matrices' tests instead of passing them."""
+    """A NaN residual or H1 fails certify's fixed-point tests instead of passing them."""
     sol = equilibrium.solve_ccve(bench_game)
     game, blocks = plant(bench_game, assemble_blocks(bench_game))
     with pytest.raises(NotAFixedPoint, match=match):
-        stability.h_matrices(blocks, game, sol.L1, sol.L2)
+        stability.certify(blocks, game, sol.L1, sol.L2)
 
 
 def failing_dgees(select, a, lwork=None):

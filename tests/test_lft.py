@@ -195,6 +195,11 @@ class TestIterationConfig:
         with pytest.raises(ValueError):
             IterationConfig(tol=0.0)
 
+    def test_rejects_nan_tol(self):
+        # tol <= 0 is False for NaN, which would run every step to max_iters.
+        with pytest.raises(ValueError, match="tol must be positive"):
+            IterationConfig(tol=float("nan"))
+
 
 class TestIterate:
     @pytest.mark.parametrize("mode", ["cross", "composite"])

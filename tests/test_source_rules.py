@@ -5,9 +5,10 @@ LAPACK stays in core and spectral, linear solves go through the guarded LU,
 block matrices through core._stack, slope products through
 core._slope_terms, the Schur form, the ordered QZ form and the smallest
 symmetric eigenvalue through the package's direct LAPACK calls, every
-rcond estimate is read and compared in core alone, and only core imports
-scipy at module level.  Each rule is also shown to catch a planted violating
-line, so a rule that matches nothing cannot pass unnoticed.
+rcond estimate is read and compared in core alone, only core imports
+scipy at module level, and no module forms an explicit inverse.  Each rule
+is also shown to catch a planted violating line, so a rule that matches
+nothing cannot pass unnoticed.
 """
 
 import re
@@ -42,8 +43,7 @@ RULES = {
         (),
         (),
         "solve through core._solve_checked, or core._solve_sym_checked for a "
-        "symmetric system (core._factor_m for M_i, core._inv_checked for an "
-        "inverse)",
+        "symmetric system (core._factor_m for M_i)",
         "    H = np.linalg.inv(K)",
     ),
     "blocks-through-stack": Rule(
@@ -73,8 +73,8 @@ RULES = {
         r"_lu_rcond\(|\brcond\w* *[<>]=?",
         (),
         ("core.py",),
-        "guard an LU through core._lu_checked (or core._solve_checked, "
-        "core._inv_checked): only ccve.core reads or compares an rcond estimate",
+        "guard an LU through core._lu_checked (or core._solve_checked): only "
+        "ccve.core reads or compares an rcond estimate",
         "    if not _lu_rcond(H1)[2] >= RCOND_MIN:",
     ),
     "scipy-only-in-core": Rule(
@@ -84,6 +84,14 @@ RULES = {
         "take LAPACK from ccve.core.lapack: only ccve.core imports scipy, and "
         "it loads scipy.linalg._flapack without scipy.linalg",
         "from scipy.linalg import lapack",
+    ),
+    "no-explicit-inverses": Rule(
+        r"\bdgetri\b|\.inv\(",
+        (),
+        (),
+        "form no explicit inverse: guard a matrix with core._lu_checked and "
+        "solve with core._solve_checked",
+        "    H2 = lapack.dgetri(lu, piv)[0]",
     ),
 }
 

@@ -3,19 +3,20 @@
 import numpy as np
 import pytest
 
-from ccve import builders, lft, stability
+from ccve import builders, core, lft, stability
 from ccve.core import assemble_blocks
-from ccve.equilibrium import solve_ccve, solve_via_generalized
+from ccve.equilibrium import (enumerate_fixed_points, solve_ccve,
+                              solve_via_generalized)
 from ccve.errors import CcveError, NotAFixedPoint
 from ccve.spectral import LargestMagnitude
 from ccve.stability import (
     certify,
-    h_matrices,
     perturbation_spectrum,
 )
 
-from conftest import (PARTNER_GAMES, composite_blocks, match_multisets,
-                      partner_composite, perturbation_operator, uniform_pool)
+from conftest import (PARTNER_GAMES, composite_blocks, h_matrices,
+                      match_multisets, partner_composite, perturbation_operator,
+                      uniform_pool)
 
 SQ3 = np.sqrt(3.0)
 WARM_L = -2.0 + SQ3
@@ -27,7 +28,7 @@ WARM_H1P = -7.0 + 4.0 * SQ3  # bD1 - L bB1 = 1 + 4 L
 class TestHMatrices:
     def test_warmup_hand_values(self, warmup_game):
         blocks = assemble_blocks(warmup_game)
-        H1, H1p, H2, H2p = h_matrices(blocks, warmup_game, [[WARM_L]], [[WARM_L]])
+        H1, H1p, H2, H2p = h_matrices(blocks, [[WARM_L]], [[WARM_L]])
         assert H1[0, 0] == pytest.approx(WARM_H1, abs=1e-12)
         assert H1p[0, 0] == pytest.approx(WARM_H1P, abs=1e-12)
         # The symmetric game gives identical blocks for player 2.
@@ -37,13 +38,13 @@ class TestHMatrices:
     def test_rejects_non_fixed_pair(self, warmup_game):
         blocks = assemble_blocks(warmup_game)
         with pytest.raises(NotAFixedPoint):
-            h_matrices(blocks, warmup_game, [[0.0]], [[0.0]])
+            certify(blocks, warmup_game, [[0.0]], [[0.0]])
 
     def test_spectrum_splitting(self, bench_game):
         # spec(boldM1) is the disjoint union of spec(H1) and spec(H1').
         sol = solve_ccve(bench_game)
         blocks = assemble_blocks(bench_game)
-        H1, H1p, H2, H2p = h_matrices(blocks, bench_game, sol.L1, sol.L2)
+        H1, H1p, H2, H2p = h_matrices(blocks, sol.L1, sol.L2)
         full = np.linalg.eigvals(blocks.boldM1)
         both = np.concatenate([np.linalg.eigvals(H1), np.linalg.eigvals(H1p)])
         assert match_multisets(both, full, 1e-8)
@@ -58,17 +59,19 @@ class TestHMatrices:
         # composite formed here. Tolerance: relative Frobenius distance
         # 1e-12 + eps cond(K), resp. eps cond(J), as inverting K or J
         # amplifies its rounding by its condition number. Measured at
-        # 200x240 s1: 3.2e-9 for H2 (cond(K) = 2.3e8), 6.0e-11 for H2'.
+        # 200x240 s1 with the numpy oracle: 3.0e-9 for H2 (cond(K) = 2.3e8),
+        # 5.0e-11 for H2'.
         eps = np.finfo(float).eps
         for game in games():
             sol = solve_ccve(game)
             blocks = assemble_blocks(game)
             bA1, _, bC1, bD1 = blocks.bold_blocks()
             bA2, bB2, _, bD2 = composite_blocks(blocks, 2)
-            L2, rep = sol.L2, sol.stability
+            L2 = sol.L2
+            _, _, H2, H2p = h_matrices(blocks, sol.L1, L2)
             for H, block_form, factor in (
-                    (rep.H2, bA2 + bB2 @ L2, bC1 @ L2 + bD1),
-                    (rep.H2p, bD2 - L2 @ bB2, bA1 - L2 @ bC1)):
+                    (H2, bA2 + bB2 @ L2, bC1 @ L2 + bD1),
+                    (H2p, bD2 - L2 @ bB2, bA1 - L2 @ bC1)):
                 dist = np.linalg.norm(H - block_form) / np.linalg.norm(block_form)
                 assert dist <= 1e-12 + eps * np.linalg.cond(factor)
 
@@ -76,7 +79,7 @@ class TestHMatrices:
         # H2' is similar to H1^{-T}: the spectra are elementwise reciprocal.
         sol = solve_ccve(bench_game)
         blocks = assemble_blocks(bench_game)
-        H1, _, _, H2p = h_matrices(blocks, bench_game, sol.L1, sol.L2)
+        H1, _, _, H2p = h_matrices(blocks, sol.L1, sol.L2)
         assert match_multisets(
             np.linalg.eigvals(H2p), 1.0 / np.linalg.eigvals(H1), 1e-8
         )
@@ -84,7 +87,7 @@ class TestHMatrices:
     def test_alternate_form_consistency(self, bench_game):
         sol = solve_ccve(bench_game)
         blocks = assemble_blocks(bench_game)
-        H1 = h_matrices(blocks, bench_game, sol.L1, sol.L2)[0]
+        H1 = h_matrices(blocks, sol.L1, sol.L2)[0]
         lhs = bench_game.p2.D.T + bench_game.p2.B @ sol.L1
         alt = np.linalg.solve(lhs, bench_game.p1.A + bench_game.p1.B.T @ sol.L1)
         assert np.allclose(alt, H1, atol=1e-10)
@@ -199,7 +202,8 @@ CROSS_CHECK_GAMES = [
 @pytest.mark.parametrize("games", CROSS_CHECK_GAMES)
 def test_schur_certificate_matches_h_matrix_route(games):
     """A solve's certificate, read off the reordered Schur diagonal, agrees
-    with certify's H-matrix route (the one ``ccve check`` uses)."""
+    with certify's perturbation-spectrum route (the one ``ccve check``
+    uses)."""
     compared = 0
     for game in games:
         blocks = assemble_blocks(game)
@@ -222,3 +226,34 @@ def test_schur_certificate_matches_h_matrix_route(games):
                 assert got.marginal == ref.marginal
                 compared += 1
     assert compared >= len(games)
+
+
+@pytest.mark.parametrize("make_game", [
+    pytest.param(builders.example1_game, id="2x3"),
+    pytest.param(lambda: builders.random_game(50, 60, recipe="paper7ex2", seed=0),
+                 id="paper7ex2-50x60-s0"),
+])
+def test_no_route_inverts_a_matrix(monkeypatch, make_game):
+    """No certified auto solve, QZ solve, enumeration or certificate without
+    spectra calls dgetri: the guards of K and J are their LUs alone.  The
+    enumeration runs where its cap allows (the 2x3 game)."""
+    game = make_game()
+    calls = []
+    dgetri = core.lapack.dgetri
+
+    def spy(*args, **kwargs):
+        calls.append(route)
+        return dgetri(*args, **kwargs)
+
+    monkeypatch.setattr(core.lapack, "dgetri", spy)
+    route = "solve_ccve"
+    sol = solve_ccve(game)
+    assert sol.stable
+    route = "solve_via_generalized"
+    solve_via_generalized(game)
+    route = "certify"
+    certify(assemble_blocks(game), game, sol.L1, sol.L2)
+    if game.dims.d <= 12:
+        route = "enumerate_fixed_points"
+        enumerate_fixed_points(game)
+    assert calls == []
