@@ -19,10 +19,9 @@ SECOND_ORDER_EIG_MIN = 1e-10
 
 @dataclass(frozen=True)
 class SecondOrderReport:
-    """Effective per-player Hessians at a conjecture pair and their definiteness."""
+    """The smallest eigenvalues of the effective per-player Hessians at a
+    conjecture pair and their definiteness."""
 
-    S1: np.ndarray
-    S2: np.ndarray
     min_eig_1: float
     min_eig_2: float
     pass_: bool
@@ -50,12 +49,10 @@ def second_order_check(game: QuadraticGame, L1, L2) -> SecondOrderReport:
 
 def _second_order(s1, s2, M1, M2) -> SecondOrderReport:
     """second_order_check from the two players' slopes and the stacked M1, M2."""
-    S1 = _effective_hessian(s1)
-    S2 = _effective_hessian(s2)
-    e1 = _min_eig(S1)
-    e2 = _min_eig(S2)
+    e1 = _min_eig(_effective_hessian(s1))
+    e2 = _min_eig(_effective_hessian(s2))
     return SecondOrderReport(
-        S1=S1, S2=S2, min_eig_1=e1, min_eig_2=e2,
+        min_eig_1=e1, min_eig_2=e2,
         pass_=(e1 > SECOND_ORDER_EIG_MIN and e2 > SECOND_ORDER_EIG_MIN),
         # M_i is symmetric (A_i and D_i are symmetrized): one Cholesky attempt.
         m1_posdef=_posdef(M1), m2_posdef=_posdef(M2),

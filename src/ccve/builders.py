@@ -40,9 +40,9 @@ class LqSpec:
     @classmethod
     def create(cls, F, G1, G2, Q1, Q2, Q1f, Q2f, R1, R2, R12, R21, z0, T):
         F = np.asarray(F, float)
+        if F.ndim != 2 or F.shape[0] != F.shape[1]:
+            raise DimensionMismatch(f"F must be a square matrix, got shape {F.shape}")
         n = F.shape[0]
-        if F.shape != (n, n):
-            raise DimensionMismatch(f"F must be square, got {F.shape}")
         G1 = np.asarray(G1, float).reshape(n, -1)
         G2 = np.asarray(G2, float).reshape(n, -1)
         m1, m2 = G1.shape[1], G2.shape[1]
@@ -201,8 +201,9 @@ def random_game(d1, d2, recipe="paper7ex2", seed=0, lo=-1.0, hi=1.0) -> Quadrati
         identity scale adapted to keep the game well conditioned.
 
     Only "uniform" takes bounds; the paper recipes raise ValueError for any
-    (lo, hi) other than (-1, 1).  The stream order is fixed: B1 is drawn
-    first (row-major), then B2.
+    (lo, hi) other than (-1, 1), and "uniform" for bounds whose range
+    hi - lo is not finite.  The stream order is fixed: B1 is drawn first
+    (row-major), then B2.
     """
     if recipe in ("paper7ex1", "paper7ex2") and (lo, hi) != (-1.0, 1.0):
         raise ValueError(f"recipe {recipe!r} fixes lo, hi = -1, 1; got {lo:g}, {hi:g}")
@@ -214,6 +215,8 @@ def random_game(d1, d2, recipe="paper7ex2", seed=0, lo=-1.0, hi=1.0) -> Quadrati
     if recipe == "paper7ex2":
         scale = 13.0
     elif recipe == "uniform":
+        if not np.isfinite(hi - lo):  # numpy.random would raise OverflowError
+            raise ValueError(f"uniform bounds need a finite hi - lo; got {lo:g}, {hi:g}")
         scale = 1.0 + 2.0 * max(abs(lo), abs(hi)) * max(d1, d2)
     else:
         raise ValueError(f"unknown recipe {recipe!r}")

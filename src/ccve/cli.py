@@ -12,6 +12,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,8 @@ import numpy as np
 from . import __version__, analysis, builders, equilibrium, lft, stability
 from .core import (
     Conjecture,
+    _checked_dim,
+    _checked_keys,
     _checked_L,
     _write_json,
     assemble_blocks,
@@ -87,18 +90,22 @@ def cmd_solve(args, argv):
     return EXIT_OK
 
 
-def _json_object(path):
-    """The JSON object a file holds; DimensionMismatch names the path when
-    the file holds any other JSON value."""
+def _json_object(path, keys):
+    """The JSON object a file holds, once it has each of ``keys``;
+    DimensionMismatch names the path when the file holds any other JSON value,
+    and the path and the missing keys when keys are missing."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise DimensionMismatch(f"{path} must hold a JSON object")
+    missing = set(keys) - set(data)
+    if missing:
+        raise DimensionMismatch(f"{path} is missing keys {sorted(missing)}")
     return data
 
 
 def _load_init(path, dims):
-    data = _json_object(path)
+    data = _json_object(path, ("L1", "ell1", "L2", "ell2"))
     conj1 = Conjecture.create(1, data["L1"], data["ell1"], dims)
     conj2 = Conjecture.create(2, data["L2"], data["ell2"], dims)
     return conj1, conj2
@@ -106,7 +113,7 @@ def _load_init(path, dims):
 
 def _solution_slopes(path, dims):
     """[L1, L2] of a solution file, each checked against the game's dims."""
-    data = _json_object(path)
+    data = _json_object(path, ("L1", "L2"))
     return [_checked_L(dims, i, data[f"L{i}"]) for i in (1, 2)]
 
 
@@ -169,13 +176,12 @@ def cmd_check(args, argv):
     return EXIT_OK if passed else EXIT_NOT_CERTIFIED
 
 
+_LQ_KEYS = {f.name for f in fields(builders.LqSpec)}
+
+
 def _lq_spec_from_json(path):
-    data = _json_object(path)
-    return builders.LqSpec.create(
-        data["F"], data["G1"], data["G2"], data["Q1"], data["Q2"],
-        data["Q1f"], data["Q2f"], data["R1"], data["R2"],
-        data["R12"], data["R21"], data["z0"], data["T"],
-    )
+    data = _checked_keys(_json_object(path, _LQ_KEYS), _LQ_KEYS, str(path), "LqSpec")
+    return builders.LqSpec.create(**{**data, "T": _checked_dim(data, "T")})
 
 
 def cmd_build(args, argv):
@@ -306,7 +312,7 @@ def main(argv=None):
     except CcveError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

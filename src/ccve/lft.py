@@ -132,8 +132,8 @@ class IterationConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:  # False for NaN too
+            raise ValueError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)

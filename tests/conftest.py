@@ -1,6 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
 import os
+from collections import Counter
 
 # One BLAS thread unless the caller chose otherwise. Set before the first
 # numpy import, which reads it: threads that wait on a busy core can make
@@ -12,8 +13,46 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from ccve import builders
+from ccve import analysis, builders, cli, core, equilibrium, lft, spectral, stability
 from ccve.core import QuadraticGame
+
+CCVE_MODULES = (analysis, builders, cli, core, equilibrium, lft, spectral, stability)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(*helpers): a Counter of the calls made from then on.
+
+    Counts every public callable of core.lapack (the loaded
+    scipy.linalg._flapack; spectral.lapack is the same module), found by
+    walking its attributes and keyed by LAPACK name, and np.linalg.eigvals as
+    "eigvals". Each helper is a private name of ccve.core, patched in every
+    ccve module that binds it, or "np.<name>" for a numpy function; it is
+    keyed as given.
+    """
+    def install(*helpers):
+        calls = Counter()
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        targets = [(core.lapack, name, name) for name in dir(core.lapack)
+                   if not name.startswith("_") and callable(getattr(core.lapack, name))]
+        targets.append((np.linalg, "eigvals", "eigvals"))
+        for helper in helpers:
+            if helper.startswith("np."):
+                targets.append((np, helper[3:], helper))
+            else:
+                fn = getattr(core, helper)
+                targets += [(m, helper, helper) for m in CCVE_MODULES
+                            if getattr(m, helper, None) is fn]
+        for module, name, key in targets:
+            monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
+        return calls
+    return install
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ccve import analysis, builders, core
+from ccve import builders
 from ccve.analysis import (
     effective_hessian,
     nash,
@@ -132,20 +132,17 @@ class TestSocial:
         pytest.param(builders.random_game(50, 60, recipe="paper7ex2", seed=0),
                      id="paper7ex2-50x60-s0"),
     ])
-    def test_both_costs_from_one_stacking(self, monkeypatch, game):
+    def test_both_costs_from_one_stacking(self, count_calls, game):
         # social_cost and social_optimum each stack M1 and M2 once and take
         # both costs from one product, bit for bit the two eval_cost calls.
-        calls = []
-        stack = core._stack
-        monkeypatch.setattr(core, "_stack", lambda *a: calls.append(1) or stack(*a))
+        calls = count_calls("_stack")
         x1, x2, fs = social_optimum(game)
-        assert len(calls) == 2
+        assert calls["_stack"] == 2
         rng = np.random.default_rng(11)
         y1 = rng.standard_normal(game.dims.d1)
         y2 = rng.standard_normal(game.dims.d2)
         total = social_cost(game, y1, y2)
-        assert len(calls) == 4
-        monkeypatch.undo()
+        assert calls["_stack"] == 4
         assert fs == eval_cost(game, 1, x1, x2) + eval_cost(game, 2, x1, x2)
         assert total == eval_cost(game, 1, y1, y2) + eval_cost(game, 2, y1, y2)
 

@@ -197,6 +197,12 @@ class TestRandomGame:
         assert np.array_equal(explicit.p1.B, default.p1.B)
         assert np.array_equal(explicit.p2.B, default.p2.B)
 
+    @pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (-1.0, np.inf), (-1e308, 1e308)])
+    def test_uniform_rejects_bounds_without_a_finite_range(self, lo, hi):
+        # numpy.random's uniform raises OverflowError for each of them.
+        with pytest.raises(ValueError, match="finite hi - lo"):
+            random_game(2, 3, recipe="uniform", lo=lo, hi=hi)
+
 
 class TestExample1Game:
     def test_frozen_constants(self):

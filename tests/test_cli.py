@@ -15,6 +15,15 @@ def run(argv):
     return cli.main(argv)
 
 
+# A horizon-1 scalar LQ spec whose unroll is A_i = R_i + G_i^T Q_if G_i = 3.
+LQ_SPEC = {
+    "F": [[1.0]], "G1": [[1.0]], "G2": [[1.0]],
+    "Q1": [[0.0]], "Q2": [[0.0]], "Q1f": [[2.0]], "Q2f": [[2.0]],
+    "R1": [[1.0]], "R2": [[1.0]], "R12": [[0.0]], "R21": [[0.0]],
+    "z0": [0.0], "T": 1,
+}
+
+
 @pytest.fixture
 def warmup_path(tmp_path):
     path = tmp_path / "warmup.json"
@@ -66,14 +75,8 @@ class TestBuild:
         assert a.read_bytes() == b.read_bytes()
 
     def test_lq_build_matches_hand_unroll(self, tmp_path):
-        spec = {
-            "F": [[1.0]], "G1": [[1.0]], "G2": [[1.0]],
-            "Q1": [[0.0]], "Q2": [[0.0]], "Q1f": [[2.0]], "Q2f": [[2.0]],
-            "R1": [[1.0]], "R2": [[1.0]], "R12": [[0.0]], "R21": [[0.0]],
-            "z0": [0.0], "T": 1,
-        }
         spec_path = tmp_path / "lq.json"
-        spec_path.write_text(json.dumps(spec))
+        spec_path.write_text(json.dumps(LQ_SPEC))
         out = tmp_path / "lq_game.json"
         assert run(["build", "lq", "--spec", str(spec_path),
                     "--out", str(out)]) == cli.EXIT_OK
@@ -94,6 +97,30 @@ class TestBuild:
         assert code == cli.EXIT_ERROR
         assert not out.exists()
         assert "lo, hi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lo, hi", [("nan", "1"), ("-1", "inf")])
+    def test_uniform_bounds_without_a_finite_range_exit_error(self, tmp_path, capsys,
+                                                             lo, hi):
+        out = tmp_path / "u.json"
+        assert run(["build", "random", "--recipe", "uniform", "--d1", "2", "--d2", "3",
+                    "--lo", lo, "--hi", hi, "--out", str(out)]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: uniform bounds need a finite hi - lo; got {float(lo):g}, {float(hi):g}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, err", [
+        pytest.param({"T": 2.5}, "T must be a JSON integer, got 2.5", id="float-T"),
+        pytest.param({"T": "3"}, "T must be a JSON integer, got '3'", id="string-T"),
+        pytest.param({"extra": 1}, "unknown LqSpec keys: ['extra']", id="unknown-key"),
+        pytest.param({"F": None}, "F must be a square matrix, got shape ()", id="null-F"),
+    ])
+    def test_malformed_lq_spec_exits_error(self, tmp_path, capsys, change, err):
+        spec_path, out = tmp_path / "lq.json", tmp_path / "lq_game.json"
+        spec_path.write_text(json.dumps({**LQ_SPEC, **change}))
+        assert run(["build", "lq", "--spec", str(spec_path),
+                    "--out", str(out)]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == f"DimensionMismatch: {err}\n"
+        assert not out.exists()
 
     def test_random_manifest_records_recipe_and_bounds(self, tmp_path):
         out = tmp_path / "u.json"
@@ -261,7 +288,15 @@ class TestIterate:
         trace = tmp_path / "trace.csv"
         assert run(["iterate", "--game", str(bench_path), "--tol", "nan",
                     "--max-iters", "50", "--trace", str(trace)]) == cli.EXIT_ERROR
-        assert capsys.readouterr().err == "error: tol must be positive\n"
+        assert capsys.readouterr().err == "error: tol must be positive and finite\n"
+        assert not trace.exists()
+
+    def test_infinite_tol_is_an_error(self, tmp_path, bench_path, capsys):
+        # An infinite tol would report "converged" at step 1.
+        trace = tmp_path / "trace.csv"
+        assert run(["iterate", "--game", str(bench_path), "--tol", "inf",
+                    "--max-iters", "5", "--trace", str(trace)]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == "error: tol must be positive and finite\n"
         assert not trace.exists()
 
 
@@ -329,6 +364,19 @@ def test_json_file_that_is_not_an_object_is_an_error(tmp_path, bench_path, capsy
     assert run(argv) == cli.EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.err == f"DimensionMismatch: {path} must hold a JSON object\n"
+    assert out is None or not out.exists()
+
+
+@pytest.mark.parametrize("reader", JSON_READERS)
+def test_json_file_missing_a_key_is_an_error(tmp_path, bench_path, capsys, reader):
+    # A missing key printed only "error: 'L1'".
+    path = tmp_path / "input.json"
+    path.write_text("{}")
+    argv, out = reader(str(path), str(bench_path), tmp_path)
+    assert run(argv) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"DimensionMismatch: {path} is missing keys ['")
+    assert err.count("\n") == 1
     assert out is None or not out.exists()
 
 

@@ -135,17 +135,10 @@ class TestValidation:
         equilibrium.enumerate_fixed_points,
         lambda g: lft.iterate(g, lft.IterationConfig(mode="composite", max_iters=2)),
     ], ids=["solve", "qz", "enumerate", "iterate-composite"])
-    def test_each_call_factors_m_once(self, monkeypatch, bench_game, call):
-        calls = []
-        factor_m = core._factor_m
-
-        def spy(game):
-            calls.append(game)
-            return factor_m(game)
-
-        monkeypatch.setattr(core, "_factor_m", spy)
+    def test_each_call_factors_m_once(self, count_calls, bench_game, call):
+        calls = count_calls("_factor_m")
         call(bench_game)
-        assert len(calls) == 1
+        assert calls["_factor_m"] == 1
 
     @staticmethod
     def spy_spectra(monkeypatch):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ccve import analysis, builders, core, equilibrium, lft, spectral, stability
+from ccve import analysis, builders, lft, spectral
 from ccve.core import QuadraticGame, assemble_blocks, riccati_residual_norms
 from ccve.equilibrium import (
     enumerate_fixed_points,
@@ -171,47 +171,23 @@ ONE_PASS_GAMES = [
 
 
 class TestOnePassPerSolve:
-    @staticmethod
-    def spy(monkeypatch):
-        """Count calls of core._slope_terms, core._lu_rcond and core._min_eig
-        through every module that binds them, and of np.block."""
-        targets = [(np, "block")]
-        for name in ("_slope_terms", "_lu_rcond", "_min_eig"):
-            fn = getattr(core, name)
-            targets += [(m, name) for m in (core, analysis, equilibrium, lft,
-                                            spectral, stability)
-                        if getattr(m, name, None) is fn]
-        calls = dict.fromkeys([name for _, name in targets], 0)
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for module, name in targets:
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        return calls
+    # The kernels a solve and an enumeration call are counted in full by
+    # tests/test_kernel_ledger.py; these pins are on the slope terms.
 
     @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("game", ONE_PASS_GAMES)
-    def test_each_slope_forms_its_terms_once(self, monkeypatch, game, route):
-        # Two slope terms (L1 and L2). Ten LU factorizations: M1, M2, Y1,
-        # one P1^T for both L2 and ell2, P2^T for ell1, I - L2 L1, the
-        # alternate form of H1, the H1 guard, and the guards of
-        # K = bC1 L2 + bD1 and J = bA1 - L2 bC1 (H2 = K^{-1}, H2' = J^{-1}).
-        # The A_i > 0 checks are Cholesky attempts, so _min_eig runs only
-        # for S1 and S2.
-        calls = self.spy(monkeypatch)
+    def test_each_slope_forms_its_terms_once(self, count_calls, game, route):
+        # Two slope terms (L1 and L2), and no np.block.
+        calls = count_calls("_slope_terms", "np.block")
         route(game)
-        assert calls == {"block": 0, "_min_eig": 2, "_slope_terms": 2, "_lu_rcond": 10}
+        assert (calls["_slope_terms"], calls["np.block"]) == (2, 0)
 
-    def test_enumeration_forms_each_candidates_terms_once(self, monkeypatch,
+    def test_enumeration_forms_each_candidates_terms_once(self, count_calls,
                                                           bench_game):
         # Each candidate's residuals read the terms of its own solve: two
         # slope terms a candidate (the 4 skipped subsets fail before any),
         # and the norms equal riccati_residual_norms bit for bit.
-        calls = self.spy(monkeypatch)
+        calls = count_calls("_slope_terms")
         res = enumerate_fixed_points(bench_game)
         assert (len(res.candidates), calls["_slope_terms"]) == (6, 12)
         for c in res.candidates:
@@ -234,7 +210,6 @@ def test_solve_matches_public_functions(game, route):
     assert np.array_equal(sol.ell2, lft.offset_cross(game, 1, L1))
     assert np.array_equal(sol.ell1, lft.offset_cross(game, 2, L2))
     so, want = sol.second_order, analysis.second_order_check(game, L1, L2)
-    assert np.array_equal(so.S1, want.S1) and np.array_equal(so.S2, want.S2)
     assert ((so.min_eig_1, so.min_eig_2, so.pass_, so.m1_posdef, so.m2_posdef)
             == (want.min_eig_1, want.min_eig_2, want.pass_, want.m1_posdef,
                 want.m2_posdef))

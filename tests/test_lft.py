@@ -2,6 +2,7 @@
 
 import csv
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ccve import analysis, builders, core, lft
+from ccve import analysis, builders
 from ccve.core import (Conjecture, assemble_blocks, eval_cost,
                        riccati_residual_norms)
 from ccve.errors import DimensionMismatch, SingularBestResponse
@@ -28,6 +29,7 @@ from ccve.spectral import LargestMagnitude, invariant_subspace
 
 from conftest import (PARTNER_GAMES, composite_blocks, principal_angles,
                       random_dense_game, uniform_pool)
+from test_kernel_ledger import iteration_row
 
 SQ3 = np.sqrt(3.0)
 WARM_L = -2.0 + SQ3
@@ -200,6 +202,11 @@ class TestIterationConfig:
         with pytest.raises(ValueError, match="tol must be positive"):
             IterationConfig(tol=float("nan"))
 
+    def test_rejects_infinite_tol(self):
+        # Every finite change is below an infinite tol: step 1 would converge.
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            IterationConfig(tol=float("inf"))
+
 
 class TestIterate:
     @pytest.mark.parametrize("mode", ["cross", "composite"])
@@ -345,61 +352,29 @@ class TestIterate:
 
     @pytest.mark.parametrize("game", ["2x3", "50x60"])
     @pytest.mark.parametrize("mode", ["cross", "composite"])
-    def test_each_step_forms_slope_terms_once(self, monkeypatch, game, mode):
-        # n steps: two slopes' terms at the start and two per step. LU
-        # factorizations beyond M1, M2 and the Nash system: composite, four
-        # per step (two composite updates, two offsets); cross, two per step
-        # (one P_i^T per player gives its offset and the next step's slope)
-        # plus step 1's two slope maps. One Cholesky per best response,
-        # which also solves it (every S_i here is positive definite), two
-        # per step and the initial record's two, plus the A_1 > 0 and
-        # A_2 > 0 checks.
+    def test_each_step_forms_slope_terms_once(self, count_calls, game, mode):
+        # n steps: two slopes' terms at the start and two per step, and the
+        # kernels of the ledger's n-step row for the mode.
         g = (builders.example1_game() if game == "2x3"
              else builders.random_game(50, 60, recipe="paper7ex2", seed=0))
-        calls = {"_slope_terms": 0, "_lu_rcond": 0, "dpotrf": 0}
-
-        def spy(module, name):
-            fn = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
-
-        spy(core, "_slope_terms")
-        spy(core, "_lu_rcond")
-        spy(core.lapack, "dpotrf")
+        calls = count_calls("_slope_terms")
         trace = iterate(g, IterationConfig(mode=mode, tol=1e-10))
         assert trace.converged
         n = len(trace.steps) - 1
-        lu = 2 * n + 5 if mode == "cross" else 4 * n + 3
-        assert calls == {"_slope_terms": 2 * n + 2, "_lu_rcond": lu,
-                         "dpotrf": 2 * n + 4}
+        assert calls == iteration_row(mode, n) + Counter(_slope_terms=2 * n + 2)
         if (game, mode) == ("50x60", "cross"):
-            assert (n, calls["_lu_rcond"]) == (29, 63)
+            assert (n, calls["dgetrf"]) == (29, 63)
 
     @pytest.mark.parametrize("max_iters", [1, 10])
     @pytest.mark.parametrize("mode", ["cross", "composite"])
-    def test_each_run_stacks_m_once(self, monkeypatch, bench_game, mode, max_iters):
+    def test_each_run_stacks_m_once(self, count_calls, bench_game, mode, max_iters):
         # M1 and M2 are stacked and factored once a run, and the Nash system
         # stacked once; the record reads the stacked M1 and M2 at every step.
-        calls = {"_factor_m": 0, "_stack": 0}
-
-        def spy(module, name):
-            fn = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
-
-        spy(core, "_factor_m")
-        spy(core, "_stack")
-        spy(analysis, "_stack")
+        calls = count_calls("_factor_m", "_stack")
         trace = iterate(bench_game, IterationConfig(mode=mode, max_iters=max_iters,
                                                     tol=1e-30))
         assert len(trace.steps) == max_iters + 1
-        assert calls == {"_factor_m": 1, "_stack": 3}
+        assert (calls["_factor_m"], calls["_stack"]) == (1, 3)
 
     def test_one_not_certified_min_warning_a_run(self):
         # From 100x120 up paper7ex2 leaves S_i indefinite at most steps; the

@@ -10,7 +10,6 @@ from scipy.linalg import lapack
 
 from ccve import builders, spectral
 from ccve.core import assemble_blocks
-from ccve.equilibrium import solve_via_generalized
 from ccve.errors import ConjugatePairSplit, EigFailure
 from ccve.spectral import (
     Indices,
@@ -411,28 +410,6 @@ class TestDirectKernels:
             for got, want in zip((AA, BB, Q, Z),
                                  sla.qz(blocks.M1, blocks.M2.T, output="real")):
                 assert bitwise_equal(got, want)
-
-    def test_one_qz_call_each_per_solve(self, monkeypatch):
-        # Each QZ solve makes one dgges call (two on the first solve of an
-        # order, the workspace query) and one dtgsen call.
-        monkeypatch.setattr(spectral, "_LWORK", {})
-        calls = []
-
-        def counted(name):
-            kernel = getattr(lapack, name)
-
-            def spy(*args, **kwargs):
-                calls.append(name)
-                return kernel(*args, **kwargs)
-            return spy
-        for name in ("dgges", "dtgsen"):
-            monkeypatch.setattr(spectral.lapack, name, counted(name))
-        game = builders.example1_game()
-        solve_via_generalized(game, LargestMagnitude)
-        assert calls == ["dgges", "dgges", "dtgsen"]
-        del calls[:]
-        solve_via_generalized(game, LargestMagnitude)
-        assert calls == ["dgges", "dtgsen"]
 
     @pytest.mark.parametrize("M1, M2T", [
         (np.array([[np.nan, 0.0], [1.0, 2.0]]), np.eye(2)),

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from ccve import builders, core, lft, stability
+from ccve import builders, lft, stability
 from ccve.core import assemble_blocks
-from ccve.equilibrium import (enumerate_fixed_points, solve_ccve,
-                              solve_via_generalized)
+from ccve.equilibrium import solve_ccve, solve_via_generalized
 from ccve.errors import CcveError, NotAFixedPoint
 from ccve.spectral import LargestMagnitude
 from ccve.stability import (
@@ -226,34 +225,3 @@ def test_schur_certificate_matches_h_matrix_route(games):
                 assert got.marginal == ref.marginal
                 compared += 1
     assert compared >= len(games)
-
-
-@pytest.mark.parametrize("make_game", [
-    pytest.param(builders.example1_game, id="2x3"),
-    pytest.param(lambda: builders.random_game(50, 60, recipe="paper7ex2", seed=0),
-                 id="paper7ex2-50x60-s0"),
-])
-def test_no_route_inverts_a_matrix(monkeypatch, make_game):
-    """No certified auto solve, QZ solve, enumeration or certificate without
-    spectra calls dgetri: the guards of K and J are their LUs alone.  The
-    enumeration runs where its cap allows (the 2x3 game)."""
-    game = make_game()
-    calls = []
-    dgetri = core.lapack.dgetri
-
-    def spy(*args, **kwargs):
-        calls.append(route)
-        return dgetri(*args, **kwargs)
-
-    monkeypatch.setattr(core.lapack, "dgetri", spy)
-    route = "solve_ccve"
-    sol = solve_ccve(game)
-    assert sol.stable
-    route = "solve_via_generalized"
-    solve_via_generalized(game)
-    route = "certify"
-    certify(assemble_blocks(game), game, sol.L1, sol.L2)
-    if game.dims.d <= 12:
-        route = "enumerate_fixed_points"
-        enumerate_fixed_points(game)
-    assert calls == []
