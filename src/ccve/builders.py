@@ -7,11 +7,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QuadraticGame, _min_eig, assemble_blocks
+from .core import (QuadraticGame, _as_array, _as_matrix, _as_vector, _checked_keys,
+                   _min_eig, assemble_blocks)
 from .errors import ComplexFixedPoints, DegenerateScalar, DimensionMismatch
 from .stability import MARGINAL_BAND
 
 _PSD_TOL = 1e-10
+
+# The shape of each array entry of an LqSpec, in its state dimension n (F's
+# order) and its control dimensions m1, m2 (the column counts of G1, G2).
+_LQ_SHAPES = {
+    "F": ("n", "n"), "G1": ("n", "m1"), "G2": ("n", "m2"),
+    "Q1": ("n", "n"), "Q2": ("n", "n"), "Q1f": ("n", "n"), "Q2f": ("n", "n"),
+    "R1": ("m1", "m1"), "R2": ("m2", "m2"), "R12": ("m1", "m2"), "R21": ("m2", "m1"),
+    "z0": ("n",),
+}
 
 
 @dataclass(frozen=True)
@@ -38,27 +48,25 @@ class LqSpec:
     T: int
 
     @classmethod
-    def create(cls, F, G1, G2, Q1, Q2, Q1f, Q2f, R1, R2, R12, R21, z0, T):
-        F = np.asarray(F, float)
+    def create(cls, T, **entries):
+        """The spec of horizon T and the array ``entries`` _LQ_SHAPES names, each
+        checked against its shape there by core._as_matrix or core._as_vector:
+        a null, non-finite or mis-shaped entry raises DimensionMismatch naming it."""
+        _checked_keys(entries, _LQ_SHAPES.keys(), "LqSpec", "LqSpec")
+        F = _as_array(entries["F"], "F")
         if F.ndim != 2 or F.shape[0] != F.shape[1]:
             raise DimensionMismatch(f"F must be a square matrix, got shape {F.shape}")
-        n = F.shape[0]
-        G1 = np.asarray(G1, float).reshape(n, -1)
-        G2 = np.asarray(G2, float).reshape(n, -1)
-        m1, m2 = G1.shape[1], G2.shape[1]
-        spec = cls(
-            F=F, G1=G1, G2=G2,
-            Q1=np.asarray(Q1, float).reshape(n, n),
-            Q2=np.asarray(Q2, float).reshape(n, n),
-            Q1f=np.asarray(Q1f, float).reshape(n, n),
-            Q2f=np.asarray(Q2f, float).reshape(n, n),
-            R1=np.asarray(R1, float).reshape(m1, m1),
-            R2=np.asarray(R2, float).reshape(m2, m2),
-            R12=np.asarray(R12, float).reshape(m1, m2),
-            R21=np.asarray(R21, float).reshape(m2, m1),
-            z0=np.asarray(z0, float).reshape(n),
-            T=int(T),
-        )
+        size = {"n": F.shape[0]}
+        for key, m in (("G1", "m1"), ("G2", "m2")):
+            G = _as_array(entries[key], key)
+            if G.ndim != 2:
+                raise DimensionMismatch(f"{key} must be a matrix, got shape {G.shape}")
+            size[m] = G.shape[1]
+        arrays = {}
+        for key, shape in _LQ_SHAPES.items():
+            check = _as_matrix if len(shape) == 2 else _as_vector
+            arrays[key] = check(entries[key], *(size[s] for s in shape), key)
+        spec = cls(T=int(T), **arrays)
         if spec.T < 1:
             raise DimensionMismatch("horizon T must be >= 1")
         for name in ("R1", "R2"):
@@ -116,34 +124,23 @@ def _unroll_input_map(F, G, T):
 def build_lq_game(spec: LqSpec) -> QuadraticGame:
     """Unroll an LQ dynamic game into a static quadratic game in the stacked
     open-loop controls (d1 = m1*T, d2 = m2*T)."""
-    T, n = spec.T, spec.n
+    T = spec.T
     W1 = _unroll_input_map(spec.F, spec.G1, T)
     W2 = _unroll_input_map(spec.F, spec.G2, T)
     Fbar = np.vstack([np.linalg.matrix_power(spec.F, t) for t in range(T + 1)])
-    bQ1 = block_diag(*[spec.Q1] * T, spec.Q1f)
-    bQ2 = block_diag(*[spec.Q2] * T, spec.Q2f)
-    bR1 = block_diag(*[spec.R1] * T)
-    bR2 = block_diag(*[spec.R2] * T)
-    bR12 = block_diag(*[spec.R12] * T)
-    bR21 = block_diag(*[spec.R21] * T)
-    z0 = spec.z0
+    z = Fbar @ spec.z0
 
-    A1 = bR1 + W1.T @ bQ1 @ W1
-    B1 = (bR12 + W1.T @ bQ1 @ W2).T
-    D1 = W2.T @ bQ1 @ W2
-    a1 = W1.T @ bQ1 @ (Fbar @ z0)
-    b1 = W2.T @ bQ1 @ (Fbar @ z0)
-
-    A2 = bR2 + W2.T @ bQ2 @ W2
-    B2 = (bR21 + W2.T @ bQ2 @ W1).T
-    D2 = W1.T @ bQ2 @ W1
-    a2 = W2.T @ bQ2 @ (Fbar @ z0)
-    b2 = W1.T @ bQ2 @ (Fbar @ z0)
+    def player(W, W_opp, Q, Qf, R, R_cross):
+        """(A, B, D, a, b) of the player with control map W and costs Q, Qf, R, R_cross."""
+        bQ = block_diag(*[Q] * T, Qf)
+        bR, bR_cross = block_diag(*[R] * T), block_diag(*[R_cross] * T)
+        return (bR + W.T @ bQ @ W, (bR_cross + W.T @ bQ @ W_opp).T,
+                W_opp.T @ bQ @ W_opp, W.T @ bQ @ z, W_opp.T @ bQ @ z)
 
     return QuadraticGame.create(
         spec.m1 * T, spec.m2 * T,
-        (A1, B1, D1, a1, b1),
-        (A2, B2, D2, a2, b2),
+        player(W1, W2, spec.Q1, spec.Q1f, spec.R1, spec.R12),
+        player(W2, W1, spec.Q2, spec.Q2f, spec.R2, spec.R21),
     )
 
 

@@ -21,7 +21,6 @@ from . import __version__, analysis, builders, equilibrium, lft, stability
 from .core import (
     Conjecture,
     _checked_dim,
-    _checked_keys,
     _checked_L,
     _write_json,
     assemble_blocks,
@@ -180,7 +179,7 @@ _LQ_KEYS = {f.name for f in fields(builders.LqSpec)}
 
 
 def _lq_spec_from_json(path):
-    data = _checked_keys(_json_object(path, _LQ_KEYS), _LQ_KEYS, str(path), "LqSpec")
+    data = _json_object(path, _LQ_KEYS)
     return builders.LqSpec.create(**{**data, "T": _checked_dim(data, "T")})
 
 
@@ -236,8 +235,16 @@ def cmd_enumerate(args, argv):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, so that main
+    exits 1 with one line; argparse exits 2, the code of "not certified"."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="ccve", description=__doc__)
+    p = _Parser(prog="ccve", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="compute the equilibrium directly")
@@ -305,9 +312,8 @@ def build_parser():
 def main(argv=None):
     _setup_logging()
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args, argv)
     except CcveError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

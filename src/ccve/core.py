@@ -18,7 +18,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
 from typing import NamedTuple
@@ -62,8 +62,17 @@ POSDEF_EIG_MIN = 1e-10
 ASYM_WARN = 1e-8
 
 
+def _as_array(value, name):
+    """``value`` as a float array; DimensionMismatch names ``name`` when it is no
+    array of numbers (a JSON object, a non-numeric string, a ragged list)."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DimensionMismatch(f"{name} must be an array of numbers") from None
+
+
 def _as_matrix(value, rows, cols, name):
-    m = np.asarray(value, dtype=float)
+    m = _as_array(value, name)
     if m.shape != (rows, cols):
         raise DimensionMismatch(
             f"{name} must have shape ({rows}, {cols}), got {m.shape}"
@@ -74,7 +83,7 @@ def _as_matrix(value, rows, cols, name):
 
 
 def _as_vector(value, n, name):
-    v = np.asarray(value, dtype=float).reshape(-1)
+    v = _as_array(value, name).reshape(-1)
     if v.shape != (n,):
         raise DimensionMismatch(f"{name} must have length {n}, got {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -424,25 +433,16 @@ def riccati_residual_norms(game: QuadraticGame, L1, L2):
 # --- Game JSON format -------------------------------------------------------
 
 _GAME_KEYS = {"d1", "d2", "player1", "player2"}
-_PLAYER_KEYS = {"A", "B", "D", "a", "b"}
+# A player's keys, in the order of PlayerCost's fields and of its create arguments.
+_PLAYER_KEYS = tuple(f.name for f in fields(PlayerCost))
 
 
 def game_to_dict(game: QuadraticGame) -> dict:
-    def player(p):
-        return {
-            "A": p.A.tolist(),
-            "B": p.B.tolist(),
-            "D": p.D.tolist(),
-            "a": p.a.tolist(),
-            "b": p.b.tolist(),
-        }
-
-    return {
-        "d1": game.dims.d1,
-        "d2": game.dims.d2,
-        "player1": player(game.p1),
-        "player2": player(game.p2),
-    }
+    data = {"d1": game.dims.d1, "d2": game.dims.d2}
+    for i in (1, 2):
+        p = game.player(i)
+        data[f"player{i}"] = {key: getattr(p, key).tolist() for key in _PLAYER_KEYS}
+    return data
 
 
 def _checked_keys(data, keys, name, what):
@@ -450,10 +450,10 @@ def _checked_keys(data, keys, name, what):
     DimensionMismatch naming the object ``name`` or its ``what`` keys."""
     if not isinstance(data, dict):
         raise DimensionMismatch(f"{name} must be an object")
-    unknown = set(data) - keys
+    unknown = set(data).difference(keys)
     if unknown:
         raise DimensionMismatch(f"unknown {what} keys: {sorted(unknown)}")
-    missing = keys - set(data)
+    missing = set(keys).difference(data)
     if missing:
         raise DimensionMismatch(f"missing {what} keys: {sorted(missing)}")
     return data
@@ -470,13 +470,12 @@ def _checked_dim(data, key):
 
 def game_from_dict(data: dict) -> QuadraticGame:
     _checked_keys(data, _GAME_KEYS, "game JSON", "game")
-    p1, p2 = (_checked_keys(data[key], _PLAYER_KEYS, key, key)
-              for key in ("player1", "player2"))
+    players = [_checked_keys(data[key], _PLAYER_KEYS, key, key)
+               for key in ("player1", "player2")]
     return QuadraticGame.create(
         _checked_dim(data, "d1"),
         _checked_dim(data, "d2"),
-        (p1["A"], p1["B"], p1["D"], p1["a"], p1["b"]),
-        (p2["A"], p2["B"], p2["D"], p2["a"], p2["b"]),
+        *([p[key] for key in _PLAYER_KEYS] for p in players),
     )
 
 

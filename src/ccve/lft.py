@@ -319,40 +319,30 @@ def iterate(game: QuadraticGame, cfg: IterationConfig) -> IterationTrace:
 
 # --- Trace CSV --------------------------------------------------------------
 
-def _flat_headers(prefix, shape):
-    if len(shape) == 1:
-        return [f"{prefix}_{r}" for r in range(shape[0])]
-    return [f"{prefix}_{r}{c}" for r in range(shape[0]) for c in range(shape[1])]
+def _trace_columns(dims):
+    """The IterationStep fields the trace CSV writes after "iter", in column
+    order, each with its shape: an array's entries take one column each,
+    row-major, named field_<row><col>; a scalar's column is the field's name."""
+    d1, d2 = dims.d1, dims.d2
+    return (("L1", (d2, d1)), ("ell1", (d2,)), ("L2", (d1, d2)), ("ell2", (d1,)),
+            ("x1", (d1,)), ("x2", (d2,)), ("xhat1", (d1,)), ("xhat2", (d2,)),
+            ("f1", ()), ("f2", ()), ("f_social", ()), ("res1", ()), ("res2", ()))
 
 
 def trace_header(dims) -> list[str]:
     cols = ["iter"]
-    cols += _flat_headers("L1", (dims.d2, dims.d1))
-    cols += _flat_headers("ell1", (dims.d2,))
-    cols += _flat_headers("L2", (dims.d1, dims.d2))
-    cols += _flat_headers("ell2", (dims.d1,))
-    cols += _flat_headers("x1", (dims.d1,))
-    cols += _flat_headers("x2", (dims.d2,))
-    cols += _flat_headers("xhat1", (dims.d1,))
-    cols += _flat_headers("xhat2", (dims.d2,))
-    cols += ["f1", "f2", "f_social", "res1", "res2"]
+    for field, shape in _trace_columns(dims):
+        stem = f"{field}_" if shape else field
+        cols += [stem + "".join(map(str, idx)) for idx in np.ndindex(shape)]
     return cols
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
 
 
 def write_trace_csv(trace: IterationTrace, dims, path) -> None:
     """Write the iteration trace with row-major matrices, 17 significant digits."""
+    fields = [field for field, _ in _trace_columns(dims)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(trace_header(dims))
         for st in trace.steps:
-            row = [st.iteration]
-            for arr in (st.L1, st.ell1, st.L2, st.ell2,
-                        st.x1, st.x2, st.xhat1, st.xhat2):
-                row += [_fmt(v) for v in np.asarray(arr).reshape(-1)]
-            row += [_fmt(st.f1), _fmt(st.f2), _fmt(st.f_social),
-                    _fmt(st.res1), _fmt(st.res2)]
-            writer.writerow(row)
+            values = np.concatenate([np.ravel(getattr(st, f)) for f in fields])
+            writer.writerow([st.iteration, *(format(v, ".17g") for v in values.tolist())])

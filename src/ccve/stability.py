@@ -71,8 +71,9 @@ def _certify(blocks, game, s1, s2, spectra):
     """certify from the two players' slopes s_i = _slope_terms(p_i, L_i).
 
     Checks the residuals, then H1 = bA1 + bB1 L1 against its alternate form
-    (D2^T + B2 L1)^{-1}(A1 + B1^T L1), then guards K = bC1 L2 + bD1 and
-    J = bA1 - L2 bC1, whose inverses are player 2's H2 and H2'.
+    (D2^T + B2 L1)^{-1}(A1 + B1^T L1), then guards K = bC1 L2 + bD1,
+    J = bA1 - L2 bC1 and H1, each factored once; the inverses of K and J
+    are player 2's H2 and H2'.
     """
     L1, L2 = s1.L, s2.L
     r1, r2 = _residual_norms(*_residuals(s1, s2), _a_norms(game))
@@ -92,11 +93,12 @@ def _certify(blocks, game, s1, s2, spectra):
             "(L1, L2) is not a consistent fixed pair"
         )
     _lu_checked(bC1 @ L2 + bD1, SingularComposite, 2)
-    _lu_checked(bA1 - L2 @ bC1, SingularComposite, 2)
     if spectra is None:
-        ratios_1 = perturbation_spectrum(blocks, 1, L1)
+        # Player 2's spectrum guards J, player 1's then H1.
         ratios_2 = perturbation_spectrum(blocks, 2, L2)
+        ratios_1 = perturbation_spectrum(blocks, 1, L1)
     else:
+        _lu_checked(bA1 - L2 @ bC1, SingularComposite, 2)
         _lu_checked(H1, SingularComposite, 1)
         selected, complement = spectra
         ratios_1 = ratios_2 = (complement[:, None] / selected[None, :]).reshape(-1)

@@ -41,6 +41,15 @@ class TestLqSpec:
                 z0=[0.0], T=2,
             )
 
+    def test_rejects_an_unknown_entry(self):
+        with pytest.raises(DimensionMismatch, match=r"unknown LqSpec keys: \['Q3'\]"):
+            LqSpec.create(
+                F=[[1.0]], G1=[[1.0]], G2=[[1.0]],
+                Q1=[[0.0]], Q2=[[0.0]], Q1f=[[1.0]], Q2f=[[1.0]], Q3=[[1.0]],
+                R1=[[1.0]], R2=[[1.0]], R12=[[0.0]], R21=[[0.0]],
+                z0=[0.0], T=2,
+            )
+
     def test_requires_positive_horizon(self):
         with pytest.raises(DimensionMismatch, match="horizon"):
             LqSpec.create(

@@ -1,5 +1,6 @@
 """Black-box tests of the command-line interface via its main() entry point."""
 
+import copy
 import json
 import warnings
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from ccve import builders, cli
-from ccve.core import load_game, save_game
+from ccve.core import game_to_dict, load_game, save_game
 from ccve.equilibrium import solve_ccve
 
 
@@ -113,6 +114,15 @@ class TestBuild:
         pytest.param({"T": "3"}, "T must be a JSON integer, got '3'", id="string-T"),
         pytest.param({"extra": 1}, "unknown LqSpec keys: ['extra']", id="unknown-key"),
         pytest.param({"F": None}, "F must be a square matrix, got shape ()", id="null-F"),
+        pytest.param({"G1": None}, "G1 must be a matrix, got shape ()", id="null-G1"),
+        pytest.param({"Q1": [[float("nan")]]}, "Q1 contains non-finite entries",
+                     id="nan-Q1"),
+        pytest.param({"R12": [0.0]}, "R12 must have shape (1, 1), got (1,)", id="flat-R12"),
+        pytest.param({"F": [[1.0, 0.0], [0.0, 1.0]], "G1": [[1.0], [0.0]],
+                      "G2": [[0.0], [1.0]], "Q1": [0.0] * 4, "Q2": [[0.0] * 2] * 2,
+                      "Q1f": [[1.0, 0.0], [0.0, 1.0]], "Q2f": [[1.0, 0.0], [0.0, 1.0]],
+                      "z0": [0.0, 0.0]},
+                     "Q1 must have shape (2, 2), got (4,)", id="flat-Q1-2-states"),
     ])
     def test_malformed_lq_spec_exits_error(self, tmp_path, capsys, change, err):
         spec_path, out = tmp_path / "lq.json", tmp_path / "lq_game.json"
@@ -377,6 +387,40 @@ def test_json_file_missing_a_key_is_an_error(tmp_path, bench_path, capsys, reade
     err = capsys.readouterr().err
     assert err.startswith(f"DimensionMismatch: {path} is missing keys ['")
     assert err.count("\n") == 1
+    assert out is None or not out.exists()
+
+
+# A valid input of each reader: the 2x3 game, zero slopes and offsets for
+# --init, --compare and --solution, and LQ_SPEC.
+ZERO_INIT = {"L1": [[0.0, 0.0]] * 3, "ell1": [0.0] * 3,
+             "L2": [[0.0] * 3] * 2, "ell2": [0.0, 0.0]}
+VALID_INPUTS = {"game": game_to_dict(builders.example1_game()),
+                "iterate-init": ZERO_INIT, "iterate-compare": ZERO_INIT,
+                "check-solution": ZERO_INIT, "build-lq-spec": LQ_SPEC}
+READERS = {p.id: p.values[0] for p in JSON_READERS}
+READERS["game"] = lambda f, game, d: (["solve", "--game", f, "--out", str(d / "s.json")],
+                                      d / "s.json")
+
+
+@pytest.mark.parametrize("reader, key, name", [
+    ("game", "A", "A1"),  # player1's A
+    ("iterate-init", "L1", "L1"),
+    ("iterate-compare", "L2", "L2"),
+    ("check-solution", "L1", "L1"),
+    ("build-lq-spec", "Q1", "Q1"),
+])
+@pytest.mark.parametrize("value", [{}, "x"], ids=["object", "string"])
+def test_entry_that_is_not_numbers_is_an_error(tmp_path, bench_path, capsys,
+                                               reader, key, name, value):
+    # An object ended in a TypeError traceback, and "x" printed
+    # "error: could not convert string to float: 'x'", naming no entry.
+    data = copy.deepcopy(VALID_INPUTS[reader])
+    (data["player1"] if reader == "game" else data)[key] = value
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    argv, out = READERS[reader](str(path), str(bench_path), tmp_path)
+    assert run(argv) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"DimensionMismatch: {name} must be an array of numbers\n"
     assert out is None or not out.exists()
 
 

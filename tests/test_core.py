@@ -176,7 +176,7 @@ class TestValidation:
         calls = self.spy_spectra(monkeypatch)
         assert cli.main(["check", "--game", str(game_path),
                          "--solution", str(sol_path)]) == cli.EXIT_OK
-        assert calls["perturbation_spectrum"] == [1, 2]
+        assert calls["perturbation_spectrum"] == [2, 1]
         assert len(calls["eigvals"]) == 4
 
     def test_symmetrization_warns_on_asymmetric_d(self):

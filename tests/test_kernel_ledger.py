@@ -59,11 +59,11 @@ LEDGER = {
                    SOLVE + Counter(dgees=1, dtrsen=1), "dgees"),
     "solve_via_generalized": (lambda g, sol: partial(solve_via_generalized, g),
                               SOLVE + Counter(dgges=1, dtgsen=1), "dgges"),
-    # Without spectra: the H1 alternate form, the guards of H1 (inside
-    # perturbation_spectrum), K, J and player 2's contraction, and the
+    # Without spectra: the H1 alternate form, the guard of K, the guards of
+    # J and H1 inside perturbation_spectrum (player 2's first), and the
     # eigenvalues of each player's two factors.
     "certify": (lambda g, sol: partial(certify, assemble_blocks(g), g, sol.L1, sol.L2),
-                lu(5, solves=1) + Counter(eigvals=4), None),
+                lu(4, solves=1) + Counter(eigvals=4), None),
     "second_order_check": (lambda g, sol: partial(second_order_check, g, sol.L1, sol.L2),
                            Counter(dpotrf=2, dsyevr=2), None),
     "nash": (lambda g, sol: partial(nash, g), lu(1, solves=1), None),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ccve import builders, lft, stability
+from ccve import builders, lft, spectral, stability
 from ccve.core import assemble_blocks
 from ccve.equilibrium import solve_ccve, solve_via_generalized
 from ccve.errors import CcveError, NotAFixedPoint
@@ -150,6 +150,31 @@ class TestCertify:
         rep = certify(blocks, warmup_game, [[L]], [[L]])
         assert not rep.stable
         assert rep.xi_max_1 == pytest.approx(1.0 / WARM_XI, rel=1e-10)
+
+    @pytest.mark.parametrize("with_spectra", [False, True])
+    def test_guards_k_j_and_h1_once_each_in_order(self, monkeypatch, bench_game,
+                                                   with_spectra):
+        """With or without a solve's spectra, certify guards K = bC1 L2 + bD1,
+        J = bA1 - L2 bC1 and H1 = bA1 + bB1 L1 once each and in this order,
+        so the first of several singular ones decides the error."""
+        sol = solve_ccve(bench_game)
+        blocks = assemble_blocks(bench_game)
+        bA, bB, bC, bD = blocks.bold_blocks()
+        named = {"K": bC @ sol.L2 + bD, "J": bA - sol.L2 @ bC, "H1": bA + bB @ sol.L1}
+        guarded, lu_checked = [], stability._lu_checked
+
+        def spy(a, *args, **kwargs):
+            guarded.append(next(k for k, m in named.items() if np.array_equal(a, m)))
+            return lu_checked(a, *args, **kwargs)
+
+        monkeypatch.setattr(stability, "_lu_checked", spy)
+        spectra = None
+        if with_spectra:
+            sub = spectral.invariant_subspace(blocks.boldM1, bench_game.dims.d1,
+                                              LargestMagnitude)
+            spectra = (sub.eigenvalues, sub.complement)
+        certify(blocks, bench_game, sol.L1, sol.L2, spectra)
+        assert guarded == ["K", "J", "H1"]
 
     def test_players_agree(self, bench_game):
         sol = solve_ccve(bench_game)
