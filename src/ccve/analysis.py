@@ -44,18 +44,18 @@ def effective_hessian(game: QuadraticGame, i: int, L_i):
 def second_order_check(game: QuadraticGame, L1, L2) -> SecondOrderReport:
     """Check strong convexity of each player's conjectured problem."""
     return _second_order(_checked_slope(game, 1, L1), _checked_slope(game, 2, L2),
-                         stacked_m1(game), stacked_m2(game))
+                         _posdef(stacked_m1(game)), _posdef(stacked_m2(game)))
 
 
-def _second_order(s1, s2, M1, M2) -> SecondOrderReport:
-    """second_order_check from the two players' slopes and the stacked M1, M2."""
+def _second_order(s1, s2, m1_posdef, m2_posdef) -> SecondOrderReport:
+    """second_order_check from the two players' slopes and the M_i > 0 flags,
+    each one Cholesky attempt at the symmetric M_i (core._posdef)."""
     e1 = _min_eig(_effective_hessian(s1))
     e2 = _min_eig(_effective_hessian(s2))
     return SecondOrderReport(
         min_eig_1=e1, min_eig_2=e2,
         pass_=(e1 > SECOND_ORDER_EIG_MIN and e2 > SECOND_ORDER_EIG_MIN),
-        # M_i is symmetric (A_i and D_i are symmetrized): one Cholesky attempt.
-        m1_posdef=_posdef(M1), m2_posdef=_posdef(M2),
+        m1_posdef=m1_posdef, m2_posdef=m2_posdef,
     )
 
 

@@ -12,6 +12,7 @@ import logging
 import os
 import sys
 import time
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -215,7 +216,7 @@ def cmd_enumerate(args, argv):
         "candidates": [
             {
                 "indices": list(c.indices),
-                "eigenvalues": [[v.real, v.imag] for v in c.eigenvalues],
+                "eigenvalues": equilibrium._complex_pairs(c.eigenvalues),
                 "L1": c.L1.tolist(),
                 "L2": c.L2.tolist(),
                 "residuals": list(c.residuals),
@@ -312,6 +313,10 @@ def build_parser():
 def main(argv=None):
     _setup_logging()
     argv = list(sys.argv[1:] if argv is None else argv)
+    # A warning prints as one line, "UserWarning: <message>", without its place in
+    # ccve's code. Only the format is replaced, so pytest.warns still records.
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda msg, category, *_: f"{category.__name__}: {msg}\n"
     try:
         args = build_parser().parse_args(argv)
         return args.func(args, argv)
@@ -321,6 +326,8 @@ def main(argv=None):
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

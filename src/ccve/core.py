@@ -62,13 +62,28 @@ POSDEF_EIG_MIN = 1e-10
 ASYM_WARN = 1e-8
 
 
+# The entry types _as_array reads: numbers, and None, read as NaN, which its
+# callers refuse as non-finite. bool is an int, so it is refused by name.
+_ENTRY_TYPES = (int, float, np.integer, np.floating, type(None))
+
+
 def _as_array(value, name):
     """``value`` as a float array; DimensionMismatch names ``name`` when it is no
-    array of numbers (a JSON object, a non-numeric string, a ragged list)."""
+    array of numbers: a JSON object, a string, a boolean, a ragged list, or an
+    ndarray whose dtype kind is not integer or float."""
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise DimensionMismatch(f"{name} must be an array of numbers") from None
+        if isinstance(value, np.ndarray):
+            numbers = value.dtype.kind in "iuf"
+        else:
+            # numpy would read "1" and [true, 0] as numbers: each entry's type decides.
+            value = np.asarray(value, dtype=object)
+            numbers = all(issubclass(t, _ENTRY_TYPES) and t is not bool
+                          for t in set(map(type, value.flat)))
+        if numbers:
+            return np.asarray(value, dtype=float)
+    except (ValueError, OverflowError):  # a ragged list; an int beyond float's range
+        pass
+    raise DimensionMismatch(f"{name} must be an array of numbers")
 
 
 def _as_matrix(value, rows, cols, name):

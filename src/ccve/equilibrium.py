@@ -18,9 +18,7 @@ from . import analysis, core, lft, spectral, stability
 from .core import (
     CompositeBlocks,
     QuadraticGame,
-    _a_norms,
-    _residual_norms,
-    _residuals,
+    _posdef,
     _slope_terms,
     _solve_checked,
     _write_json,
@@ -94,10 +92,11 @@ def _solution_from_subspace(
     game: QuadraticGame,
     blocks: CompositeBlocks,
     sub: spectral.InvariantSubspace,
-    selection_label: str,
-):
-    """(solution, (s1, s2)): the solution at the subspace's L1 and the
-    slopes of its L1 and L2."""
+    selection: Selection,
+    posdef: tuple[bool, bool],
+) -> CcveSolution:
+    """The solution at the subspace's L1, found by ``selection``; ``posdef``
+    holds the game's m1_posdef and m2_posdef flags."""
     # basis = [Y1; X1] with Y1 of shape d1 x d1; L1 = X1 Y1^{-1}, solved
     # as Y1^T L1^T = X1^T.
     d1 = game.dims.d1
@@ -117,16 +116,16 @@ def _solution_from_subspace(
     # The certificate reads the split of spec(boldM1) the solve reordered.
     report = stability._certify(blocks, game, s1, s2,
                                 (sub.eigenvalues, sub.complement))
-    so = analysis._second_order(s1, s2, blocks.M1, blocks.M2)
+    so = analysis._second_order(s1, s2, *posdef)
     return CcveSolution(
         L1=L1, ell1=ell1, L2=L2, ell2=ell2, x1=x1, x2=x2,
         # spec(H1) is the selected set: [I; L1] spans the subspace.
         H1_spectrum=sub.eigenvalues,
         stability=report,
         second_order=so,
-        selection_used=selection_label,
+        selection_used=str(selection),
         warnings=sub.warnings,
-    ), (s1, s2)
+    )
 
 
 def _solve_with(game, blocks, selection: Selection, route: str) -> CcveSolution:
@@ -135,7 +134,8 @@ def _solve_with(game, blocks, selection: Selection, route: str) -> CcveSolution:
         sub = spectral.invariant_subspace(blocks.boldM1, d1, selection)
     else:
         sub = spectral.generalized_pairs(blocks.M1, blocks.M2.T, d1, selection)
-    return _solution_from_subspace(game, blocks, sub, str(selection))[0]
+    posdef = _posdef(blocks.M1), _posdef(blocks.M2)
+    return _solution_from_subspace(game, blocks, sub, selection, posdef)
 
 
 def _solve(game: QuadraticGame, selection, route: str) -> CcveSolution:
@@ -221,7 +221,8 @@ def enumerate_fixed_points(game: QuadraticGame, cap=ENUMERATION_CAP) -> Enumerat
         tuple(sorted(rank[a:b].tolist()))
         for a, b in zip(starts, np.append(starts[1:], d))
     )
-    a_norms = _a_norms(game)
+    # The M_i > 0 flags are the game's: one Cholesky attempt each, for every candidate.
+    posdef = _posdef(blocks.M1), _posdef(blocks.M2)
     candidates = []
     skipped = []
     # r whole blocks hold at least r eigenvalues, so r <= d1.
@@ -230,19 +231,19 @@ def enumerate_fixed_points(game: QuadraticGame, cap=ENUMERATION_CAP) -> Enumerat
             idx = tuple(sorted(i for b in combo for i in b))
             if len(idx) != d1:
                 continue
+            selection = Indices(idx)
             try:
-                sub = spectral._reorder(blocks.boldM1, T, Z, values, d1, Indices(idx))
-                sol, slopes = _solution_from_subspace(game, blocks, sub,
-                                                      f"indices{list(idx)}")
+                sub = spectral._reorder(blocks.boldM1, T, Z, values, d1, selection)
+                sol = _solution_from_subspace(game, blocks, sub, selection, posdef)
             except CcveError as exc:
                 skipped.append((idx, type(exc).__name__))
                 continue
             candidates.append(FixedPointCandidate(
                 indices=idx,
-                eigenvalues=values[order[list(idx)]],
+                eigenvalues=sol.H1_spectrum,
                 L1=sol.L1,
                 L2=sol.L2,
-                residuals=_residual_norms(*_residuals(*slopes), a_norms),
+                residuals=sol.stability.residuals,
                 xi_max_1=sol.stability.xi_max_1,
                 xi_max_2=sol.stability.xi_max_2,
                 stable=sol.stable,
@@ -255,7 +256,7 @@ def enumerate_fixed_points(game: QuadraticGame, cap=ENUMERATION_CAP) -> Enumerat
 # --- Solution JSON ----------------------------------------------------------
 
 def _complex_pairs(values):
-    return [[float(v.real), float(v.imag)] for v in np.asarray(values).reshape(-1)]
+    return [[float(v.real), float(v.imag)] for v in np.ravel(values)]
 
 
 def solution_to_dict(sol: CcveSolution) -> dict:

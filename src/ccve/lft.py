@@ -104,13 +104,9 @@ def best_response(game: QuadraticGame, i: int, conj: Conjecture):
 
 
 def predict(conj: Conjecture, x_i):
-    """The conjectured opponent action L x_i + ell."""
-    x_i = np.asarray(x_i, dtype=float).reshape(-1)
-    if x_i.shape[0] != conj.L.shape[1]:
-        raise DimensionMismatch(
-            f"action length {x_i.shape[0]} does not match conjecture "
-            f"input dimension {conj.L.shape[1]}"
-        )
+    """The conjectured opponent action L x_i + ell; an x_i of the wrong length
+    or not finite raises DimensionMismatch."""
+    x_i = core._as_vector(x_i, conj.L.shape[1], f"x{conj.holder}")
     return conj.L @ x_i + conj.ell
 
 

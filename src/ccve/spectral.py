@@ -96,21 +96,6 @@ def eig(M) -> Spectrum:
     return Spectrum(values=values, magnitudes=np.abs(values), vectors=vectors)
 
 
-def _schur_values(T):
-    """Eigenvalues on the diagonal of a standardized real Schur form T.
-
-    LAPACK stores each conjugate pair as a 2x2 block [[a, b], [c, a]] with
-    bc < 0, whose eigenvalues are a +/- i sqrt(-bc), positive imaginary part
-    first; every other diagonal entry is a real eigenvalue.
-    """
-    values = np.diag(T).astype(complex)
-    first = np.nonzero(np.diag(T, -1))[0]
-    imag = np.sqrt(-(T[first, first + 1] * T[first + 1, first]))
-    values[first] += 1j * imag
-    values[first + 1] -= 1j * imag
-    return values
-
-
 def _select_positions(values, k, selection: Selection):
     """Resolve a Selection to Schur positions; enforce conjugate-pair unity.
 
@@ -183,12 +168,14 @@ def _form(name, *mats):
 
 
 def _schur(M):
-    """(T, Z, values): real Schur form M = Z T Z^T and T's diagonal eigenvalues,
-    from LAPACK dgees at its queried lwork: bit for bit scipy.linalg.schur's."""
+    """(T, Z, values): real Schur form M = Z T Z^T and its eigenvalues in
+    diagonal order, from LAPACK dgees at its queried lwork: bit for bit
+    scipy.linalg.schur's. dgees gives each conjugate pair exactly conjugate,
+    positive imaginary part first, and its real parts are T's diagonal."""
     if M.ndim != 2 or M.shape[0] != M.shape[1] or not np.isfinite(M).all():
         raise EigFailure(f"expected a finite square matrix, got shape {M.shape}")
-    T, _, _, _, Z, _, _ = _form("dgees", M)
-    return T, Z, _schur_values(T)
+    T, _, wr, wi, Z, _, _ = _form("dgees", M)
+    return T, Z, wr + 1j * wi
 
 
 def _leading_basis(m, k, V, U, checks, what):

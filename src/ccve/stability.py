@@ -37,6 +37,8 @@ class StabilityReport:
     marginal: bool
     # Set when the two per-player certificates disagree beyond tolerance.
     internal_inconsistency: bool
+    # (r1, r2): the fixed-point test's residual norms, relative to ||A_i||_F.
+    residuals: tuple[float, float]
 
 
 def perturbation_spectrum(blocks: CompositeBlocks, i: int, L_i):
@@ -114,4 +116,5 @@ def _certify(blocks, game, s1, s2, spectra):
         stable=stable_1 and not marginal,
         marginal=marginal,
         internal_inconsistency=inconsistent,
+        residuals=(r1, r2),
     )

@@ -2,7 +2,11 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -402,6 +406,16 @@ READERS["game"] = lambda f, game, d: (["solve", "--game", f, "--out", str(d / "s
                                       d / "s.json")
 
 
+def first_number_as(entry, kind):
+    """The nested list ``entry`` with its first number made a ``kind``."""
+    entry = copy.deepcopy(entry)
+    row = entry
+    while isinstance(row[0], list):
+        row = row[0]
+    row[0] = kind(row[0])
+    return entry
+
+
 @pytest.mark.parametrize("reader, key, name", [
     ("game", "A", "A1"),  # player1's A
     ("iterate-init", "L1", "L1"),
@@ -409,19 +423,60 @@ READERS["game"] = lambda f, game, d: (["solve", "--game", f, "--out", str(d / "s
     ("check-solution", "L1", "L1"),
     ("build-lq-spec", "Q1", "Q1"),
 ])
-@pytest.mark.parametrize("value", [{}, "x"], ids=["object", "string"])
+@pytest.mark.parametrize("replace", [
+    lambda entry: {},
+    lambda entry: "x",
+    lambda entry: first_number_as(entry, str),
+    lambda entry: first_number_as(entry, bool),
+], ids=["object", "string", "numeric-string", "boolean"])
 def test_entry_that_is_not_numbers_is_an_error(tmp_path, bench_path, capsys,
-                                               reader, key, name, value):
+                                               reader, key, name, replace):
     # An object ended in a TypeError traceback, and "x" printed
     # "error: could not convert string to float: 'x'", naming no entry.
+    # A numeric string ("0.0") or a boolean among numbers was read as a number.
     data = copy.deepcopy(VALID_INPUTS[reader])
-    (data["player1"] if reader == "game" else data)[key] = value
+    entries = data["player1"] if reader == "game" else data
+    entries[key] = replace(entries[key])
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
     argv, out = READERS[reader](str(path), str(bench_path), tmp_path)
     assert run(argv) == cli.EXIT_ERROR
     assert capsys.readouterr().err == f"DimensionMismatch: {name} must be an array of numbers\n"
     assert out is None or not out.exists()
+
+
+@pytest.mark.parametrize("nan, code, error", [
+    pytest.param(True, cli.EXIT_ERROR, ["DimensionMismatch: A2 contains non-finite entries"],
+                 id="warning-then-error"),
+    pytest.param(False, cli.EXIT_OK, [], id="warning-only"),
+])
+def test_warning_prints_one_line(tmp_path, nan, code, error):
+    # Python's warning display added the location in ccve's code and the
+    # source line "p1 = PlayerCost.create(...)"; pytest captures warnings in
+    # process, so this runs ccve in a subprocess.
+    data = game_to_dict(builders.example1_game())
+    data["player1"]["D"][0][1] = 0.5
+    if nan:
+        data["player2"]["A"][0][0] = float("nan")
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(data))
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "ccve.cli", "solve", "--game", str(game),
+                           "--out", str(tmp_path / "s.json")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == code
+    assert proc.stderr.splitlines() == [
+        "UserWarning: D1 is not symmetric (relative asymmetry above 1e-08); "
+        "using its symmetric part"] + error
+
+
+def test_main_restores_the_warning_format(tmp_path, warmup_path):
+    before = warnings.formatwarning
+    assert run(["solve", "--game", str(warmup_path), "--out", str(tmp_path / "s.json")]) \
+        == cli.EXIT_OK
+    assert warnings.formatwarning is before
 
 
 class TestEnumerate:

@@ -73,10 +73,11 @@ def json_paths(value, prefix=()):
 
 
 def replacements(node):
-    """What a mutation may put in a node's place: null, a string, a boolean,
-    an object, NaN and infinities, the node nested one level deeper or one
-    level shallower, and a float for an int."""
-    values = [None, "x", True, {}, float("nan"), float("inf"), float("-inf"), [node]]
+    """What a mutation may put in a node's place: null, a string, a numeric
+    string, a boolean, an object, NaN and infinities, the node nested one level
+    deeper or one level shallower, and a float for an int."""
+    values = [None, "x", "1", True, {}, float("nan"), float("inf"), float("-inf"),
+              [node]]
     if isinstance(node, list) and node:
         values.append(node[0])
     if isinstance(node, int) and not isinstance(node, bool):

@@ -188,7 +188,8 @@ class TestNearSingularRaises:
         basis[:3] = planted(rng, 3)  # Y1, the top d1 rows
         sub = dataclasses.replace(sub, basis=basis)
         with pytest.raises(SubspaceNotGraph):
-            equilibrium._solution_from_subspace(g, blocks, sub, "planted")
+            equilibrium._solution_from_subspace(g, blocks, sub,
+                                                spectral.LargestMagnitude, (True, True))
 
 
 def diag_rcond(t):

@@ -137,9 +137,10 @@ def test_operation_kernel_counts(monkeypatch, count_calls, game, solution, name)
 
 
 def test_enumeration_kernel_counts(monkeypatch, count_calls, bench_game):
-    # One Schur form; then per candidate subset (10) one reorder, and per
-    # solved candidate (6) the rest of a solve without _factor_m.
-    cached = lu(54, solves=37) + Counter(dgees=1, dtrsen=10, dpotrf=14, dsyevr=12)
+    # One Schur form and the m1_posdef and m2_posdef Cholesky attempts; then
+    # per candidate subset (10) one reorder, and per solved candidate (6) the
+    # rest of a solve without _factor_m and those two attempts.
+    cached = lu(54, solves=37) + Counter(dgees=1, dtrsen=10, dpotrf=4, dsyevr=12)
     assert_first_and_cached(monkeypatch, count_calls,
                             partial(enumerate_fixed_points, bench_game), cached, "dgees")
 

@@ -185,6 +185,12 @@ class TestPredict:
         with pytest.raises(DimensionMismatch):
             predict(conj, [1.0, 2.0])
 
+    def test_non_finite_action_is_refused(self):
+        # predict(conj, [nan]) returned [nan, nan].
+        conj = Conjecture(holder=1, L=np.array([[2.0], [1.0]]), ell=np.array([0.5, -0.5]))
+        with pytest.raises(DimensionMismatch, match="x1 contains non-finite entries"):
+            predict(conj, [np.nan])
+
 
 class TestIterationConfig:
     def test_rejects_bad_mode(self):
