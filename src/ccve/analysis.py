@@ -31,7 +31,7 @@ class SecondOrderReport:
 
 
 def _effective_hessian(s):
-    """sym(P + L^T Q) from the slope s = _slope_terms(p, L)."""
+    """sym(P + L^T Q) from the slope s = _slope_terms(rows, L)."""
     S = s.P + s.L.T @ s.Q
     return 0.5 * (S + S.T)
 

@@ -13,6 +13,10 @@ from .errors import ComplexFixedPoints, DegenerateScalar, DimensionMismatch
 from .stability import MARGINAL_BAND
 
 _PSD_TOL = 1e-10
+# The most entries an unrolled input map may hold: n (T + 1) rows by m_i T
+# columns (_unroll_input_map), 80 MB of float64. LqSpec.create refuses a
+# horizon T beyond it, before anything is unrolled.
+LQ_UNROLL_MAX_ENTRIES = 10**7
 
 # The shape of each array entry of an LqSpec, in its state dimension n (F's
 # order) and its control dimensions m1, m2 (the column counts of G1, G2).
@@ -69,6 +73,11 @@ class LqSpec:
         spec = cls(T=int(T), **arrays)
         if spec.T < 1:
             raise DimensionMismatch("horizon T must be >= 1")
+        unrolled = spec.n * (spec.T + 1) * max(spec.m1, spec.m2) * spec.T
+        if unrolled > LQ_UNROLL_MAX_ENTRIES:
+            raise DimensionMismatch(
+                f"horizon T = {spec.T} unrolls to an input map of {unrolled} entries, "
+                f"above LQ_UNROLL_MAX_ENTRIES = {LQ_UNROLL_MAX_ENTRIES}")
         for name in ("R1", "R2"):
             m = getattr(spec, name)
             if _min_eig(0.5 * (m + m.T)) <= 0:

@@ -261,32 +261,26 @@ def _lu_checked(a, error, *args, rcond_min=RCOND_MIN):
 
 
 def _solve_checked(a, b, error, *args, rcond_min=RCOND_MIN, trans=0):
-    """Solve ``a x = b`` (``a^T x = b`` if ``trans=1``) with one _lu_checked LU.
-
-    ``b`` may be a tuple of right-hand sides: the same LU then solves each
-    with its own dgetrs, and the solutions come back as a tuple.
-    """
+    """Solve ``a x = b`` (``a^T x = b`` if ``trans=1``) with one _lu_checked LU."""
     lu, piv = _lu_checked(a, error, *args, rcond_min=rcond_min)
-    if isinstance(b, tuple):
-        return tuple(lapack.dgetrs(lu, piv, rhs, trans=trans)[0] for rhs in b)
     return lapack.dgetrs(lu, piv, b, trans=trans)[0]
 
 
 def _solve_sym_checked(a, b, error, *args):
     """Solve the symmetric system ``a x = b`` with one factorization: (x, posdef).
 
-    Tries a Cholesky factorization (dpotrf) first. When it succeeds, ``a`` is
-    positive definite (posdef True), dpocon's 1-norm rcond estimate is held to
-    RCOND_MIN and dpotrs solves. Otherwise posdef is False and the solve is
+    Tries a Cholesky solve (dposv) first. When it factors ``a``, ``a`` is
+    positive definite (posdef True) and dpocon's 1-norm rcond estimate of the
+    factor is held to RCOND_MIN. Otherwise posdef is False and the solve is
     _solve_checked's LU. Either way raises ``error(*args)`` below RCOND_MIN
     or at a NaN estimate.
     """
-    c, info = lapack.dpotrf(a)
+    c, x, info = lapack.dposv(a, b)
     if info != 0:
         return _solve_checked(a, b, error, *args), False
     if not lapack.dpocon(c, lapack.dlange("1", a))[0] >= RCOND_MIN:
         raise error(*args)
-    return lapack.dpotrs(c, b)[0], True
+    return x, True
 
 
 def _posdef(m):
@@ -373,26 +367,45 @@ def assemble_blocks(game: QuadraticGame) -> CompositeBlocks:
     return CompositeBlocks(dims=game.dims, M1=m1, M2=m2, boldM1=bold1)
 
 
+def _cost_rows(p: PlayerCost):
+    """Player p's own-first cost matrix with its linear row appended,
+    [[A, B^T], [B, D], [a^T, b^T]], as its two column blocks (own, opp): the
+    operand of _slope_terms. Built once an operation (a run, a solve or a
+    public call), never kept on the game."""
+    return (np.concatenate((p.A, p.B, p.a[None])),
+            np.concatenate((p.B.T, p.D, p.b[None])))
+
+
 class _Slope(NamedTuple):
-    """Player p's conjecture slope L with the three products every per-slope
+    """A player's conjecture slope L with the three products every per-slope
     quantity reads: P = A + B^T L, Q = B + D L and c = a + L^T b.
 
     The cross map is -P^{-T} Q^T and the opponent offset -P^{-T} c, the
     effective Hessian sym(P + L^T Q), the best-response right-hand side
-    c + Q^T ell and the coupled residual L_opp^T P + Q.
+    c + Q^T ell and the coupled residual L_opp^T P + Q. ``Qc`` is the rows
+    [Q; c^T], of which Q and c are views.
     """
 
     L: np.ndarray
     P: np.ndarray
     Q: np.ndarray
     c: np.ndarray
+    Qc: np.ndarray
 
 
-def _slope_terms(p: PlayerCost, L) -> _Slope:
-    """The _Slope of player p at slope L: the one place its products are formed."""
+def _slope_terms(rows, L) -> _Slope:
+    """The _Slope at slope L of the player whose _cost_rows are ``rows``: the
+    one place its products are formed, as the rows of [P; Q; c^T] = own + opp L."""
+    own, opp = rows
+    # In place: own + opp @ L allocates a second (d + 1) x n array per
+    # slope, which raised a 100x120 cross run's peak RSS by about 2 MB.
+    terms = opp @ L
+    terms += own
+    n = L.shape[1]
+    Qc = terms[n:]
     # tuple.__new__ skips the NamedTuple's Python-level __new__, which made
     # a small game's iteration about 3% slower.
-    return tuple.__new__(_Slope, (L, p.A + p.B.T @ L, p.B + p.D @ L, p.a + L.T @ p.b))
+    return tuple.__new__(_Slope, (L, terms[:n], Qc[:-1], Qc[-1], Qc))
 
 
 def _checked_L(dims: Dims, i, L):
@@ -403,7 +416,7 @@ def _checked_L(dims: Dims, i, L):
 
 def _checked_slope(game: QuadraticGame, i, L) -> _Slope:
     """_slope_terms of player i's slope L, checked by _checked_L."""
-    return _slope_terms(game.player(i), _checked_L(game.dims, i, L))
+    return _slope_terms(_cost_rows(game.player(i)), _checked_L(game.dims, i, L))
 
 
 def _residuals(s1: _Slope, s2: _Slope):

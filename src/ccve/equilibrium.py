@@ -18,6 +18,7 @@ from . import analysis, core, lft, spectral, stability
 from .core import (
     CompositeBlocks,
     QuadraticGame,
+    _cost_rows,
     _posdef,
     _slope_terms,
     _solve_checked,
@@ -107,10 +108,10 @@ def _solution_from_subspace(
         rcond_min=Y1_RCOND_MIN, trans=1,
     ).T
     # Each slope (L_i, P_i, Q_i, c_i) is formed once; L2 and ell2 share one
-    # LU of P1^T, and the certificate and second-order test read the slopes.
-    s1 = _slope_terms(game.p1, L1)
+    # solve with P1^T, and the certificate and second-order test read the slopes.
+    s1 = _slope_terms(_cost_rows(game.p1), L1)
     L2, ell2 = lft._cross_offset(1, s1)
-    s2 = _slope_terms(game.p2, L2)
+    s2 = _slope_terms(_cost_rows(game.p2), L2)
     ell1 = lft._offset(2, s2)
     x1, x2 = _solve_actions(L1, ell1, L2, ell2)
     # The certificate reads the split of spec(boldM1) the solve reordered.

@@ -32,25 +32,22 @@ from .errors import DimensionMismatch, SingularBestResponse, SingularComposite
 DIVERGENCE_NORM = 1e12
 
 
-def _cross(s, i):
-    """-P^{-T} Q^T: the opponent slope from player i's slope s."""
-    return -_solve_checked(s.P.T, s.Q.T, SingularBestResponse, i)
-
-
 def _offset(i, s):
     """-P^{-T} c: the opponent offset at player i's slope s."""
     return -_solve_checked(s.P.T, s.c, SingularBestResponse, i)
 
 
 def _cross_offset(i, s):
-    """(_cross(s, i), _offset(i, s)) from one LU of P^T, bit for bit."""
-    L_opp, ell_opp = _solve_checked(s.P.T, (s.Q.T, s.c), SingularBestResponse, i)
-    return -L_opp, -ell_opp
+    """(-P^{-T} Q^T, -P^{-T} c): the opponent slope and offset at player i's
+    slope s, from one LU of P^T and one dgetrs of the F-contiguous [Q^T | c]."""
+    X = _solve_checked(s.P.T, s.Qc.T, SingularBestResponse, i)
+    np.negative(X, out=X)
+    return X[:, :-1], X[:, -1]
 
 
 def lft_cross(game: QuadraticGame, i: int, L_i):
     """Opponent slope consistent with player i's data given i's slope L_i."""
-    return _cross(core._checked_slope(game, i, L_i), i)
+    return _cross_offset(i, core._checked_slope(game, i, L_i))[0]
 
 
 def offset_cross(game: QuadraticGame, i: int, L_i):
@@ -130,6 +127,10 @@ class IterationConfig:
             raise ValueError("max_iters must be >= 1")
         if not 0 < self.tol < math.inf:  # False for NaN too
             raise ValueError("tol must be positive and finite")
+        # The residuals, relative to ||A_i||_F, are held to tol: a tol of 1
+        # or more would accept a residual as large as A_i itself.
+        if not self.tol < 1:
+            raise ValueError("tol must be below 1")
 
 
 @dataclass(frozen=True)
@@ -200,23 +201,24 @@ def _max_norm(*arrays):
     return math.sqrt(max(map(core._sq_norm, arrays)))
 
 
-def _step(game, blocks, s1, s2, cross):
+def _step(rows, blocks, s1, s2, cross):
     """One map step from the slopes s1, s2: the new slopes, the offsets they
     give and, in cross mode, the next step's slope matrices.
 
-    Cross mode takes the new slopes from ``cross``, the pair the previous
-    step returned, or at step 1 (``cross`` None) maps s1 and s2; composite
-    mode (``blocks`` given) applies composite_step unchecked.
+    ``rows`` holds each player's core._cost_rows. Cross mode takes the new
+    slopes from ``cross``, the pair the previous step returned, or at step 1
+    (``cross`` None) maps s1 and s2; composite mode (``blocks`` given)
+    applies composite_step unchecked.
     """
     if blocks is None:
-        L1n, L2n = cross or (_cross(s2, 2), _cross(s1, 1))
+        L1n, L2n = cross or (_cross_offset(2, s2)[0], _cross_offset(1, s1)[0])
     else:
         L1n, L2n = _composite(blocks, 1, s1.L), _composite(blocks, 2, s2.L)
-    s1n = core._slope_terms(game.p1, L1n)
-    s2n = core._slope_terms(game.p2, L2n)
+    s1n = core._slope_terms(rows[0], L1n)
+    s2n = core._slope_terms(rows[1], L2n)
     # Offsets follow the refreshed slopes so each (L, ell) pair stays
-    # best-response consistent within the step. In cross mode the one LU of
-    # each P_i^T that gives the offset also gives the next step's slope.
+    # best-response consistent within the step. In cross mode the one solve
+    # with each P_i^T that gives the offset also gives the next step's slope.
     if blocks is None:
         L1x, ell1n = _cross_offset(2, s2n)
         L2x, ell2n = _cross_offset(1, s1n)
@@ -269,22 +271,27 @@ def iterate(game: QuadraticGame, cfg: IterationConfig) -> IterationTrace:
         L1, ell1 = conj1.L.copy(), conj1.ell.copy()
         L2, ell2 = conj2.L.copy(), conj2.ell.copy()
 
-    # Each step forms the _Slope of each new L_i once; the offsets, the
-    # record and the next step's cross map read it.
-    s1 = core._slope_terms(game.p1, L1)
-    s2 = core._slope_terms(game.p2, L2)
+    # Each step forms the _Slope of each new L_i once, from the players'
+    # cost rows; the offsets, the record and the next step's cross map read it.
+    rows = core._cost_rows(game.p1), core._cost_rows(game.p2)
+    s1 = core._slope_terms(rows[0], L1)
+    s2 = core._slope_terms(rows[1], L2)
     a_norms = _a_norms(game)
     rec, posdef = _record(0, s1, ell1, s2, ell2, a_norms, cost_operands)
     steps = [rec]
     # (step, player) of the first effective Hessian that is not positive definite.
     uncertified = None if all(posdef) else (0, posdef.index(False) + 1)
     status, change, cross = "max_iters", None, None
+    # ``bound`` is at least the largest of the four conjecture norms: a step
+    # moves each by at most its change. The norms themselves are computed
+    # only when the bound passes DIVERGENCE_NORM / 2, and at step 1.
+    bound = math.inf
     # The norms square each entry: one that overflows only means the norm is
     # far above DIVERGENCE_NORM or tol, so the run does not warn of it.
     with np.errstate(over="ignore"):
         for k in range(1, cfg.max_iters + 1):
             try:
-                s1n, ell1n, s2n, ell2n, cross = _step(game, blocks, s1, s2, cross)
+                s1n, ell1n, s2n, ell2n, cross = _step(rows, blocks, s1, s2, cross)
                 rec, posdef = _record(k, s1n, ell1n, s2n, ell2n, a_norms, cost_operands)
             except (SingularBestResponse, SingularComposite):
                 status = "singular"
@@ -294,9 +301,12 @@ def iterate(game: QuadraticGame, cfg: IterationConfig) -> IterationTrace:
             change = _max_norm(s1n.L - s1.L, s2n.L - s2.L, ell1n - ell1, ell2n - ell2)
             s1, ell1, s2, ell2 = s1n, ell1n, s2n, ell2n
             steps.append(rec)
-            if _max_norm(s1.L, s2.L, ell1, ell2) > DIVERGENCE_NORM:
-                status = "diverged"
-                break
+            bound += change
+            if not bound <= DIVERGENCE_NORM / 2:  # NaN too
+                bound = _max_norm(s1.L, s2.L, ell1, ell2)
+                if bound > DIVERGENCE_NORM:
+                    status = "diverged"
+                    break
             # Converged when the iterate stops moving or is already a fixed pair
             # (the step-change metric lags fixed-point proximity by one step).
             if change < cfg.tol or max(rec.res1, rec.res2) < cfg.tol:

@@ -70,7 +70,7 @@ def certify(blocks: CompositeBlocks, game: QuadraticGame, L1, L2,
 
 
 def _certify(blocks, game, s1, s2, spectra):
-    """certify from the two players' slopes s_i = _slope_terms(p_i, L_i).
+    """certify from the two players' slopes s_i, each a core._Slope at L_i.
 
     Checks the residuals, then H1 = bA1 + bB1 L1 against its alternate form
     (D2^T + B2 L1)^{-1}(A1 + B1^T L1), then guards K = bC1 L2 + bD1,

@@ -59,6 +59,20 @@ class TestLqSpec:
                 z0=[0.0], T=0,
             )
 
+    def test_refuses_a_horizon_beyond_the_unroll_cap(self, monkeypatch):
+        # n = m1 = m2 = 1: the input map is (T + 1) x T. T = 3161 fits in
+        # LQ_UNROLL_MAX_ENTRIES = 10**7 entries, T = 3162 does not; nothing
+        # is unrolled either way.
+        monkeypatch.setattr(builders, "_unroll_input_map", None)
+        spec = dict(F=[[1.0]], G1=[[1.0]], G2=[[1.0]],
+                    Q1=[[0.0]], Q2=[[0.0]], Q1f=[[1.0]], Q2f=[[1.0]],
+                    R1=[[1.0]], R2=[[1.0]], R12=[[0.0]], R21=[[0.0]], z0=[0.0])
+        assert 3161 * 3162 <= builders.LQ_UNROLL_MAX_ENTRIES < 3162 * 3163
+        assert LqSpec.create(T=3161, **spec).T == 3161
+        for T in (3162, 10**9):
+            with pytest.raises(DimensionMismatch, match=f"horizon T = {T} unrolls"):
+                LqSpec.create(T=T, **spec)
+
 
 class TestBuildLqGame:
     # (n, m1, m2, T) of the small-games LQ unrolls.

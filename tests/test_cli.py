@@ -136,6 +136,19 @@ class TestBuild:
         assert capsys.readouterr().err == f"DimensionMismatch: {err}\n"
         assert not out.exists()
 
+    def test_lq_horizon_beyond_the_unroll_cap_exits_error(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # The spec is refused before build_lq_game unrolls (or allocates) anything.
+        monkeypatch.setattr(builders, "build_lq_game", None)
+        spec_path, out = tmp_path / "lq.json", tmp_path / "lq_game.json"
+        spec_path.write_text(json.dumps({**LQ_SPEC, "T": 1000000000}))
+        assert run(["build", "lq", "--spec", str(spec_path),
+                    "--out", str(out)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("DimensionMismatch: horizon T = 1000000000 unrolls")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
+
     def test_random_manifest_records_recipe_and_bounds(self, tmp_path):
         out = tmp_path / "u.json"
         assert run(["build", "random", "--recipe", "uniform", "--d1", "2",
@@ -311,6 +324,14 @@ class TestIterate:
         assert run(["iterate", "--game", str(bench_path), "--tol", "inf",
                     "--max-iters", "5", "--trace", str(trace)]) == cli.EXIT_ERROR
         assert capsys.readouterr().err == "error: tol must be positive and finite\n"
+        assert not trace.exists()
+
+    def test_tol_of_one_or_more_is_an_error(self, tmp_path, bench_path, capsys):
+        # A tol of 1e300 would report "converged" at step 1.
+        trace = tmp_path / "trace.csv"
+        assert run(["iterate", "--game", str(bench_path), "--tol", "1e300",
+                    "--max-iters", "5", "--trace", str(trace)]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == "error: tol must be below 1\n"
         assert not trace.exists()
 
 

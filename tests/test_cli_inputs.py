@@ -5,9 +5,9 @@ process. The inputs are the files of the five JSON readers (the game,
 ``iterate --init``, ``iterate --compare``, ``check --solution`` and
 ``build lq --spec``) and command lines with numeric flags. Whatever the
 mutation, main returns one of the exit codes 0-3 without raising, and on
-exit 1 prints exactly one line on stderr. The horizon T and the flags
---max-iters and --cap are never set to large values: an unroll or a run of
-that size is bounded by memory and time, not by input checks.
+exit 1 prints exactly one line on stderr. The flags --max-iters and --cap
+are never set to large values: a run of that size is bounded by time, not
+by input checks.
 """
 
 import copy

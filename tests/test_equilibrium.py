@@ -177,10 +177,11 @@ class TestOnePassPerSolve:
     @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("game", ONE_PASS_GAMES)
     def test_each_slope_forms_its_terms_once(self, count_calls, game, route):
-        # Two slope terms (L1 and L2), and no np.block.
-        calls = count_calls("_slope_terms", "np.block")
+        # Two slope terms (L1 and L2) from the two players' cost rows, and
+        # no np.block.
+        calls = count_calls("_slope_terms", "_cost_rows", "np.block")
         route(game)
-        assert (calls["_slope_terms"], calls["np.block"]) == (2, 0)
+        assert (calls["_slope_terms"], calls["_cost_rows"], calls["np.block"]) == (2, 2, 0)
 
     def test_enumeration_forms_each_candidates_terms_once(self, count_calls,
                                                           bench_game):

@@ -3,10 +3,10 @@
 Each guard factors its matrix once (LAPACK dgetrf), compares dgecon's 1-norm
 reciprocal-condition estimate with its threshold, and solves with the same
 LU.  The symmetric systems of best_response and social_optimum factor once
-too: a Cholesky (dpotrf) flags definiteness and, when it succeeds, solves
-(dpotrs) once dpocon's estimate passes RCOND_MIN; only when it fails do they
-take the LU.  Near-singular inputs must still raise the site's typed error,
-and well-conditioned inputs must give the same answers as
+too: a Cholesky solve (dposv) flags definiteness and, when it factors, its
+solution stands once dpocon's estimate passes RCOND_MIN; only when it fails
+do they take the LU.  Near-singular inputs must still raise the site's
+typed error, and well-conditioned inputs must give the same answers as
 ``np.linalg.solve``.
 """
 
@@ -45,9 +45,10 @@ from ccve.errors import (
     SingularSocialSystem,
     SubspaceNotGraph,
 )
-from ccve.lft import best_response, composite_step, lft_cross, offset_cross
+from ccve.lft import (IterationConfig, best_response, composite_step, iterate,
+                      lft_cross, offset_cross)
 
-from conftest import random_dense_game
+from conftest import random_dense_game, uniform_pool
 
 # Smallest singular value planted in the near-singular matrices, relative to
 # the largest: far below every threshold, yet not an exact zero, so dgetrf
@@ -271,6 +272,27 @@ def test_sym_solve_rcond_min_boundary(sign, posdef):
     x, flag = _solve_sym_checked(np.diag([sign, t]), b, SingularBestResponse, 1)
     assert flag is posdef
     assert np.array_equal(x, [sign, 1.0 / t])
+
+
+def test_sym_solve_is_cholesky_factor_then_solve_bit_for_bit():
+    """dposv gives what dpotrf and then dpotrs give, bit for bit, on the
+    effective Hessians of the pool's iterations and their best-response
+    right-hand sides; an indefinite S_i takes _solve_checked's LU."""
+    posdef = 0
+    for g in uniform_pool(60):
+        trace = iterate(g, IterationConfig(max_iters=5))
+        for st in trace.steps:
+            for i, L, ell in ((1, st.L1, st.ell1), (2, st.L2, st.ell2)):
+                s = core._checked_slope(g, i, L)
+                S, b = analysis._effective_hessian(s), s.c + s.Q.T @ ell
+                x, flag = _solve_sym_checked(S, b, SingularBestResponse, i)
+                c, info = lapack.dpotrf(S)
+                assert flag is (info == 0)
+                oracle = (lapack.dpotrs(c, b)[0] if info == 0
+                          else _solve_checked(S, b, SingularBestResponse, i))
+                assert np.array_equal(x, oracle)
+                posdef += flag
+    assert posdef > 100
 
 
 def with_nan(m):

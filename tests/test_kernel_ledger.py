@@ -29,18 +29,19 @@ def lu(n, solves=0):
     return Counter(dgetrf=n, dgecon=n, dlange=n, dgetrs=solves)
 
 
-# One Cholesky solve of a positive definite symmetric system: dpotrf, dpocon's
-# rcond with its dlange, and dpotrs.
-CHOLESKY = Counter(dpotrf=1, dpocon=1, dlange=1, dpotrs=1)
+# One Cholesky solve of a positive definite symmetric system: dposv, and
+# dpocon's rcond with its dlange.
+CHOLESKY = Counter(dposv=1, dpocon=1, dlange=1)
 # _factor_m: the A_1 > 0 and A_2 > 0 Cholesky attempts, then the LUs of M1, M2.
 FACTOR_M = lu(2) + Counter(dpotrf=2)
 # A certified solve. Ten LUs: M1, M2, Y1, one P1^T for both L2 and ell2,
 # P2^T for ell1, I - L2 L1, the alternate form of H1, the H1 guard, and the
-# guards of K = bC1 L2 + bD1 and J = bA1 - L2 bC1. Seven solves: boldM1,
-# L1 = X1 Y1^{-1}, L2 and ell2, ell1, the actions and H1's alternate form.
+# guards of K = bC1 L2 + bD1 and J = bA1 - L2 bC1. Six solves: boldM1,
+# L1 = X1 Y1^{-1}, one for both L2 and ell2, ell1, the actions and H1's
+# alternate form.
 # Four Cholesky attempts: A_1 > 0, A_2 > 0 and the m1_posdef and m2_posdef
 # flags; so the smallest eigenvalue is computed for S1 and S2 only.
-SOLVE = lu(10, solves=7) + Counter(dpotrf=4, dsyevr=2)
+SOLVE = lu(10, solves=6) + Counter(dpotrf=4, dsyevr=2)
 
 
 def conjecture(game, sol, i):
@@ -87,13 +88,14 @@ def iteration_row(mode, n):
 
     Every effective Hessian S_i of these runs is positive definite, so each
     best response is one Cholesky solve; an indefinite S_i trades its dpocon
-    and dpotrs for the LU fallback's dgetrf, dgecon and dgetrs.
+    for the LU fallback's dgetrf, dgecon and dgetrs.
     Cross: the Nash system, M1 and M2, step 1's two slope maps, and one
-    P_i^T LU a player and step for its offset and the next slope. Composite:
+    P_i^T LU and one solve a player and step for its offset and the next
+    slope. Composite:
     _factor_m and M2^{-T} M1, the Nash system, and two composite updates and
     two offsets a step. Both record two best responses a step and at the start.
     """
-    maps = (lu(2 * n + 5, solves=4 * n + 3) if mode == "cross"
+    maps = (lu(2 * n + 5, solves=2 * n + 3) if mode == "cross"
             else lu(4 * n + 3, solves=4 * n + 2))
     responses = Counter({name: 2 * n + 2 for name in CHOLESKY})
     return maps + responses + Counter(dpotrf=2)
@@ -140,7 +142,7 @@ def test_enumeration_kernel_counts(monkeypatch, count_calls, bench_game):
     # One Schur form and the m1_posdef and m2_posdef Cholesky attempts; then
     # per candidate subset (10) one reorder, and per solved candidate (6) the
     # rest of a solve without _factor_m and those two attempts.
-    cached = lu(54, solves=37) + Counter(dgees=1, dtrsen=10, dpotrf=4, dsyevr=12)
+    cached = lu(54, solves=31) + Counter(dgees=1, dtrsen=10, dpotrf=4, dsyevr=12)
     assert_first_and_cached(monkeypatch, count_calls,
                             partial(enumerate_fixed_points, bench_game), cached, "dgees")
 

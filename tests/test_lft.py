@@ -15,6 +15,7 @@ from ccve.core import (Conjecture, assemble_blocks, eval_cost,
                        riccati_residual_norms)
 from ccve.errors import DimensionMismatch, SingularBestResponse
 from ccve.lft import (
+    DIVERGENCE_NORM,
     IterationConfig,
     best_response,
     composite_step,
@@ -213,6 +214,13 @@ class TestIterationConfig:
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             IterationConfig(tol=float("inf"))
 
+    @pytest.mark.parametrize("tol", [1.0, 1e300])
+    def test_rejects_tol_of_one_or_more(self, tol):
+        # The step change of a run from the Nash init is below 1e300 at step
+        # 1, so such a tol would report "converged" at once.
+        with pytest.raises(ValueError, match="below 1"):
+            IterationConfig(tol=tol)
+
 
 class TestIterate:
     @pytest.mark.parametrize("mode", ["cross", "composite"])
@@ -258,6 +266,36 @@ class TestIterate:
         trace = iterate(g, IterationConfig(mode=mode, max_iters=100, tol=1e-10))
         assert trace.status == "diverged"
         assert np.linalg.norm(trace.final.L1) > 1e12
+
+    @pytest.mark.parametrize("mode, status, status_iter", [
+        ("cross", "converged", 9), ("composite", "converged", 5)])
+    def test_norms_between_half_and_divergence_norm(self, mode, status, status_iter):
+        # Linear terms of 8e11 put the offsets near 8.6e11 at every step:
+        # past DIVERGENCE_NORM / 2, where the run computes the four norms, and
+        # below DIVERGENCE_NORM, so the run converges as if they were small.
+        g = scalar_game(q1=1.0, r1=0.25, s1=0.0, w1=8e11, w2=8e11)
+        trace = iterate(g, IterationConfig(mode=mode, max_iters=100, tol=1e-10))
+        assert (trace.status, trace.status_iter, len(trace.steps)) == \
+            (status, status_iter, status_iter + 1)
+        norms = [max(map(np.linalg.norm, (st.L1, st.L2, st.ell1, st.ell2)))
+                 for st in trace.steps]
+        assert all(DIVERGENCE_NORM / 2 < n < DIVERGENCE_NORM for n in norms)
+
+    @pytest.mark.parametrize("mode, status_iter", [("cross", 80), ("composite", 40)])
+    @pytest.mark.filterwarnings("ignore:NotCertifiedMin")
+    def test_divergence_step_after_half_the_norm(self, mode, status_iter):
+        # test_divergence_detected's game: the norms pass DIVERGENCE_NORM / 2
+        # (5.5e11) before they pass DIVERGENCE_NORM (1.1e12), one step before
+        # in composite mode; in cross mode the slopes swap players, and the
+        # largest norm falls back to 1 in between.
+        g = scalar_game(q1=2.0, r1=1.0, s1=1.0, q2=1.0, r2=1.0, s2=3.0)
+        trace = iterate(g, IterationConfig(mode=mode, max_iters=100, tol=1e-10))
+        assert (trace.status, trace.status_iter, len(trace.steps)) == \
+            ("diverged", status_iter, status_iter + 1)
+        norms = [max(map(np.linalg.norm, (st.L1, st.L2, st.ell1, st.ell2)))
+                 for st in trace.steps]
+        assert any(DIVERGENCE_NORM / 2 < n < DIVERGENCE_NORM for n in norms[:-1])
+        assert max(norms[:-1]) < DIVERGENCE_NORM < norms[-1]
 
     @pytest.mark.filterwarnings("ignore:NotCertifiedMin")
     def test_elliptic_game_hits_max_iters(self):
@@ -359,15 +397,17 @@ class TestIterate:
     @pytest.mark.parametrize("game", ["2x3", "50x60"])
     @pytest.mark.parametrize("mode", ["cross", "composite"])
     def test_each_step_forms_slope_terms_once(self, count_calls, game, mode):
-        # n steps: two slopes' terms at the start and two per step, and the
-        # kernels of the ledger's n-step row for the mode.
+        # n steps: two slopes' terms at the start and two per step, from the
+        # two players' cost rows built once a run, and the kernels of the
+        # ledger's n-step row for the mode.
         g = (builders.example1_game() if game == "2x3"
              else builders.random_game(50, 60, recipe="paper7ex2", seed=0))
-        calls = count_calls("_slope_terms")
+        calls = count_calls("_slope_terms", "_cost_rows")
         trace = iterate(g, IterationConfig(mode=mode, tol=1e-10))
         assert trace.converged
         n = len(trace.steps) - 1
-        assert calls == iteration_row(mode, n) + Counter(_slope_terms=2 * n + 2)
+        assert calls == iteration_row(mode, n) + Counter(_slope_terms=2 * n + 2,
+                                                         _cost_rows=2)
         if (game, mode) == ("50x60", "cross"):
             assert (n, calls["dgetrf"]) == (29, 63)
 

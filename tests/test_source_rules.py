@@ -2,8 +2,8 @@
 
 Each rule is a regular expression that no line of its files may match:
 LAPACK stays in core and spectral, linear solves go through the guarded LU,
-block matrices through core._stack, slope products through
-core._slope_terms, the Schur form, the ordered QZ form and the smallest
+block matrices through core._stack, slope products (block by block, or
+from a player's cost rows) through core._slope_terms, the Schur form, the ordered QZ form and the smallest
 symmetric eigenvalue through the package's direct LAPACK calls, every
 rcond estimate is read and compared in core alone, only core imports
 scipy at module level, no module forms an explicit inverse, and no module
@@ -54,12 +54,23 @@ RULES = {
         "assemble through core._stack",
         "    m = np.block([[a, b], [c, d]])",
     ),
+    # _slope_terms forms A + B^T L, B + D L and a + L^T b as the rows of
+    # own + opp L, from the column blocks (own, opp) of a player's
+    # core._cost_rows: no module, core included, forms them block by block,
+    # and none but core unpacks the cost rows or takes that product.
     "slope-products-in-slope-terms": Rule(
         r"\.B\.T @|\.D @ |\.T @ [a-z0-9_]+\.b\b",
         (),
-        ("core.py",),
+        (),
         "form A + B^T L, B + D L and a + L^T b through core._slope_terms",
         "    P = p.A + p.B.T @ L",
+    ),
+    "cost-row-products-in-slope-terms": Rule(
+        r"own, opp =|\bown \+|\bopp( @|\.dot\()",
+        (),
+        ("core.py",),
+        "form [P; Q; c^T] = own + opp L through core._slope_terms",
+        "    own, opp = core._cost_rows(game.p1)",
     ),
     "spectral-kernels-through-lapack": Rule(
         r"sla\.schur|np\.linalg\.eigvalsh|sla\.ordqz|sla\.qz\b",
