@@ -17,7 +17,6 @@ from .core import (
 from .equilibrium import (
     CcveSolution,
     enumerate_fixed_points,
-    solve_actions,
     solve_ccve,
     solve_via_generalized,
 )

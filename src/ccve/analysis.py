@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (QuadraticGame, _as_vector, _checked_slope, _cost_operands,
-                   _costs, _min_eig, _posdef, _solve_checked, _solve_sym_checked,
-                   _stack, stacked_m1, stacked_m2)
+from .core import (QuadraticGame, _checked_slope, _cost_operands, _costs, _min_eig,
+                   _posdef, _solve_checked, _solve_sym_checked, _stack, stacked_m1,
+                   stacked_m2)
 from .errors import SingularNashSystem, SingularSocialSystem
 
 # Minimum-eigenvalue threshold for positive definiteness of the effective
@@ -34,11 +34,6 @@ def _effective_hessian(s):
     """sym(P + L^T Q) from the slope s = _slope_terms(rows, L)."""
     S = s.P + s.L.T @ s.Q
     return 0.5 * (S + S.T)
-
-
-def effective_hessian(game: QuadraticGame, i: int, L_i):
-    """sym(A_i + L^T B_i + B_i^T L + L^T D_i L) for player i at slope L."""
-    return _effective_hessian(_checked_slope(game, i, L_i))
 
 
 def second_order_check(game: QuadraticGame, L1, L2) -> SecondOrderReport:
@@ -67,14 +62,6 @@ def nash(game: QuadraticGame):
                        SingularNashSystem,
                        "stacked Nash stationarity system is singular")
     return z[:d1], z[d1:]
-
-
-def social_cost(game: QuadraticGame, x1, x2) -> float:
-    """Total cost f1 + f2 at the joint action."""
-    x1 = _as_vector(x1, game.dims.d1, "x1")
-    x2 = _as_vector(x2, game.dims.d2, "x2")
-    f1, f2 = _costs(_cost_operands(game, stacked_m1(game), stacked_m2(game)), x1, x2)
-    return f1 + f2
 
 
 def social_optimum(game: QuadraticGame):

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (QuadraticGame, _as_array, _as_matrix, _as_vector, _checked_keys,
-                   _min_eig, assemble_blocks)
+from .core import (QuadraticGame, _as_array, _as_matrix, _as_vector, _checked_dim,
+                   _checked_keys, _min_eig, assemble_blocks)
 from .errors import ComplexFixedPoints, DegenerateScalar, DimensionMismatch
 from .stability import MARGINAL_BAND
 
@@ -54,8 +54,9 @@ class LqSpec:
     @classmethod
     def create(cls, T, **entries):
         """The spec of horizon T and the array ``entries`` _LQ_SHAPES names, each
-        checked against its shape there by core._as_matrix or core._as_vector:
-        a null, non-finite or mis-shaped entry raises DimensionMismatch naming it."""
+        checked against its shape there by core._as_matrix or core._as_vector,
+        and T by core._checked_dim: a null, non-finite or mis-shaped entry, or a
+        T that is no integer, raises DimensionMismatch naming it."""
         _checked_keys(entries, _LQ_SHAPES.keys(), "LqSpec", "LqSpec")
         F = _as_array(entries["F"], "F")
         if F.ndim != 2 or F.shape[0] != F.shape[1]:
@@ -70,7 +71,7 @@ class LqSpec:
         for key, shape in _LQ_SHAPES.items():
             check = _as_matrix if len(shape) == 2 else _as_vector
             arrays[key] = check(entries[key], *(size[s] for s in shape), key)
-        spec = cls(T=int(T), **arrays)
+        spec = cls(T=_checked_dim(T, "T"), **arrays)
         if spec.T < 1:
             raise DimensionMismatch("horizon T must be >= 1")
         unrolled = spec.n * (spec.T + 1) * max(spec.m1, spec.m2) * spec.T

@@ -13,7 +13,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__, analysis, builders, equilibrium, lft, stability
 from .core import (
     Conjecture,
-    _checked_dim,
     _checked_L,
     _write_json,
     assemble_blocks,
@@ -180,8 +179,7 @@ _LQ_KEYS = {f.name for f in fields(builders.LqSpec)}
 
 
 def _lq_spec_from_json(path):
-    data = _json_object(path, _LQ_KEYS)
-    return builders.LqSpec.create(**{**data, "T": _checked_dim(data, "T")})
+    return builders.LqSpec.create(**_json_object(path, _LQ_KEYS))
 
 
 def cmd_build(args, argv):
@@ -194,10 +192,8 @@ def cmd_build(args, argv):
         game = builders.random_game(args.d1, args.d2, recipe=args.recipe,
                                     seed=args.seed, lo=args.lo, hi=args.hi)
     elif args.kind == "scalar":
-        spec = builders.ScalarSpec(
-            q1=args.q1, r1=args.r1, s1=args.s1, w1=args.w1, v1=args.v1,
-            q2=args.q2, r2=args.r2, s2=args.s2, w2=args.w2, v2=args.v2,
-        )
+        spec = builders.ScalarSpec(**{f.name: getattr(args, f.name)
+                                      for f in fields(builders.ScalarSpec)})
         game = builders.build_scalar_game(spec)
     else:  # lq
         game = builders.build_lq_game(_lq_spec_from_json(args.spec))
@@ -207,25 +203,27 @@ def cmd_build(args, argv):
     return EXIT_OK
 
 
+def _candidate_dict(indices, sol):
+    """The candidate ``indices`` with its solution, as ccve enumerate writes it."""
+    return {
+        "indices": list(indices),
+        "eigenvalues": equilibrium._complex_pairs(sol.H1_spectrum),
+        "L1": sol.L1.tolist(),
+        "L2": sol.L2.tolist(),
+        "residuals": list(sol.stability.residuals),
+        "xi_max": list(sol.xi_max),
+        "stable": bool(sol.stable),
+        "second_order_pass": bool(sol.second_order.pass_),
+    }
+
+
 def cmd_enumerate(args, argv):
     t0 = time.monotonic()
     game = load_game(args.game)
     result = equilibrium.enumerate_fixed_points(game, cap=args.cap)
-    candidates = sorted(result.candidates, key=lambda c: c.xi_max_1)
+    ranked = sorted(result.candidates, key=lambda c: c.solution.stability.xi_max_1)
     out = {
-        "candidates": [
-            {
-                "indices": list(c.indices),
-                "eigenvalues": equilibrium._complex_pairs(c.eigenvalues),
-                "L1": c.L1.tolist(),
-                "L2": c.L2.tolist(),
-                "residuals": list(c.residuals),
-                "xi_max": [c.xi_max_1, c.xi_max_2],
-                "stable": bool(c.stable),
-                "second_order_pass": bool(c.second_order_pass),
-            }
-            for c in candidates
-        ],
+        "candidates": [_candidate_dict(c.indices, c.solution) for c in ranked],
         "skipped": [
             {"indices": list(idx), "reason": reason}
             for idx, reason in result.skipped
@@ -287,14 +285,10 @@ def build_parser():
     br.add_argument("--out", required=True)
     br.set_defaults(func=cmd_build)
     bs = bsub.add_parser("scalar")
-    for name, default in (("q1", None), ("r1", None), ("s1", None),
-                          ("w1", 0.0), ("v1", 0.0)):
-        bs.add_argument(f"--{name}", type=float, required=default is None,
-                        default=default)
-    for name in ("q2", "r2", "s2"):
-        bs.add_argument(f"--{name}", type=float, default=None)
-    for name in ("w2", "v2"):
-        bs.add_argument(f"--{name}", type=float, default=0.0)
+    for f in fields(builders.ScalarSpec):
+        required = f.default is MISSING
+        bs.add_argument(f"--{f.name}", type=float, required=required,
+                        default=None if required else f.default)
     bs.add_argument("--out", required=True)
     bs.set_defaults(func=cmd_build)
     bl = bsub.add_parser("lq")

@@ -86,6 +86,11 @@ def _as_array(value, name):
     raise DimensionMismatch(f"{name} must be an array of numbers")
 
 
+def _is_count(value):
+    """True for a count: an int or a numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _as_matrix(value, rows, cols, name):
     m = _as_array(value, name)
     if m.shape != (rows, cols):
@@ -98,7 +103,7 @@ def _as_matrix(value, rows, cols, name):
 
 
 def _as_vector(value, n, name):
-    v = _as_array(value, name).reshape(-1)
+    v = _as_array(value, name)
     if v.shape != (n,):
         raise DimensionMismatch(f"{name} must have length {n}, got {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -126,6 +131,12 @@ class Dims:
     d2: int
 
     def __post_init__(self):
+        if not (_is_count(self.d1) and _is_count(self.d2)):
+            raise DimensionMismatch(
+                f"dimensions must be integers, got {self.d1!r}, {self.d2!r}")
+        # A numpy integer is stored as an int, which the game JSON can write.
+        object.__setattr__(self, "d1", int(self.d1))
+        object.__setattr__(self, "d2", int(self.d2))
         if self.d1 < 1 or self.d2 < 1:
             raise DimensionMismatch("dimensions must be >= 1")
 
@@ -487,13 +498,12 @@ def _checked_keys(data, keys, name, what):
     return data
 
 
-def _checked_dim(data, key):
-    """``data[key]`` once it is a JSON integer (an int that is not a bool);
-    otherwise raises DimensionMismatch naming the key."""
-    value = data[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DimensionMismatch(f"{key} must be a JSON integer, got {value!r}")
-    return value
+def _checked_dim(value, name):
+    """``value`` as an int once _is_count holds for it, as a JSON integer's
+    does; otherwise raises DimensionMismatch naming ``name``."""
+    if not _is_count(value):
+        raise DimensionMismatch(f"{name} must be a JSON integer, got {value!r}")
+    return int(value)
 
 
 def game_from_dict(data: dict) -> QuadraticGame:
@@ -501,8 +511,8 @@ def game_from_dict(data: dict) -> QuadraticGame:
     players = [_checked_keys(data[key], _PLAYER_KEYS, key, key)
                for key in ("player1", "player2")]
     return QuadraticGame.create(
-        _checked_dim(data, "d1"),
-        _checked_dim(data, "d2"),
+        _checked_dim(data["d1"], "d1"),
+        _checked_dim(data["d2"], "d2"),
         *([p[key] for key in _PLAYER_KEYS] for p in players),
     )
 

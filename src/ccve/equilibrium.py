@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import analysis, core, lft, spectral, stability
+from . import analysis, lft, spectral, stability
 from .core import (
     CompositeBlocks,
     QuadraticGame,
@@ -28,7 +28,6 @@ from .core import (
 from .errors import (
     CcveError,
     ConjugatePairSplit,
-    DimensionMismatch,
     EnumerationTooLarge,
     NoStableSelection,
     NotAFixedPoint,
@@ -67,19 +66,9 @@ class CcveSolution:
         return self.stability.xi_max_1, self.stability.xi_max_2
 
 
-def solve_actions(L1, ell1, L2, ell2):
-    """Equilibrium actions from the two affine conjectures; the shape of L1
-    (d2 x d1) fixes the others', and a misfit or non-finite raises DimensionMismatch."""
-    L1 = np.asarray(L1, float)
-    if L1.ndim != 2:
-        raise DimensionMismatch(f"L1 must be a matrix, got shape {L1.shape}")
-    d = core.Dims(L1.shape[1], L1.shape[0])
-    return _solve_actions(core._checked_L(d, 1, L1), core._as_vector(ell1, d.d2, "ell1"),
-                          core._checked_L(d, 2, L2), core._as_vector(ell2, d.d1, "ell2"))
-
-
 def _solve_actions(L1, ell1, L2, ell2):
-    """solve_actions at checked slopes and offsets, as a solve's are."""
+    """The equilibrium actions (x1, x2) of the two affine conjectures, at slopes
+    and offsets already checked, as a solve's are."""
     # I - L2 L1 in place; 0.0 - p gives each zero the sign np.eye(n) - p would.
     K = 0.0 - L2 @ L1
     K.flat[::K.shape[0] + 1] += 1.0
@@ -180,15 +169,11 @@ def solve_via_generalized(game: QuadraticGame, selection="auto") -> CcveSolution
 
 @dataclass(frozen=True)
 class FixedPointCandidate:
+    """A d1-subset of spec(boldM1), by its positions in the descending-magnitude
+    order, and the solution at the invariant subspace it spans."""
+
     indices: tuple[int, ...]
-    eigenvalues: np.ndarray
-    L1: np.ndarray
-    L2: np.ndarray
-    residuals: tuple[float, float]
-    xi_max_1: float
-    xi_max_2: float
-    stable: bool
-    second_order_pass: bool
+    solution: CcveSolution
 
 
 @dataclass(frozen=True)
@@ -239,17 +224,7 @@ def enumerate_fixed_points(game: QuadraticGame, cap=ENUMERATION_CAP) -> Enumerat
             except CcveError as exc:
                 skipped.append((idx, type(exc).__name__))
                 continue
-            candidates.append(FixedPointCandidate(
-                indices=idx,
-                eigenvalues=sol.H1_spectrum,
-                L1=sol.L1,
-                L2=sol.L2,
-                residuals=sol.stability.residuals,
-                xi_max_1=sol.stability.xi_max_1,
-                xi_max_2=sol.stability.xi_max_2,
-                stable=sol.stable,
-                second_order_pass=sol.second_order.pass_,
-            ))
+            candidates.append(FixedPointCandidate(idx, sol))
     candidates.sort(key=lambda c: c.indices)
     return EnumerationResult(tuple(candidates), tuple(skipped))
 

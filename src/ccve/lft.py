@@ -123,6 +123,8 @@ class IterationConfig:
     def __post_init__(self):
         if self.mode not in ("cross", "composite"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not core._is_count(self.max_iters):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not 0 < self.tol < math.inf:  # False for NaN too

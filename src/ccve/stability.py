@@ -56,21 +56,20 @@ def perturbation_spectrum(blocks: CompositeBlocks, i: int, L_i):
     return (lam[:, None] / mu[None, :]).reshape(-1)
 
 
-def certify(blocks: CompositeBlocks, game: QuadraticGame, L1, L2,
-            spectra=None) -> StabilityReport:
-    """Stability certificate for a fixed conjecture pair.
-
-    A solve passes ``spectra`` = (selected, complement), its split of
-    spec(boldM1) = spec(H1) + spec(H1'); both players' ratios are then
-    complement / selected, as player 2's composite is boldM1^{-1}.  Without
-    them (``ccve check``) perturbation_spectrum recomputes them independently.
-    """
+def certify(blocks: CompositeBlocks, game: QuadraticGame, L1, L2) -> StabilityReport:
+    """Stability certificate for a fixed conjecture pair, as ``ccve check``
+    needs it: perturbation_spectrum recomputes both players' ratios from L1
+    and L2, independently of any solve."""
     return _certify(blocks, game, _checked_slope(game, 1, L1),
-                    _checked_slope(game, 2, L2), spectra)
+                    _checked_slope(game, 2, L2), None)
 
 
 def _certify(blocks, game, s1, s2, spectra):
     """certify from the two players' slopes s_i, each a core._Slope at L_i.
+
+    ``spectra`` is a solve's split (selected, complement) of spec(boldM1):
+    both players' ratios are then complement / selected, as player 2's
+    composite is boldM1^{-1}. None recomputes them by perturbation_spectrum.
 
     Checks the residuals, then H1 = bA1 + bB1 L1 against its alternate form
     (D2^T + B2 L1)^{-1}(A1 + B1^T L1), then guards K = bC1 L2 + bD1,

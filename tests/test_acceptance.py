@@ -198,7 +198,7 @@ class TestAcceptance:
                 continue
             collected += 1
             mob_slopes = sorted(r.L for r in mob.records)
-            enum_slopes = sorted(c.L1[0, 0] for c in enum.candidates)
+            enum_slopes = sorted(c.solution.L1[0, 0] for c in enum.candidates)
             ok &= np.allclose(mob_slopes, enum_slopes, atol=1e-10)
             xis = sorted(r.xi_magnitude for r in mob.records)
             if xis[1] - xis[0] > 1e-6:

@@ -59,6 +59,15 @@ class TestLqSpec:
                 z0=[0.0], T=0,
             )
 
+    @pytest.mark.parametrize("T", [2.5, True, "3", None])
+    def test_requires_an_integer_horizon(self, T):
+        # 2.5 was read as 2, True as 1 and "3" as 3.
+        spec = random_lq_spec(np.random.default_rng(0))
+        entries = {key: getattr(spec, key) for key in builders._LQ_SHAPES}
+        with pytest.raises(DimensionMismatch, match=f"T must be a JSON integer, got {T!r}"):
+            LqSpec.create(T=T, **entries)
+        assert type(LqSpec.create(T=np.int64(3), **entries).T) is int
+
     def test_refuses_a_horizon_beyond_the_unroll_cap(self, monkeypatch):
         # n = m1 = m2 = 1: the input map is (T + 1) x T. T = 3161 fits in
         # LQ_UNROLL_MAX_ENTRIES = 10**7 entries, T = 3162 does not; nothing
@@ -291,7 +300,7 @@ class TestMobius:
     def test_agrees_with_enumeration_and_solver(self, warmup_game):
         res = mobius_fixed_points(warmup_game)
         enum = equilibrium.enumerate_fixed_points(warmup_game)
-        enum_slopes = sorted(c.L1[0, 0] for c in enum.candidates)
+        enum_slopes = sorted(c.solution.L1[0, 0] for c in enum.candidates)
         mob_slopes = sorted(r.L for r in res.records)
         assert np.allclose(enum_slopes, mob_slopes, atol=1e-12)
         sol = equilibrium.solve_ccve(warmup_game)

@@ -466,6 +466,28 @@ def test_entry_that_is_not_numbers_is_an_error(tmp_path, bench_path, capsys,
     assert out is None or not out.exists()
 
 
+@pytest.mark.parametrize("reader, owner, key, name", [
+    ("game", "player2", "a", "a2"),
+    ("build-lq-spec", None, "z0", "z0"),
+    ("iterate-init", None, "ell1", "ell1"),
+])
+def test_vector_as_a_column_is_an_error(tmp_path, bench_path, capsys,
+                                        reader, owner, key, name):
+    # A vector nested one level too deep, [[1.0], [1.0], [1.0]], was read
+    # flattened, as the vector it holds.
+    data = copy.deepcopy(VALID_INPUTS[reader])
+    entries = data[owner] if owner else data
+    n = len(entries[key])
+    entries[key] = [[v] for v in entries[key]]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    argv, out = READERS[reader](str(path), str(bench_path), tmp_path)
+    assert run(argv) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"DimensionMismatch: {name} must have length {n}, got ({n}, 1)\n")
+    assert out is None or not out.exists()
+
+
 @pytest.mark.parametrize("nan, code, error", [
     pytest.param(True, cli.EXIT_ERROR, ["DimensionMismatch: A2 contains non-finite entries"],
                  id="warning-then-error"),

@@ -367,6 +367,25 @@ class TestRiccatiResidual:
         )
 
 
+class TestDims:
+    @pytest.mark.parametrize("d1", [2.5, True, "2", None])
+    def test_rejects_a_dimension_that_is_no_integer(self, d1):
+        # 2.5 and True constructed.
+        with pytest.raises(DimensionMismatch, match="dimensions must be integers"):
+            core.Dims(d1, 1)
+        with pytest.raises(DimensionMismatch, match="dimensions must be integers"):
+            core.Dims(1, d1)
+
+    def test_numpy_dimensions_are_stored_as_ints(self, tmp_path):
+        # A game built with numpy dimensions failed to save: json cannot
+        # write a numpy integer.
+        dims = core.Dims(np.int64(2), np.int32(3))
+        assert (type(dims.d1), type(dims.d2)) == (int, int)
+        game = builders.random_game(np.int64(2), np.int64(3), recipe="uniform")
+        save_game(game, tmp_path / "game.json")
+        assert game_to_dict(load_game(tmp_path / "game.json")) == game_to_dict(game)
+
+
 class TestConjecture:
     def test_create_validates_shapes(self, bench_game):
         dims = bench_game.dims

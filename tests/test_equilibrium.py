@@ -8,10 +8,10 @@ import pytest
 from ccve import analysis, builders, lft, spectral
 from ccve.core import QuadraticGame, assemble_blocks, riccati_residual_norms
 from ccve.equilibrium import (
+    _solve_actions,
     enumerate_fixed_points,
     save_solution,
     solution_to_dict,
-    solve_actions,
     solve_ccve,
     solve_via_generalized,
 )
@@ -41,8 +41,11 @@ def decoupled_game():
 
 
 class TestSolveActions:
+    """The solve's actions from the two conjectures, _solve_actions."""
+
     def test_scalar_hand_value(self):
-        x1, x2 = solve_actions([[0.5]], [0.1], [[0.5]], [0.2])
+        x1, x2 = _solve_actions(np.array([[0.5]]), np.array([0.1]),
+                                np.array([[0.5]]), np.array([0.2]))
         # x1 = (L2 ell1 + ell2) / (1 - L2 L1) = 0.25 / 0.75.
         assert x1[0] == pytest.approx(1.0 / 3.0)
         assert x2[0] == pytest.approx(0.5 / 3.0 + 0.1)
@@ -52,13 +55,13 @@ class TestSolveActions:
         L1 = 0.3 * rng.standard_normal((3, 2))
         L2 = 0.3 * rng.standard_normal((2, 3))
         ell1, ell2 = rng.standard_normal(3), rng.standard_normal(2)
-        x1, x2 = solve_actions(L1, ell1, L2, ell2)
+        x1, x2 = _solve_actions(L1, ell1, L2, ell2)
         assert np.allclose(x2, L1 @ x1 + ell1)
         assert np.allclose(x1, L2 @ x2 + ell2)
 
     def test_singular_loop_rejected(self):
         with pytest.raises(SingularActionSystem):
-            solve_actions([[1.0]], [0.1], [[1.0]], [0.2])
+            _solve_actions(np.eye(1), np.array([0.1]), np.eye(1), np.array([0.2]))
 
 
 class TestSolveCcve:
@@ -192,7 +195,9 @@ class TestOnePassPerSolve:
         res = enumerate_fixed_points(bench_game)
         assert (len(res.candidates), calls["_slope_terms"]) == (6, 12)
         for c in res.candidates:
-            assert c.residuals == riccati_residual_norms(bench_game, c.L1, c.L2)
+            sol = c.solution
+            want = riccati_residual_norms(bench_game, sol.L1, sol.L2)
+            assert sol.stability.residuals == want
 
 
 AGREEMENT_GAMES = [pytest.param(g, id=f"pool{j}")
@@ -220,10 +225,10 @@ class TestEnumerate:
     def test_scalar_two_fixed_points(self, warmup_game):
         res = enumerate_fixed_points(warmup_game)
         assert len(res.candidates) == 2
-        slopes = sorted(c.L1[0, 0] for c in res.candidates)
+        slopes = sorted(c.solution.L1[0, 0] for c in res.candidates)
         assert slopes[0] == pytest.approx(WARM_L_UNSTABLE, abs=1e-12)
         assert slopes[1] == pytest.approx(WARM_L_STABLE, abs=1e-12)
-        assert sum(c.stable for c in res.candidates) == 1
+        assert sum(c.solution.stable for c in res.candidates) == 1
 
     def test_bench_game_candidate_census(self, bench_game):
         # C(5, 2) = 10 subsets: 6 yield conjectures, 4 are skipped, and the
@@ -231,21 +236,21 @@ class TestEnumerate:
         res = enumerate_fixed_points(bench_game)
         assert len(res.candidates) == 6
         assert len(res.skipped) == 4
-        stable = [c for c in res.candidates if c.stable]
+        stable = [c for c in res.candidates if c.solution.stable]
         assert len(stable) == 1
         assert stable[0].indices == (0, 1)
         sol = solve_ccve(bench_game)
-        assert np.allclose(stable[0].L1, sol.L1, atol=1e-10)
+        assert np.allclose(stable[0].solution.L1, sol.L1, atol=1e-10)
 
     def test_candidates_are_fixed_points(self, bench_game):
         res = enumerate_fixed_points(bench_game)
         for c in res.candidates:
-            assert max(c.residuals) < 1e-8
+            assert max(c.solution.stability.residuals) < 1e-8
 
     def test_decoupled_game_skips_mixed_subsets(self):
         res = enumerate_fixed_points(decoupled_game())
         assert len(res.candidates) == 1
-        assert np.allclose(res.candidates[0].L1, 0.0)
+        assert np.allclose(res.candidates[0].solution.L1, 0.0)
         assert sorted(reason for _, reason in res.skipped) == [
             "SubspaceNotGraph", "SubspaceNotGraph",
         ]
@@ -257,14 +262,14 @@ class TestEnumerate:
         for g in uniform_pool(400, dmax=3):
             res = enumerate_fixed_points(g)
             assert "ConjugatePairSplit" not in [reason for _, reason in res.skipped]
-            stable = [c for c in res.candidates if c.stable]
+            stable = [c for c in res.candidates if c.solution.stable]
             try:
                 L1 = solve_ccve(g).L1
             except NoStableSelection:
                 assert stable == []
                 continue
             assert len(stable) == 1
-            assert np.array_equal(stable[0].L1, L1)
+            assert np.array_equal(stable[0].solution.L1, L1)
 
     def test_cap_enforced(self, bench_game):
         with pytest.raises(EnumerationTooLarge):

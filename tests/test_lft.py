@@ -204,6 +204,17 @@ class TestIterationConfig:
         with pytest.raises(ValueError):
             IterationConfig(tol=0.0)
 
+    @pytest.mark.parametrize("max_iters", [2.5, True, "3"])
+    def test_rejects_a_max_iters_that_is_no_integer(self, max_iters):
+        # 2.5 and True constructed, and 2.5 failed only in range(), after the
+        # run had validated the game and solved the Nash init.
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            IterationConfig(max_iters=max_iters)
+
+    def test_accepts_a_numpy_integer_max_iters(self, warmup_game):
+        trace = iterate(warmup_game, IterationConfig(max_iters=np.int64(2), tol=1e-30))
+        assert (trace.status, len(trace.steps)) == ("max_iters", 3)
+
     def test_rejects_nan_tol(self):
         # tol <= 0 is False for NaN, which would run every step to max_iters.
         with pytest.raises(ValueError, match="tol must be positive"):

@@ -10,8 +10,13 @@ scipy at module level, no module forms an explicit inverse, and no module
 reads an input array by reshaping it.  Each rule is also shown to
 catch a planted violating line, so a rule that matches nothing cannot pass
 unnoticed.
+
+One more rule reads the syntax trees: every public top-level def or class
+of src/ccve has a caller in the package, in scripts/ or in perfbench/, so
+no function lives in src/ for the tests alone.
 """
 
+import ast
 import re
 from pathlib import Path
 from typing import NamedTuple
@@ -19,6 +24,8 @@ from typing import NamedTuple
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ccve"
+# The code outside the package that may call its public names.
+CALLER_DIRS = tuple(SRC.parent.parent / name for name in ("scripts", "perfbench"))
 
 
 class Rule(NamedTuple):
@@ -153,3 +160,58 @@ def test_source_rule_catches_a_planted_line(tmp_path, name):
     assert sorted(line.split(":")[0] for line in found) == \
         sorted(p.name for p in rule_files(rule))
     assert all(line.endswith(rule.planted.strip()) for line in found)
+
+
+def _referenced_name(node):
+    """The name an expression node refers to: an ast.Name's id, an
+    ast.Attribute's attr, or a string constant, as perfbench's LAYERS names
+    the functions it traces; None for any other node."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def uncalled_public_names(src=SRC, caller_dirs=CALLER_DIRS):
+    """'module.name' for each public top-level def or class of the package
+    at ``src`` that no code refers to outside its own body. The code is the
+    package but its __init__.py, which only re-exports, and ``caller_dirs``."""
+    paths = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    paths += [p for d in caller_dirs for p in sorted(d.rglob("*.py"))]
+    defined, referenced = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        # id(node) -> the name of the public definition whose body holds it.
+        owner = {}
+        if path.parent == src:
+            for top in tree.body:
+                if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                        and not top.name.startswith("_")):
+                    defined.append(f"{path.stem}.{top.name}")
+                    owner.update((id(node), top.name) for node in ast.walk(top))
+        for node in ast.walk(tree):
+            name = _referenced_name(node)
+            if name is not None and owner.get(id(node)) != name:
+                referenced.add(name)
+    return [d for d in defined if d.split(".", 1)[1] not in referenced]
+
+
+def test_every_public_name_has_a_caller():
+    assert all(d.is_dir() for d in CALLER_DIRS)
+    uncalled = uncalled_public_names()
+    assert not uncalled, (
+        "no code outside the tests calls these public names of src/ccve: delete "
+        "each, or make it private with a leading underscore:\n" + "\n".join(uncalled))
+
+
+def test_public_caller_rule_catches_a_planted_def(tmp_path):
+    """A copy of the package with one unused public def, which calls itself,
+    fails the rule with that def alone."""
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "core.py", "a") as fh:
+        fh.write("\n\ndef planted_unused(n):\n    return planted_unused(n - 1)\n")
+    assert uncalled_public_names(tmp_path) == ["core.planted_unused"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ccve import builders, lft, spectral, stability
-from ccve.core import assemble_blocks
+from ccve.core import _checked_slope, assemble_blocks
 from ccve.equilibrium import solve_ccve, solve_via_generalized
 from ccve.errors import CcveError, NotAFixedPoint
 from ccve.spectral import LargestMagnitude
@@ -154,9 +154,10 @@ class TestCertify:
     @pytest.mark.parametrize("with_spectra", [False, True])
     def test_guards_k_j_and_h1_once_each_in_order(self, monkeypatch, bench_game,
                                                    with_spectra):
-        """With or without a solve's spectra, certify guards K = bC1 L2 + bD1,
-        J = bA1 - L2 bC1 and H1 = bA1 + bB1 L1 once each and in this order,
-        so the first of several singular ones decides the error."""
+        """With or without a solve's spectra, the certificate guards
+        K = bC1 L2 + bD1, J = bA1 - L2 bC1 and H1 = bA1 + bB1 L1 once each and
+        in this order, so the first of several singular ones decides the
+        error."""
         sol = solve_ccve(bench_game)
         blocks = assemble_blocks(bench_game)
         bA, bB, bC, bD = blocks.bold_blocks()
@@ -173,7 +174,8 @@ class TestCertify:
             sub = spectral.invariant_subspace(blocks.boldM1, bench_game.dims.d1,
                                               LargestMagnitude)
             spectra = (sub.eigenvalues, sub.complement)
-        certify(blocks, bench_game, sol.L1, sol.L2, spectra)
+        stability._certify(blocks, bench_game, _checked_slope(bench_game, 1, sol.L1),
+                           _checked_slope(bench_game, 2, sol.L2), spectra)
         assert guarded == ["K", "J", "H1"]
 
     def test_players_agree(self, bench_game):
