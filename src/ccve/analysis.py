@@ -32,8 +32,12 @@ class SecondOrderReport:
 
 def _effective_hessian(s):
     """sym(P + L^T Q) from the slope s = _slope_terms(rows, L)."""
-    S = s.P + s.L.T @ s.Q
-    return 0.5 * (S + S.T)
+    S = s.L.T @ s.Q
+    S += s.P
+    # A copy: numpy would buffer the overlapping S.T, which is slower on a small S.
+    S += S.T.copy()
+    S *= 0.5
+    return S
 
 
 def second_order_check(game: QuadraticGame, L1, L2) -> SecondOrderReport:
@@ -85,5 +89,6 @@ def social_optimum(game: QuadraticGame):
         )
     d1 = game.dims.d1
     x1, x2 = z[:d1], z[d1:]
-    f1, f2 = _costs(_cost_operands(game, M1, M2), x1, x2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        f1, f2 = _costs(_cost_operands(game, M1, M2), x1, x2)
     return x1, x2, f1 + f2

@@ -342,7 +342,8 @@ def eval_cost(game: QuadraticGame, i: int, x1, x2) -> float:
     x2 = _as_vector(x2, game.dims.d2, "x2")
     game.player(i)  # rejects an index other than 1 or 2
     operands = _cost_operands(game, stacked_m1(game), stacked_m2(game))
-    return _costs(operands, x1, x2)[i - 1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _costs(operands, x1, x2)[i - 1]
 
 
 def _cost_operands(game: QuadraticGame, M1, M2):
@@ -359,12 +360,12 @@ def _costs(operands, x1, x2):
 
     ``operands`` is _cost_operands(game, M1, M2). The actions are not checked:
     a non-finite entry makes both costs non-finite, and an overflow gives an
-    infinite cost, each without a floating-point warning.
+    infinite cost. Callers silence the floating-point warnings these raise
+    with np.errstate(invalid="ignore", over="ignore"): iterate once a run.
     """
     MM, G = operands
     z = np.concatenate((x1, x2))
-    with np.errstate(invalid="ignore", over="ignore"):
-        f1, f2 = (0.5 * MM.dot(z).reshape(2, -1) + G).dot(z).tolist()
+    f1, f2 = (0.5 * MM.dot(z).reshape(2, -1) + G).dot(z).tolist()
     return f1, f2
 
 
@@ -432,7 +433,11 @@ def _checked_slope(game: QuadraticGame, i, L) -> _Slope:
 
 def _residuals(s1: _Slope, s2: _Slope):
     """(R1, R2) = (L2^T P1 + Q1, L1^T P2 + Q2) from the two players' slopes."""
-    return s2.L.T @ s1.P + s1.Q, s1.L.T @ s2.P + s2.Q
+    r1 = s2.L.T @ s1.P
+    r1 += s1.Q
+    r2 = s1.L.T @ s2.P
+    r2 += s2.Q
+    return r1, r2
 
 
 def _sq_norm(m):

@@ -7,10 +7,10 @@ and is represented compactly by the blocks of boldM1 (player 2's: its inverse).
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,9 +74,11 @@ def _composite(blocks, i, L_i):
 def _best_response(i, s, ell):
     """(x, posdef): player i's stationary action at its slope s and offset
     ell, and whether its effective Hessian is positive definite."""
-    S = analysis._effective_hessian(s)
-    sol, posdef = _solve_sym_checked(S, s.c + s.Q.T @ ell, SingularBestResponse, i)
-    return -sol, posdef
+    rhs = s.Q.T @ ell
+    rhs += s.c
+    x, posdef = _solve_sym_checked(analysis._effective_hessian(s), rhs,
+                                   SingularBestResponse, i)
+    return np.negative(x, out=x), posdef
 
 
 def best_response(game: QuadraticGame, i: int, conj: Conjecture):
@@ -135,9 +137,10 @@ class IterationConfig:
             raise ValueError("tol must be below 1")
 
 
-@dataclass(frozen=True)
-class IterationStep:
-    """Snapshot of one iteration of the conjecture dynamics."""
+class IterationStep(NamedTuple):
+    """Snapshot of one iteration of the conjecture dynamics: the values the
+    step computes. The predicted actions and the social cost are derived
+    when read."""
 
     iteration: int
     L1: np.ndarray
@@ -146,13 +149,25 @@ class IterationStep:
     ell2: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
-    xhat1: np.ndarray
-    xhat2: np.ndarray
     f1: float
     f2: float
-    f_social: float
     res1: float
     res2: float
+
+    @property
+    def xhat1(self) -> np.ndarray:
+        """Player 2's conjectured prediction of x1: L2 x2 + ell2."""
+        return self.L2 @ self.x2 + self.ell2
+
+    @property
+    def xhat2(self) -> np.ndarray:
+        """Player 1's conjectured prediction of x2: L1 x1 + ell1."""
+        return self.L1 @ self.x1 + self.ell1
+
+    @property
+    def f_social(self) -> float:
+        """The social cost f1 + f2."""
+        return self.f1 + self.f2
 
 
 @dataclass(frozen=True)
@@ -190,11 +205,10 @@ def _record(k, s1, ell1, s2, ell2, a_norms, cost_operands):
             if not np.isfinite(x).all():
                 raise DimensionMismatch(f"{name} contains non-finite entries")
     res1, res2 = _residual_norms(*_residuals(s1, s2), a_norms)
-    step = IterationStep(
-        iteration=k, L1=s1.L, ell1=ell1, L2=s2.L, ell2=ell2,
-        x1=x1, x2=x2, xhat1=s2.L @ x2 + ell2, xhat2=s1.L @ x1 + ell1,
-        f1=f1, f2=f2, f_social=f1 + f2, res1=res1, res2=res2,
-    )
+    # tuple.__new__ skips the NamedTuple's Python-level __new__, as
+    # core._slope_terms does.
+    step = tuple.__new__(IterationStep,
+                         (k, s1.L, ell1, s2.L, ell2, x1, x2, f1, f2, res1, res2))
     return step, (posdef1, posdef2)
 
 
@@ -279,18 +293,20 @@ def iterate(game: QuadraticGame, cfg: IterationConfig) -> IterationTrace:
     s1 = core._slope_terms(rows[0], L1)
     s2 = core._slope_terms(rows[1], L2)
     a_norms = _a_norms(game)
-    rec, posdef = _record(0, s1, ell1, s2, ell2, a_norms, cost_operands)
-    steps = [rec]
-    # (step, player) of the first effective Hessian that is not positive definite.
-    uncertified = None if all(posdef) else (0, posdef.index(False) + 1)
-    status, change, cross = "max_iters", None, None
-    # ``bound`` is at least the largest of the four conjecture norms: a step
-    # moves each by at most its change. The norms themselves are computed
-    # only when the bound passes DIVERGENCE_NORM / 2, and at step 1.
-    bound = math.inf
-    # The norms square each entry: one that overflows only means the norm is
-    # far above DIVERGENCE_NORM or tol, so the run does not warn of it.
-    with np.errstate(over="ignore"):
+    # One errstate for the run. The costs of a non-finite or overflowing
+    # action are non-finite, and _record then checks the actions. The norms
+    # square each entry: one that overflows only means the norm is far above
+    # DIVERGENCE_NORM or tol. Neither warns.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec, posdef = _record(0, s1, ell1, s2, ell2, a_norms, cost_operands)
+        steps = [rec]
+        # (step, player) of the first effective Hessian that is not positive definite.
+        uncertified = None if all(posdef) else (0, posdef.index(False) + 1)
+        status, change, cross = "max_iters", None, None
+        # ``bound`` is at least the largest of the four conjecture norms: a step
+        # moves each by at most its change. The norms themselves are computed
+        # only when the bound passes DIVERGENCE_NORM / 2, and at step 1.
+        bound = math.inf
         for k in range(1, cfg.max_iters + 1):
             try:
                 s1n, ell1n, s2n, ell2n, cross = _step(rows, blocks, s1, s2, cross)
@@ -346,11 +362,16 @@ def trace_header(dims) -> list[str]:
 
 
 def write_trace_csv(trace: IterationTrace, dims, path) -> None:
-    """Write the iteration trace with row-major matrices, 17 significant digits."""
+    """Write the iteration trace with row-major matrices, 17 significant digits.
+
+    Each row is one %-format: "%.17g" gives format(v, ".17g")'s digits, and
+    the rows end in CRLF, as a csv.writer's do.
+    """
     fields = [field for field, _ in _trace_columns(dims)]
+    header = trace_header(dims)
+    row = "%d" + ",%.17g" * (len(header) - 1) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(trace_header(dims))
+        fh.write(",".join(header) + "\r\n")
         for st in trace.steps:
             values = np.concatenate([np.ravel(getattr(st, f)) for f in fields])
-            writer.writerow([st.iteration, *(format(v, ".17g") for v in values.tolist())])
+            fh.write(row % (st.iteration, *values.tolist()))

@@ -160,6 +160,12 @@ def partner_composite(blocks):
     return np.linalg.solve(blocks.M1.T, blocks.M2)
 
 
+# A scalar game whose boldM1 = [[1, 0.5], [0.5, -1]] has the eigenvalues
+# +/- sqrt(1.25), of equal magnitude: its fixed points are marginal, and the
+# largest selection solves but its certificate reads xi_max = 1.
+MARGINAL = builders.ScalarSpec(q1=1.0, r1=0.5, s1=-1.0, q2=1.0, r2=0.0, s2=1.0)
+
+
 # The games the player-2 forms are compared on: the acceptance pool and
 # paper7ex2 at 50x60 s0 and 200x240 s1, built when a test asks for them.
 PARTNER_GAMES = [

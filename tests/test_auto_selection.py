@@ -21,7 +21,7 @@ from ccve.errors import (
 )
 from ccve.spectral import LargestMagnitude, SmallestMagnitude
 
-from conftest import random_dense_game
+from conftest import MARGINAL, random_dense_game
 
 ELLIPTIC = builders.ScalarSpec(q1=1.5, r1=0.6, s1=-1.5, q2=1.4, r2=1.8, s2=1.6)
 
@@ -89,6 +89,26 @@ def test_cli_reports_the_cause(tmp_path, capsys):
     assert code == cli.EXIT_NOT_CERTIFIED == 2
     err = capsys.readouterr().err
     assert "NoStableSelection" in err and "ConjugatePairSplit" in err
+
+
+@pytest.mark.parametrize("solve", [solve_ccve, solve_via_generalized])
+def test_uncertified_largest_selection_has_no_cause(solve):
+    game = builders.build_scalar_game(MARGINAL)
+    assert not solve(game, LargestMagnitude).stable
+    with pytest.raises(NoStableSelection, match=r"largest-magnitude selection is "
+                       r"not certified stable \(xi_max = 1, 1\)") as info:
+        solve(game)
+    assert info.value.__cause__ is None
+
+
+def test_cli_reports_an_uncertified_selection(tmp_path, capsys):
+    path = tmp_path / "marginal.json"
+    save_game(builders.build_scalar_game(MARGINAL), path)
+    code = cli.main(["solve", "--game", str(path), "--out", str(tmp_path / "s.json")])
+    assert code == cli.EXIT_NOT_CERTIFIED == 2
+    err = capsys.readouterr().err
+    assert "NoStableSelection" in err and "not certified stable" in err
+    assert not (tmp_path / "s.json").exists()
 
 
 @pytest.mark.parametrize("solve", [solve_ccve, solve_via_generalized])

@@ -17,7 +17,7 @@ from ccve.builders import (
 from ccve.core import eval_cost, validate_game
 from ccve.errors import ComplexFixedPoints, DegenerateScalar, DimensionMismatch
 
-from conftest import random_lq_spec, rollout_cost
+from conftest import MARGINAL, random_lq_spec, rollout_cost
 
 SQ3 = np.sqrt(3.0)
 
@@ -40,6 +40,18 @@ class TestLqSpec:
                 R1=[[1.0]], R2=[[1.0]], R12=[[0.0]], R21=[[0.0]],
                 z0=[0.0], T=2,
             )
+
+    @pytest.mark.parametrize("name", ["Q1", "Q2f"])
+    def test_requires_symmetric_q(self, name):
+        # Positive semidefinite in its symmetric part, but not symmetric.
+        entries = dict(F=np.eye(2), G1=np.ones((2, 1)), G2=np.ones((2, 1)),
+                       Q1=np.eye(2), Q2=np.eye(2), Q1f=np.eye(2), Q2f=np.eye(2),
+                       R1=[[1.0]], R2=[[1.0]], R12=[[0.0]], R21=[[0.0]],
+                       z0=[1.0, 0.0], T=2)
+        assert LqSpec.create(**entries).n == 2
+        entries[name] = [[1.0, 0.5], [0.0, 1.0]]
+        with pytest.raises(DimensionMismatch, match=f"{name} must be symmetric"):
+            LqSpec.create(**entries)
 
     def test_rejects_an_unknown_entry(self):
         with pytest.raises(DimensionMismatch, match=r"unknown LqSpec keys: \['Q3'\]"):
@@ -286,6 +298,17 @@ class TestMobius:
         g = build_scalar_game(ScalarSpec(q1=1.0, r1=0.0, s1=1.0))
         with pytest.raises(DegenerateScalar):
             mobius_fixed_points(g)
+
+    def test_equal_magnitude_roots_are_marginal(self):
+        # boldM1 = [[1, 0.5], [0.5, -1]]: the fixed slopes -2 +/- sqrt(5) both
+        # have the multiplier xi = -1, so neither is stable nor unstable.
+        res = mobius_fixed_points(build_scalar_game(MARGINAL))
+        assert not res.infinite_root
+        assert [r.classification for r in res.records] == ["marginal", "marginal"]
+        assert sorted(r.L for r in res.records) == pytest.approx(
+            [-2.0 - np.sqrt(5.0), -2.0 + np.sqrt(5.0)], abs=1e-14)
+        for r in res.records:
+            assert abs(r.xi_magnitude - 1.0) <= builders.MARGINAL_BAND
 
     def test_elliptic_rejected(self):
         g = build_scalar_game(ScalarSpec(q1=1.5, r1=0.6, s1=-1.5,

@@ -235,15 +235,24 @@ class TestEvalCost:
         # The iteration record reads the actions only when a cost is not
         # finite, so any non-finite entry must make both costs non-finite,
         # also where it meets a zero block (uncoupled: B_i = 0), and the
-        # product must not warn.
+        # product must not warn under the errstate iterate holds for a run.
         g = builders.example1_game() if game == "2x3" else scalar_game(r=0.0, s=-1.0)
         x1, x2 = np.ones(g.dims.d1), np.ones(g.dims.d2)
         (x1 if player == 1 else x2)[0] = bad
         operands = core._cost_operands(g, stacked_m1(g), stacked_m2(g))
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), np.errstate(invalid="ignore", over="ignore"):
             warnings.simplefilter("error")
             f1, f2 = core._costs(operands, x1, x2)
         assert not np.isfinite(f1) and not np.isfinite(f2)
+
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_player_index_other_than_1_or_2_rejected(self, i):
+        g = builders.example1_game()
+        msg = f"player index must be 1 or 2, got {i}"
+        with pytest.raises(DimensionMismatch, match=msg):
+            g.player(i)
+        with pytest.raises(DimensionMismatch, match=msg):
+            eval_cost(g, i, np.ones(2), np.ones(3))
 
     def test_overflowing_cost_is_infinite(self):
         # Finite actions whose cost overflows give inf, without a warning.

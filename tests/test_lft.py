@@ -495,6 +495,32 @@ def test_recorded_steps_match_public_functions(game, mode):
         assert _rel(nxt.ell2, offset_cross(game, 1, nxt.L1)) <= tol
 
 
+# The composite map is two cross steps, so composite step k and cross step 2k
+# agree up to rounding. The two runs reach them through independent code: the
+# cross run solves with P_i^T, the composite run with the blocks of boldM1.
+# Each entry agrees within COMPOSITE_AS_CROSS_EPS * eps of the field's largest
+# entry at that step (the largest seen is 124, in L1 of paper7ex2 50x60 s4).
+COMPOSITE_AS_CROSS_EPS = 1000
+
+
+@pytest.mark.parametrize("game, k_max", [
+    pytest.param(builders.example1_game(), 12, id="2x3"),
+    pytest.param(builders.random_game(50, 60, recipe="paper7ex2", seed=4), 10,
+                 id="paper7ex2-50x60-s4"),
+])
+def test_composite_step_k_is_cross_step_2k(game, k_max):
+    cross = iterate(game, IterationConfig(mode="cross", max_iters=2 * k_max, tol=1e-300))
+    comp = iterate(game, IterationConfig(mode="composite", max_iters=k_max, tol=1e-300))
+    assert len(cross.steps) == 2 * k_max + 1 and len(comp.steps) == k_max + 1
+    eps = np.finfo(float).eps
+    for k, st in enumerate(comp.steps):
+        ref = cross.steps[2 * k]
+        for field in ("L1", "L2", "ell1", "ell2", "x1", "x2"):
+            a, b = getattr(st, field), getattr(ref, field)
+            bound = COMPOSITE_AS_CROSS_EPS * eps * np.abs(b).max()
+            assert np.abs(a - b).max() <= bound, (k, field)
+
+
 # Golden traces of example1_game (tol 1e-10), written by write_trace_csv,
 # with the status and status_iter of their runs.
 GOLDEN_DIR = Path(__file__).parent / "data"

@@ -157,6 +157,26 @@ class TestInvariantSubspace:
         with pytest.raises(EigFailure):
             invariant_subspace(np.diag([2.0, 1.0]), 1, Indices([0, 1]))
 
+    @pytest.mark.parametrize("route", ["direct", "generalized"])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_k_outside_the_order_rejected(self, route, k):
+        M = np.diag([2.0, 1.0])
+        with pytest.raises(EigFailure, match=f"k must satisfy 1 <= k <= 2, got {k}"):
+            if route == "direct":
+                invariant_subspace(M, k, LargestMagnitude)
+            else:
+                generalized_pairs(M, np.eye(2), k, LargestMagnitude)
+
+    @pytest.mark.parametrize("route", ["direct", "generalized"])
+    @pytest.mark.parametrize("idx", [2, -1])
+    def test_indices_out_of_range_rejected(self, route, idx):
+        M = np.diag([2.0, 1.0])
+        with pytest.raises(EigFailure, match="Indices selection out of range"):
+            if route == "direct":
+                invariant_subspace(M, 1, Indices([idx]))
+            else:
+                generalized_pairs(M, np.eye(2), 1, Indices([idx]))
+
     def test_no_spectral_gap_warning(self):
         sub = invariant_subspace(np.diag([1.0, 1.0 + 1e-12, 2.0]), 2, LargestMagnitude)
         assert "NoSpectralGap" in sub.warnings
