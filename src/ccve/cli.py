@@ -1,15 +1,12 @@
 """Command-line surface: game I/O, solving, iteration, certification.
 
-Subcommands: solve, iterate, check, build, enumerate.  The CCVE_LOG
-environment variable (error/warn/info/debug) controls diagnostics on stderr.
+Subcommands: solve, iterate, check, build, enumerate.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 import time
 import warnings
@@ -31,54 +28,40 @@ from .core import (
 from .errors import CcveError, DimensionMismatch, NoStableSelection
 from .spectral import LargestMagnitude, SmallestMagnitude
 
-log = logging.getLogger("ccve")
-
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CERTIFIED = 2
 EXIT_DIVERGED = 3
 
 
-def _setup_logging():
-    level = os.environ.get("CCVE_LOG", "warn").lower()
-    levels = {"error": logging.ERROR, "warn": logging.WARNING,
-              "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=levels.get(level, logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-
-
-def _write_manifest(out_path, argv, inputs, seed=None, config=None, t0=None):
+def _write_manifest(out_path, argv, inputs, config, t0, seed=None):
     out_path = Path(out_path)
     manifest = {
         "command": argv,
         "inputs": [str(p) for p in inputs],
         "seed": seed,
-        "config": config or {},
+        "config": config,
         "version": __version__,
-        "duration_s": None if t0 is None else time.monotonic() - t0,
+        "duration_s": time.monotonic() - t0,
     }
     _write_json(out_path.with_name(out_path.name + ".manifest.json"), manifest)
 
 
-def _selection(name):
-    return {"largest": LargestMagnitude, "smallest": SmallestMagnitude,
-            "auto": "auto"}[name]
+# The --selection names and the selections they stand for.
+_SELECTIONS = {"largest": LargestMagnitude, "smallest": SmallestMagnitude,
+               "auto": "auto"}
 
 
 def cmd_solve(args, argv):
     t0 = time.monotonic()
     game = load_game(args.game)
     try:
-        sol = equilibrium.solve_ccve(game, _selection(args.selection))
+        sol = equilibrium.solve_ccve(game, _SELECTIONS[args.selection])
     except NoStableSelection as exc:
         print(f"NoStableSelection: {exc}", file=sys.stderr)
         return EXIT_NOT_CERTIFIED
     equilibrium.save_solution(sol, args.out)
-    _write_manifest(args.out, argv, [args.game],
-                    config={"selection": args.selection}, t0=t0)
+    _write_manifest(args.out, argv, [args.game], {"selection": args.selection}, t0)
     if not sol.stable and not args.allow_unstable:
         print(
             f"solution written but not certified stable "
@@ -142,8 +125,8 @@ def cmd_iterate(args, argv):
     summary_path = args.summary or str(Path(args.trace).with_suffix(".summary.json"))
     _write_json(summary_path, summary)
     _write_manifest(args.trace, argv, [args.game],
-                    config={"mode": args.mode, "max_iters": args.max_iters,
-                            "tol": args.tol, "init": args.init}, t0=t0)
+                    {"mode": args.mode, "max_iters": args.max_iters,
+                     "tol": args.tol, "init": args.init}, t0)
     if trace.status == "diverged":
         print("iteration diverged", file=sys.stderr)
         return EXIT_DIVERGED
@@ -199,7 +182,7 @@ def cmd_build(args, argv):
         game = builders.build_lq_game(_lq_spec_from_json(args.spec))
     save_game(game, args.out)
     _write_manifest(args.out, argv, [args.spec] if args.kind == "lq" else [],
-                    seed=seed, config=config, t0=t0)
+                    config, t0, seed=seed)
     return EXIT_OK
 
 
@@ -230,7 +213,7 @@ def cmd_enumerate(args, argv):
         ],
     }
     _write_json(args.out, out)
-    _write_manifest(args.out, argv, [args.game], config={"cap": args.cap}, t0=t0)
+    _write_manifest(args.out, argv, [args.game], {"cap": args.cap}, t0)
     return EXIT_OK
 
 
@@ -248,8 +231,7 @@ def build_parser():
 
     ps = sub.add_parser("solve", help="compute the equilibrium directly")
     ps.add_argument("--game", required=True)
-    ps.add_argument("--selection", choices=["largest", "smallest", "auto"],
-                    default="auto")
+    ps.add_argument("--selection", choices=_SELECTIONS, default="auto")
     ps.add_argument("--out", required=True)
     ps.add_argument("--allow-unstable", action="store_true")
     ps.set_defaults(func=cmd_solve)
@@ -305,7 +287,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _setup_logging()
     argv = list(sys.argv[1:] if argv is None else argv)
     # A warning prints as one line, "UserWarning: <message>", without its place in
     # ccve's code. Only the format is replaced, so pytest.warns still records.

@@ -91,6 +91,13 @@ def _is_count(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _player_index(i):
+    """``i`` once it is the player index 1 or 2, a count as _is_count holds."""
+    if _is_count(i) and i in (1, 2):
+        return i
+    raise DimensionMismatch(f"player index must be 1 or 2, got {i!r}")
+
+
 def _as_matrix(value, rows, cols, name):
     m = _as_array(value, name)
     if m.shape != (rows, cols):
@@ -188,11 +195,7 @@ class QuadraticGame:
         return cls(dims=dims, p1=p1, p2=p2)
 
     def player(self, i):
-        if i == 1:
-            return self.p1
-        if i == 2:
-            return self.p2
-        raise DimensionMismatch(f"player index must be 1 or 2, got {i}")
+        return self.p1 if _player_index(i) == 1 else self.p2
 
 
 @dataclass(frozen=True)
@@ -205,8 +208,6 @@ class Conjecture:
 
     @classmethod
     def create(cls, holder, L, ell, dims: Dims):
-        if holder not in (1, 2):
-            raise DimensionMismatch(f"holder must be 1 or 2, got {holder}")
         L = _checked_L(dims, holder, L)
         return cls(holder=holder, L=L, ell=_as_vector(ell, L.shape[0], f"ell{holder}"))
 
@@ -340,7 +341,7 @@ def eval_cost(game: QuadraticGame, i: int, x1, x2) -> float:
     """Player i's quadratic cost at the joint action (x1, x2)."""
     x1 = _as_vector(x1, game.dims.d1, "x1")
     x2 = _as_vector(x2, game.dims.d2, "x2")
-    game.player(i)  # rejects an index other than 1 or 2
+    i = _player_index(i)
     operands = _cost_operands(game, stacked_m1(game), stacked_m2(game))
     with np.errstate(invalid="ignore", over="ignore"):
         return _costs(operands, x1, x2)[i - 1]
@@ -421,8 +422,9 @@ def _slope_terms(rows, L) -> _Slope:
 
 
 def _checked_L(dims: Dims, i, L):
-    """Player i's slope L, once _as_matrix has checked it is finite and d_{-i} x d_i."""
-    shape = (dims.d2, dims.d1) if i == 1 else (dims.d1, dims.d2)
+    """Player i's slope L, once _player_index has checked i and _as_matrix that
+    L is finite and d_{-i} x d_i."""
+    shape = (dims.d2, dims.d1) if _player_index(i) == 1 else (dims.d1, dims.d2)
     return _as_matrix(L, *shape, f"L{i}")
 
 

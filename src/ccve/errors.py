@@ -10,23 +10,20 @@ class DimensionMismatch(CcveError):
 
 
 class ANotPositiveDefinite(CcveError):
-    def __init__(self, player, min_eig=None):
+    def __init__(self, player, min_eig):
         self.player = player
         self.min_eig = min_eig
-        msg = f"A{player} is not positive definite"
-        if min_eig is not None:
-            msg += f" (min eigenvalue {min_eig:.3e})"
-        super().__init__(msg)
+        super().__init__(
+            f"A{player} is not positive definite (min eigenvalue {min_eig:.3e})")
 
 
 class MSingular(CcveError):
-    def __init__(self, player, rcond=None):
+    def __init__(self, player, rcond):
         self.player = player
         self.rcond = rcond
-        msg = f"MSingular({player}): M{player} fails the invertibility threshold"
-        if rcond is not None:
-            msg += f" (1-norm rcond estimate {rcond:.3e})"
-        super().__init__(msg)
+        super().__init__(
+            f"MSingular({player}): M{player} fails the invertibility threshold "
+            f"(1-norm rcond estimate {rcond:.3e})")
 
 
 class EigFailure(CcveError):

@@ -182,10 +182,6 @@ class IterationTrace:
     def final(self) -> IterationStep:
         return self.steps[-1]
 
-    @property
-    def converged(self) -> bool:
-        return self.status == "converged"
-
 
 def _record(k, s1, ell1, s2, ell2, a_norms, cost_operands):
     """(step, posdef): step k of the trace at the slopes s1, s2 and offsets

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _sq_norm, lapack
+from .core import _is_count, _sq_norm, lapack
 from .errors import ConjugatePairSplit, EigFailure
 
 # Relative residual tolerance for eigenpairs and subspace checks.
@@ -31,6 +31,13 @@ class Selection:
     kind: str  # "largest" | "smallest" | "indices"
     indices: tuple = ()
 
+    def __post_init__(self):
+        if not all(map(_is_count, self.indices)):
+            raise EigFailure(
+                f"Indices selection positions must be integers, got {self.indices!r}")
+        # Ints, so that str() reads indices[0, 2] for numpy integers too.
+        object.__setattr__(self, "indices", tuple(map(int, self.indices)))
+
     def __str__(self):
         if self.kind == "indices":
             return f"indices{list(self.indices)}"
@@ -42,8 +49,9 @@ SmallestMagnitude = Selection("smallest")
 
 
 def Indices(idx):
-    """Selection by positions into the descending-magnitude-sorted spectrum."""
-    return Selection("indices", tuple(int(i) for i in idx))
+    """Selection by positions into the descending-magnitude-sorted spectrum;
+    raises EigFailure unless each position is a count as core._is_count holds."""
+    return Selection("indices", tuple(idx))
 
 
 @dataclass(frozen=True)
@@ -105,7 +113,7 @@ def _select_positions(values, k, selection: Selection):
     the selection, each value set sorted as its own _sort_key (lexsort is stable).
     """
     n = len(values)
-    if not 1 <= k <= n:
+    if not (_is_count(k) and 1 <= k <= n):
         raise EigFailure(f"k must satisfy 1 <= k <= {n}, got {k}")
     order = _sort_key(values)
     if selection.kind == "largest":

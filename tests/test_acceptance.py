@@ -58,7 +58,7 @@ class TestAcceptance:
         sol = equilibrium.solve_ccve(bench_game)
         elapsed = time.monotonic() - t0
         ok = (
-            trace.converged
+            trace.status == "converged"
             and trace.status_iter <= 20
             and sol.stable
             and np.linalg.norm(trace.final.L1 - sol.L1) < 1e-6
@@ -308,7 +308,7 @@ class TestAcceptance:
         social = [s.f_social for s in trace.steps]
         ok = (
             sol.second_order.pass_
-            and trace.converged
+            and trace.status == "converged"
             and all(np.isfinite([s.f1, s.f2, s.f_social]).all()
                     for s in trace.steps)
             and fs_star <= min(social) + 1e-8

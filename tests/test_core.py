@@ -38,6 +38,8 @@ from conftest import PARTNER_GAMES, partner_composite, random_dense_game, unifor
 
 SQ3 = np.sqrt(3.0)
 WARM_L = -2.0 + SQ3  # stable slope of the q=1, r=0.25, s=0 scalar game
+# Values that are no player index: only the int 1 or 2 is one.
+NOT_PLAYER_INDICES = [0, 3, -1, 1.0, 2.0, True, np.float64(2.0), "1", None]
 
 
 def scalar_game(q=1.0, r=0.25, s=0.0, w=0.0, v=0.0):
@@ -245,10 +247,11 @@ class TestEvalCost:
             f1, f2 = core._costs(operands, x1, x2)
         assert not np.isfinite(f1) and not np.isfinite(f2)
 
-    @pytest.mark.parametrize("i", [0, 3])
+    @pytest.mark.parametrize("i", NOT_PLAYER_INDICES)
     def test_player_index_other_than_1_or_2_rejected(self, i):
+        # 1.0 ended in a raw TypeError and True gave f1.
         g = builders.example1_game()
-        msg = f"player index must be 1 or 2, got {i}"
+        msg = re.escape(f"player index must be 1 or 2, got {i!r}")
         with pytest.raises(DimensionMismatch, match=msg):
             g.player(i)
         with pytest.raises(DimensionMismatch, match=msg):
@@ -406,6 +409,42 @@ class TestConjecture:
             Conjecture.create(3, np.zeros((3, 2)), np.zeros(3), dims)
 
 
+class TestPlayerIndex:
+    """Every call that checks a slope refuses a player index other than the
+    int 1 or 2, as QuadraticGame.player and eval_cost do, on a square game,
+    where the shape check cannot tell the players apart. Before, the slope
+    check read any index but 1 as player 2 and the composite step any but 2
+    as player 1, and composite_step and perturbation_spectrum checked none."""
+
+    GAME = builders.random_game(3, 3, recipe="uniform", seed=0)
+
+    def calls(self):
+        g, blocks, L = self.GAME, assemble_blocks(self.GAME), np.zeros((3, 3))
+        x = np.ones(3)
+        return {
+            "_checked_L": lambda i: core._checked_L(g.dims, i, L),
+            "Conjecture.create": lambda i: Conjecture.create(i, L, x, g.dims),
+            "lft_cross": lambda i: lft.lft_cross(g, i, L),
+            "offset_cross": lambda i: lft.offset_cross(g, i, L),
+            "composite_step": lambda i: lft.composite_step(blocks, i, L),
+            "perturbation_spectrum": lambda i: stability.perturbation_spectrum(blocks, i, L),
+        }
+
+    @pytest.mark.parametrize("i", NOT_PLAYER_INDICES)
+    def test_only_1_or_2_is_a_player(self, i):
+        msg = re.escape(f"player index must be 1 or 2, got {i!r}")
+        for name, call in self.calls().items():
+            with pytest.raises(DimensionMismatch, match=msg):
+                call(i)
+                pytest.fail(f"{name} accepted player index {i!r}")
+
+    def test_numpy_integers_are_player_indices(self):
+        for call in self.calls().values():
+            for i in (1, 2):
+                call(np.int64(i))
+        assert self.GAME.player(np.int64(2)) is self.GAME.p2
+
+
 class TestGameJson:
     def test_round_trip(self, tmp_path, bench_game):
         path = tmp_path / "game.json"
@@ -476,8 +515,10 @@ class TestLapackLoader:
     SRC = Path(core.__file__).resolve().parent
 
     def test_cli_import_loads_neither_scipy_linalg_nor_numpy_extras(self):
+        # Nor logging: the package writes no log, so the CLI does not load it.
         code = ("import sys, ccve.cli; print(sorted(m for m in sys.modules if m in "
-                "('scipy.linalg', 'numpy.f2py', 'numpy.testing', 'scipy.linalg._flapack')))")
+                "('scipy.linalg', 'numpy.f2py', 'numpy.testing', 'logging', "
+                "'scipy.linalg._flapack')))")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (str(self.SRC.parent), os.environ.get("PYTHONPATH")))))
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -237,7 +237,7 @@ class TestIterate:
     @pytest.mark.parametrize("mode", ["cross", "composite"])
     def test_warmup_converges_to_stable_slope(self, warmup_game, mode):
         trace = iterate(warmup_game, IterationConfig(mode=mode, max_iters=50, tol=1e-12))
-        assert trace.converged
+        assert trace.status == "converged"
         assert trace.final.L1[0, 0] == pytest.approx(WARM_L, abs=1e-10)
         assert trace.final.L2[0, 0] == pytest.approx(WARM_L, abs=1e-10)
 
@@ -258,7 +258,7 @@ class TestIterate:
         init = (Conjecture.create(1, [[WARM_L]], [0.0], dims),
                 Conjecture.create(2, [[WARM_L]], [0.0], dims))
         trace = iterate(warmup_game, IterationConfig(init=init, tol=1e-10))
-        assert trace.converged
+        assert trace.status == "converged"
         assert trace.status_iter == 1
 
     def test_init_holder_order_enforced(self, warmup_game):
@@ -318,7 +318,7 @@ class TestIterate:
 
     def test_converged_trace_invariants(self, bench_game):
         trace = iterate(bench_game, IterationConfig(max_iters=100, tol=1e-10))
-        assert trace.converged
+        assert trace.status == "converged"
         final = trace.steps[-1]
         assert max(final.res1, final.res2) < 10 * 1e-10
         # Prediction consistency at the fixed point.
@@ -415,7 +415,7 @@ class TestIterate:
              else builders.random_game(50, 60, recipe="paper7ex2", seed=0))
         calls = count_calls("_slope_terms", "_cost_rows")
         trace = iterate(g, IterationConfig(mode=mode, tol=1e-10))
-        assert trace.converged
+        assert trace.status == "converged"
         n = len(trace.steps) - 1
         assert calls == iteration_row(mode, n) + Counter(_slope_terms=2 * n + 2,
                                                          _cost_rows=2)

@@ -13,10 +13,12 @@ unnoticed.
 
 One more rule reads the syntax trees: every public top-level def or class
 of src/ccve has a caller in the package, in scripts/ or in perfbench/, so
-no function lives in src/ for the tests alone.
+no function lives in src/ for the tests alone. And every function that
+perfbench/tracing.py's LAYERS names for the tracer to wrap exists.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 from typing import NamedTuple
@@ -215,3 +217,17 @@ def test_public_caller_rule_catches_a_planted_def(tmp_path):
     with open(tmp_path / "core.py", "a") as fh:
         fh.write("\n\ndef planted_unused(n):\n    return planted_unused(n - 1)\n")
     assert uncalled_public_names(tmp_path) == ["core.planted_unused"]
+
+
+def test_every_traced_layer_is_a_callable_of_the_package():
+    """Each (module, name) of perfbench/tracing.py's LAYERS, read from its
+    syntax tree, is a callable of ccve.<module>: the tracer wraps each, and
+    a deleted or renamed one breaks every traced benchmark run."""
+    tree = ast.parse((SRC.parent.parent / "perfbench" / "tracing.py").read_text())
+    (layers,) = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]]
+    assert layers
+    missing = [f"{module}.{name}" for module, name in layers
+               if not callable(getattr(importlib.import_module(f"ccve.{module}"), name, None))]
+    assert not missing, "perfbench's LAYERS names what ccve lacks: " + ", ".join(missing)

@@ -1,5 +1,7 @@
 """Eigendecomposition, ordered invariant subspaces, and the generalized route."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -158,14 +160,32 @@ class TestInvariantSubspace:
             invariant_subspace(np.diag([2.0, 1.0]), 1, Indices([0, 1]))
 
     @pytest.mark.parametrize("route", ["direct", "generalized"])
-    @pytest.mark.parametrize("k", [0, 3])
+    @pytest.mark.parametrize("k", [0, 3, 1.0, 2.0, True, np.float64(1.0), "1"])
     def test_k_outside_the_order_rejected(self, route, k):
+        # k must be a count too: 2.0 ended in a raw TypeError and True in a
+        # raw ValueError.
         M = np.diag([2.0, 1.0])
-        with pytest.raises(EigFailure, match=f"k must satisfy 1 <= k <= 2, got {k}"):
+        msg = re.escape(f"k must satisfy 1 <= k <= 2, got {k}")
+        with pytest.raises(EigFailure, match=msg):
             if route == "direct":
                 invariant_subspace(M, k, LargestMagnitude)
             else:
                 generalized_pairs(M, np.eye(2), k, LargestMagnitude)
+
+    @pytest.mark.parametrize("idx", [[0.9, 1.7], [0.0, 1], ["1", 0], [True, 0], [0, None]])
+    def test_indices_that_are_no_counts_rejected(self, idx):
+        # [0.9, 1.7] became indices[0, 1], which a solve then solved, and
+        # ["1", 0] became indices[1, 0]; Selection("indices", (0.5, 1))
+        # ended a solve in a raw IndexError.
+        with pytest.raises(EigFailure, match="Indices selection positions must be integers"):
+            Indices(idx)
+        with pytest.raises(EigFailure, match="Indices selection positions must be integers"):
+            spectral.Selection("indices", tuple(idx))
+
+    def test_numpy_integer_indices_are_stored_as_ints(self):
+        selection = Indices(np.array([0, 2]))
+        assert selection.indices == (0, 2)
+        assert all(type(i) is int for i in selection.indices)
 
     @pytest.mark.parametrize("route", ["direct", "generalized"])
     @pytest.mark.parametrize("idx", [2, -1])
