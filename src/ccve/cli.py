@@ -6,7 +6,6 @@ Subcommands: solve, iterate, check, build, enumerate.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 import warnings
@@ -19,6 +18,7 @@ from . import __version__, analysis, builders, equilibrium, lft, stability
 from .core import (
     Conjecture,
     _checked_L,
+    _read_json,
     _write_json,
     assemble_blocks,
     load_game,
@@ -76,8 +76,7 @@ def _json_object(path, keys):
     """The JSON object a file holds, once it has each of ``keys``;
     DimensionMismatch names the path when the file holds any other JSON value,
     and the path and the missing keys when keys are missing."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise DimensionMismatch(f"{path} must hold a JSON object")
     missing = set(keys) - set(data)

@@ -524,6 +524,16 @@ def game_from_dict(data: dict) -> QuadraticGame:
     )
 
 
+def _read_json(path):
+    """The JSON value the file at ``path`` holds; a ValueError of the parse
+    (bad JSON or bad UTF-8) is raised again with the path in front."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
 def _write_json(path, data) -> None:
     """Write ``data`` to ``path`` as JSON indented by 2, with a trailing newline."""
     with open(path, "w") as fh:
@@ -536,5 +546,4 @@ def save_game(game: QuadraticGame, path) -> None:
 
 
 def load_game(path) -> QuadraticGame:
-    with open(path) as fh:
-        return game_from_dict(json.load(fh))
+    return game_from_dict(_read_json(path))

@@ -55,7 +55,7 @@ class CcveSolution:
     stability: stability.StabilityReport
     second_order: analysis.SecondOrderReport
     selection_used: str
-    warnings: tuple = ()
+    warnings: tuple
 
     @property
     def stable(self) -> bool:
@@ -186,10 +186,10 @@ class EnumerationResult:
 def enumerate_fixed_points(game: QuadraticGame, cap=ENUMERATION_CAP) -> EnumerationResult:
     """All conjugation-closed d1-subsets of spec(boldM1) with invertible Y1.
 
-    One real Schur form of boldM1 is computed and reordered for each subset
-    of its diagonal blocks, so conjugate pairs are never split.  Indices are
-    positions in the descending-magnitude order; a subset whose solve raises
-    is skipped with the name of its error class.
+    One real Schur form of boldM1 is computed and reordered for each of the
+    C(d, d1) subsets, in index order, that keeps every conjugate pair whole.
+    Indices are positions in the descending-magnitude order; a subset whose
+    solve raises is skipped with the name of its error class.
     """
     blocks = assemble_blocks(game)
     d, d1 = game.dims.d, game.dims.d1
@@ -200,32 +200,25 @@ def enumerate_fixed_points(game: QuadraticGame, cap=ENUMERATION_CAP) -> Enumerat
     T, Z, values = spectral._schur(blocks.boldM1)
     order = spectral._sort_key(values)
     rank = np.argsort(order)
-    # A diagonal block of T starts at a real value or at the first member of
-    # a conjugate pair; list each block by its ranks in magnitude order.
-    starts = np.nonzero(values.imag >= 0)[0]
-    blocks_list = sorted(
-        tuple(sorted(rank[a:b].tolist()))
-        for a, b in zip(starts, np.append(starts[1:], d))
-    )
+    # Each rank's conjugate partner by rank: on the Schur diagonal a pair sits
+    # side by side, positive imaginary part first; a real value is its own.
+    partner = rank[order + np.sign(values.imag[order]).astype(int)]
+    pairs = [(r, p) for r, p in enumerate(partner.tolist()) if r < p]
     # The M_i > 0 flags are the game's: one Cholesky attempt each, for every candidate.
     posdef = _posdef(blocks.M1), _posdef(blocks.M2)
     candidates = []
     skipped = []
-    # r whole blocks hold at least r eigenvalues, so r <= d1.
-    for r in range(1, d1 + 1):
-        for combo in combinations(blocks_list, r):
-            idx = tuple(sorted(i for b in combo for i in b))
-            if len(idx) != d1:
-                continue
-            selection = Indices(idx)
-            try:
-                sub = spectral._reorder(blocks.boldM1, T, Z, values, d1, selection)
-                sol = _solution_from_subspace(game, blocks, sub, selection, posdef)
-            except CcveError as exc:
-                skipped.append((idx, type(exc).__name__))
-                continue
-            candidates.append(FixedPointCandidate(idx, sol))
-    candidates.sort(key=lambda c: c.indices)
+    for idx in combinations(range(d), d1):
+        if any((r in idx) != (p in idx) for r, p in pairs):
+            continue  # the subset splits a conjugate pair
+        selection = Indices(idx)
+        try:
+            sub = spectral._reorder(blocks.boldM1, T, Z, values, d1, selection)
+            sol = _solution_from_subspace(game, blocks, sub, selection, posdef)
+        except CcveError as exc:
+            skipped.append((idx, type(exc).__name__))
+            continue
+        candidates.append(FixedPointCandidate(idx, sol))
     return EnumerationResult(tuple(candidates), tuple(skipped))
 
 

@@ -176,7 +176,7 @@ class IterationTrace:
     status: str  # "converged" | "max_iters" | "diverged" | "singular"
     status_iter: int
     # Largest step change of the last completed step; None before the first.
-    change: float | None = None
+    change: float | None
 
     @property
     def final(self) -> IterationStep:

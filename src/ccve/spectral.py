@@ -10,7 +10,7 @@ is closed under conjugation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,11 @@ class Selection:
     indices: tuple = ()
 
     def __post_init__(self):
+        if self.kind not in ("largest", "smallest", "indices"):
+            raise EigFailure(f"unknown selection kind {self.kind!r}")
+        if self.kind != "indices" and len(self.indices):
+            raise EigFailure(
+                f"a {self.kind!r} selection takes no positions, got {self.indices!r}")
         if not all(map(_is_count, self.indices)):
             raise EigFailure(
                 f"Indices selection positions must be integers, got {self.indices!r}")
@@ -70,7 +75,7 @@ class InvariantSubspace:
     basis: np.ndarray
     eigenvalues: np.ndarray  # the selected spectrum, descending magnitude
     complement: np.ndarray  # the rest of the spectrum, in the same order
-    warnings: tuple = field(default=())
+    warnings: tuple
 
 
 def _sort_key(values):
@@ -120,7 +125,7 @@ def _select_positions(values, k, selection: Selection):
         chosen = order[:k]
     elif selection.kind == "smallest":
         chosen = order[n - k:]
-    elif selection.kind == "indices":
+    else:
         if len(selection.indices) != k:
             raise EigFailure(
                 f"Indices selection has {len(selection.indices)} entries, expected {k}"
@@ -130,8 +135,6 @@ def _select_positions(values, k, selection: Selection):
         if len(set(selection.indices)) != k:
             raise EigFailure("Indices selection repeats a position")
         chosen = order[list(selection.indices)]
-    else:  # pragma: no cover
-        raise EigFailure(f"unknown selection kind {selection.kind!r}")
 
     inside = np.zeros(n, dtype=bool)
     inside[chosen] = True

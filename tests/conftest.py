@@ -219,6 +219,21 @@ def perturbation_operator(blocks, i, L_i):
     return np.kron(right_inv.T, left)
 
 
+EPS = np.finfo(float).eps
+# The metamorphic tests' tolerance: 64 eps relative to the largest entry of
+# the field, or 1 if that is smaller.
+METAMORPHIC_TOL = 64 * EPS
+
+
+def assert_close(a, b, what):
+    """a equals b to METAMORPHIC_TOL; the message gives the distance in eps."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape, what
+    scale = max(1.0, np.max(np.abs(a), initial=0.0))
+    diff = np.max(np.abs(a - b), initial=0.0)
+    assert diff <= METAMORPHIC_TOL * scale, f"{what}: {diff / scale / EPS:.1f} eps"
+
+
 def principal_angles(U, V):
     """Principal angles between the column spans of U and V."""
     return sla.subspace_angles(np.asarray(U, float), np.asarray(V, float))

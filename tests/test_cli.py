@@ -427,6 +427,21 @@ READERS["game"] = lambda f, game, d: (["solve", "--game", f, "--out", str(d / "s
                                       d / "s.json")
 
 
+@pytest.mark.parametrize("data", [b"{", b'{"T": "\xff"}'], ids=["bad-json", "bad-utf8"])
+@pytest.mark.parametrize("reader", READERS)
+def test_json_file_that_does_not_parse_names_the_file(tmp_path, bench_path, capsys,
+                                                      reader, data):
+    # "{" given to --init printed "error: Expecting property name enclosed in
+    # double quotes: line 1 column 2 (char 1)", naming none of the files.
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    argv, out = READERS[reader](str(path), str(bench_path), tmp_path)
+    assert run(argv) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    assert out is None or not out.exists()
+
+
 def first_number_as(entry, kind):
     """The nested list ``entry`` with its first number made a ``kind``."""
     entry = copy.deepcopy(entry)

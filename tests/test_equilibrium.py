@@ -1,6 +1,7 @@
 """Direct equilibrium solves, candidate enumeration, and solution JSON."""
 
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -257,7 +258,7 @@ class TestEnumerate:
 
     def test_pool_never_raises_or_splits_pairs(self):
         # Every subset is solved on one Schur form of boldM1, so a failing
-        # subset is skipped and the Schur blocks keep each pair whole; the
+        # subset is skipped and no subset that splits a pair is solved; the
         # only stable candidate is auto's solution.
         for g in uniform_pool(400, dmax=3):
             res = enumerate_fixed_points(g)
@@ -270,6 +271,26 @@ class TestEnumerate:
                 continue
             assert len(stable) == 1
             assert np.array_equal(stable[0].solution.L1, L1)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_walks_each_pair_closed_subset_once_in_index_order(self, count_calls,
+                                                               seed):
+        # uniform 2x5: spec(boldM1) holds one conjugate pair, so 11 of the
+        # C(7, 2) = 21 subsets keep it whole. Each is reordered once, and
+        # candidates and skipped both list them in index order (skipped was
+        # in the order of a walk over the Schur blocks).
+        game = builders.random_game(2, 5, recipe="uniform", seed=seed)
+        values = spectral._schur(assemble_blocks(game).boldM1)[2]
+        values = values[spectral._sort_key(values)]
+        assert np.count_nonzero(values.imag) == 2
+        closed = [idx for idx in combinations(range(7), 2)
+                  if set(values[list(idx)]) == set(np.conj(values[list(idx)]))]
+        calls = count_calls()
+        res = enumerate_fixed_points(game)
+        skipped = [idx for idx, _ in res.skipped]
+        assert (len(closed), calls["dtrsen"]) == (11, 11)
+        assert sorted([c.indices for c in res.candidates] + skipped) == closed
+        assert skipped and skipped == sorted(skipped)
 
     def test_cap_enforced(self, bench_game):
         with pytest.raises(EnumerationTooLarge):

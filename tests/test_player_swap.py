@@ -19,13 +19,13 @@ import pytest
 from ccve import analysis, builders, equilibrium, lft
 from ccve.core import Dims, QuadraticGame, eval_cost
 
-EPS = np.finfo(float).eps
-# Each difference is taken relative to the largest entry of the field, or 1
-# if that is smaller. The largest measured on these games: 22 eps for the
-# solves (50x60 s0, QZ route), 8 eps for the social cost, 17 eps for the
-# composite iteration's values and 28 eps for its costs and residuals
-# (50x60 s0). A planted 1e-12 relative error, about 4500 eps, fails.
-TOL = 64 * EPS
+from conftest import assert_close
+
+# conftest.assert_close holds each field to 64 eps. The largest measured on
+# these games: 22 eps for the solves (50x60 s0, QZ route), 8 eps for the
+# social cost, 17 eps for the composite iteration's values and 28 eps for
+# its costs and residuals (50x60 s0). A planted 1e-12 relative error, about
+# 4500 eps, fails.
 
 GAMES = {"2x3": builders.example1_game}
 GAMES.update({
@@ -49,14 +49,6 @@ def swap(g):
 def pair(request):
     g = GAMES[request.param]()
     return g, swap(g)
-
-
-def assert_close(a, b, what):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    assert a.shape == b.shape, what
-    scale = max(1.0, np.max(np.abs(a), initial=0.0))
-    diff = np.max(np.abs(a - b), initial=0.0)
-    assert diff <= TOL * scale, f"{what}: {diff / scale / EPS:.1f} eps"
 
 
 def assert_swapped(a, b, names, where):

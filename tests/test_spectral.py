@@ -182,6 +182,18 @@ class TestInvariantSubspace:
         with pytest.raises(EigFailure, match="Indices selection positions must be integers"):
             spectral.Selection("indices", tuple(idx))
 
+    @pytest.mark.parametrize("kind, idx, msg", [
+        ("largest", (7,), "a 'largest' selection takes no positions, got (7,)"),
+        ("smallest", (0,), "a 'smallest' selection takes no positions, got (0,)"),
+        ("bogus", (), "unknown selection kind 'bogus'"),
+        ("Largest", (), "unknown selection kind 'Largest'"),
+    ], ids=["largest-with-positions", "smallest-with-positions", "bogus", "Largest"])
+    def test_selection_refuses_what_it_would_ignore(self, kind, idx, msg):
+        # Selection("largest", (7,)) solved the largest selection and recorded
+        # "largest"; "bogus" was refused only when a solve reached it.
+        with pytest.raises(EigFailure, match=re.escape(msg)):
+            spectral.Selection(kind, idx)
+
     def test_numpy_integer_indices_are_stored_as_ints(self):
         selection = Indices(np.array([0, 2]))
         assert selection.indices == (0, 2)
