@@ -104,48 +104,41 @@ class LqSpec:
         return self.G2.shape[1]
 
 
-def block_diag(*blocks):
-    """The block-diagonal matrix of the 2-D float ``blocks``: each is written
-    into one zero matrix, as scipy.linalg.block_diag does."""
-    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
-    r = c = 0
-    for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r, c = r + b.shape[0], c + b.shape[1]
-    return out
-
-
-def _unroll_input_map(F, G, T):
+def _unroll_input_map(powers, G):
     """Block lower-triangular map from stacked controls to stacked states.
 
-    Row t (of T+1) and column k (of T) hold F^{t-1-k} G for t >= k+1.
+    Row t (of T+1) and column k (of T) hold F^{t-1-k} G for t >= k+1, from
+    ``powers`` = [F^0, ..., F^T]: column k stacks F^0 G, F^1 G, ... from row k+1.
     """
+    T = len(powers) - 1
     n, m = G.shape
+    FG = np.vstack([p @ G for p in powers[:T]])
     W = np.zeros((n * (T + 1), m * T))
-    powers = [np.eye(n)]
-    for _ in range(T):
-        powers.append(F @ powers[-1])
-    for t in range(1, T + 1):
-        for k in range(t):
-            W[t * n:(t + 1) * n, k * m:(k + 1) * m] = powers[t - 1 - k] @ G
+    for k in range(T):
+        W[(k + 1) * n:, k * m:(k + 1) * m] = FG[:(T - k) * n]
     return W
 
 
 def build_lq_game(spec: LqSpec) -> QuadraticGame:
     """Unroll an LQ dynamic game into a static quadratic game in the stacked
     open-loop controls (d1 = m1*T, d2 = m2*T)."""
-    T = spec.T
-    W1 = _unroll_input_map(spec.F, spec.G1, T)
-    W2 = _unroll_input_map(spec.F, spec.G2, T)
-    Fbar = np.vstack([np.linalg.matrix_power(spec.F, t) for t in range(T + 1)])
-    z = Fbar @ spec.z0
+    T, n = spec.T, spec.n
+    # F^t as np.linalg.matrix_power forms it for t <= 3: F^{t-1} @ F.
+    powers = [np.eye(n), spec.F]
+    for _ in range(T - 1):
+        powers.append(powers[-1] @ spec.F)
+    W1 = _unroll_input_map(powers, spec.G1)
+    W2 = _unroll_input_map(powers, spec.G2)
+    z = np.vstack(powers) @ spec.z0
 
     def player(W, W_opp, Q, Qf, R, R_cross):
         """(A, B, D, a, b) of the player with control map W and costs Q, Qf, R, R_cross."""
-        bQ = block_diag(*[Q] * T, Qf)
-        bR, bR_cross = block_diag(*[R] * T), block_diag(*[R_cross] * T)
-        return (bR + W.T @ bQ @ W, (bR_cross + W.T @ bQ @ W_opp).T,
-                W_opp.T @ bQ @ W_opp, W.T @ bQ @ z, W_opp.T @ bQ @ z)
+        bQ = np.kron(np.eye(T + 1), Q)
+        bQ[-n:, -n:] = Qf
+        WQ, WQ_opp = W.T @ bQ, W_opp.T @ bQ
+        return (np.kron(np.eye(T), R) + WQ @ W,
+                (np.kron(np.eye(T), R_cross) + WQ @ W_opp).T,
+                WQ_opp @ W_opp, WQ @ z, WQ_opp @ z)
 
     return QuadraticGame.create(
         spec.m1 * T, spec.m2 * T,

@@ -34,14 +34,19 @@ class Selection:
     def __post_init__(self):
         if self.kind not in ("largest", "smallest", "indices"):
             raise EigFailure(f"unknown selection kind {self.kind!r}")
-        if self.kind != "indices" and len(self.indices):
+        try:
+            positions = tuple(self.indices)
+        except TypeError:
+            raise EigFailure(
+                f"selection positions must be a sequence, got {self.indices!r}") from None
+        if self.kind != "indices" and positions:
             raise EigFailure(
                 f"a {self.kind!r} selection takes no positions, got {self.indices!r}")
-        if not all(map(_is_count, self.indices)):
+        if not all(map(_is_count, positions)):
             raise EigFailure(
                 f"Indices selection positions must be integers, got {self.indices!r}")
         # Ints, so that str() reads indices[0, 2] for numpy integers too.
-        object.__setattr__(self, "indices", tuple(map(int, self.indices)))
+        object.__setattr__(self, "indices", tuple(map(int, positions)))
 
     def __str__(self):
         if self.kind == "indices":
@@ -55,8 +60,8 @@ SmallestMagnitude = Selection("smallest")
 
 def Indices(idx):
     """Selection by positions into the descending-magnitude-sorted spectrum;
-    raises EigFailure unless each position is a count as core._is_count holds."""
-    return Selection("indices", tuple(idx))
+    raises EigFailure unless ``idx`` is a sequence of counts (core._is_count)."""
+    return Selection("indices", idx)
 
 
 @dataclass(frozen=True)

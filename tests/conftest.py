@@ -102,12 +102,13 @@ def random_dense_game(rng, d1, d2, coupling=0.5):
     return QuadraticGame.create(d1, d2, p1, p2)
 
 
-def random_lq_spec(rng, n_max=3, t_max=4):
-    """Random well-posed LQ dynamic game description."""
-    n = int(rng.integers(1, n_max + 1))
-    m1 = int(rng.integers(1, 3))
-    m2 = int(rng.integers(1, 3))
-    T = int(rng.integers(1, t_max + 1))
+def random_lq_spec(rng, n_max=3, t_max=4, shape=None):
+    """Random well-posed LQ dynamic game description, of the ``shape``
+    (n, m1, m2, T) when one is given."""
+    if shape is None:
+        shape = (int(rng.integers(1, n_max + 1)), int(rng.integers(1, 3)),
+                 int(rng.integers(1, 3)), int(rng.integers(1, t_max + 1)))
+    n, m1, m2, T = shape
 
     def psd(k):
         m = rng.standard_normal((k, k))
@@ -219,19 +220,36 @@ def perturbation_operator(blocks, i, L_i):
     return np.kron(right_inv.T, left)
 
 
+# The games of the cost-scaling and coordinate-change relations: the 2x3
+# game, uniform 1x2, 3x4 and 4x5 at seeds 0-2, and paper7ex2 10x12 and
+# 50x60 at seed 0, each built when a test asks for it.
+METAMORPHIC_GAMES = {"2x3": builders.example1_game}
+METAMORPHIC_GAMES.update({
+    f"uniform-{d1}x{d2}-s{s}":
+        lambda d1=d1, d2=d2, s=s: builders.random_game(d1, d2, recipe="uniform", seed=s)
+    for d1, d2 in ((1, 2), (3, 4), (4, 5)) for s in range(3)
+})
+METAMORPHIC_GAMES.update({
+    f"paper7ex2-{d1}x{d2}-s0":
+        lambda d1=d1, d2=d2: builders.random_game(d1, d2, recipe="paper7ex2", seed=0)
+    for d1, d2 in ((10, 12), (50, 60))
+})
+
+
 EPS = np.finfo(float).eps
 # The metamorphic tests' tolerance: 64 eps relative to the largest entry of
 # the field, or 1 if that is smaller.
 METAMORPHIC_TOL = 64 * EPS
 
 
-def assert_close(a, b, what):
-    """a equals b to METAMORPHIC_TOL; the message gives the distance in eps."""
+def assert_close(a, b, what, tol=METAMORPHIC_TOL):
+    """a equals b to ``tol`` relative to the largest entry of a, or 1 if that
+    is smaller; the message gives the distance in eps."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     assert a.shape == b.shape, what
     scale = max(1.0, np.max(np.abs(a), initial=0.0))
     diff = np.max(np.abs(a - b), initial=0.0)
-    assert diff <= METAMORPHIC_TOL * scale, f"{what}: {diff / scale / EPS:.1f} eps"
+    assert diff <= tol * scale, f"{what}: {diff / scale / EPS:.1f} eps"
 
 
 def principal_angles(U, V):

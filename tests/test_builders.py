@@ -1,5 +1,8 @@
 """Game constructors: LQ unrolling, scalar games, seeded recipes, Moebius."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -14,10 +17,10 @@ from ccve.builders import (
     mobius_fixed_points,
     random_game,
 )
-from ccve.core import eval_cost, validate_game
+from ccve.core import QuadraticGame, eval_cost, game_to_dict, validate_game
 from ccve.errors import ComplexFixedPoints, DegenerateScalar, DimensionMismatch
 
-from conftest import MARGINAL, random_lq_spec, rollout_cost
+from conftest import EPS, MARGINAL, random_lq_spec, rollout_cost
 
 SQ3 = np.sqrt(3.0)
 
@@ -95,20 +98,88 @@ class TestLqSpec:
                 LqSpec.create(T=T, **spec)
 
 
+def one_product_per_block_unroll(spec):
+    """The LQ unroll with one product per block, the oracle of
+    TestBuildLqGame: each block of an input map is matrix_power(F, j) @ G,
+    the state map stacks matrix_power(F, t), the block weights are
+    scipy.linalg.block_diag's, and each of A, B, D, a, b is one product
+    through the player's stage weight."""
+    T, F = spec.T, spec.F
+
+    def input_map(G):
+        n, m = G.shape
+        W = np.zeros((n * (T + 1), m * T))
+        for t in range(1, T + 1):
+            for k in range(t):
+                block = np.linalg.matrix_power(F, t - 1 - k) @ G
+                W[t * n:(t + 1) * n, k * m:(k + 1) * m] = block
+        return W
+
+    W1, W2 = input_map(spec.G1), input_map(spec.G2)
+    z = np.vstack([np.linalg.matrix_power(F, t) for t in range(T + 1)]) @ spec.z0
+
+    def player(W, W_opp, Q, Qf, R, R_cross):
+        bQ = sla.block_diag(*[Q] * T, Qf)
+        bR, bR_cross = sla.block_diag(*[R] * T), sla.block_diag(*[R_cross] * T)
+        return (bR + W.T @ bQ @ W, (bR_cross + W.T @ bQ @ W_opp).T,
+                W_opp.T @ bQ @ W_opp, W.T @ bQ @ z, W_opp.T @ bQ @ z)
+
+    return QuadraticGame.create(
+        spec.m1 * T, spec.m2 * T,
+        player(W1, W2, spec.Q1, spec.Q1f, spec.R1, spec.R12),
+        player(W2, W1, spec.Q2, spec.Q2f, spec.R2, spec.R21),
+    )
+
+
+# (n, m1, m2, T) of the small-games LQ unrolls.
+SMALL_GAMES_LQ_SHAPES = [(1, 1, 1, 2), (1, 1, 1, 3), (2, 1, 1, 2),
+                         (2, 1, 2, 2), (2, 2, 1, 3), (2, 2, 2, 2)]
+# The unroll forms F^t as F^{t-1} @ F, which is how matrix_power forms it
+# for t <= 3 only; beyond, its blocks may move in the last bits. On the
+# T = 4..8 draws below the largest move is 6.2 eps relative to the block's
+# largest entry.
+UNROLL_TOL = 32 * EPS
+
+
 class TestBuildLqGame:
-    # (n, m1, m2, T) of the small-games LQ unrolls.
-    @pytest.mark.parametrize("n, m1, m2, T", [
-        (1, 1, 1, 2), (1, 1, 1, 3), (2, 1, 1, 2), (2, 1, 2, 2), (2, 2, 1, 3), (2, 2, 2, 2),
-    ])
-    def test_block_diag_is_scipys_bit_for_bit(self, n, m1, m2, T):
-        rng = np.random.default_rng([n, m1, m2, T])
-        Q, Qf = rng.standard_normal((2, n, n))
-        R1, R12 = rng.standard_normal((m1, m1)), rng.standard_normal((m1, m2))
-        # Signed zeros survive only if each block is written, not added, in.
-        for blocks in ([Q] * T + [Qf], [R1] * T, [R12] * T, [-0.0 * R12] * T):
-            ours, oracle = builders.block_diag(*blocks), sla.block_diag(*blocks)
-            assert ours.dtype == oracle.dtype and ours.shape == oracle.shape
-            assert ours.tobytes() == oracle.tobytes()
+    @pytest.mark.parametrize("n, m1, m2, T", SMALL_GAMES_LQ_SHAPES)
+    def test_small_games_shapes_are_the_oracles_bit_for_bit(self, n, m1, m2, T):
+        for seed in range(4):
+            spec = random_lq_spec(np.random.default_rng([seed, n, m1, m2, T]),
+                                  shape=(n, m1, m2, T))
+            self.assert_bit_for_bit(spec)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_specs_up_to_t3_are_the_oracles_bit_for_bit(self, seed):
+        spec = random_lq_spec(np.random.default_rng(seed), t_max=3)
+        self.assert_bit_for_bit(spec)
+
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    def test_signed_zeros_are_the_oracles(self, T):
+        # Zero state costs and a -0.0 cross weight: the entries of A and B
+        # off the weights' blocks are sums of zeros, whose signs the JSON
+        # compares too.
+        spec = random_lq_spec(np.random.default_rng(T), shape=(2, 2, 1, T))
+        zero = np.zeros((2, 2))
+        self.assert_bit_for_bit(replace(spec, Q1=zero, Q1f=zero, Q2=zero,
+                                        R12=-0.0 * spec.R12, R21=-spec.R21))
+
+    @staticmethod
+    def assert_bit_for_bit(spec):
+        ours = json.dumps(game_to_dict(build_lq_game(spec)))
+        assert ours == json.dumps(game_to_dict(one_product_per_block_unroll(spec)))
+
+    @pytest.mark.parametrize("T", range(4, 9))
+    def test_longer_horizons_agree_with_the_oracle(self, T):
+        for seed in range(10):
+            spec = random_lq_spec(np.random.default_rng([T, seed]), shape=(
+                1 + seed % 4, 1 + seed % 2, 2 - seed % 2, T))
+            ours, oracle = build_lq_game(spec), one_product_per_block_unroll(spec)
+            for i in (1, 2):
+                for key in ("A", "B", "D", "a", "b"):
+                    a, b = getattr(ours.player(i), key), getattr(oracle.player(i), key)
+                    scale = np.max(np.abs(b))
+                    assert np.max(np.abs(a - b)) <= UNROLL_TOL * scale, (seed, i, key)
 
     def test_hand_unroll_terminal_cost_only(self):
         # n = 1, F = G = 1, Q = 0, Qf = 1, R = 1, z0 = 0, T = 2: the terminal

@@ -16,24 +16,12 @@ import warnings
 
 import pytest
 
-from ccve import builders, equilibrium, lft
+from ccve import equilibrium, lft
 from ccve.core import PlayerCost, QuadraticGame
 
-from conftest import assert_close
+from conftest import METAMORPHIC_GAMES, assert_close
 
 SCALES = [(2.0, 1.0), (0.25, 8.0), (1024.0, 0.5)]
-
-GAMES = {"2x3": builders.example1_game}
-GAMES.update({
-    f"uniform-{d1}x{d2}-s{s}":
-        lambda d1=d1, d2=d2, s=s: builders.random_game(d1, d2, recipe="uniform", seed=s)
-    for d1, d2 in ((1, 2), (3, 4), (4, 5)) for s in range(3)
-})
-GAMES.update({
-    f"paper7ex2-{d1}x{d2}-s0":
-        lambda d1=d1, d2=d2: builders.random_game(d1, d2, recipe="paper7ex2", seed=0)
-    for d1, d2 in ((10, 12), (50, 60))
-})
 
 FIELDS = ("L1", "ell1", "L2", "ell2", "x1", "x2")
 
@@ -45,9 +33,9 @@ def scaled(g, c1, c2):
     return QuadraticGame(g.dims, scale(g.p1, c1), scale(g.p2, c2))
 
 
-@pytest.fixture(scope="module", params=GAMES)
+@pytest.fixture(scope="module", params=METAMORPHIC_GAMES)
 def game(request):
-    return GAMES[request.param]()
+    return METAMORPHIC_GAMES[request.param]()
 
 
 @pytest.mark.parametrize("c1, c2", SCALES)

@@ -194,6 +194,17 @@ class TestInvariantSubspace:
         with pytest.raises(EigFailure, match=re.escape(msg)):
             spectral.Selection(kind, idx)
 
+    @pytest.mark.parametrize("make", [
+        lambda: spectral.Selection("indices", 7),
+        lambda: Indices(3),
+        lambda: spectral.Selection("largest", 7),
+    ], ids=["indices-7", "Indices-3", "largest-7"])
+    def test_positions_that_are_no_sequence_rejected(self, make):
+        # Each ended in a raw TypeError: "'int' object is not iterable" for
+        # the first two, "object of type 'int' has no len()" for the third.
+        with pytest.raises(EigFailure, match=r"selection positions must be a sequence, got \d"):
+            make()
+
     def test_numpy_integer_indices_are_stored_as_ints(self):
         selection = Indices(np.array([0, 2]))
         assert selection.indices == (0, 2)
