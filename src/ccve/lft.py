@@ -280,8 +280,10 @@ def iterate(game: QuadraticGame, cfg: IterationConfig) -> IterationTrace:
         conj1, conj2 = cfg.init
         if conj1.holder != 1 or conj2.holder != 2:
             raise DimensionMismatch("init must be (player-1, player-2) conjectures")
-        L1, ell1 = conj1.L.copy(), conj1.ell.copy()
-        L2, ell2 = conj2.L.copy(), conj2.ell.copy()
+        L1 = core._checked_L(dims, 1, conj1.L).copy()
+        ell1 = core._as_vector(conj1.ell, dims.d2, "ell1").copy()
+        L2 = core._checked_L(dims, 2, conj2.L).copy()
+        ell2 = core._as_vector(conj2.ell, dims.d1, "ell2").copy()
 
     # Each step forms the _Slope of each new L_i once, from the players'
     # cost rows; the offsets, the record and the next step's cross map read it.
@@ -363,6 +365,9 @@ def write_trace_csv(trace: IterationTrace, dims, path) -> None:
     Each row is one %-format: "%.17g" gives format(v, ".17g")'s digits, and
     the rows end in CRLF, as a csv.writer's do.
     """
+    shape = trace.steps[0].L1.shape
+    if shape != (dims.d2, dims.d1):
+        raise DimensionMismatch(f"{dims} is not the trace's: its L1 has shape {shape}")
     fields = [field for field, _ in _trace_columns(dims)]
     header = trace_header(dims)
     row = "%d" + ",%.17g" * (len(header) - 1) + "\r\n"

@@ -19,7 +19,7 @@ import numpy as np
 from .core import (CompositeBlocks, QuadraticGame, _a_norms, _checked_L,
                    _checked_slope, _lu_checked, _residual_norms, _residuals,
                    _solve_checked, _sq_norm)
-from .errors import NotAFixedPoint, SingularComposite
+from .errors import DimensionMismatch, NotAFixedPoint, SingularComposite
 
 # Residual threshold for accepting (L1, L2) as a fixed pair.
 FIXED_POINT_TOL = 1e-6
@@ -60,6 +60,8 @@ def certify(blocks: CompositeBlocks, game: QuadraticGame, L1, L2) -> StabilityRe
     """Stability certificate for a fixed conjecture pair, as ``ccve check``
     needs it: perturbation_spectrum recomputes both players' ratios from L1
     and L2, independently of any solve."""
+    if blocks.dims != game.dims:
+        raise DimensionMismatch(f"blocks of {blocks.dims} for a game of {game.dims}")
     return _certify(blocks, game, _checked_slope(game, 1, L1),
                     _checked_slope(game, 2, L2), None)
 

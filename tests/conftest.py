@@ -55,6 +55,17 @@ def count_calls(monkeypatch):
     return install
 
 
+SQ3 = np.sqrt(3.0)
+# The stable slope and the contraction factor of ``warmup_game``.
+WARM_L = -2.0 + SQ3
+WARM_XI = 97.0 - 56.0 * SQ3
+
+
+def scalar_game(**kw):
+    """The scalar game of builders.ScalarSpec(**kw)."""
+    return builders.build_scalar_game(builders.ScalarSpec(**kw))
+
+
 @pytest.fixture
 def warmup_game():
     """Symmetric scalar game with a closed-form equilibrium.
@@ -62,7 +73,7 @@ def warmup_game():
     q = 1, r = 0.25, s = 0 for both players; the stable slope is
     -2 + sqrt(3) and the contraction factor is 97 - 56 sqrt(3).
     """
-    return builders.build_scalar_game(builders.ScalarSpec(q1=1.0, r1=0.25, s1=0.0))
+    return scalar_game(q1=1.0, r1=0.25, s1=0.0)
 
 
 @pytest.fixture
@@ -220,7 +231,7 @@ def perturbation_operator(blocks, i, L_i):
     return np.kron(right_inv.T, left)
 
 
-# The games of the cost-scaling and coordinate-change relations: the 2x3
+# The games of the relation table's scaling and coordinate rows: the 2x3
 # game, uniform 1x2, 3x4 and 4x5 at seeds 0-2, and paper7ex2 10x12 and
 # 50x60 at seed 0, each built when a test asks for it.
 METAMORPHIC_GAMES = {"2x3": builders.example1_game}

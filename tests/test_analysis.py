@@ -10,14 +10,7 @@ from ccve.equilibrium import solve_ccve
 from ccve.errors import DimensionMismatch, SingularNashSystem
 from ccve.lft import best_response
 
-from conftest import random_dense_game
-
-SQ3 = np.sqrt(3.0)
-WARM_L = -2.0 + SQ3
-
-
-def scalar_game(**kw):
-    return builders.build_scalar_game(builders.ScalarSpec(**kw))
+from conftest import SQ3, WARM_L, random_dense_game, scalar_game
 
 
 def effective_hessian(game, i, L):

@@ -20,9 +20,7 @@ from ccve.builders import (
 from ccve.core import QuadraticGame, eval_cost, game_to_dict, validate_game
 from ccve.errors import ComplexFixedPoints, DegenerateScalar, DimensionMismatch
 
-from conftest import EPS, MARGINAL, random_lq_spec, rollout_cost
-
-SQ3 = np.sqrt(3.0)
+from conftest import EPS, MARGINAL, SQ3, WARM_L, WARM_XI, random_lq_spec, rollout_cost
 
 
 class TestLqSpec:
@@ -341,8 +339,8 @@ class TestMobius:
         assert not res.infinite_root
         assert len(res.records) == 2
         stable, unstable = res.records
-        assert stable.L == pytest.approx(-2.0 + SQ3, abs=1e-14)
-        assert stable.xi_magnitude == pytest.approx(97.0 - 56.0 * SQ3, abs=1e-12)
+        assert stable.L == pytest.approx(WARM_L, abs=1e-14)
+        assert stable.xi_magnitude == pytest.approx(WARM_XI, abs=1e-12)
         assert stable.classification == "stable"
         assert unstable.L == pytest.approx(-2.0 - SQ3, abs=1e-12)
         assert unstable.classification == "unstable"

@@ -34,24 +34,17 @@ from ccve.core import (
 )
 from ccve.errors import ANotPositiveDefinite, DimensionMismatch, MSingular
 
-from conftest import PARTNER_GAMES, partner_composite, random_dense_game, uniform_pool
+from conftest import (PARTNER_GAMES, WARM_L, partner_composite, random_dense_game,
+                      scalar_game, uniform_pool)
 
-SQ3 = np.sqrt(3.0)
-WARM_L = -2.0 + SQ3  # stable slope of the q=1, r=0.25, s=0 scalar game
 # Values that are no player index: only the int 1 or 2 is one.
 NOT_PLAYER_INDICES = [0, 3, -1, 1.0, 2.0, True, np.float64(2.0), "1", None]
-
-
-def scalar_game(q=1.0, r=0.25, s=0.0, w=0.0, v=0.0):
-    return builders.build_scalar_game(
-        builders.ScalarSpec(q1=q, r1=r, s1=s, w1=w, v1=v)
-    )
 
 
 class TestValidation:
     def test_accepts_posdef_scalar_game(self):
         # q = s = 1, r = 0.5: det(M_i) = 0.75 != 0 and A_i = 1 > 0.
-        g = scalar_game(q=1.0, r=0.5, s=1.0)
+        g = scalar_game(q1=1.0, r1=0.5, s1=1.0)
         assert validate_game(g) is g
 
     def test_rejects_nonposdef_a(self):
@@ -209,12 +202,12 @@ class TestValidation:
 class TestEvalCost:
     def test_pure_quadratic_hand_value(self):
         # f1(x) = 1/2 x1^2 + w x1 with q=1, r=s=0, w=1: f1(2, 3) = 2 + 2 = 4.
-        g = scalar_game(q=1.0, r=0.0, s=0.5, w=1.0)
+        g = scalar_game(q1=1.0, r1=0.0, s1=0.5, w1=1.0)
         assert eval_cost(g, 1, [2.0], [3.0]) == pytest.approx(4.0 + 0.5 * 0.5 * 9)
 
     def test_cross_term_hand_value(self):
         # f1 = 1/2 q x1^2 + r x1 x2: q=2, r=3 at (1, 1) gives 1 + 3 = 4.
-        g = scalar_game(q=2.0, r=3.0, s=0.0)
+        g = scalar_game(q1=2.0, r1=3.0, s1=0.0)
         assert eval_cost(g, 1, [1.0], [1.0]) == pytest.approx(4.0)
 
     def test_matches_stacked_quadratic_form(self):
@@ -238,7 +231,7 @@ class TestEvalCost:
         # finite, so any non-finite entry must make both costs non-finite,
         # also where it meets a zero block (uncoupled: B_i = 0), and the
         # product must not warn under the errstate iterate holds for a run.
-        g = builders.example1_game() if game == "2x3" else scalar_game(r=0.0, s=-1.0)
+        g = builders.example1_game() if game == "2x3" else scalar_game(q1=1.0, r1=0.0, s1=-1.0)
         x1, x2 = np.ones(g.dims.d1), np.ones(g.dims.d2)
         (x1 if player == 1 else x2)[0] = bad
         operands = core._cost_operands(g, stacked_m1(g), stacked_m2(g))
@@ -259,7 +252,7 @@ class TestEvalCost:
 
     def test_overflowing_cost_is_infinite(self):
         # Finite actions whose cost overflows give inf, without a warning.
-        g = scalar_game(q=1.0, r=0.5, s=0.0)
+        g = scalar_game(q1=1.0, r1=0.5, s1=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert eval_cost(g, 1, [-0.5e308], [-0.5e308]) == np.inf

@@ -24,12 +24,10 @@ from ccve.errors import (
 )
 from ccve.spectral import Indices, LargestMagnitude, SmallestMagnitude
 
-from conftest import h_matrices, match_multisets, principal_angles, uniform_pool
+from conftest import (SQ3, WARM_L, WARM_XI, h_matrices, match_multisets,
+                      principal_angles, uniform_pool)
 
-SQ3 = np.sqrt(3.0)
-WARM_L_STABLE = -2.0 + SQ3
 WARM_L_UNSTABLE = -2.0 - SQ3
-WARM_XI = 97.0 - 56.0 * SQ3
 
 
 def decoupled_game():
@@ -68,8 +66,8 @@ class TestSolveActions:
 class TestSolveCcve:
     def test_warmup_closed_form(self, warmup_game):
         sol = solve_ccve(warmup_game)
-        assert sol.L1[0, 0] == pytest.approx(WARM_L_STABLE, abs=1e-12)
-        assert sol.L2[0, 0] == pytest.approx(WARM_L_STABLE, abs=1e-12)
+        assert sol.L1[0, 0] == pytest.approx(WARM_L, abs=1e-12)
+        assert sol.L2[0, 0] == pytest.approx(WARM_L, abs=1e-12)
         assert sol.stable
         assert sol.selection_used == "largest"
         assert sol.xi_max[0] == pytest.approx(WARM_XI, abs=1e-10)
@@ -228,7 +226,7 @@ class TestEnumerate:
         assert len(res.candidates) == 2
         slopes = sorted(c.solution.L1[0, 0] for c in res.candidates)
         assert slopes[0] == pytest.approx(WARM_L_UNSTABLE, abs=1e-12)
-        assert slopes[1] == pytest.approx(WARM_L_STABLE, abs=1e-12)
+        assert slopes[1] == pytest.approx(WARM_L, abs=1e-12)
         assert sum(c.solution.stable for c in res.candidates) == 1
 
     def test_bench_game_candidate_census(self, bench_game):

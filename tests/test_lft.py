@@ -7,11 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from ccve import analysis, builders
-from ccve.core import (Conjecture, assemble_blocks, eval_cost,
+from ccve.core import (Conjecture, Dims, assemble_blocks, eval_cost,
                        riccati_residual_norms)
 from ccve.errors import DimensionMismatch, SingularBestResponse
 from ccve.lft import (
@@ -26,19 +24,10 @@ from ccve.lft import (
     trace_header,
     write_trace_csv,
 )
-from ccve.spectral import LargestMagnitude, invariant_subspace
 
-from conftest import (PARTNER_GAMES, composite_blocks, principal_angles,
-                      random_dense_game, uniform_pool)
+from conftest import (PARTNER_GAMES, WARM_L, WARM_XI, composite_blocks,
+                      principal_angles, random_dense_game, scalar_game, uniform_pool)
 from test_kernel_ledger import iteration_row
-
-SQ3 = np.sqrt(3.0)
-WARM_L = -2.0 + SQ3
-WARM_XI = 97.0 - 56.0 * SQ3
-
-
-def scalar_game(**kw):
-    return builders.build_scalar_game(builders.ScalarSpec(**kw))
 
 
 class TestCrossMap:
@@ -389,6 +378,23 @@ class TestIterate:
         with pytest.raises(DimensionMismatch, match="x1 contains non-finite entries"):
             iterate(g, IterationConfig(init=init))
 
+    @pytest.mark.parametrize("field, value", [
+        ("L1", np.zeros((2, 3))),  # as Conjecture.create(1, ..., Dims(3, 2)) makes it
+        ("L1", np.full((3, 2), np.nan)),
+        ("ell1", np.zeros(2)),
+        ("L2", np.zeros((3, 2))),
+        ("ell2", np.array([np.inf, 0.0])),
+    ], ids=["L1-transposed", "L1-nan", "ell1-short", "L2-transposed", "ell2-inf"])
+    def test_init_that_is_not_of_the_game_rejected(self, bench_game, field, value):
+        # Conjecture itself checks nothing; iterate checks each L and ell
+        # against the 2x3 game as Conjecture.create would.
+        parts = {"L1": np.zeros((3, 2)), "ell1": np.zeros(3),
+                 "L2": np.zeros((2, 3)), "ell2": np.zeros(2), field: value}
+        init = (Conjecture(1, parts["L1"], parts["ell1"]),
+                Conjecture(2, parts["L2"], parts["ell2"]))
+        with pytest.raises(DimensionMismatch, match=f"^{field} "):
+            iterate(bench_game, IterationConfig(init=init))
+
     def test_overflowing_cost_is_recorded(self):
         # x_i = -0.5e308 is finite, but the cost 0.5 x_i^2 + ... overflows.
         # Neither the cost nor the step-change norm, which squares the
@@ -542,6 +548,14 @@ class TestTraceCsv:
         d1, d2 = bench_game.dims.d1, bench_game.dims.d2
         n_vec = 2 * (d1 + d2)  # x and xhat for both players
         assert len(cols) == 1 + 2 * d1 * d2 + (d1 + d2) + n_vec + 5
+
+    @pytest.mark.parametrize("dims", [Dims(3, 2), Dims(1, 1)], ids=["3x2", "1x1"])
+    def test_dims_that_are_not_the_traces_rejected(self, tmp_path, bench_game, dims):
+        trace = iterate(bench_game, IterationConfig(max_iters=2))
+        path = tmp_path / "trace.csv"
+        with pytest.raises(DimensionMismatch, match="is not the trace's"):
+            write_trace_csv(trace, dims, path)
+        assert not path.exists()
 
     def test_round_trip_full_precision(self, tmp_path, bench_game):
         trace = iterate(bench_game, IterationConfig(max_iters=5, tol=1e-30))

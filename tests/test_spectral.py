@@ -22,9 +22,8 @@ from ccve.spectral import (
     invariant_subspace,
 )
 
-from conftest import principal_angles, uniform_pool
+from conftest import SQ3, principal_angles, uniform_pool
 
-SQ3 = np.sqrt(3.0)
 WARM_BOLD = np.array([[-15.0, -4.0], [4.0, 1.0]])
 # Characteristic polynomial x^2 + 14x + 1: eigenvalues -7 +/- 4 sqrt(3).
 WARM_EIGS = (-7.0 + 4.0 * SQ3, -7.0 - 4.0 * SQ3)

@@ -6,20 +6,17 @@ import pytest
 from ccve import builders, lft, spectral, stability
 from ccve.core import _checked_slope, assemble_blocks
 from ccve.equilibrium import solve_ccve, solve_via_generalized
-from ccve.errors import CcveError, NotAFixedPoint
+from ccve.errors import CcveError, DimensionMismatch, NotAFixedPoint
 from ccve.spectral import LargestMagnitude
 from ccve.stability import (
     certify,
     perturbation_spectrum,
 )
 
-from conftest import (PARTNER_GAMES, composite_blocks, h_matrices,
+from conftest import (PARTNER_GAMES, SQ3, WARM_L, WARM_XI, composite_blocks, h_matrices,
                       match_multisets, partner_composite, perturbation_operator,
                       uniform_pool)
 
-SQ3 = np.sqrt(3.0)
-WARM_L = -2.0 + SQ3
-WARM_XI = 97.0 - 56.0 * SQ3
 WARM_H1 = -7.0 - 4.0 * SQ3   # bA1 + bB1 L = -15 - 4 L at the stable slope
 WARM_H1P = -7.0 + 4.0 * SQ3  # bD1 - L bB1 = 1 + 4 L
 
@@ -38,6 +35,12 @@ class TestHMatrices:
         blocks = assemble_blocks(warmup_game)
         with pytest.raises(NotAFixedPoint):
             certify(blocks, warmup_game, [[0.0]], [[0.0]])
+
+    def test_blocks_of_another_game_rejected(self, bench_game):
+        sol = solve_ccve(bench_game)
+        other = builders.random_game(3, 2, recipe="uniform", seed=0)
+        with pytest.raises(DimensionMismatch, match="blocks of Dims"):
+            certify(assemble_blocks(other), bench_game, sol.L1, sol.L2)
 
     def test_spectrum_splitting(self, bench_game):
         # spec(boldM1) is the disjoint union of spec(H1) and spec(H1').
