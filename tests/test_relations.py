@@ -1,282 +1,32 @@
-"""Metamorphic relations: one table of game transforms, run through every
-result surface.
-
-A row turns a game g into a case: the transformed game h, the map from a
-result field's name in g to its name in h, the map from its value in g to
-its value in h, a bound, and whether ``iterate`` keeps its step count. Each
-row keeps the solutions of the coupled Riccati-type conditions on the blocks
-of boldM1 = M2^{-T} M1, suitably mapped:
-
-- swap: h = (d2, d1, p2, p1). A field named for player 1 is h's field named
-  for player 2 and back (L1 and L2, xi_max_1 and xi_max_2, m1_posdef and
-  m2_posdef, res1 and res2). spec(boldM1(h)) is 1/spec(boldM1(g)), so h
-  selects the complement of g's selection; spec(H1) is not compared. The
-  square games are where a player-2 layout error keeps every shape.
-- scale: player i's cost blocks times c_i, a power of two, which rounds
-  nothing. No best response moves; f_i and min_eig_i are multiplied by c_i,
-  and spec(H1) by c1 / c2, as boldM1 = M2^{-T} M1. The social optimum, the
-  minimizer of f1 + f2, moves unless c1 = c2.
-- coordinates: the game in the actions y_i of x_i = S_i y_i, S_i a diagonal
-  of powers of two or a Householder reflection. L1' = S2^{-1} L1 S1,
-  L2' = S1^{-1} L2 S2, ell_i' = S_{-i}^{-1} ell_i, y_i = S_i^{-1} x_i. boldM1
-  changes by the similarity diag(S1, S2), so its spectrum, the ratios and
-  xi_max keep their values, as do the costs. The effective Hessians change by
-  a congruence, which a diagonal S_i keeps only the signs of; the residual
-  norms and the iteration's stopping rule read Frobenius norms, which only an
-  orthogonal S_i keeps. So min_eig_i, res_i and the step count are compared
-  for the Householder S_i only.
-
-The bounds, relative to each field's largest entry (at least 1): 64 eps for
-the swap and the scaling, 128 eps for the coordinates. The largest measured
-on 50x60 s0: 35.6 eps under the swap (the QZ solve's ratios), 19 eps under
-the scaling, 69.5 eps under the diagonal S_i (the QZ solve's spec(H1)) and
-42.5 eps under the Householder one (certify's ratios). A planted 1e-12
-relative error is about 4500 eps. A fault that scales a solve's own output
-(L2 times 1 + 1e-12) does so alike in g and h, which the scaling and the
-coordinates map onto themselves; so each solve's L2 in h is also compared
-with the cross map of g's L1.
+"""Every row of the relation table (relations.py) through the surfaces its
+own module does not run: certify and the second-order check, nash and the
+costs under the scalings and the changes of coordinates, enumeration, one
+Hypothesis draw and paper7ex2 100x120 s0.
 """
 
-import functools
 import warnings
-from types import SimpleNamespace
-from typing import Callable, NamedTuple
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccve import analysis, builders, equilibrium, lft, stability
-from ccve.core import Dims, PlayerCost, QuadraticGame, assemble_blocks, eval_cost
+from ccve import builders, equilibrium, lft
 
-from conftest import EPS, METAMORPHIC_GAMES, assert_close
-
-# The swap's games: the 2x3 game, uniform 1x1, 3x3 and 4x4 at seeds 0-2, and
-# paper7ex2 4x4 and 10x10 at seeds 0-1 and 50x60 at seed 0.
-SWAP_GAMES = {"2x3": builders.example1_game}
-SWAP_GAMES.update({
-    f"uniform-{d}x{d}-s{s}":
-        lambda d=d, s=s: builders.random_game(d, d, recipe="uniform", seed=s)
-    for d in (1, 3, 4) for s in range(3)
-})
-SWAP_GAMES.update({
-    f"paper7ex2-{d1}x{d2}-s{s}":
-        lambda d1=d1, d2=d2, s=s: builders.random_game(d1, d2, recipe="paper7ex2", seed=s)
-    for d1, d2, seeds in ((4, 4, 2), (10, 10, 2), (50, 60, 1)) for s in range(seeds)
-})
-GAMES = {**SWAP_GAMES, **METAMORPHIC_GAMES, "paper7ex2-100x120-s0":
-         lambda: builders.random_game(100, 120, recipe="paper7ex2", seed=0)}
-
-SOLVES = [equilibrium.solve_ccve, equilibrium.solve_via_generalized]
-SOLUTION = ("L1", "ell1", "L2", "ell2", "x1", "x2", "H1_spectrum")
-REPORT = ("ratios_1", "ratios_2", "xi_max_1", "xi_max_2", "stable", "marginal",
-          "internal_inconsistency")
-SECOND_ORDER = ("min_eig_1", "min_eig_2", "pass_", "m1_posdef", "m2_posdef")
-STEP = ("L1", "ell1", "L2", "ell2", "x1", "x2", "f1", "f2", "res1", "res2")
-# Spectra, compared as multisets; chosen by name, as eigvals returns a real
-# array when the spectrum is real.
-MULTISETS = {"ratios_1", "ratios_2", "H1_spectrum"}
+from relations import (
+    CASES, ROWS, SOLVES, assert_solves_map, assert_traces_map, case, check_certify,
+    check_outcomes, game, results,
+)
 
 
-def same(value):
-    return value
-
-
-class Case(NamedTuple):
-    """A row applied to a game g."""
-
-    h: QuadraticGame
-    # A str.translate table from a field's name in g to its name in h.
-    names: dict
-    # Field name -> the map of g's value to h's; None: not compared; absent: kept.
-    values: dict
-    tol: float
-    keeps_steps: bool
-    # A candidate's indices in g -> its indices in h.
-    indices: Callable = same
-
-
-def swap(g):
-    """The game with the players' roles exchanged: (d2, d1, p2, p1)."""
-    d = g.dims.d
-    return Case(QuadraticGame(Dims(g.dims.d2, g.dims.d1), g.p2, g.p1),
-                str.maketrans("12", "21"), {"H1_spectrum": None}, 64 * EPS, True,
-                lambda idx: tuple(sorted(d - 1 - j for j in range(d) if j not in idx)))
-
-
-def scaling(c1, c2):
-    """The row that multiplies player 1's cost blocks by c1 and player 2's by c2."""
-    def scale(p, c):
-        return PlayerCost(c * p.A, c * p.B, c * p.D, c * p.a, c * p.b)
-
-    def row(g):
-        by1, by2 = (lambda v: c1 * v), (lambda v: c2 * v)
-        values = {"f1": by1, "f2": by2, "min_eig_1": by1, "min_eig_2": by2,
-                  "H1_spectrum": lambda v: c1 / c2 * v,
-                  "social_x1": None, "social_x2": None, "f_social": None}
-        return Case(QuadraticGame(g.dims, scale(g.p1, c1), scale(g.p2, c2)),
-                    {}, values, 64 * EPS, True)
-    return row
-
-
-def diagonal(d, shift):
-    """(S, S^{-1}): the diagonal of powers of two 2^((j + shift) % 3 - 1)."""
-    s = 2.0 ** ((np.arange(d) + shift) % 3 - 1)
-    return np.diag(s), np.diag(1.0 / s)
-
-
-def householder(d, shift):
-    """(S, S^{-1}): the reflection I - 2 v v^T / (v^T v) of a seeded v."""
-    v = np.random.default_rng([d, shift]).standard_normal(d)
-    S = np.eye(d) - 2.0 * np.outer(v, v) / (v @ v)
-    return S, S.T
-
-
-def coordinates(make):
-    """The row that writes the game in the actions y_i of x_i = S_i y_i."""
-    def row(g):
-        (S1, T1), (S2, T2) = make(g.dims.d1, 0), make(g.dims.d2, 1)
-        p1, p2 = g.p1, g.p2
-        h = QuadraticGame(
-            g.dims,
-            PlayerCost(S1.T @ p1.A @ S1, S2.T @ p1.B @ S1, S2.T @ p1.D @ S2,
-                       S1.T @ p1.a, S2.T @ p1.b),
-            PlayerCost(S2.T @ p2.A @ S2, S1.T @ p2.B @ S2, S1.T @ p2.D @ S1,
-                       S2.T @ p2.a, S1.T @ p2.b),
-        )
-        in1, in2 = (lambda v: T1 @ v), (lambda v: T2 @ v)
-        values = {"L1": lambda v: T2 @ v @ S1, "L2": lambda v: T1 @ v @ S2,
-                  "ell1": in2, "ell2": in1, "x1": in1, "x2": in2,
-                  "social_x1": in1, "social_x2": in2}
-        orthogonal = make is householder
-        if not orthogonal:
-            values.update(dict.fromkeys(("min_eig_1", "min_eig_2", "res1", "res2")))
-        return Case(h, {}, values, 128 * EPS, orthogonal)
-    return row
-
-
-ROWS = {"swap": swap}
-ROWS.update({f"scale-{c1:g}-{c2:g}": scaling(c1, c2)
-             for c1, c2 in ((2.0, 1.0), (0.25, 8.0), (1024.0, 0.5))})
-ROWS.update({"diagonal": coordinates(diagonal), "householder": coordinates(householder)})
-CASES = [(rid, gid) for rid in ROWS
-         for gid in (SWAP_GAMES if rid == "swap" else METAMORPHIC_GAMES)]
-
-
-@functools.cache
-def game(gid):
-    return GAMES[gid]()
-
-
-@functools.cache
-def case(rid, gid):
-    return ROWS[rid](game(gid))
-
-
-@functools.cache
-def result(rid, gid, fn, *args):
-    """fn(g, *args) for the game gid, or for its case of row rid if not None."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="NotCertifiedMin")
-        return fn(game(gid) if rid is None else case(rid, gid).h, *args)
-
-
-def results(rid, gid, fn, *args):
-    return result(None, gid, fn, *args), result(rid, gid, fn, *args)
-
-
-def mapped(c, a, names):
-    """{name in h: value in h} of the fields ``names`` of ``a``, each mapped
-    as the case maps it; fields it does not compare are left out."""
-    out = {}
-    for name in names:
-        to_h = c.values.get(name, same)
-        if to_h is not None:
-            out[name.translate(c.names)] = to_h(getattr(a, name))
-    return out
-
-
-def multiset(v):
-    """The sorted real parts, then the sorted imaginary parts: sorting moves
-    no entry by more than the values move, whatever their order."""
-    v = np.asarray(v, dtype=complex).ravel()
-    return np.concatenate([np.sort(v.real), np.sort(v.imag)])
-
-
-def assert_maps(c, a, b, names, where):
-    """Each field of ``a`` in ``names``, mapped by the case, is b's field."""
-    for name, value in mapped(c, a, names).items():
-        expected = getattr(b, name)
-        if name in MULTISETS:
-            value, expected = multiset(value), multiset(expected)
-        assert_close(value, expected, f"{where} {name}", c.tol)
-
-
-def assert_solves_map(c, g, a, b, where="solution"):
-    """b, a solution of h, is the solution a of g mapped, with its certificate."""
-    assert_maps(c, a, b, SOLUTION, where)
-    assert_maps(c, a.stability, b.stability, REPORT, where)
-    assert_maps(c, a.second_order, b.second_order, SECOND_ORDER, where)
-    # The cross map of g's L1, which does not pass through the solve's own L2.
-    assert_maps(c, SimpleNamespace(L2=lft.lft_cross(g, 1, a.L1)), b, ("L2",), f"{where} cross map")
-
-
-def assert_traces_map(c, a, b):
-    assert a.status == b.status
-    if c.keeps_steps:
-        assert (a.status_iter, len(a.steps)) == (b.status_iter, len(b.steps))
-        assert_maps(c, a, b, ("change",), "trace")
-    for p, q in zip(a.steps, b.steps):
-        assert_maps(c, p, q, STEP, f"step {p.iteration}")
-
-
-@pytest.fixture(scope="module", params=CASES, ids="-".join)
-def row_game(request):
-    return request.param
-
-
-@pytest.mark.parametrize("solve", SOLVES)
-def test_auto_solve(row_game, solve):
-    assert_solves_map(case(*row_game), game(row_game[1]), *results(*row_game, solve))
-
-
-@pytest.mark.parametrize("mode", ["cross", "composite"])
-def test_iterate(row_game, mode):
-    cfg = lft.IterationConfig(mode=mode, tol=1e-10)
-    assert_traces_map(case(*row_game), *results(*row_game, lft.iterate, cfg))
-
-
-def certificates(g, sol):
-    return (stability.certify(assemble_blocks(g), g, sol.L1, sol.L2),
-            analysis.second_order_check(g, sol.L1, sol.L2))
-
-
+@pytest.mark.parametrize("row_game", CASES, ids="-".join)
 def test_certify_and_second_order(row_game):
-    c = case(*row_game)
-    a, b = results(*row_game, equilibrium.solve_ccve)
-    (ra, sa), (rb, sb) = certificates(game(row_game[1]), a), certificates(c.h, b)
-    assert_maps(c, ra, rb, REPORT, "certify")
-    assert_maps(c, sa, sb, SECOND_ORDER, "second order")
+    check_certify(*row_game)
 
 
+# The swap's runs in test_player_swap.py.
+@pytest.mark.parametrize("row_game", [rg for rg in CASES if rg[0] != "swap"], ids="-".join)
 def test_nash_social_optimum_and_costs(row_game):
-    g, c = game(row_game[1]), case(*row_game)
-
-    def outcomes(game, x1, x2):
-        n1, n2 = analysis.nash(game)
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message="NotCertifiedMin")
-            s1, s2, fs = analysis.social_optimum(game)
-        return SimpleNamespace(x1=n1, x2=n2, social_x1=s1, social_x2=s2, f_social=fs,
-                               f1=eval_cost(game, 1, x1, x2), f2=eval_cost(game, 2, x1, x2))
-
-    x = SimpleNamespace(x1=np.linspace(-1.0, 1.0, g.dims.d1),
-                        x2=np.linspace(0.5, -2.0, g.dims.d2))
-    y = mapped(c, x, ("x1", "x2"))
-    assert_maps(c, outcomes(g, x.x1, x.x2), outcomes(c.h, y["x1"], y["x2"]),
-                ("x1", "x2", "social_x1", "social_x2", "f_social", "f1", "f2"),
-                "nash, social optimum and costs")
+    check_outcomes(*row_game)
 
 
 # Enumeration on the games with d <= 8. Under the swap, spec(boldM1) of h is
