@@ -4,45 +4,26 @@ result surface.
 A row turns a game g into a case: the transformed game h, the map from a
 result field's name in g to its name in h, the map from its value in g to
 its value in h, a bound, and whether ``iterate`` keeps its step count. Each
-row keeps the solutions of the coupled Riccati-type conditions on the blocks
-of boldM1 = M2^{-T} M1, suitably mapped:
+row keeps the coupled Riccati-type conditions on the blocks of
+boldM1 = M2^{-T} M1, suitably mapped. What a row leaves out, and why:
 
-- swap: h = (d2, d1, p2, p1). A field named for player 1 is h's field named
-  for player 2 and back (L1 and L2, xi_max_1 and xi_max_2, m1_posdef and
-  m2_posdef, res1 and res2). spec(boldM1(h)) is 1/spec(boldM1(g)), so h
-  selects the complement of g's selection; spec(H1) is not compared. The
-  square games are where a player-2 layout error keeps every shape.
-- scale: player i's cost blocks times c_i, a power of two, which rounds
-  nothing. No best response moves; f_i and min_eig_i are multiplied by c_i,
-  and spec(H1) by c1 / c2, as boldM1 = M2^{-T} M1. The social optimum, the
-  minimizer of f1 + f2, moves unless c1 = c2.
-- coordinates: the game in the actions y_i of x_i = S_i y_i, S_i a diagonal
-  of powers of two or a Householder reflection. L1' = S2^{-1} L1 S1,
-  L2' = S1^{-1} L2 S2, ell_i' = S_{-i}^{-1} ell_i, y_i = S_i^{-1} x_i. boldM1
-  changes by the similarity diag(S1, S2), so its spectrum, the ratios and
-  xi_max keep their values, as do the costs. The effective Hessians change by
-  a congruence, which a diagonal S_i keeps only the signs of; the residual
-  norms and the iteration's stopping rule read Frobenius norms, which only an
-  orthogonal S_i keeps. So min_eig_i, res_i and the step count are compared
-  for the Householder S_i only.
+- swap: spec(boldM1(h)) is 1/spec(boldM1(g)), so h selects the complement
+  of g's selection and spec(H1) is another set.
+- scale: the social optimum, the minimizer of f1 + f2, moves unless
+  c1 = c2.
+- coordinates: the effective Hessians change by a congruence, which a
+  diagonal S_i keeps only the signs of, and the residual norms and the
+  iteration's stopping rule read Frobenius norms, which only an orthogonal
+  S_i keeps; so min_eig_i, res_i and the step count are compared for the
+  Householder S_i only.
 
-The bounds, relative to each field's largest entry (at least 1): 64 eps for
-the swap and the scaling, 128 eps for the coordinates. The largest measured
-on 50x60 s0: 35.6 eps under the swap (the QZ solve's ratios), 19 eps under
-the scaling, 69.5 eps under the diagonal S_i (the QZ solve's spec(H1)) and
-42.5 eps under the Householder one (certify's ratios). A planted 1e-12
-relative error is about 4500 eps. A fault that scales a solve's own output
-(L2 times 1 + 1e-12) does so alike in g and h, which the scaling and the
-coordinates map onto themselves; so each solve's L2 in h is also compared
-with the cross map of g's L1.
+A fault that scales a solve's own output (L2 times 1 + 1e-12) does so alike
+in g and h, which the scaling and the coordinates map onto themselves; so
+each solve's L2 in h is also compared with the cross map of g's L1.
 
-The relations' test modules run the rows through this module's checks:
-test_player_swap.py runs the swap, test_cost_scaling.py the scalings and
-test_coordinate_change.py the changes of coordinates through both routes'
-auto solves and both iterations (and the swap through nash and the costs);
-test_relations.py runs every row through certify and the second-order
-check, the others through nash and the costs, and the rows through
-enumeration, one Hypothesis draw and paper7ex2 100x120 s0. Each result is
+test_player_swap.py, test_cost_scaling.py and test_coordinate_change.py run
+their rows through the auto solves and the iterations under their test ids;
+test_relations.py runs the rows through the other surfaces. Each result is
 computed once per session, whichever module asks for it first.
 """
 
@@ -85,6 +66,19 @@ STEP = ("L1", "ell1", "L2", "ell2", "x1", "x2", "f1", "f2", "res1", "res2")
 MULTISETS = {"ratios_1", "ratios_2", "H1_spectrum"}
 
 
+def sort_complex(v):
+    """v in lexicographic order, each value's two parts kept together."""
+    return np.sort_complex(np.ravel(v)).view(float)
+
+
+def sort_parts(v):
+    """v's sorted real parts, then its sorted imaginary parts: no entry moves
+    more than the values do, whatever their order, but how the parts pair
+    up is not compared."""
+    v = np.asarray(v, dtype=complex).ravel()
+    return np.concatenate([np.sort(v.real), np.sort(v.imag)])
+
+
 def same(value):
     return value
 
@@ -101,6 +95,8 @@ class Case(NamedTuple):
     keeps_steps: bool
     # A candidate's indices in g -> its indices in h.
     indices: Callable = same
+    # A spectrum -> the array it is compared as.
+    multiset: Callable = sort_complex
 
 
 def swap(g):
@@ -203,19 +199,12 @@ def mapped(c, a, names):
     return out
 
 
-def multiset(v):
-    """The sorted real parts, then the sorted imaginary parts: sorting moves
-    no entry by more than the values move, whatever their order."""
-    v = np.asarray(v, dtype=complex).ravel()
-    return np.concatenate([np.sort(v.real), np.sort(v.imag)])
-
-
 def assert_maps(c, a, b, names, where):
     """Each field of ``a`` in ``names``, mapped by the case, is b's field."""
     for name, value in mapped(c, a, names).items():
         expected = getattr(b, name)
         if name in MULTISETS:
-            value, expected = multiset(value), multiset(expected)
+            value, expected = c.multiset(value), c.multiset(expected)
         assert_close(value, expected, f"{where} {name}", c.tol)
 
 
