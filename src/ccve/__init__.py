@@ -1,35 +1,30 @@
-"""Consistent conjectural variations equilibria in two-player quadratic games."""
+"""Consistent conjectural variations equilibria in two-player quadratic games.
 
-from .core import (
-    CompositeBlocks,
-    Conjecture,
-    Dims,
-    PlayerCost,
-    QuadraticGame,
-    assemble_blocks,
-    eval_cost,
-    load_game,
-    riccati_residual,
-    riccati_residual_norms,
-    save_game,
-    validate_game,
-)
-from .equilibrium import (
-    CcveSolution,
-    enumerate_fixed_points,
-    solve_ccve,
-    solve_via_generalized,
-)
-from .lft import (
-    IterationConfig,
-    IterationTrace,
-    best_response,
-    composite_step,
-    iterate,
-    lft_cross,
-    offset_cross,
-    predict,
-)
-from .spectral import Indices, LargestMagnitude, SmallestMagnitude
+Each exported name is imported from its module when first read (PEP 562), so
+that importing the package, or one of its modules, loads no other module."""
 
+# The exported names, by the module that defines them.
+_MODULES = {
+    "core": "CompositeBlocks Conjecture Dims PlayerCost QuadraticGame assemble_blocks "
+            "eval_cost load_game riccati_residual riccati_residual_norms save_game "
+            "validate_game",
+    "equilibrium": "CcveSolution enumerate_fixed_points solve_ccve solve_via_generalized",
+    "lft": "IterationConfig IterationTrace best_response composite_step iterate "
+           "lft_cross offset_cross predict",
+    "spectral": "Indices LargestMagnitude SmallestMagnitude",
+}
+_EXPORTS = {name: module for module, names in _MODULES.items() for name in names.split()}
+__all__ = [*_EXPORTS, "__version__"]
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    globals()[name] = value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

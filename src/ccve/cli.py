@@ -14,19 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, builders, equilibrium, lft, stability
-from .core import (
-    Conjecture,
-    _checked_L,
-    _read_json,
-    _write_json,
-    assemble_blocks,
-    load_game,
-    riccati_residual_norms,
-    save_game,
-)
+# Each command imports the modules it runs, and loads no other (README "Package layout").
+from . import __version__
+from .core import (Conjecture, _checked_L, _read_json, _write_json, assemble_blocks,
+                   load_game, riccati_residual_norms, save_game)
 from .errors import CcveError, DimensionMismatch, NoStableSelection
-from .spectral import LargestMagnitude, SmallestMagnitude
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -34,8 +26,21 @@ EXIT_NOT_CERTIFIED = 2
 EXIT_DIVERGED = 3
 
 
+def _refuse_shared_paths(inputs, outputs):
+    """ValueError, naming both flags, when an output path resolves to an input
+    path or to another output path. Both map flags to paths, an input path None
+    is skipped, and the first output is the one _write_manifest describes."""
+    (flag, path), *_ = outputs.items()
+    outputs = {**outputs, f"{flag}'s manifest": f"{path}.manifest.json"}
+    seen = {}
+    for flag, path in [*inputs.items(), *outputs.items()]:
+        if path is not None:
+            other = seen.setdefault(Path(path).resolve(), flag)
+            if other != flag and flag in outputs:
+                raise ValueError(f"{flag} and {other} name the same file {path}")
+
+
 def _write_manifest(out_path, argv, inputs, config, t0, seed=None):
-    out_path = Path(out_path)
     manifest = {
         "command": argv,
         "inputs": [str(p) for p in inputs],
@@ -44,30 +49,26 @@ def _write_manifest(out_path, argv, inputs, config, t0, seed=None):
         "version": __version__,
         "duration_s": time.monotonic() - t0,
     }
-    _write_json(out_path.with_name(out_path.name + ".manifest.json"), manifest)
-
-
-# The --selection names and the selections they stand for.
-_SELECTIONS = {"largest": LargestMagnitude, "smallest": SmallestMagnitude,
-               "auto": "auto"}
+    _write_json(f"{out_path}.manifest.json", manifest)
 
 
 def cmd_solve(args, argv):
+    from . import equilibrium, spectral
     t0 = time.monotonic()
+    _refuse_shared_paths({"--game": args.game}, {"--out": args.out})
     game = load_game(args.game)
+    selection = {"largest": spectral.LargestMagnitude,
+                 "smallest": spectral.SmallestMagnitude, "auto": "auto"}[args.selection]
     try:
-        sol = equilibrium.solve_ccve(game, _SELECTIONS[args.selection])
+        sol = equilibrium.solve_ccve(game, selection)
     except NoStableSelection as exc:
         print(f"NoStableSelection: {exc}", file=sys.stderr)
         return EXIT_NOT_CERTIFIED
     equilibrium.save_solution(sol, args.out)
     _write_manifest(args.out, argv, [args.game], {"selection": args.selection}, t0)
     if not sol.stable and not args.allow_unstable:
-        print(
-            f"solution written but not certified stable "
-            f"(xi_max = {sol.stability.xi_max_1:.6g})",
-            file=sys.stderr,
-        )
+        print(f"solution written but not certified stable "
+              f"(xi_max = {sol.stability.xi_max_1:.6g})", file=sys.stderr)
         return EXIT_NOT_CERTIFIED
     return EXIT_OK
 
@@ -87,9 +88,8 @@ def _json_object(path, keys):
 
 def _load_init(path, dims):
     data = _json_object(path, ("L1", "ell1", "L2", "ell2"))
-    conj1 = Conjecture.create(1, data["L1"], data["ell1"], dims)
-    conj2 = Conjecture.create(2, data["L2"], data["ell2"], dims)
-    return conj1, conj2
+    return tuple(Conjecture.create(i, data[f"L{i}"], data[f"ell{i}"], dims)
+                 for i in (1, 2))
 
 
 def _solution_slopes(path, dims):
@@ -99,13 +99,16 @@ def _solution_slopes(path, dims):
 
 
 def cmd_iterate(args, argv):
+    from . import lft
     t0 = time.monotonic()
+    summary_path = args.summary or str(Path(args.trace).with_suffix(".summary.json"))
+    _refuse_shared_paths({"--game": args.game, "--compare": args.compare,
+                          "--init": None if args.init == "nash" else args.init},
+                         {"--trace": args.trace, "--summary": summary_path})
     game = load_game(args.game)
     # Read before the run, so a solution of another game is refused up front.
     ref = None if args.compare is None else _solution_slopes(args.compare, game.dims)
-    init = None
-    if args.init != "nash":
-        init = _load_init(args.init, game.dims)
+    init = None if args.init == "nash" else _load_init(args.init, game.dims)
     cfg = lft.IterationConfig(mode=args.mode, max_iters=args.max_iters,
                               tol=args.tol, init=init)
     trace = lft.iterate(game, cfg)
@@ -118,10 +121,8 @@ def cmd_iterate(args, argv):
         "iterations": len(trace.steps) - 1,
     }
     if ref is not None:
-        dL1 = np.linalg.norm(trace.final.L1 - ref[0])
-        dL2 = np.linalg.norm(trace.final.L2 - ref[1])
-        summary["distance_to_solution"] = {"L1": dL1, "L2": dL2}
-    summary_path = args.summary or str(Path(args.trace).with_suffix(".summary.json"))
+        summary["distance_to_solution"] = {"L1": np.linalg.norm(trace.final.L1 - ref[0]),
+                                           "L2": np.linalg.norm(trace.final.L2 - ref[1])}
     _write_json(summary_path, summary)
     _write_manifest(args.trace, argv, [args.game],
                     {"mode": args.mode, "max_iters": args.max_iters,
@@ -133,6 +134,7 @@ def cmd_iterate(args, argv):
 
 
 def cmd_check(args, argv):
+    from . import analysis, stability
     game = load_game(args.game)
     blocks = assemble_blocks(game)
     L1, L2 = _solution_slopes(args.solution, game.dims)
@@ -141,8 +143,7 @@ def cmd_check(args, argv):
     so = analysis.second_order_check(game, L1, L2)
     print(f"second order min eigenvalues: {so.min_eig_1:.6e} {so.min_eig_2:.6e} "
           f"pass={so.pass_}")
-    print(f"M1 positive definite: {so.m1_posdef}; M2 positive definite: "
-          f"{so.m2_posdef}")
+    print(f"M1 positive definite: {so.m1_posdef}; M2 positive definite: {so.m2_posdef}")
     ok = r1 <= stability.FIXED_POINT_TOL and r2 <= stability.FIXED_POINT_TOL
     stable = False
     if ok:
@@ -157,15 +158,11 @@ def cmd_check(args, argv):
     return EXIT_OK if passed else EXIT_NOT_CERTIFIED
 
 
-_LQ_KEYS = {f.name for f in fields(builders.LqSpec)}
-
-
-def _lq_spec_from_json(path):
-    return builders.LqSpec.create(**_json_object(path, _LQ_KEYS))
-
-
 def cmd_build(args, argv):
+    from . import builders
     t0 = time.monotonic()
+    inputs = {"--spec": args.spec} if args.kind == "lq" else {}
+    _refuse_shared_paths(inputs, {"--out": args.out})
     seed = None
     config = {"kind": args.kind}
     if args.kind == "random":
@@ -178,18 +175,19 @@ def cmd_build(args, argv):
                                       for f in fields(builders.ScalarSpec)})
         game = builders.build_scalar_game(spec)
     else:  # lq
-        game = builders.build_lq_game(_lq_spec_from_json(args.spec))
+        data = _json_object(args.spec, {f.name for f in fields(builders.LqSpec)})
+        game = builders.build_lq_game(builders.LqSpec.create(**data))
     save_game(game, args.out)
-    _write_manifest(args.out, argv, [args.spec] if args.kind == "lq" else [],
-                    config, t0, seed=seed)
+    _write_manifest(args.out, argv, list(inputs.values()), config, t0, seed=seed)
     return EXIT_OK
 
 
 def _candidate_dict(indices, sol):
     """The candidate ``indices`` with its solution, as ccve enumerate writes it."""
+    from .equilibrium import _complex_pairs
     return {
         "indices": list(indices),
-        "eigenvalues": equilibrium._complex_pairs(sol.H1_spectrum),
+        "eigenvalues": _complex_pairs(sol.H1_spectrum),
         "L1": sol.L1.tolist(),
         "L2": sol.L2.tolist(),
         "residuals": list(sol.stability.residuals),
@@ -200,19 +198,20 @@ def _candidate_dict(indices, sol):
 
 
 def cmd_enumerate(args, argv):
+    from . import equilibrium
     t0 = time.monotonic()
+    _refuse_shared_paths({"--game": args.game}, {"--out": args.out})
     game = load_game(args.game)
-    result = equilibrium.enumerate_fixed_points(game, cap=args.cap)
+    cap = equilibrium.ENUMERATION_CAP if args.cap is None else args.cap
+    result = equilibrium.enumerate_fixed_points(game, cap=cap)
     ranked = sorted(result.candidates, key=lambda c: c.solution.stability.xi_max_1)
     out = {
         "candidates": [_candidate_dict(c.indices, c.solution) for c in ranked],
-        "skipped": [
-            {"indices": list(idx), "reason": reason}
-            for idx, reason in result.skipped
-        ],
+        "skipped": [{"indices": list(idx), "reason": reason}
+                    for idx, reason in result.skipped],
     }
     _write_json(args.out, out)
-    _write_manifest(args.out, argv, [args.game], {"cap": args.cap}, t0)
+    _write_manifest(args.out, argv, [args.game], {"cap": cap}, t0)
     return EXIT_OK
 
 
@@ -224,13 +223,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def build_parser():
+def build_parser(command="build"):
     p = _Parser(prog="ccve", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="compute the equilibrium directly")
     ps.add_argument("--game", required=True)
-    ps.add_argument("--selection", choices=_SELECTIONS, default="auto")
+    ps.add_argument("--selection", choices=("largest", "smallest", "auto"),
+                    default="auto")
     ps.add_argument("--out", required=True)
     ps.add_argument("--allow-unstable", action="store_true")
     ps.set_defaults(func=cmd_solve)
@@ -266,10 +266,12 @@ def build_parser():
     br.add_argument("--out", required=True)
     br.set_defaults(func=cmd_build)
     bs = bsub.add_parser("scalar")
-    for f in fields(builders.ScalarSpec):
-        required = f.default is MISSING
-        bs.add_argument(f"--{f.name}", type=float, required=required,
-                        default=None if required else f.default)
+    if command == "build":  # its flags are ScalarSpec's: no other command loads builders
+        from .builders import ScalarSpec
+        for f in fields(ScalarSpec):
+            required = f.default is MISSING
+            bs.add_argument(f"--{f.name}", type=float, required=required,
+                            default=None if required else f.default)
     bs.add_argument("--out", required=True)
     bs.set_defaults(func=cmd_build)
     bl = bsub.add_parser("lq")
@@ -280,7 +282,7 @@ def build_parser():
     pe = sub.add_parser("enumerate", help="enumerate all fixed-point candidates")
     pe.add_argument("--game", required=True)
     pe.add_argument("--out", required=True)
-    pe.add_argument("--cap", type=int, default=equilibrium.ENUMERATION_CAP)
+    pe.add_argument("--cap", type=int, default=None)  # equilibrium.ENUMERATION_CAP
     pe.set_defaults(func=cmd_enumerate)
     return p
 
@@ -292,7 +294,7 @@ def main(argv=None):
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda msg, category, *_: f"{category.__name__}: {msg}\n"
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         return args.func(args, argv)
     except CcveError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

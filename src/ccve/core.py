@@ -20,11 +20,10 @@ import os
 import warnings
 from dataclasses import dataclass, fields
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from .errors import ANotPositiveDefinite, DimensionMismatch, EigFailure, MSingular
 
@@ -32,14 +31,17 @@ from .errors import ANotPositiveDefinite, DimensionMismatch, EigFailure, MSingul
 def _load_lapack():
     """scipy's compiled LAPACK module, scipy.linalg._flapack, loaded by itself.
 
-    Importing scipy.linalg would also load scipy's array-API layer, which
-    loads numpy.f2py, numpy.testing, numpy.ma and numpy.random: about 200 ms
-    a command, against a few ms for this extension. ``import scipy`` above has
-    run scipy's own set-up. The module is loaded under its real name, which
-    CPython enters in sys.modules, so a later ``import scipy.linalg`` reuses it:
-    scipy.linalg.lapack.dgees is lapack.dgees.
-    """
-    directory = os.path.join(scipy.__path__[0], "linalg")
+    Importing scipy.linalg would also load scipy's array-API layer, which loads
+    numpy.f2py, numpy.testing, numpy.ma and numpy.random: about 200 ms a command.
+    find_spec finds scipy's directory without running scipy/__init__.py; on pip's
+    Linux and macOS wheels the extension loads without it (README "Install"). The
+    module is loaded under its real name, which CPython enters in sys.modules, so
+    a later ``import scipy.linalg`` reuses it: scipy.linalg.lapack.dgees is
+    lapack.dgees."""
+    spec = find_spec("scipy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    directory = os.path.join(spec.submodule_search_locations[0], "linalg")
     finder = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES))
     spec = finder.find_spec("scipy.linalg._flapack")
     if spec is None:

@@ -572,6 +572,56 @@ class TestEnumerate:
                     "--out", str(out)]) == cli.EXIT_ERROR
 
 
+# Each command with an output path that names one of its inputs or another of
+# its outputs, from the 2x3 game's path and a directory; the flags it names.
+SHARED_PATHS = [
+    pytest.param(lambda game, d: ["solve", "--game", game, "--out", game],
+                 "--out and --game", id="solve"),
+    pytest.param(lambda game, d: ["iterate", "--game", game, "--trace", str(d / "t.csv"),
+                                  "--summary", str(d / "t.csv")],
+                 "--summary and --trace", id="iterate"),
+    pytest.param(lambda game, d: ["iterate", "--game", game, "--trace", str(d / "t.csv"),
+                                  "--summary", str(d / "t.csv.manifest.json")],
+                 "--trace's manifest and --summary", id="iterate-manifest"),
+    pytest.param(lambda game, d: ["iterate", "--game", game, "--compare", game,
+                                  "--trace", str(d / ".." / d.name / "t.csv"),
+                                  "--summary", game],
+                 "--summary and --game", id="iterate-compare"),
+    pytest.param(lambda game, d: ["build", "lq", "--spec", str(d / "spec.json"),
+                                  "--out", str(d / "spec.json")],
+                 "--out and --spec", id="build"),
+    pytest.param(lambda game, d: ["enumerate", "--game", game, "--out",
+                                  str(d / ".." / d.name / "bench.json")],
+                 "--out and --game", id="enumerate"),
+]
+
+
+@pytest.mark.parametrize("argv, flags", SHARED_PATHS)
+def test_output_that_names_another_path_is_refused(tmp_path, bench_path, capsys,
+                                                   argv, flags):
+    (tmp_path / "spec.json").write_text(json.dumps(LQ_SPEC))
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run(argv(str(bench_path), tmp_path)) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags} name the same file ") and err.count("\n") == 1
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+# Each --help text and usage-error line of ccve, as printed at 80 columns before
+# the subcommands imported their own modules (argparse's format of Python 3.11).
+USAGE = json.loads((Path(__file__).parent / "data" / "cli_usage.json").read_text())
+
+
+@pytest.mark.parametrize("case", USAGE, ids=[" ".join(["ccve", *c["argv"]]) for c in USAGE])
+def test_help_and_usage_errors_are_unchanged(monkeypatch, capsys, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = run(case["argv"])
+    except SystemExit as exc:  # --help exits
+        code = exc.code
+    assert (code, *capsys.readouterr()) == (case["code"], case["stdout"], case["stderr"])
+
+
 class TestRoundTrip:
     def test_game_save_load_identity(self, tmp_path, bench_path):
         g = load_game(bench_path)

@@ -1,6 +1,7 @@
-"""Data model, validation, cost evaluation, block assembly, game JSON, and the
-LAPACK loader."""
+"""Data model, validation, cost evaluation, block assembly, game JSON, the
+LAPACK loader and the package's exported names."""
 
+import importlib
 import json
 import os
 import re
@@ -8,14 +9,15 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy
 import scipy.linalg as sla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ccve
 from ccve import builders, cli, core, equilibrium, lft, spectral, stability
 from ccve.core import (
     Conjecture,
@@ -503,20 +505,68 @@ class TestGameJson:
 
 
 class TestLapackLoader:
-    """ccve.core loads scipy.linalg._flapack itself and never scipy.linalg."""
+    """ccve.core loads scipy.linalg._flapack itself, without the scipy package,
+    and each ccve command loads only the modules it runs."""
 
     SRC = Path(core.__file__).resolve().parent
 
-    def test_cli_import_loads_neither_scipy_linalg_nor_numpy_extras(self):
-        # Nor logging: the package writes no log, so the CLI does not load it.
-        code = ("import sys, ccve.cli; print(sorted(m for m in sys.modules if m in "
-                "('scipy.linalg', 'numpy.f2py', 'numpy.testing', 'logging', "
-                "'scipy.linalg._flapack')))")
+    def loaded(self, code):
+        """The names in sys.modules of a fresh interpreter that has run ``code``,
+        read from the last line it prints."""
+        code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (str(self.SRC.parent), os.environ.get("PYTHONPATH")))))
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out.strip() == "['scipy.linalg._flapack']"
+        return json.loads(out.splitlines()[-1])
+
+    def ours(self, code):
+        """The ccve and scipy modules of self.loaded(code)."""
+        return [m for m in self.loaded(code) if m.split(".")[0] in ("ccve", "scipy")]
+
+    def test_cli_import_loads_neither_scipy_linalg_nor_numpy_extras(self):
+        # Nor logging: the package writes no log, so the CLI does not load it.
+        modules = self.loaded("import ccve.cli")
+        assert [m for m in modules if m in ("scipy.linalg", "numpy.f2py", "numpy.testing",
+                                            "logging", "scipy.linalg._flapack")] \
+            == ["scipy.linalg._flapack"]
+
+    def test_cli_import_loads_no_scipy_package_and_no_command_module(self):
+        assert self.ours("import ccve.cli") == [
+            "ccve", "ccve.cli", "ccve.core", "ccve.errors", "scipy.linalg._flapack"]
+
+    # Each command and the ccve modules it loads, beyond ccve, ccve.cli,
+    # ccve.core, ccve.errors and scipy.linalg._flapack.
+    COMMAND_MODULES = [
+        pytest.param(["solve", "--game", "{game}", "--out", "{dir}/s.json"],
+                     {"analysis", "equilibrium", "lft", "spectral", "stability"},
+                     id="solve"),
+        pytest.param(["enumerate", "--game", "{game}", "--out", "{dir}/e.json"],
+                     {"analysis", "equilibrium", "lft", "spectral", "stability"},
+                     id="enumerate"),
+        pytest.param(["iterate", "--game", "{game}", "--trace", "{dir}/t.csv"],
+                     {"analysis", "lft"}, id="iterate"),
+        pytest.param(["check", "--game", "{game}", "--solution", "{solution}"],
+                     {"analysis", "stability"}, id="check"),
+        pytest.param(["build", "random", "--d1", "2", "--d2", "3",
+                      "--out", "{dir}/g.json"], {"builders", "stability"},
+                     id="build-random"),
+        pytest.param(["build", "scalar", "--q1", "1", "--r1", "0.25", "--s1", "0",
+                      "--out", "{dir}/g.json"], {"builders", "stability"},
+                     id="build-scalar"),
+    ]
+
+    @pytest.mark.parametrize("argv, modules", COMMAND_MODULES)
+    def test_each_command_loads_only_the_modules_it_runs(self, tmp_path, argv,
+                                                         modules):
+        game, solution = tmp_path / "game.json", tmp_path / "solution.json"
+        save_game(scalar_game(q1=1.0, r1=0.25, s1=0.0), game)
+        assert cli.main(["solve", "--game", str(game), "--out", str(solution)]) \
+            == cli.EXIT_OK
+        argv = [a.format(game=game, solution=solution, dir=tmp_path) for a in argv]
+        assert self.ours(f"from ccve.cli import main; assert main({argv!r}) == 0") \
+            == sorted({"ccve", "ccve.cli", "ccve.core", "ccve.errors",
+                       "scipy.linalg._flapack"} | {f"ccve.{m}" for m in modules})
 
     def test_every_called_kernel_is_scipys(self):
         called = {"dgees", "dgges"}  # spectral._form calls these by name
@@ -529,6 +579,45 @@ class TestLapackLoader:
             assert getattr(core.lapack, name) is getattr(sla.lapack, name), name
 
     def test_missing_extension_is_an_import_error(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        # The loader finds scipy's directory by its module spec.
+        monkeypatch.setattr(core, "find_spec", lambda name: SimpleNamespace(
+            submodule_search_locations=[str(tmp_path)]))
         with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
             core._load_lapack()
+
+
+# The names the package exports, by the module that defines each: the names its
+# __init__ imported before it resolved them on first read.
+EXPORTS = [(module, name) for module, names in (
+    ("core", "CompositeBlocks Conjecture Dims PlayerCost QuadraticGame assemble_blocks "
+             "eval_cost load_game riccati_residual riccati_residual_norms save_game "
+             "validate_game"),
+    ("equilibrium", "CcveSolution enumerate_fixed_points solve_ccve "
+                    "solve_via_generalized"),
+    ("lft", "IterationConfig IterationTrace best_response composite_step iterate "
+            "lft_cross offset_cross predict"),
+    ("spectral", "Indices LargestMagnitude SmallestMagnitude"),
+) for name in names.split()]
+
+
+class TestPackageSurface:
+    """The lazy package exports the same objects as when it imported them."""
+
+    @pytest.mark.parametrize("module, name", EXPORTS, ids=[n for _, n in EXPORTS])
+    def test_name_is_its_modules_object(self, module, name):
+        obj = getattr(importlib.import_module(f"ccve.{module}"), name)
+        assert getattr(ccve, name) is obj
+        namespace = {}
+        exec(f"from ccve import {name}", namespace)
+        assert namespace[name] is obj
+
+    def test_dir_lists_every_name_and_version(self):
+        assert len(EXPORTS) == 27
+        assert {name for _, name in EXPORTS} | {"__version__"} <= set(dir(ccve))
+        assert ccve.__version__ == cli.__version__ == "0.1.0"
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="'ccve' has no attribute 'solve'"):
+            ccve.solve  # noqa: B018
+        with pytest.raises(ImportError):
+            exec("from ccve import solve", {})
