@@ -14,10 +14,19 @@ from pathlib import Path
 
 import numpy as np
 
-# Each command imports the modules it runs, and loads no other (README "Package layout").
-from . import __version__
-from .core import (Conjecture, _checked_L, _read_json, _write_json, assemble_blocks,
-                   load_game, riccati_residual_norms, save_game)
+# The package binds every module but runs one only when it is first used, so a
+# command runs only the modules it calls (README "Package layout").
+from . import __version__, analysis, builders, equilibrium, lft, spectral, stability
+from .core import (
+    Conjecture,
+    _checked_L,
+    _read_json,
+    _write_json,
+    assemble_blocks,
+    load_game,
+    riccati_residual_norms,
+    save_game,
+)
 from .errors import CcveError, DimensionMismatch, NoStableSelection
 
 EXIT_OK = 0
@@ -41,6 +50,7 @@ def _refuse_shared_paths(inputs, outputs):
 
 
 def _write_manifest(out_path, argv, inputs, config, t0, seed=None):
+    out_path = Path(out_path)
     manifest = {
         "command": argv,
         "inputs": [str(p) for p in inputs],
@@ -49,14 +59,14 @@ def _write_manifest(out_path, argv, inputs, config, t0, seed=None):
         "version": __version__,
         "duration_s": time.monotonic() - t0,
     }
-    _write_json(f"{out_path}.manifest.json", manifest)
+    _write_json(out_path.with_name(out_path.name + ".manifest.json"), manifest)
 
 
 def cmd_solve(args, argv):
-    from . import equilibrium, spectral
     t0 = time.monotonic()
     _refuse_shared_paths({"--game": args.game}, {"--out": args.out})
     game = load_game(args.game)
+    # The --selection names and the selections they stand for.
     selection = {"largest": spectral.LargestMagnitude,
                  "smallest": spectral.SmallestMagnitude, "auto": "auto"}[args.selection]
     try:
@@ -67,8 +77,11 @@ def cmd_solve(args, argv):
     equilibrium.save_solution(sol, args.out)
     _write_manifest(args.out, argv, [args.game], {"selection": args.selection}, t0)
     if not sol.stable and not args.allow_unstable:
-        print(f"solution written but not certified stable "
-              f"(xi_max = {sol.stability.xi_max_1:.6g})", file=sys.stderr)
+        print(
+            f"solution written but not certified stable "
+            f"(xi_max = {sol.stability.xi_max_1:.6g})",
+            file=sys.stderr,
+        )
         return EXIT_NOT_CERTIFIED
     return EXIT_OK
 
@@ -88,8 +101,9 @@ def _json_object(path, keys):
 
 def _load_init(path, dims):
     data = _json_object(path, ("L1", "ell1", "L2", "ell2"))
-    return tuple(Conjecture.create(i, data[f"L{i}"], data[f"ell{i}"], dims)
-                 for i in (1, 2))
+    conj1 = Conjecture.create(1, data["L1"], data["ell1"], dims)
+    conj2 = Conjecture.create(2, data["L2"], data["ell2"], dims)
+    return conj1, conj2
 
 
 def _solution_slopes(path, dims):
@@ -99,7 +113,6 @@ def _solution_slopes(path, dims):
 
 
 def cmd_iterate(args, argv):
-    from . import lft
     t0 = time.monotonic()
     summary_path = args.summary or str(Path(args.trace).with_suffix(".summary.json"))
     _refuse_shared_paths({"--game": args.game, "--compare": args.compare,
@@ -108,7 +121,9 @@ def cmd_iterate(args, argv):
     game = load_game(args.game)
     # Read before the run, so a solution of another game is refused up front.
     ref = None if args.compare is None else _solution_slopes(args.compare, game.dims)
-    init = None if args.init == "nash" else _load_init(args.init, game.dims)
+    init = None
+    if args.init != "nash":
+        init = _load_init(args.init, game.dims)
     cfg = lft.IterationConfig(mode=args.mode, max_iters=args.max_iters,
                               tol=args.tol, init=init)
     trace = lft.iterate(game, cfg)
@@ -121,8 +136,9 @@ def cmd_iterate(args, argv):
         "iterations": len(trace.steps) - 1,
     }
     if ref is not None:
-        summary["distance_to_solution"] = {"L1": np.linalg.norm(trace.final.L1 - ref[0]),
-                                           "L2": np.linalg.norm(trace.final.L2 - ref[1])}
+        dL1 = np.linalg.norm(trace.final.L1 - ref[0])
+        dL2 = np.linalg.norm(trace.final.L2 - ref[1])
+        summary["distance_to_solution"] = {"L1": dL1, "L2": dL2}
     _write_json(summary_path, summary)
     _write_manifest(args.trace, argv, [args.game],
                     {"mode": args.mode, "max_iters": args.max_iters,
@@ -134,7 +150,6 @@ def cmd_iterate(args, argv):
 
 
 def cmd_check(args, argv):
-    from . import analysis, stability
     game = load_game(args.game)
     blocks = assemble_blocks(game)
     L1, L2 = _solution_slopes(args.solution, game.dims)
@@ -143,7 +158,8 @@ def cmd_check(args, argv):
     so = analysis.second_order_check(game, L1, L2)
     print(f"second order min eigenvalues: {so.min_eig_1:.6e} {so.min_eig_2:.6e} "
           f"pass={so.pass_}")
-    print(f"M1 positive definite: {so.m1_posdef}; M2 positive definite: {so.m2_posdef}")
+    print(f"M1 positive definite: {so.m1_posdef}; M2 positive definite: "
+          f"{so.m2_posdef}")
     ok = r1 <= stability.FIXED_POINT_TOL and r2 <= stability.FIXED_POINT_TOL
     stable = False
     if ok:
@@ -158,8 +174,12 @@ def cmd_check(args, argv):
     return EXIT_OK if passed else EXIT_NOT_CERTIFIED
 
 
+def _lq_spec_from_json(path):
+    keys = {f.name for f in fields(builders.LqSpec)}
+    return builders.LqSpec.create(**_json_object(path, keys))
+
+
 def cmd_build(args, argv):
-    from . import builders
     t0 = time.monotonic()
     inputs = {"--spec": args.spec} if args.kind == "lq" else {}
     _refuse_shared_paths(inputs, {"--out": args.out})
@@ -175,8 +195,7 @@ def cmd_build(args, argv):
                                       for f in fields(builders.ScalarSpec)})
         game = builders.build_scalar_game(spec)
     else:  # lq
-        data = _json_object(args.spec, {f.name for f in fields(builders.LqSpec)})
-        game = builders.build_lq_game(builders.LqSpec.create(**data))
+        game = builders.build_lq_game(_lq_spec_from_json(args.spec))
     save_game(game, args.out)
     _write_manifest(args.out, argv, list(inputs.values()), config, t0, seed=seed)
     return EXIT_OK
@@ -184,10 +203,9 @@ def cmd_build(args, argv):
 
 def _candidate_dict(indices, sol):
     """The candidate ``indices`` with its solution, as ccve enumerate writes it."""
-    from .equilibrium import _complex_pairs
     return {
         "indices": list(indices),
-        "eigenvalues": _complex_pairs(sol.H1_spectrum),
+        "eigenvalues": equilibrium._complex_pairs(sol.H1_spectrum),
         "L1": sol.L1.tolist(),
         "L2": sol.L2.tolist(),
         "residuals": list(sol.stability.residuals),
@@ -198,7 +216,6 @@ def _candidate_dict(indices, sol):
 
 
 def cmd_enumerate(args, argv):
-    from . import equilibrium
     t0 = time.monotonic()
     _refuse_shared_paths({"--game": args.game}, {"--out": args.out})
     game = load_game(args.game)
@@ -207,8 +224,10 @@ def cmd_enumerate(args, argv):
     ranked = sorted(result.candidates, key=lambda c: c.solution.stability.xi_max_1)
     out = {
         "candidates": [_candidate_dict(c.indices, c.solution) for c in ranked],
-        "skipped": [{"indices": list(idx), "reason": reason}
-                    for idx, reason in result.skipped],
+        "skipped": [
+            {"indices": list(idx), "reason": reason}
+            for idx, reason in result.skipped
+        ],
     }
     _write_json(args.out, out)
     _write_manifest(args.out, argv, [args.game], {"cap": cap}, t0)
@@ -223,7 +242,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def build_parser(command="build"):
+def build_parser(command):
     p = _Parser(prog="ccve", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -266,12 +285,11 @@ def build_parser(command="build"):
     br.add_argument("--out", required=True)
     br.set_defaults(func=cmd_build)
     bs = bsub.add_parser("scalar")
-    if command == "build":  # its flags are ScalarSpec's: no other command loads builders
-        from .builders import ScalarSpec
-        for f in fields(ScalarSpec):
-            required = f.default is MISSING
-            bs.add_argument(f"--{f.name}", type=float, required=required,
-                            default=None if required else f.default)
+    # Reading ScalarSpec's fields runs ccve.builders, which only build calls.
+    for f in fields(builders.ScalarSpec) if command == "build" else ():
+        required = f.default is MISSING
+        bs.add_argument(f"--{f.name}", type=float, required=required,
+                        default=None if required else f.default)
     bs.add_argument("--out", required=True)
     bs.set_defaults(func=cmd_build)
     bl = bsub.add_parser("lq")

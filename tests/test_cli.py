@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -607,19 +608,78 @@ def test_output_that_names_another_path_is_refused(tmp_path, bench_path, capsys,
     assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
-# Each --help text and usage-error line of ccve, as printed at 80 columns before
-# the subcommands imported their own modules (argparse's format of Python 3.11).
-USAGE = json.loads((Path(__file__).parent / "data" / "cli_usage.json").read_text())
+# Each --help text and usage error of ccve: no arguments, and each subcommand
+# with no arguments, each alone and with --help.
+USAGE = [[*command, *flag] for command in ([], ["solve"], ["iterate"], ["check"], ["build"],
+                                           ["build", "random"], ["build", "scalar"],
+                                           ["build", "lq"], ["enumerate"])
+         for flag in ([], ["--help"])]
 
 
-@pytest.mark.parametrize("case", USAGE, ids=[" ".join(["ccve", *c["argv"]]) for c in USAGE])
-def test_help_and_usage_errors_are_unchanged(monkeypatch, capsys, case):
-    monkeypatch.setenv("COLUMNS", "80")
+def printed(argv, capsys):
+    """ccve's exit code, stdout and stderr for argv."""
     try:
-        code = run(case["argv"])
+        code = run(argv)
     except SystemExit as exc:  # --help exits
         code = exc.code
-    assert (code, *capsys.readouterr()) == (case["code"], case["stdout"], case["stderr"])
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", USAGE, ids=[" ".join(["ccve", *a]) for a in USAGE])
+def test_help_and_usage_errors_are_the_full_parsers(monkeypatch, capsys, argv):
+    # Only build's parser has build scalar's flags; every other text is the
+    # one of the parser with every flag, as each command printed before.
+    text = printed(argv, capsys)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command: full("build"))
+    assert printed(argv, capsys) == text
+
+
+def test_build_scalar_flags_are_scalar_specs_fields(capsys):
+    names = [f.name for f in fields(builders.ScalarSpec)]
+    _, out, _ = printed(["build", "scalar", "--help"], capsys)
+    assert [line.split()[0] for line in out.splitlines() if line.startswith("  --")] \
+        == [f"--{name}" for name in names] + ["--out"]
+    required = [f"--{f.name}" for f in fields(builders.ScalarSpec) if f.default is MISSING]
+    assert printed(["build", "scalar"], capsys) == (cli.EXIT_ERROR, "", (
+        "error: ccve build scalar: the following arguments are required: "
+        f"{', '.join(required + ['--out'])}\n"))
+
+
+def test_traced_commands_record_what_they_record_after_an_eager_import(tmp_path):
+    # perfbench/tracing.py wraps the traced functions in the ccve modules that
+    # sys.modules holds when it is installed; perfbench/cli_child.py installs it
+    # after `import ccve.cli`. Each command then records the same spans as when
+    # every module ran before the install.
+    root = Path(cli.__file__).resolve().parents[2]
+    game, sol = tmp_path / "g.json", tmp_path / "s.json"
+    commands = [["build", "random", "--recipe", "paper7ex1", "--d1", "2", "--d2", "3",
+                 "--out", str(game)],
+                ["solve", "--game", str(game), "--out", str(sol)],
+                ["check", "--game", str(game), "--solution", str(sol)],
+                ["iterate", "--game", str(game), "--trace", str(tmp_path / "t.csv"),
+                 "--compare", str(sol)],
+                ["enumerate", "--game", str(game), "--out", str(tmp_path / "e.json")]]
+    code = ("import collections, json, sys\n"
+            "{}import ccve.cli, tracing\n"
+            "tracer = tracing.Tracer()\n"
+            "tracer.install()\n"
+            "tracer.enabled = True\n"
+            f"for tracer.op, argv in enumerate({commands!r}):\n"
+            "    assert ccve.cli.main(argv) == 0, argv\n"
+            "spans = collections.Counter((s[4], s[0]) for s in tracer.spans)\n"
+            "print(json.dumps(sorted([*key, n] for key, n in spans.items())))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        str(root / "src"), str(root / "perfbench"), os.environ.get("PYTHONPATH")))))
+    spans = [json.loads(subprocess.run(
+        [sys.executable, "-c", code.format(imports)], env=env, check=True,
+        capture_output=True, text=True).stdout.splitlines()[-1])
+        for imports in ("", "import ccve.analysis, ccve.builders, ccve.equilibrium, "
+                            "ccve.lft, ccve.spectral, ccve.stability\n")]
+    assert spans[0] == spans[1]
+    assert {name for _, name, _ in spans[0]} >= {
+        "builders.random_game", "equilibrium.solve_ccve", "stability.certify",
+        "analysis.second_order_check", "lft.iterate", "equilibrium.enumerate_fixed_points"}
 
 
 class TestRoundTrip:

@@ -511,9 +511,12 @@ class TestLapackLoader:
     SRC = Path(core.__file__).resolve().parent
 
     def loaded(self, code):
-        """The names in sys.modules of a fresh interpreter that has run ``code``,
-        read from the last line it prints."""
-        code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
+        """The modules a fresh interpreter has run once it ran ``code``, read from
+        the last line it prints: those in sys.modules but the ones the package
+        entered there and nothing has used yet (each a LazyLoader's _LazyModule)."""
+        code += ("\nimport json, sys, importlib.util; print(json.dumps(sorted("
+                 "n for n, m in sys.modules.items() "
+                 "if not isinstance(m, importlib.util._LazyModule))))")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (str(self.SRC.parent), os.environ.get("PYTHONPATH")))))
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -534,6 +537,18 @@ class TestLapackLoader:
     def test_cli_import_loads_no_scipy_package_and_no_command_module(self):
         assert self.ours("import ccve.cli") == [
             "ccve", "ccve.cli", "ccve.core", "ccve.errors", "scipy.linalg._flapack"]
+
+    def test_package_import_enters_every_module_and_runs_none(self):
+        # As when the package imported them, sys.modules and the package hold
+        # every module but cli, so a tool that patches the loaded modules (as
+        # perfbench's tracer does after `import ccve.cli`) finds each one.
+        modules = ["analysis", "builders", "core", "equilibrium", "errors", "lft",
+                   "spectral", "stability"]
+        code = ("import ccve, sys\n"
+                f"names = [f'ccve.{{m}}' for m in {modules}]\n"
+                "assert sorted(n for n in sys.modules if n.startswith('ccve.')) == names\n"
+                f"assert all(getattr(ccve, m) is sys.modules[f'ccve.{{m}}'] for m in {modules})")
+        assert self.ours(code) == ["ccve"]
 
     # Each command and the ccve modules it loads, beyond ccve, ccve.cli,
     # ccve.core, ccve.errors and scipy.linalg._flapack.
