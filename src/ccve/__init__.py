@@ -10,7 +10,7 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 
 # The exported names, by the module that defines them.
 _MODULES = {
-    "core": "CompositeBlocks Conjecture Dims PlayerCost QuadraticGame assemble_blocks "
+    "core": "CompositeBlocks Dims PlayerCost QuadraticGame assemble_blocks "
             "eval_cost load_game riccati_residual riccati_residual_norms save_game "
             "validate_game",
     "equilibrium": "CcveSolution enumerate_fixed_points solve_ccve solve_via_generalized",

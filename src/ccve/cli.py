@@ -18,7 +18,6 @@ import numpy as np
 # command runs only the modules it calls (README "Package layout").
 from . import __version__, analysis, builders, equilibrium, lft, spectral, stability
 from .core import (
-    Conjecture,
     _checked_L,
     _read_json,
     _write_json,
@@ -35,36 +34,41 @@ EXIT_NOT_CERTIFIED = 2
 EXIT_DIVERGED = 3
 
 
-def _refuse_shared_paths(inputs, outputs):
-    """ValueError, naming both flags, when an output path resolves to an input
-    path or to another output path. Both map flags to paths, an input path None
-    is skipped, and the first output is the one _write_manifest describes."""
-    (flag, path), *_ = outputs.items()
-    outputs = {**outputs, f"{flag}'s manifest": f"{path}.manifest.json"}
+def _manifest_path(outputs):
+    """The path of the manifest of a command's first output."""
+    return f"{next(iter(outputs.values()))}.manifest.json"
+
+
+def _checked_paths(inputs, outputs):
+    """(inputs, outputs), the paths a command reads and writes by flag, once no
+    output path, the manifest's included, resolves to an input path or to another
+    output path; ValueError names both flags. An input path None is skipped."""
+    named = {**outputs, f"{next(iter(outputs))}'s manifest": _manifest_path(outputs)}
     seen = {}
-    for flag, path in [*inputs.items(), *outputs.items()]:
+    for flag, path in [*inputs.items(), *named.items()]:
         if path is not None:
             other = seen.setdefault(Path(path).resolve(), flag)
-            if other != flag and flag in outputs:
+            if other != flag and flag in named:
                 raise ValueError(f"{flag} and {other} name the same file {path}")
+    return inputs, outputs
 
 
-def _write_manifest(out_path, argv, inputs, config, t0, seed=None):
-    out_path = Path(out_path)
+def _write_manifest(inputs, outputs, argv, config, t0, seed=None):
+    """Write the manifest of _checked_paths' (inputs, outputs), each input once."""
     manifest = {
         "command": argv,
-        "inputs": [str(p) for p in inputs],
+        "inputs": list(dict.fromkeys(str(p) for p in inputs.values() if p is not None)),
         "seed": seed,
         "config": config,
         "version": __version__,
         "duration_s": time.monotonic() - t0,
     }
-    _write_json(out_path.with_name(out_path.name + ".manifest.json"), manifest)
+    _write_json(_manifest_path(outputs), manifest)
 
 
 def cmd_solve(args, argv):
     t0 = time.monotonic()
-    _refuse_shared_paths({"--game": args.game}, {"--out": args.out})
+    paths = _checked_paths({"--game": args.game}, {"--out": args.out})
     game = load_game(args.game)
     # The --selection names and the selections they stand for.
     selection = {"largest": spectral.LargestMagnitude,
@@ -75,7 +79,7 @@ def cmd_solve(args, argv):
         print(f"NoStableSelection: {exc}", file=sys.stderr)
         return EXIT_NOT_CERTIFIED
     equilibrium.save_solution(sol, args.out)
-    _write_manifest(args.out, argv, [args.game], {"selection": args.selection}, t0)
+    _write_manifest(*paths, argv, {"selection": args.selection}, t0)
     if not sol.stable and not args.allow_unstable:
         print(
             f"solution written but not certified stable "
@@ -99,11 +103,10 @@ def _json_object(path, keys):
     return data
 
 
-def _load_init(path, dims):
+def _load_init(path):
+    """(L1, ell1, L2, ell2) of an --init file, as it holds them: iterate checks them."""
     data = _json_object(path, ("L1", "ell1", "L2", "ell2"))
-    conj1 = Conjecture.create(1, data["L1"], data["ell1"], dims)
-    conj2 = Conjecture.create(2, data["L2"], data["ell2"], dims)
-    return conj1, conj2
+    return tuple(data[key] for key in ("L1", "ell1", "L2", "ell2"))
 
 
 def _solution_slopes(path, dims):
@@ -115,15 +118,15 @@ def _solution_slopes(path, dims):
 def cmd_iterate(args, argv):
     t0 = time.monotonic()
     summary_path = args.summary or str(Path(args.trace).with_suffix(".summary.json"))
-    _refuse_shared_paths({"--game": args.game, "--compare": args.compare,
-                          "--init": None if args.init == "nash" else args.init},
-                         {"--trace": args.trace, "--summary": summary_path})
+    paths = _checked_paths({"--game": args.game, "--compare": args.compare,
+                            "--init": None if args.init == "nash" else args.init},
+                           {"--trace": args.trace, "--summary": summary_path})
     game = load_game(args.game)
     # Read before the run, so a solution of another game is refused up front.
     ref = None if args.compare is None else _solution_slopes(args.compare, game.dims)
     init = None
     if args.init != "nash":
-        init = _load_init(args.init, game.dims)
+        init = _load_init(args.init)
     cfg = lft.IterationConfig(mode=args.mode, max_iters=args.max_iters,
                               tol=args.tol, init=init)
     trace = lft.iterate(game, cfg)
@@ -140,7 +143,7 @@ def cmd_iterate(args, argv):
         dL2 = np.linalg.norm(trace.final.L2 - ref[1])
         summary["distance_to_solution"] = {"L1": dL1, "L2": dL2}
     _write_json(summary_path, summary)
-    _write_manifest(args.trace, argv, [args.game],
+    _write_manifest(*paths, argv,
                     {"mode": args.mode, "max_iters": args.max_iters,
                      "tol": args.tol, "init": args.init}, t0)
     if trace.status == "diverged":
@@ -181,8 +184,8 @@ def _lq_spec_from_json(path):
 
 def cmd_build(args, argv):
     t0 = time.monotonic()
-    inputs = {"--spec": args.spec} if args.kind == "lq" else {}
-    _refuse_shared_paths(inputs, {"--out": args.out})
+    paths = _checked_paths({"--spec": args.spec} if args.kind == "lq" else {},
+                           {"--out": args.out})
     seed = None
     config = {"kind": args.kind}
     if args.kind == "random":
@@ -197,7 +200,7 @@ def cmd_build(args, argv):
     else:  # lq
         game = builders.build_lq_game(_lq_spec_from_json(args.spec))
     save_game(game, args.out)
-    _write_manifest(args.out, argv, list(inputs.values()), config, t0, seed=seed)
+    _write_manifest(*paths, argv, config, t0, seed=seed)
     return EXIT_OK
 
 
@@ -217,7 +220,7 @@ def _candidate_dict(indices, sol):
 
 def cmd_enumerate(args, argv):
     t0 = time.monotonic()
-    _refuse_shared_paths({"--game": args.game}, {"--out": args.out})
+    paths = _checked_paths({"--game": args.game}, {"--out": args.out})
     game = load_game(args.game)
     cap = equilibrium.ENUMERATION_CAP if args.cap is None else args.cap
     result = equilibrium.enumerate_fixed_points(game, cap=cap)
@@ -230,7 +233,7 @@ def cmd_enumerate(args, argv):
         ],
     }
     _write_json(args.out, out)
-    _write_manifest(args.out, argv, [args.game], {"cap": cap}, t0)
+    _write_manifest(*paths, argv, {"cap": cap}, t0)
     return EXIT_OK
 
 
@@ -313,7 +316,9 @@ def main(argv=None):
     warnings.formatwarning = lambda msg, category, *_: f"{category.__name__}: {msg}\n"
     try:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
-        return args.func(args, argv)
+        # As in lft.iterate's run, an overflow gives inf or NaN, not a RuntimeWarning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args, argv)
     except CcveError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -1,4 +1,4 @@
-"""Game and conjecture data model, cost evaluation, and block-matrix assembly.
+"""Game data model, conjecture checks, cost evaluation, and block-matrix assembly.
 
 A two-player quadratic game is described by each player's cost
 
@@ -198,20 +198,6 @@ class QuadraticGame:
 
     def player(self, i):
         return self.p1 if _player_index(i) == 1 else self.p2
-
-
-@dataclass(frozen=True)
-class Conjecture:
-    """Affine opponent model held by one player: x_opp = L x_own + ell."""
-
-    holder: int
-    L: np.ndarray
-    ell: np.ndarray
-
-    @classmethod
-    def create(cls, holder, L, ell, dims: Dims):
-        L = _checked_L(dims, holder, L)
-        return cls(holder=holder, L=L, ell=_as_vector(ell, L.shape[0], f"ell{holder}"))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Conjecture best-response maps and their iteration.
+"""Best-response maps of conjectures, and their iteration.
 
 The cross update maps one player's conjecture slope to the opponent's
 consistent best-response slope; the composite update chains two cross steps
@@ -17,7 +17,6 @@ import numpy as np
 from . import analysis, core
 from .core import (
     CompositeBlocks,
-    Conjecture,
     QuadraticGame,
     _a_norms,
     _residual_norms,
@@ -28,7 +27,7 @@ from .core import (
 )
 from .errors import DimensionMismatch, SingularBestResponse, SingularComposite
 
-# Conjecture-norm threshold beyond which the iteration counts as diverged.
+# The norm of a slope or offset beyond which the iteration counts as diverged.
 DIVERGENCE_NORM = 1e12
 
 
@@ -81,17 +80,15 @@ def _best_response(i, s, ell):
     return np.negative(x, out=x), posdef
 
 
-def best_response(game: QuadraticGame, i: int, conj: Conjecture):
-    """Player i's optimal action under its conjecture (L, ell).
+def best_response(game: QuadraticGame, i: int, L, ell):
+    """Player i's optimal action under its conjecture x_{-i} = L x_i + ell.
 
     Solves the stationarity condition of f_i(x_i, L x_i + ell); emits a
     NotCertifiedMin warning when the effective Hessian is not positive
     definite. An L or ell of the wrong shape or not finite raises DimensionMismatch.
     """
-    if conj.holder != i:
-        raise DimensionMismatch(f"conjecture holder {conj.holder} != player {i}")
-    s = core._checked_slope(game, i, conj.L)
-    ell = core._as_vector(conj.ell, s.L.shape[0], f"ell{i}")
+    s = core._checked_slope(game, i, L)
+    ell = core._as_vector(ell, s.L.shape[0], f"ell{i}")
     x, posdef = _best_response(i, s, ell)
     if not posdef:
         warnings.warn(
@@ -102,11 +99,11 @@ def best_response(game: QuadraticGame, i: int, conj: Conjecture):
     return x
 
 
-def predict(conj: Conjecture, x_i):
-    """The conjectured opponent action L x_i + ell; an x_i of the wrong length
-    or not finite raises DimensionMismatch."""
-    x_i = core._as_vector(x_i, conj.L.shape[1], f"x{conj.holder}")
-    return conj.L @ x_i + conj.ell
+def predict(L, ell, x):
+    """The conjectured opponent action L x + ell; an x or ell of the wrong
+    length or not finite raises DimensionMismatch."""
+    L = core._as_array(L, "L")
+    return L @ core._as_vector(x, L.shape[1], "x") + core._as_vector(ell, L.shape[0], "ell")
 
 
 @dataclass(frozen=True)
@@ -114,17 +111,20 @@ class IterationConfig:
     """Settings for the conjecture iteration.
 
     ``init=None`` means Nash initialization: zero slopes and offsets equal to
-    the opposing Nash action.
+    the opposing Nash action. iterate checks any other init against the game.
     """
 
     mode: str = "cross"  # "cross" | "composite"
     max_iters: int = 100
     tol: float = 1e-8
-    init: tuple[Conjecture, Conjecture] | None = None
+    init: tuple | None = None  # (L1, ell1, L2, ell2)
 
     def __post_init__(self):
         if self.mode not in ("cross", "composite"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not (self.init is None or (isinstance(self.init, (tuple, list))
+                                      and len(self.init) == 4)):
+            raise ValueError("init must be None or the four entries (L1, ell1, L2, ell2)")
         if not core._is_count(self.max_iters):
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
@@ -277,13 +277,11 @@ def iterate(game: QuadraticGame, cfg: IterationConfig) -> IterationTrace:
         L2 = np.zeros((dims.d1, dims.d2))
         ell2 = x1ne
     else:
-        conj1, conj2 = cfg.init
-        if conj1.holder != 1 or conj2.holder != 2:
-            raise DimensionMismatch("init must be (player-1, player-2) conjectures")
-        L1 = core._checked_L(dims, 1, conj1.L).copy()
-        ell1 = core._as_vector(conj1.ell, dims.d2, "ell1").copy()
-        L2 = core._checked_L(dims, 2, conj2.L).copy()
-        ell2 = core._as_vector(conj2.ell, dims.d1, "ell2").copy()
+        L1, ell1, L2, ell2 = cfg.init
+        L1 = core._checked_L(dims, 1, L1).copy()
+        ell1 = core._as_vector(ell1, dims.d2, "ell1").copy()
+        L2 = core._checked_L(dims, 2, L2).copy()
+        ell2 = core._as_vector(ell2, dims.d1, "ell2").copy()
 
     # Each step forms the _Slope of each new L_i once, from the players'
     # cost rows; the offsets, the record and the next step's cross map read it.

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ccve import analysis, builders, equilibrium, lft, stability
-from ccve.core import Conjecture, assemble_blocks, riccati_residual_norms
+from ccve.core import assemble_blocks, riccati_residual_norms
 from ccve.errors import (
     CcveError,
     ComplexFixedPoints,
@@ -102,10 +102,8 @@ class TestAcceptance:
             ok &= max(r1, r2) < 1e-8
             ok &= np.linalg.norm(sol.L1 @ sol.x1 + sol.ell1 - sol.x2) < 1e-8
             ok &= np.linalg.norm(sol.L2 @ sol.x2 + sol.ell2 - sol.x1) < 1e-8
-            c1 = Conjecture.create(1, sol.L1, sol.ell1, g.dims)
-            c2 = Conjecture.create(2, sol.L2, sol.ell2, g.dims)
-            ok &= np.linalg.norm(lft.best_response(g, 1, c1) - sol.x1) < 1e-8
-            ok &= np.linalg.norm(lft.best_response(g, 2, c2) - sol.x2) < 1e-8
+            ok &= np.linalg.norm(lft.best_response(g, 1, sol.L1, sol.ell1) - sol.x1) < 1e-8
+            ok &= np.linalg.norm(lft.best_response(g, 2, sol.L2, sol.ell2) - sol.x2) < 1e-8
         report(3, "100 random games (d <= 6): solved equilibria have relative "
                   "residuals below 1e-8 and mutually consistent actions", ok)
 

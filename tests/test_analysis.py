@@ -5,7 +5,7 @@ import pytest
 
 from ccve import builders
 from ccve.analysis import _effective_hessian, nash, second_order_check, social_optimum
-from ccve.core import Conjecture, _checked_slope, eval_cost
+from ccve.core import _checked_slope, eval_cost
 from ccve.equilibrium import solve_ccve
 from ccve.errors import DimensionMismatch, SingularNashSystem
 from ccve.lft import best_response
@@ -104,10 +104,9 @@ class TestNash:
     def test_fixed_point_of_zero_conjecture_responses(self, bench_game):
         x1, x2 = nash(bench_game)
         dims = bench_game.dims
-        c1 = Conjecture.create(1, np.zeros((dims.d2, dims.d1)), x2, dims)
-        c2 = Conjecture.create(2, np.zeros((dims.d1, dims.d2)), x1, dims)
-        assert np.allclose(best_response(bench_game, 1, c1), x1, atol=1e-12)
-        assert np.allclose(best_response(bench_game, 2, c2), x2, atol=1e-12)
+        L1, L2 = np.zeros((dims.d2, dims.d1)), np.zeros((dims.d1, dims.d2))
+        assert np.allclose(best_response(bench_game, 1, L1, x2), x1, atol=1e-12)
+        assert np.allclose(best_response(bench_game, 2, L2, x1), x2, atol=1e-12)
 
     def test_singular_system_rejected(self):
         g = scalar_game(q1=1.0, r1=1.0, s1=0.5)

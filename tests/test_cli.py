@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccve import builders, cli
+from ccve import builders, cli, equilibrium
 from ccve.core import game_to_dict, load_game, save_game
 from ccve.equilibrium import solve_ccve
 
@@ -504,6 +504,16 @@ def test_vector_as_a_column_is_an_error(tmp_path, bench_path, capsys,
     assert out is None or not out.exists()
 
 
+def ccve_process(argv, cwd):
+    """``python -m ccve.cli`` with argv, run in a subprocess in cwd from the src
+    directory of the ccve under test, its stdout and stderr captured as text."""
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "ccve.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
 @pytest.mark.parametrize("nan, code, error", [
     pytest.param(True, cli.EXIT_ERROR, ["DimensionMismatch: A2 contains non-finite entries"],
                  id="warning-then-error"),
@@ -519,16 +529,47 @@ def test_warning_prints_one_line(tmp_path, nan, code, error):
         data["player2"]["A"][0][0] = float("nan")
     game = tmp_path / "game.json"
     game.write_text(json.dumps(data))
-    src = Path(cli.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-m", "ccve.cli", "solve", "--game", str(game),
-                           "--out", str(tmp_path / "s.json")],
-                          env=env, capture_output=True, text=True)
+    proc = ccve_process(["solve", "--game", str(game), "--out", str(tmp_path / "s.json")],
+                        tmp_path)
     assert proc.returncode == code
     assert proc.stderr.splitlines() == [
         "UserWarning: D1 is not symmetric (relative asymmetry above 1e-08); "
         "using its symmetric part"] + error
+
+
+# Each command given a finite input entry of 1e200, whose square overflows, as
+# (argv, the file and the path of keys to the entry, exit code, the names that
+# begin its stderr lines). g.json is the 2x3 game, s.json its solution.
+OVERFLOWS = [
+    pytest.param(["check", "--game", "g.json", "--solution", "s.json"],
+                 ("s.json", "L1", 0, 0), cli.EXIT_ERROR, ["EigFailure"], id="check-solution"),
+    pytest.param(["solve", "--game", "g.json", "--out", "o.json"],
+                 ("g.json", "player1", "A", 0, 0), cli.EXIT_ERROR, ["MSingular"], id="game-A1"),
+    pytest.param(["iterate", "--game", "g.json", "--compare", "s.json", "--trace", "t.csv"],
+                 ("s.json", "L1", 0, 0), cli.EXIT_OK, [], id="iterate-compare"),
+    pytest.param(["build", "lq", "--spec", "spec.json", "--out", "o.json"],
+                 ("spec.json", "Q1", 0, 0), cli.EXIT_OK, [], id="build-lq-Q1"),
+]
+
+
+@pytest.mark.parametrize("argv, entry, code, names", OVERFLOWS)
+def test_overflow_prints_no_runtime_warning(tmp_path, argv, entry, code, names):
+    # numpy's "RuntimeWarning: overflow encountered in dot" (or matmul) line
+    # printed before the error, or alone on exit 0: the command holds one
+    # np.errstate, as iterate's run does.
+    game = builders.example1_game()
+    inputs = {"g.json": game_to_dict(game), "spec.json": copy.deepcopy(LQ_SPEC),
+              "s.json": equilibrium.solution_to_dict(solve_ccve(game))}
+    name, *keys, last = entry
+    node = inputs[name]
+    for key in keys:
+        node = node[key]
+    node[last] = 1e200
+    for name, data in inputs.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    proc = ccve_process(argv, tmp_path)
+    assert proc.returncode == code
+    assert [line.split(":")[0] for line in proc.stderr.splitlines()] == names
 
 
 def test_main_restores_the_warning_format(tmp_path, warmup_path):
@@ -571,6 +612,39 @@ class TestEnumerate:
         out = tmp_path / "enum.json"
         assert run(["enumerate", "--game", str(bench_path), "--cap", "5",
                     "--out", str(out)]) == cli.EXIT_ERROR
+
+
+# Each command that writes a manifest, as (argv from the 2x3 game's path g, its
+# solution's path s and a directory d, the first output's name in d, the inputs
+# the manifest lists). A file given to two flags is listed once.
+MANIFEST_INPUTS = [
+    pytest.param(lambda g, s, d: ["solve", "--game", g, "--out", str(d / "o.json")],
+                 "o.json", ["g"], id="solve"),
+    pytest.param(lambda g, s, d: ["iterate", "--game", g, "--trace", str(d / "t.csv")],
+                 "t.csv", ["g"], id="iterate-nash"),
+    pytest.param(lambda g, s, d: ["iterate", "--game", g, "--init", s, "--compare", s,
+                                  "--trace", str(d / "t.csv")],
+                 "t.csv", ["g", "s"], id="iterate-init-compare"),
+    pytest.param(lambda g, s, d: ["build", "random", "--d1", "2", "--d2", "3",
+                                  "--out", str(d / "o.json")], "o.json", [], id="build-random"),
+    pytest.param(lambda g, s, d: ["build", "lq", "--spec", str(d / "spec.json"),
+                                  "--out", str(d / "o.json")],
+                 "o.json", ["spec"], id="build-lq"),
+    pytest.param(lambda g, s, d: ["enumerate", "--game", g, "--out", str(d / "o.json")],
+                 "o.json", ["g"], id="enumerate"),
+]
+
+
+@pytest.mark.parametrize("argv, output, inputs", MANIFEST_INPUTS)
+def test_manifest_lists_each_file_read(tmp_path, bench_path, argv, output, inputs):
+    # iterate's manifest listed --game only, not --init or --compare.
+    paths = {"g": str(bench_path), "s": str(tmp_path / "s.json"),
+             "spec": str(tmp_path / "spec.json")}
+    (tmp_path / "spec.json").write_text(json.dumps(LQ_SPEC))
+    assert run(["solve", "--game", paths["g"], "--out", paths["s"]]) == cli.EXIT_OK
+    assert run(argv(paths["g"], paths["s"], tmp_path)) == cli.EXIT_OK
+    manifest = json.loads((tmp_path / f"{output}.manifest.json").read_text())
+    assert manifest["inputs"] == [paths[key] for key in inputs]
 
 
 # Each command with an output path that names one of its inputs or another of

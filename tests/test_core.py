@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import ccve
 from ccve import builders, cli, core, equilibrium, lft, spectral, stability
 from ccve.core import (
-    Conjecture,
     QuadraticGame,
     assemble_blocks,
     eval_cost,
@@ -393,17 +392,6 @@ class TestDims:
         assert game_to_dict(load_game(tmp_path / "game.json")) == game_to_dict(game)
 
 
-class TestConjecture:
-    def test_create_validates_shapes(self, bench_game):
-        dims = bench_game.dims
-        c = Conjecture.create(1, np.zeros((3, 2)), np.zeros(3), dims)
-        assert c.holder == 1
-        with pytest.raises(DimensionMismatch):
-            Conjecture.create(1, np.zeros((2, 3)), np.zeros(3), dims)
-        with pytest.raises(DimensionMismatch):
-            Conjecture.create(3, np.zeros((3, 2)), np.zeros(3), dims)
-
-
 class TestPlayerIndex:
     """Every call that checks a slope refuses a player index other than the
     int 1 or 2, as QuadraticGame.player and eval_cost do, on a square game,
@@ -418,7 +406,7 @@ class TestPlayerIndex:
         x = np.ones(3)
         return {
             "_checked_L": lambda i: core._checked_L(g.dims, i, L),
-            "Conjecture.create": lambda i: Conjecture.create(i, L, x, g.dims),
+            "best_response": lambda i: lft.best_response(g, i, L, x),
             "lft_cross": lambda i: lft.lft_cross(g, i, L),
             "offset_cross": lambda i: lft.offset_cross(g, i, L),
             "composite_step": lambda i: lft.composite_step(blocks, i, L),
@@ -604,7 +592,7 @@ class TestLapackLoader:
 # The names the package exports, by the module that defines each: the names its
 # __init__ imported before it resolved them on first read.
 EXPORTS = [(module, name) for module, names in (
-    ("core", "CompositeBlocks Conjecture Dims PlayerCost QuadraticGame assemble_blocks "
+    ("core", "CompositeBlocks Dims PlayerCost QuadraticGame assemble_blocks "
              "eval_cost load_game riccati_residual riccati_residual_norms save_game "
              "validate_game"),
     ("equilibrium", "CcveSolution enumerate_fixed_points solve_ccve "
@@ -627,7 +615,7 @@ class TestPackageSurface:
         assert namespace[name] is obj
 
     def test_dir_lists_every_name_and_version(self):
-        assert len(EXPORTS) == 27
+        assert len(EXPORTS) == 26
         assert {name for _, name in EXPORTS} | {"__version__"} <= set(dir(ccve))
         assert ccve.__version__ == cli.__version__ == "0.1.0"
 

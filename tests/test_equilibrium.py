@@ -95,13 +95,12 @@ class TestSolveCcve:
         r1, r2 = riccati_residual_norms(bench_game, sol.L1, sol.L2)
         assert max(r1, r2) < 1e-12
         # Actions are mutual best responses under the conjectures.
-        from ccve.core import Conjecture
-        c1 = Conjecture.create(1, sol.L1, sol.ell1, bench_game.dims)
-        c2 = Conjecture.create(2, sol.L2, sol.ell2, bench_game.dims)
-        assert np.allclose(lft.best_response(bench_game, 1, c1), sol.x1, atol=1e-10)
-        assert np.allclose(lft.best_response(bench_game, 2, c2), sol.x2, atol=1e-10)
-        assert np.allclose(lft.predict(c1, sol.x1), sol.x2, atol=1e-10)
-        assert np.allclose(lft.predict(c2, sol.x2), sol.x1, atol=1e-10)
+        assert np.allclose(lft.best_response(bench_game, 1, sol.L1, sol.ell1), sol.x1,
+                           atol=1e-10)
+        assert np.allclose(lft.best_response(bench_game, 2, sol.L2, sol.ell2), sol.x2,
+                           atol=1e-10)
+        assert np.allclose(lft.predict(sol.L1, sol.ell1, sol.x1), sol.x2, atol=1e-10)
+        assert np.allclose(lft.predict(sol.L2, sol.ell2, sol.x2), sol.x1, atol=1e-10)
 
     def test_slope_is_composite_fixed_point(self, bench_game):
         sol = solve_ccve(bench_game)

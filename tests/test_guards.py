@@ -22,8 +22,6 @@ from ccve import analysis, core, equilibrium, spectral, stability
 from ccve.core import (
     RCOND_MIN,
     RCOND_SINGULAR,
-    Conjecture,
-    Dims,
     QuadraticGame,
     _lu_rcond,
     _solve_checked,
@@ -137,7 +135,7 @@ class TestNearSingularRaises:
         with pytest.raises(SingularBestResponse):
             offset_cross(g, player, zero)
         with pytest.raises(SingularBestResponse):
-            best_response(g, player, Conjecture(player, zero, np.zeros(3)))
+            best_response(g, player, zero, np.zeros(3))
 
     @pytest.mark.parametrize("player", [1, 2])
     def test_singular_composite(self, rng, player):
@@ -238,7 +236,7 @@ BOUNDARY_SITES = [
                  SingularNashSystem, id="nash"),
     # At L = 0 the effective Hessian S_1 is A1 = diag(1, t).
     pytest.param(lambda t, blocks: best_response(
-                     boundary_game(t), 1, Conjecture(1, ZERO, np.zeros(2))),
+                     boundary_game(t), 1, ZERO, np.zeros(2)),
                  SingularBestResponse, id="best_response"),
     pytest.param(lambda t, blocks: analysis.social_optimum(social_boundary_game(t)),
                  SingularSocialSystem, id="social_optimum"),
@@ -440,23 +438,24 @@ def test_public_slope_is_checked(bench_game, call, bad):
         call(bench_game, L1, np.zeros((2, 3)))
 
 
+# (player, L, ell): the slope and offset of a 2x1 game's player 1, and
+# conjectures of the 2x3 game with a NaN entry or a short offset.
 BAD_CONJECTURES = [
-    pytest.param(1, lambda: Conjecture.create(1, [[0.1, 0.2]], [0.1], Dims(2, 1)),
-                 "L1 must have shape", id="other-game"),
-    pytest.param(1, lambda: Conjecture(1, np.full((3, 2), np.nan), np.zeros(3)),
+    pytest.param(1, [[0.1, 0.2]], [0.1], "L1 must have shape", id="other-game"),
+    pytest.param(1, np.full((3, 2), np.nan), np.zeros(3),
                  "L1 contains non-finite", id="nan-slope"),
-    pytest.param(1, lambda: Conjecture(1, np.zeros((3, 2)), np.zeros(2)),
+    pytest.param(1, np.zeros((3, 2)), np.zeros(2),
                  "ell1 must have length 3", id="offset-length"),
-    pytest.param(2, lambda: Conjecture(2, np.zeros((2, 3)), [np.nan, 0.0]),
+    pytest.param(2, np.zeros((2, 3)), [np.nan, 0.0],
                  "ell2 contains non-finite", id="nan-offset"),
 ]
 
 
-@pytest.mark.parametrize("player, conj, match", BAD_CONJECTURES)
-def test_best_response_checks_its_conjecture(bench_game, player, conj, match):
+@pytest.mark.parametrize("player, L, ell, match", BAD_CONJECTURES)
+def test_best_response_checks_its_conjecture(bench_game, player, L, ell, match):
     """A conjecture that does not fit the game raises DimensionMismatch."""
     with pytest.raises(DimensionMismatch, match=match):
-        best_response(bench_game, player, conj())
+        best_response(bench_game, player, L, ell)
 
 
 def rel(x, ref):
@@ -474,7 +473,7 @@ def test_indefinite_best_response_warns_and_solves():
     L, ell = np.diag([1.0, 0.0, 1.0]), rng.standard_normal(3)
     S = A1 + L.T @ D1 @ L
     with pytest.warns(UserWarning, match="NotCertifiedMin"):
-        x = best_response(g, 1, Conjecture(1, L, ell))
+        x = best_response(g, 1, L, ell)
     ref = -np.linalg.solve(S, p1[3] + L.T @ p1[4] + (L.T @ D1) @ ell)
     assert rel(x, ref) < 1e-14
 
@@ -520,7 +519,7 @@ def test_lu_solves_match_numpy(seed, d1, d2):
             ref = np.linalg.solve(den, L @ bD - bB)
         assert rel(composite_step(blocks, i, L), ref) < 1e-12
         ref = -np.linalg.solve(S, p.a + L.T @ p.b + (p.B.T + L.T @ p.D) @ ell)
-        assert rel(best_response(g, i, Conjecture(i, L, ell)), ref) < 1e-12
+        assert rel(best_response(g, i, L, ell), ref) < 1e-12
 
     z = np.linalg.solve(K_nash, -np.concatenate([p1.a, p2.a]))
     x1, x2 = analysis.nash(g)

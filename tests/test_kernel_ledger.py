@@ -17,7 +17,7 @@ import pytest
 
 from ccve import builders, spectral
 from ccve.analysis import nash, second_order_check, social_optimum
-from ccve.core import Conjecture, assemble_blocks, validate_game
+from ccve.core import assemble_blocks, validate_game
 from ccve.equilibrium import enumerate_fixed_points, solve_ccve, solve_via_generalized
 from ccve.lft import IterationConfig, best_response, composite_step, iterate, lft_cross
 from ccve.stability import certify
@@ -44,10 +44,9 @@ FACTOR_M = lu(2) + Counter(dpotrf=2)
 SOLVE = lu(10, solves=6) + Counter(dpotrf=4, dsyevr=2)
 
 
-def conjecture(game, sol, i):
-    """Player i's conjecture at the solution sol."""
-    L, ell = ((sol.L1, sol.ell1), (sol.L2, sol.ell2))[i - 1]
-    return Conjecture.create(i, L, ell, game.dims)
+def conjecture(sol, i):
+    """(L, ell): player i's conjecture at the solution sol."""
+    return ((sol.L1, sol.ell1), (sol.L2, sol.ell2))[i - 1]
 
 
 # name -> (operation from (game, solution) to a call without arguments,
@@ -72,14 +71,14 @@ LEDGER = {
 }
 for _i in (1, 2):
     LEDGER[f"lft_cross-{_i}"] = (
-        lambda g, sol, i=_i: partial(lft_cross, g, i, conjecture(g, sol, i).L),
+        lambda g, sol, i=_i: partial(lft_cross, g, i, conjecture(sol, i)[0]),
         lu(1, solves=1), None)
     LEDGER[f"composite_step-{_i}"] = (
         lambda g, sol, i=_i: partial(composite_step, assemble_blocks(g), i,
-                                     conjecture(g, sol, i).L),
+                                     conjecture(sol, i)[0]),
         lu(1, solves=1), None)
     LEDGER[f"best_response-{_i}"] = (
-        lambda g, sol, i=_i: partial(best_response, g, i, conjecture(g, sol, i)),
+        lambda g, sol, i=_i: partial(best_response, g, i, *conjecture(sol, i)),
         CHOLESKY, None)
 
 

@@ -1,6 +1,7 @@
 """Cross/composite conjecture maps, best responses, and the iteration driver."""
 
 import csv
+import re
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from ccve import analysis, builders
-from ccve.core import (Conjecture, Dims, assemble_blocks, eval_cost,
+from ccve.core import (Dims, assemble_blocks, eval_cost,
                        riccati_residual_norms)
 from ccve.errors import DimensionMismatch, SingularBestResponse
 from ccve.lft import (
@@ -131,19 +132,17 @@ class TestBestResponse:
     def test_scalar_hand_value(self):
         # min 1/2 x^2 + w x under zero conjecture: x = -w.
         g = scalar_game(q1=1.0, r1=0.25, s1=0.0, w1=3.0)
-        conj = Conjecture.create(1, [[0.0]], [0.0], g.dims)
-        assert best_response(g, 1, conj)[0] == pytest.approx(-3.0)
+        assert best_response(g, 1, [[0.0]], [0.0])[0] == pytest.approx(-3.0)
 
     def test_stationarity_by_finite_differences(self):
         rng = np.random.default_rng(21)
         g = random_dense_game(rng, 3, 2)
-        conj = Conjecture.create(1, rng.standard_normal((2, 3)) * 0.3,
-                                 rng.standard_normal(2), g.dims)
-        x = best_response(g, 1, conj)
+        L, ell = rng.standard_normal((2, 3)) * 0.3, rng.standard_normal(2)
+        x = best_response(g, 1, L, ell)
 
         def phi(x1):
             from ccve.core import eval_cost
-            return eval_cost(g, 1, x1, predict(conj, x1))
+            return eval_cost(g, 1, x1, predict(L, ell, x1))
 
         h = 1e-6
         for j in range(3):
@@ -155,37 +154,53 @@ class TestBestResponse:
     def test_warns_when_not_certified_min(self):
         # Effective Hessian q + 2 r L + s L^2 = 1 - 4 < 0 at L = 2, s = -1.
         g = scalar_game(q1=1.0, r1=0.0, s1=-1.0)
-        conj = Conjecture.create(1, [[2.0]], [0.0], g.dims)
         with pytest.warns(UserWarning, match="NotCertifiedMin"):
-            best_response(g, 1, conj)
-
-    def test_holder_mismatch_rejected(self, warmup_game):
-        conj = Conjecture.create(1, [[0.0]], [0.0], warmup_game.dims)
-        with pytest.raises(DimensionMismatch):
-            best_response(warmup_game, 2, conj)
+            best_response(g, 1, [[2.0]], [0.0])
 
 
 class TestPredict:
+    L, ELL = [[2.0], [1.0]], np.array([0.5, -0.5])
+
     def test_affine_rule(self):
-        conj = Conjecture(holder=1, L=np.array([[2.0], [1.0]]), ell=np.array([0.5, -0.5]))
-        assert np.allclose(predict(conj, [3.0]), [6.5, 2.5])
+        assert np.allclose(predict(self.L, self.ELL, [3.0]), [6.5, 2.5])
 
     def test_dimension_check(self):
-        conj = Conjecture(holder=1, L=np.array([[2.0], [1.0]]), ell=np.array([0.5, -0.5]))
         with pytest.raises(DimensionMismatch):
-            predict(conj, [1.0, 2.0])
+            predict(self.L, self.ELL, [1.0, 2.0])
 
     def test_non_finite_action_is_refused(self):
-        # predict(conj, [nan]) returned [nan, nan].
-        conj = Conjecture(holder=1, L=np.array([[2.0], [1.0]]), ell=np.array([0.5, -0.5]))
-        with pytest.raises(DimensionMismatch, match="x1 contains non-finite entries"):
-            predict(conj, [np.nan])
+        # predict(L, ell, [nan]) returned [nan, nan].
+        with pytest.raises(DimensionMismatch, match="x contains non-finite entries"):
+            predict(self.L, self.ELL, [np.nan])
+
+    @pytest.mark.parametrize("ell, match", [
+        ([0.5], "ell must have length 2"),
+        ([[0.5], [-0.5]], "ell must have length 2"),
+        ([0.5, np.nan], "ell contains non-finite entries"),
+    ], ids=["short", "column", "nan"])
+    def test_offset_that_is_not_of_the_slope_is_refused(self, ell, match):
+        # numpy broadcast a short or column ell: [0.5] gave [6.5, 3.5] and
+        # a column gave a 2x2 array.
+        with pytest.raises(DimensionMismatch, match=match):
+            predict(self.L, ell, [3.0])
 
 
 class TestIterationConfig:
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
             IterationConfig(mode="gauss")
+
+    @pytest.mark.parametrize("init", [
+        ((np.zeros((1, 1)), np.zeros(1)), (np.zeros((1, 1)), np.zeros(1))),
+        (np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1))),
+        np.zeros(4),
+        {"L1": 0, "ell1": 0, "L2": 0, "ell2": 0},
+    ], ids=["two-pairs", "three-entries", "array", "dict"])
+    def test_rejects_an_init_that_is_not_four_entries(self, init):
+        # Without the check, two (L, ell) pairs, one a player, would fail
+        # inside iterate with a raw unpack error, after the game is factored.
+        with pytest.raises(ValueError, match=re.escape("(L1, ell1, L2, ell2)")):
+            IterationConfig(init=init)
 
     def test_rejects_bad_limits(self):
         with pytest.raises(ValueError):
@@ -243,19 +258,10 @@ class TestIterate:
         assert np.allclose(first.x2, x2ne, atol=1e-12)
 
     def test_starts_at_fixed_point_converges_immediately(self, warmup_game):
-        dims = warmup_game.dims
-        init = (Conjecture.create(1, [[WARM_L]], [0.0], dims),
-                Conjecture.create(2, [[WARM_L]], [0.0], dims))
+        init = ([[WARM_L]], [0.0], [[WARM_L]], [0.0])
         trace = iterate(warmup_game, IterationConfig(init=init, tol=1e-10))
         assert trace.status == "converged"
         assert trace.status_iter == 1
-
-    def test_init_holder_order_enforced(self, warmup_game):
-        dims = warmup_game.dims
-        c1 = Conjecture.create(1, [[0.0]], [0.0], dims)
-        c2 = Conjecture.create(2, [[0.0]], [0.0], dims)
-        with pytest.raises(DimensionMismatch):
-            iterate(warmup_game, IterationConfig(init=(c2, c1)))
 
     @pytest.mark.parametrize("mode", ["cross", "composite"])
     @pytest.mark.filterwarnings("ignore:NotCertifiedMin")
@@ -344,8 +350,7 @@ class TestIterate:
     def test_singular_record_ends_the_run(self):
         # Step 1 maps L2 = -2 to L1 = 1 exactly, where S1 = 1 - L1^2 = 0.
         g = scalar_game(q1=1.0, r1=0.0, s1=-1.0, q2=1.0, r2=0.0, s2=0.5)
-        init = (Conjecture.create(1, [[0.0]], [0.0], g.dims),
-                Conjecture.create(2, [[-2.0]], [0.0], g.dims))
+        init = ([[0.0]], [0.0], [[-2.0]], [0.0])
         trace = iterate(g, IterationConfig(init=init))
         assert (trace.status, trace.status_iter) == ("singular", 1)
         assert len(trace.steps) == 1 and trace.change is None
@@ -355,8 +360,7 @@ class TestIterate:
         # step 2 maps L2 = 1 to L1 = -s2 L2 = -1 exactly, so P1^T is singular
         # at step 2: the offset and the next slope map share that one LU.
         g = scalar_game(q1=1.0, r1=1.0, s1=3.0, q2=1.0, r2=0.0, s2=1.0)
-        init = (Conjecture.create(1, [[-0.5]], [0.0], g.dims),
-                Conjecture.create(2, [[0.0]], [0.0], g.dims))
+        init = ([[-0.5]], [0.0], [[0.0]], [0.0])
         trace = iterate(g, IterationConfig(mode="cross", init=init))
         assert (trace.status, trace.status_iter, len(trace.steps)) == ("singular", 2, 2)
         assert trace.steps[1].L2[0, 0] == 1.0
@@ -364,8 +368,7 @@ class TestIterate:
     def test_singular_initial_record_raises(self):
         # No step can be returned when the initial conjecture's S1 = 0.
         g = scalar_game(q1=1.0, r1=0.0, s1=-1.0, q2=1.0, r2=0.0, s2=0.5)
-        init = (Conjecture.create(1, [[1.0]], [0.0], g.dims),
-                Conjecture.create(2, [[0.0]], [0.0], g.dims))
+        init = ([[1.0]], [0.0], [[0.0]], [0.0])
         with pytest.raises(SingularBestResponse):
             iterate(g, IterationConfig(init=init))
 
@@ -373,25 +376,23 @@ class TestIterate:
         # S1 = 1 - L1^2 is about 2**-49 and the right-hand side about -1e300,
         # so x1 overflows to inf in the initial record.
         g = scalar_game(q1=1.0, r1=0.0, s1=-1.0, q2=1.0, r2=0.0, s2=0.5)
-        init = (Conjecture.create(1, [[1.0 - 2.0**-50]], [1e300], g.dims),
-                Conjecture.create(2, [[0.0]], [0.0], g.dims))
+        init = ([[1.0 - 2.0**-50]], [1e300], [[0.0]], [0.0])
         with pytest.raises(DimensionMismatch, match="x1 contains non-finite entries"):
             iterate(g, IterationConfig(init=init))
 
     @pytest.mark.parametrize("field, value", [
-        ("L1", np.zeros((2, 3))),  # as Conjecture.create(1, ..., Dims(3, 2)) makes it
+        ("L1", np.zeros((2, 3))),  # player 1's slope in a 3x2 game
         ("L1", np.full((3, 2), np.nan)),
         ("ell1", np.zeros(2)),
         ("L2", np.zeros((3, 2))),
         ("ell2", np.array([np.inf, 0.0])),
     ], ids=["L1-transposed", "L1-nan", "ell1-short", "L2-transposed", "ell2-inf"])
     def test_init_that_is_not_of_the_game_rejected(self, bench_game, field, value):
-        # Conjecture itself checks nothing; iterate checks each L and ell
-        # against the 2x3 game as Conjecture.create would.
+        # IterationConfig checks only init's length; iterate checks each L
+        # and ell against the 2x3 game, and the message names the entry.
         parts = {"L1": np.zeros((3, 2)), "ell1": np.zeros(3),
                  "L2": np.zeros((2, 3)), "ell2": np.zeros(2), field: value}
-        init = (Conjecture(1, parts["L1"], parts["ell1"]),
-                Conjecture(2, parts["L2"], parts["ell2"]))
+        init = tuple(parts[key] for key in ("L1", "ell1", "L2", "ell2"))
         with pytest.raises(DimensionMismatch, match=f"^{field} "):
             iterate(bench_game, IterationConfig(init=init))
 
@@ -400,8 +401,7 @@ class TestIterate:
         # Neither the cost nor the step-change norm, which squares the
         # offsets' change of about 1e308, warns of the overflow.
         g = scalar_game(q1=1.0, r1=0.5, s1=0.0)
-        init = (Conjecture.create(1, [[0.0]], [1e308], g.dims),
-                Conjecture.create(2, [[0.0]], [1e308], g.dims))
+        init = ([[0.0]], [1e308], [[0.0]], [1e308])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             trace = iterate(g, IterationConfig(init=init, max_iters=3))
@@ -477,12 +477,11 @@ def test_recorded_steps_match_public_functions(game, mode):
     blocks = assemble_blocks(game) if mode == "composite" else None
     tol = 1e-12
     for k, st in enumerate(trace.steps):
-        c1 = Conjecture(holder=1, L=st.L1, ell=st.ell1)
-        c2 = Conjecture(holder=2, L=st.L2, ell=st.ell2)
-        x1, x2 = best_response(game, 1, c1), best_response(game, 2, c2)
+        x1 = best_response(game, 1, st.L1, st.ell1)
+        x2 = best_response(game, 2, st.L2, st.ell2)
         assert _rel(st.x1, x1) <= tol and _rel(st.x2, x2) <= tol
-        assert _rel(st.xhat2, predict(c1, x1)) <= tol
-        assert _rel(st.xhat1, predict(c2, x2)) <= tol
+        assert _rel(st.xhat2, predict(st.L1, st.ell1, x1)) <= tol
+        assert _rel(st.xhat1, predict(st.L2, st.ell2, x2)) <= tol
         # The record and eval_cost evaluate both costs by one helper.
         assert st.f1 == eval_cost(game, 1, x1, x2)
         assert st.f2 == eval_cost(game, 2, x1, x2)
