@@ -6,6 +6,7 @@ Subcommands: solve, iterate, check, build, enumerate.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 import warnings
@@ -115,6 +116,11 @@ def _solution_slopes(path, dims):
     return [_checked_L(dims, i, data[f"L{i}"]) for i in (1, 2)]
 
 
+def _finite(value):
+    """``value``, or None (JSON null) for a None, NaN or infinite one."""
+    return value if value is not None and math.isfinite(value) else None
+
+
 def cmd_iterate(args, argv):
     t0 = time.monotonic()
     summary_path = args.summary or str(Path(args.trace).with_suffix(".summary.json"))
@@ -134,14 +140,16 @@ def cmd_iterate(args, argv):
     summary = {
         "status": trace.status,
         "status_iter": trace.status_iter,
-        "final_residuals": [trace.final.res1, trace.final.res2],
-        "final_change": trace.change,
+        # A diverged run's numbers may not be finite: strict JSON writes null.
+        "final_residuals": [_finite(trace.final.res1), _finite(trace.final.res2)],
+        "final_change": _finite(trace.change),
         "iterations": len(trace.steps) - 1,
     }
     if ref is not None:
-        dL1 = np.linalg.norm(trace.final.L1 - ref[0])
-        dL2 = np.linalg.norm(trace.final.L2 - ref[1])
-        summary["distance_to_solution"] = {"L1": dL1, "L2": dL2}
+        # math.hypot scales by the largest entry, so a far solution cannot overflow.
+        summary["distance_to_solution"] = {
+            f"L{i}": _finite(math.hypot(*(L - R).flat))
+            for i, L, R in ((1, trace.final.L1, ref[0]), (2, trace.final.L2, ref[1]))}
     _write_json(summary_path, summary)
     _write_manifest(*paths, argv,
                     {"mode": args.mode, "max_iters": args.max_iters,

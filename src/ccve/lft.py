@@ -100,9 +100,11 @@ def best_response(game: QuadraticGame, i: int, L, ell):
 
 
 def predict(L, ell, x):
-    """The conjectured opponent action L x + ell; an x or ell of the wrong
-    length or not finite raises DimensionMismatch."""
+    """The conjectured opponent action L x + ell; an L that is not 2-D, or an
+    x or ell of the wrong length or not finite, raises DimensionMismatch."""
     L = core._as_array(L, "L")
+    if L.ndim != 2:
+        raise DimensionMismatch(f"L must be a matrix, got shape {L.shape}")
     return L @ core._as_vector(x, L.shape[1], "x") + core._as_vector(ell, L.shape[0], "ell")
 
 

@@ -160,24 +160,25 @@ def _select_positions(values, k, selection: Selection):
     return inside, values[order[ranked]], values[order[~ranked]], tuple(warns)
 
 
-# LAPACK's queried lwork by (kernel, order): dgees sizes its Hessenberg QR
-# and dgges the QR of B at order n whatever the input, so n alone decides it.
+# LAPACK's queried lwork by (kernel, order): dgees sizes its Hessenberg QR and
+# dgges the QR of B at order n whatever the input, and each is always passed the
+# same options, so n alone decides it.
 _LWORK = {}
 
 
-def _form(name, *mats):
-    """The outputs of LAPACK ``name`` (dgees or dgges) on ``mats`` at its queried
-    lwork, unsorted; raises EigFailure when the form's info != 0."""
+def _form(name, *mats, **options):
+    """The outputs of LAPACK ``name`` (dgees or dgges) on ``mats`` and ``options``
+    at its queried lwork, unsorted; raises EigFailure when the form's info != 0."""
     kernel = getattr(lapack, name)
     unsorted = lambda *values: 0  # the select callback, called only to sort
     key = (name, mats[0].shape[0])
     lwork = _LWORK.get(key)
     if lwork is None:  # the query, once per kernel and order; a failed one is not kept
-        work, info = kernel(unsorted, *mats, lwork=-1)[-2:]
+        work, info = kernel(unsorted, *mats, lwork=-1, **options)[-2:]
         lwork = int(work[0])
         if info == 0:
             _LWORK[key] = lwork
-    out = kernel(unsorted, *mats, lwork=lwork)
+    out = kernel(unsorted, *mats, lwork=lwork, **options)
     if out[-1] != 0:
         raise EigFailure(f"{name} failed with info={out[-1]}")
     return out
@@ -194,26 +195,22 @@ def _schur(M):
     return T, Z, wr + 1j * wi
 
 
-def _leading_basis(m, k, V, U, checks, what):
-    """The contiguous leading k columns of the reordered right transform V.
-
-    Raises EigFailure, naming the ``what`` residual, unless m == k and each
-    (M, R) in ``checks`` deflates: M V_k = U_k R_kk to EIG_RESID_TOL relative
-    to ||M||, where U_k is the basis itself when U is None (a Schur form)."""
+def _leading_basis(m, k, V):
+    """The contiguous leading k columns of the reordered right transform V;
+    raises EigFailure unless the reorder moved m == k values to the front."""
     if m != k:
         raise EigFailure(
             f"reordered subspace dimension {m} does not match requested {k}"
         )
-    basis = np.ascontiguousarray(V[:, :k])
-    left = basis if U is None else U[:, :k]
-    resid = max(
-        math.sqrt(_sq_norm(M @ basis - left @ R[:k, :k]))
-        / max(math.sqrt(_sq_norm(M)), 1e-300)
-        for M, R in checks
-    )
+    return np.ascontiguousarray(V[:, :k])
+
+
+def _check_residual(what, *pairs):
+    """Raises EigFailure, naming the ``what`` residual, unless ||R||_F <=
+    EIG_RESID_TOL ||M||_F for each (R, ||M||_F^2) in ``pairs``."""
+    resid = max(math.sqrt(_sq_norm(R)) / max(math.sqrt(sq), 1e-300) for R, sq in pairs)
     if resid > EIG_RESID_TOL:
         raise EigFailure(f"{what} residual {resid:.3e} above tolerance")
-    return basis
 
 
 def _reorder(M, T, Z, values, k, selection: Selection) -> InvariantSubspace:
@@ -223,7 +220,8 @@ def _reorder(M, T, Z, values, k, selection: Selection) -> InvariantSubspace:
     if info != 0:
         raise EigFailure(f"trsen failed with info={info}")
     # The Schur vectors are orthonormal; check invariance, M Q_k = Q_k T_kk.
-    basis = _leading_basis(m, k, qs, None, ((M, ts),), "invariant-subspace")
+    basis = _leading_basis(m, k, qs)
+    _check_residual("invariant-subspace", (M @ basis - basis @ ts[:k, :k], _sq_norm(M)))
     return InvariantSubspace(basis, selected, complement, warns)
 
 
@@ -242,16 +240,17 @@ _TGSEN_REFUSED = (
 
 
 def _qz(M1, M2T):
-    """(AA, BB, Q, Z, values): real generalized Schur form (M1, M2T) =
+    """(AA, BB, Z, values): real generalized Schur form (M1, M2T) =
     (Q AA Z^T, Q BB Z^T) and its eigenvalues in diagonal order, from LAPACK
-    dgges at its queried lwork: bit for bit scipy.linalg.qz's."""
+    dgges at its queried lwork. AA, BB and Z are bit for bit scipy.linalg.qz's;
+    the left transform Q is not formed (jobvsl=0), as nothing reads it."""
     if not (M1.ndim == M2T.ndim == 2 and M1.shape[0] == M1.shape[1]
             and M1.shape == M2T.shape
             and np.isfinite(M1).all() and np.isfinite(M2T).all()):
         raise EigFailure(
             f"expected a finite square pencil, got shapes {M1.shape} and {M2T.shape}"
         )
-    AA, BB, _, alphar, alphai, beta, Q, Z, _, _ = _form("dgges", M1, M2T)
+    AA, BB, _, alphar, alphai, beta, _, Z, _, _ = _form("dgges", M1, M2T, jobvsl=0)
     if np.any(beta == 0.0):
         raise EigFailure("infinite generalized eigenvalue: M2^T is singular")
     values = (alphar + alphai * 1j) / beta
@@ -259,7 +258,7 @@ def _qz(M1, M2T):
     # two betas differ in the last bits, so conjugate exactly.
     pairs = np.nonzero(alphai > 0)[0]
     values[pairs + 1] = np.conj(values[pairs])
-    return AA, BB, Q, Z, values
+    return AA, BB, Z, values
 
 
 def generalized_pairs(M1, M2T, k, selection: Selection) -> InvariantSubspace:
@@ -272,17 +271,29 @@ def generalized_pairs(M1, M2T, k, selection: Selection) -> InvariantSubspace:
     """
     M1 = np.asarray(M1, dtype=float)
     M2T = np.asarray(M2T, dtype=float)
-    AA, BB, Q, Z, values = _qz(M1, M2T)
+    AA, BB, Z, values = _qz(M1, M2T)
+    n = M1.shape[0]
     inside, selected, complement, warns = _select_positions(values, k, selection)
-    # scipy.linalg.ordqz's tgsen arguments; the reorder overwrites the form.
-    AA, BB, _, _, _, Q, Z, m, _, _, _, info = lapack.dtgsen(
-        inside.astype(np.int32), AA, BB, Q, Z, ijob=0,
-        lwork=4 * M1.shape[0] + 16, liwork=1,
+    # scipy.linalg.ordqz's tgsen arguments but wantq=0: the reorder overwrites
+    # the form, and the wrapper's n x n q is never read.
+    AA, BB, alphar, _, beta, _, Z, m, _, _, _, info = lapack.dtgsen(
+        inside.astype(np.int32), AA, BB, np.empty((n, n), order="F"), Z, ijob=0,
+        wantq=0, lwork=4 * n + 16, liwork=1,
         overwrite_a=1, overwrite_b=1, overwrite_q=1, overwrite_z=1)
     if info != 0:
         reason = _TGSEN_REFUSED if info == 1 else f"dtgsen failed with info={info}"
         raise EigFailure(f"ordered QZ failed: {reason}")
-    # Z is orthonormal; check M1 Z_k = Q_k AA_kk and M2^T Z_k = Q_k BB_kk.
-    basis = _leading_basis(m, k, Z, Q, ((M1, AA), (M2T, BB)),
-                           "generalized deflating-subspace")
+    # Z is orthonormal; check that M1 Z_k and M2^T Z_k lie in one span, Q_k's.
+    # Its basis W is the QR factor of M1 Z_k diag(alphar) / ||M1||^2 + M2^T Z_k
+    # diag(beta) / ||M2^T||^2 = Q_k T, T nonsingular whatever lambda is; the span
+    # of M2^T Z_k alone, like BB_kk^{-1} AA_kk, amplifies rounding by the largest
+    # |lambda| (README "Numerical guards").
+    basis = _leading_basis(m, k, Z)
+    sq1, sq2 = _sq_norm(M1), _sq_norm(M2T)
+    X, Y = M1 @ basis, M2T @ basis
+    qr, tau = lapack.dgeqrf(X * (alphar[:k] / max(sq1, 1e-300)) + Y * (beta[:k] / sq2))[:2]
+    W = lapack.dorgqr(qr, tau, overwrite_a=1)[0]
+    X -= W @ (W.T @ X)
+    Y -= W @ (W.T @ Y)
+    _check_residual("generalized deflating-subspace", (X, sq1), (Y, sq2))
     return InvariantSubspace(basis, selected, complement, warns)

@@ -21,6 +21,13 @@ def run(argv):
     return cli.main(argv)
 
 
+def read_strict_json(path):
+    """The JSON of ``path``, refusing NaN and Infinity, which strict JSON lacks."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
 # A horizon-1 scalar LQ spec whose unroll is A_i = R_i + G_i^T Q_if G_i = 3.
 LQ_SPEC = {
     "F": [[1.0]], "G1": [[1.0]], "G2": [[1.0]],
@@ -281,15 +288,45 @@ class TestIterate:
         with pytest.warns(UserWarning, match="NotCertifiedMin"):
             assert run(["iterate", "--game", str(warmup_path), "--init", str(init),
                         "--trace", str(trace)]) == cli.EXIT_OK
-
-        def reject(name):
-            raise ValueError(f"non-standard JSON constant {name}")
-
-        text = trace.with_suffix(".summary.json").read_text()
-        summary = json.loads(text, parse_constant=reject)
+        summary = read_strict_json(trace.with_suffix(".summary.json"))
         assert summary["status"] == "singular"
         assert summary["status_iter"] == 1
         assert summary["final_change"] is None
+
+    def test_diverged_run_writes_strict_json(self, tmp_path):
+        # Step 1 maps L2 = 1e148 to L1 = -s2 L2 / q2 = -1e158, whose residual
+        # and step change square past the largest double: each is null, as
+        # strict JSON has no Infinity, and the run still exits 3.
+        game = tmp_path / "game.json"
+        assert run(["build", "scalar", "--q1", "1", "--r1", "0.5", "--s1", "0",
+                    "--q2", "1", "--r2", "0", "--s2", "1e10",
+                    "--out", str(game)]) == cli.EXIT_OK
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"L1": [[0.0]], "ell1": [0.0],
+                                    "L2": [[1e148]], "ell2": [0.0]}))
+        trace = tmp_path / "trace.csv"
+        with pytest.warns(UserWarning, match="NotCertifiedMin"):
+            assert run(["iterate", "--game", str(game), "--init", str(init),
+                        "--trace", str(trace)]) == cli.EXIT_DIVERGED
+        summary = read_strict_json(trace.with_suffix(".summary.json"))
+        assert summary["status"] == "diverged"
+        assert summary["final_residuals"] == [None, None]
+        assert summary["final_change"] is None
+
+    def test_distance_to_a_far_solution_does_not_overflow(self, tmp_path, bench_path):
+        # A 1e200 entry in the solution's L1: the squares of the difference
+        # overflow, the distance scaled by its largest entry does not.
+        sol = tmp_path / "sol.json"
+        assert run(["solve", "--game", str(bench_path), "--out", str(sol)]) == cli.EXIT_OK
+        data = json.loads(sol.read_text())
+        data["L1"][0][0] = 1e200
+        sol.write_text(json.dumps(data))
+        summary = tmp_path / "sum.json"
+        assert run(["iterate", "--game", str(bench_path), "--trace", str(tmp_path / "t.csv"),
+                    "--summary", str(summary), "--compare", str(sol)]) == cli.EXIT_OK
+        distance = read_strict_json(summary)["distance_to_solution"]
+        assert distance["L1"] == pytest.approx(1e200, rel=1e-12)
+        assert distance["L2"] < 1e-6
 
     def test_singular_record_ends_the_run(self, tmp_path):
         # Step 1 maps L2 = -2 to L1 = 1 exactly, where player 1's effective

@@ -367,11 +367,12 @@ def failing_dgees(select, a, lwork=None):
     return a, 0, np.zeros(n), np.zeros(n), np.eye(n), np.array([3.0 * n]), 1
 
 
-def failing_dgges(select, a, b, lwork=None):
-    """dgges's outputs with info = 1 (the QZ iteration did not converge)."""
+def failing_dgges(select, a, b, lwork=None, jobvsl=1):
+    """dgges's outputs with info = 1 (the QZ iteration did not converge); the
+    route passes jobvsl=0, and vsl is then 1 x n."""
     n = a.shape[0]
-    return (a, b, 0, np.ones(n), np.zeros(n), np.ones(n), np.eye(n), np.eye(n),
-            np.array([8.0 * n + 16]), 1)
+    return (a, b, 0, np.ones(n), np.zeros(n), np.ones(n), np.eye(n if jobvsl else 1, n),
+            np.eye(n), np.array([8.0 * n + 16]), 1)
 
 
 def failing_dsyevr(a, **options):

@@ -57,8 +57,11 @@ LEDGER = {
                         FACTOR_M + Counter(dgetrs=1), None),
     "solve_ccve": (lambda g, sol: partial(solve_ccve, g),
                    SOLVE + Counter(dgees=1, dtrsen=1), "dgees"),
+    # The QZ form, its reorder, and the QR (dgeqrf, dorgqr) of the basis
+    # whose span the deflation check projects on.
     "solve_via_generalized": (lambda g, sol: partial(solve_via_generalized, g),
-                              SOLVE + Counter(dgges=1, dtgsen=1), "dgges"),
+                              SOLVE + Counter(dgges=1, dtgsen=1, dgeqrf=1, dorgqr=1),
+                              "dgges"),
     # Without spectra: the H1 alternate form, the guard of K, the guards of
     # J and H1 inside perturbation_spectrum (player 2's first), and the
     # eigenvalues of each player's two factors.

@@ -184,6 +184,16 @@ class TestPredict:
         with pytest.raises(DimensionMismatch, match=match):
             predict(self.L, ell, [3.0])
 
+    @pytest.mark.parametrize("L, shape", [
+        ([2.0, 1.0], "(2,)"),
+        ([[[2.0]], [[1.0]]], "(2, 1, 1)"),
+    ], ids=["1-d", "3-d"])
+    def test_slope_that_is_not_a_matrix_is_refused(self, L, shape):
+        # A 1-D L raised a raw IndexError reading L.shape[1].
+        match = re.escape(f"L must be a matrix, got shape {shape}")
+        with pytest.raises(DimensionMismatch, match=match):
+            predict(L, [0.5], [3.0])
+
 
 class TestIterationConfig:
     def test_rejects_bad_mode(self):
