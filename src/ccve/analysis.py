@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,8 +17,7 @@ from .errors import SingularNashSystem, SingularSocialSystem
 SECOND_ORDER_EIG_MIN = 1e-10
 
 
-@dataclass(frozen=True)
-class SecondOrderReport:
+class SecondOrderReport(NamedTuple):
     """The smallest eigenvalues of the effective per-player Hessians at a
     conjecture pair and their definiteness."""
 

@@ -3,14 +3,14 @@ seeded random recipes, and the scalar Moebius fixed-point analyzer."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from . import stability
 from .core import (QuadraticGame, _as_array, _as_matrix, _as_vector, _checked_dim,
                    _checked_keys, _min_eig, assemble_blocks)
 from .errors import ComplexFixedPoints, DegenerateScalar, DimensionMismatch
-from .stability import MARGINAL_BAND
 
 _PSD_TOL = 1e-10
 # The most entries an unrolled input map may hold: n (T + 1) rows by m_i T
@@ -28,8 +28,7 @@ _LQ_SHAPES = {
 }
 
 
-@dataclass(frozen=True)
-class LqSpec:
+class LqSpec(NamedTuple):
     """Finite-horizon open-loop LQ dynamic game description.
 
     Dynamics z_{t+1} = F z_t + G1 u_{1,t} + G2 u_{2,t}; stage costs
@@ -147,14 +146,7 @@ def build_lq_game(spec: LqSpec) -> QuadraticGame:
     )
 
 
-@dataclass(frozen=True)
-class ScalarSpec:
-    """Per-player scalar cost parameters.
-
-    q = own-quadratic, r = cross, s = opponent-quadratic, w = own-linear,
-    v = opponent-linear.
-    """
-
+class _ScalarSpec(NamedTuple):
     q1: float
     r1: float
     s1: float
@@ -166,14 +158,24 @@ class ScalarSpec:
     w2: float = 0.0
     v2: float = 0.0
 
-    def __post_init__(self):
+
+class ScalarSpec(_ScalarSpec):
+    """Per-player scalar cost parameters.
+
+    q = own-quadratic, r = cross, s = opponent-quadratic, w = own-linear,
+    v = opponent-linear.
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs __new__ too
+
+    def __new__(cls, *args, **kwargs):
+        s = super().__new__(cls, *args, **kwargs)
         # A one-player spec doubles as a symmetric game.
-        if self.q2 is None:
-            object.__setattr__(self, "q2", self.q1)
-        if self.r2 is None:
-            object.__setattr__(self, "r2", self.r1)
-        if self.s2 is None:
-            object.__setattr__(self, "s2", self.s1)
+        return super().__new__(cls, s.q1, s.r1, s.s1, s.w1, s.v1,
+                               s.q1 if s.q2 is None else s.q2,
+                               s.r1 if s.r2 is None else s.r2,
+                               s.s1 if s.s2 is None else s.s2, s.w2, s.v2)
 
 
 def build_scalar_game(spec: ScalarSpec) -> QuadraticGame:
@@ -248,23 +250,22 @@ def example1_game() -> QuadraticGame:
     return QuadraticGame.create(2, 3, (A1, B1, D1, a1, b1), (A2, B2, D2, a2, b2))
 
 
-@dataclass(frozen=True)
-class MobiusFixedPoint:
+class MobiusFixedPoint(NamedTuple):
     L: float
     xi_magnitude: float
     classification: str  # "stable" | "unstable" | "marginal"
 
 
-@dataclass(frozen=True)
-class MobiusResult:
+class MobiusResult(NamedTuple):
     records: tuple[MobiusFixedPoint, ...]
     infinite_root: bool = False
 
 
 def _classify(xi_mag):
-    if xi_mag < 1.0 - MARGINAL_BAND:
+    # Read here: only mobius_fixed_points runs ccve.stability, not every build.
+    if xi_mag < 1.0 - stability.MARGINAL_BAND:
         return "stable"
-    if xi_mag > 1.0 + MARGINAL_BAND:
+    if xi_mag > 1.0 + stability.MARGINAL_BAND:
         return "unstable"
     return "marginal"
 

@@ -10,7 +10,6 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -185,11 +184,6 @@ def cmd_check(args, argv):
     return EXIT_OK if passed else EXIT_NOT_CERTIFIED
 
 
-def _lq_spec_from_json(path):
-    keys = {f.name for f in fields(builders.LqSpec)}
-    return builders.LqSpec.create(**_json_object(path, keys))
-
-
 def cmd_build(args, argv):
     t0 = time.monotonic()
     paths = _checked_paths({"--spec": args.spec} if args.kind == "lq" else {},
@@ -202,11 +196,12 @@ def cmd_build(args, argv):
         game = builders.random_game(args.d1, args.d2, recipe=args.recipe,
                                     seed=args.seed, lo=args.lo, hi=args.hi)
     elif args.kind == "scalar":
-        spec = builders.ScalarSpec(**{f.name: getattr(args, f.name)
-                                      for f in fields(builders.ScalarSpec)})
+        spec = builders.ScalarSpec(*(getattr(args, name)
+                                     for name in builders.ScalarSpec._fields))
         game = builders.build_scalar_game(spec)
     else:  # lq
-        game = builders.build_lq_game(_lq_spec_from_json(args.spec))
+        spec = builders.LqSpec.create(**_json_object(args.spec, builders.LqSpec._fields))
+        game = builders.build_lq_game(spec)
     save_game(game, args.out)
     _write_manifest(*paths, argv, config, t0, seed=seed)
     return EXIT_OK
@@ -254,65 +249,69 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser(command):
+    """ccve's parser: every subcommand, but only ``command``'s arguments (each
+    one's for None); build's read ScalarSpec's fields, which runs ccve.builders."""
     p = _Parser(prog="ccve", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="compute the equilibrium directly")
-    ps.add_argument("--game", required=True)
-    ps.add_argument("--selection", choices=("largest", "smallest", "auto"),
-                    default="auto")
-    ps.add_argument("--out", required=True)
-    ps.add_argument("--allow-unstable", action="store_true")
     ps.set_defaults(func=cmd_solve)
+    if command in ("solve", None):
+        ps.add_argument("--game", required=True)
+        ps.add_argument("--selection", choices=("largest", "smallest", "auto"),
+                        default="auto")
+        ps.add_argument("--out", required=True)
+        ps.add_argument("--allow-unstable", action="store_true")
 
     pi = sub.add_parser("iterate", help="run the conjecture iteration")
-    pi.add_argument("--game", required=True)
-    pi.add_argument("--init", default="nash",
-                    help='"nash" or a JSON file with L1/ell1/L2/ell2')
-    pi.add_argument("--mode", choices=["cross", "composite"], default="cross")
-    pi.add_argument("--max-iters", type=int, default=100)
-    pi.add_argument("--tol", type=float, default=1e-8)
-    pi.add_argument("--trace", required=True)
-    pi.add_argument("--summary", default=None)
-    pi.add_argument("--compare", default=None,
-                    help="solution JSON to measure distance against")
     pi.set_defaults(func=cmd_iterate)
+    if command in ("iterate", None):
+        pi.add_argument("--game", required=True)
+        pi.add_argument("--init", default="nash",
+                        help='"nash" or a JSON file with L1/ell1/L2/ell2')
+        pi.add_argument("--mode", choices=["cross", "composite"], default="cross")
+        pi.add_argument("--max-iters", type=int, default=100)
+        pi.add_argument("--tol", type=float, default=1e-8)
+        pi.add_argument("--trace", required=True)
+        pi.add_argument("--summary", default=None)
+        pi.add_argument("--compare", default=None,
+                        help="solution JSON to measure distance against")
 
     pc = sub.add_parser("check", help="certify a solution file against a game")
-    pc.add_argument("--game", required=True)
-    pc.add_argument("--solution", required=True)
     pc.set_defaults(func=cmd_check)
+    if command in ("check", None):
+        pc.add_argument("--game", required=True)
+        pc.add_argument("--solution", required=True)
 
     pb = sub.add_parser("build", help="construct a game JSON file")
-    bsub = pb.add_subparsers(dest="kind", required=True)
-    br = bsub.add_parser("random")
-    br.add_argument("--recipe", choices=["paper7ex1", "paper7ex2", "uniform"],
-                    default="paper7ex2")
-    br.add_argument("--d1", type=int, required=True)
-    br.add_argument("--d2", type=int, required=True)
-    br.add_argument("--seed", type=int, default=0)
-    br.add_argument("--lo", type=float, default=-1.0)
-    br.add_argument("--hi", type=float, default=1.0)
-    br.add_argument("--out", required=True)
-    br.set_defaults(func=cmd_build)
-    bs = bsub.add_parser("scalar")
-    # Reading ScalarSpec's fields runs ccve.builders, which only build calls.
-    for f in fields(builders.ScalarSpec) if command == "build" else ():
-        required = f.default is MISSING
-        bs.add_argument(f"--{f.name}", type=float, required=required,
-                        default=None if required else f.default)
-    bs.add_argument("--out", required=True)
-    bs.set_defaults(func=cmd_build)
-    bl = bsub.add_parser("lq")
-    bl.add_argument("--spec", required=True, help="LqSpec JSON file")
-    bl.add_argument("--out", required=True)
-    bl.set_defaults(func=cmd_build)
+    pb.set_defaults(func=cmd_build)
+    if command in ("build", None):
+        bsub = pb.add_subparsers(dest="kind", required=True)
+        br = bsub.add_parser("random")
+        br.add_argument("--recipe", choices=["paper7ex1", "paper7ex2", "uniform"],
+                        default="paper7ex2")
+        br.add_argument("--d1", type=int, required=True)
+        br.add_argument("--d2", type=int, required=True)
+        br.add_argument("--seed", type=int, default=0)
+        br.add_argument("--lo", type=float, default=-1.0)
+        br.add_argument("--hi", type=float, default=1.0)
+        br.add_argument("--out", required=True)
+        bs = bsub.add_parser("scalar")
+        defaults = builders.ScalarSpec._field_defaults
+        for name in builders.ScalarSpec._fields:
+            bs.add_argument(f"--{name}", type=float, required=name not in defaults,
+                            default=defaults.get(name))
+        bs.add_argument("--out", required=True)
+        bl = bsub.add_parser("lq")
+        bl.add_argument("--spec", required=True, help="LqSpec JSON file")
+        bl.add_argument("--out", required=True)
 
     pe = sub.add_parser("enumerate", help="enumerate all fixed-point candidates")
-    pe.add_argument("--game", required=True)
-    pe.add_argument("--out", required=True)
-    pe.add_argument("--cap", type=int, default=None)  # equilibrium.ENUMERATION_CAP
     pe.set_defaults(func=cmd_enumerate)
+    if command in ("enumerate", None):
+        pe.add_argument("--game", required=True)
+        pe.add_argument("--out", required=True)
+        pe.add_argument("--cap", type=int, default=None)  # equilibrium.ENUMERATION_CAP
     return p
 
 

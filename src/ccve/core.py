@@ -18,14 +18,14 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, fields
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ANotPositiveDefinite, DimensionMismatch, EigFailure, MSingular
+from .errors import (ANotPositiveDefinite, DimensionMismatch, EigFailure, MSingular,
+                     SingularBestResponse)
 
 
 def _load_lapack():
@@ -132,30 +132,31 @@ def _symmetrize(m, name):
     return sym
 
 
-@dataclass(frozen=True)
-class Dims:
-    """Action-space dimensions of the two players."""
-
+class _Dims(NamedTuple):
     d1: int
     d2: int
 
-    def __post_init__(self):
-        if not (_is_count(self.d1) and _is_count(self.d2)):
-            raise DimensionMismatch(
-                f"dimensions must be integers, got {self.d1!r}, {self.d2!r}")
-        # A numpy integer is stored as an int, which the game JSON can write.
-        object.__setattr__(self, "d1", int(self.d1))
-        object.__setattr__(self, "d2", int(self.d2))
-        if self.d1 < 1 or self.d2 < 1:
+
+class Dims(_Dims):
+    """Action-space dimensions of the two players."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs __new__ too
+
+    def __new__(cls, d1, d2):
+        if not (_is_count(d1) and _is_count(d2)):
+            raise DimensionMismatch(f"dimensions must be integers, got {d1!r}, {d2!r}")
+        if d1 < 1 or d2 < 1:
             raise DimensionMismatch("dimensions must be >= 1")
+        # A numpy integer is stored as an int, which the game JSON can write.
+        return super().__new__(cls, int(d1), int(d2))
 
     @property
     def d(self):
         return self.d1 + self.d2
 
 
-@dataclass(frozen=True)
-class PlayerCost:
+class PlayerCost(NamedTuple):
     """One player's quadratic cost blocks.
 
     Shapes follow the own-dimension-first convention: for the player with own
@@ -180,8 +181,7 @@ class PlayerCost:
         return cls(A=A, B=B, D=D, a=a, b=b)
 
 
-@dataclass(frozen=True)
-class QuadraticGame:
+class QuadraticGame(NamedTuple):
     """A validated-on-demand two-player quadratic game."""
 
     dims: Dims
@@ -200,8 +200,7 @@ class QuadraticGame:
         return self.p1 if _player_index(i) == 1 else self.p2
 
 
-@dataclass(frozen=True)
-class CompositeBlocks:
+class CompositeBlocks(NamedTuple):
     """M1, M2 and their cross product boldM1 = M2^{-T} M1.
 
     boldM1 partitions as [[bA1, bB1], [bC1, bD1]] with bA1 of shape d1 x d1.
@@ -409,6 +408,19 @@ def _slope_terms(rows, L) -> _Slope:
     return tuple.__new__(_Slope, (L, terms[:n], Qc[:-1], Qc[-1], Qc))
 
 
+def _offset(i, s):
+    """-P^{-T} c: the opponent offset at player i's slope s."""
+    return -_solve_checked(s.P.T, s.c, SingularBestResponse, i)
+
+
+def _cross_offset(i, s):
+    """(-P^{-T} Q^T, -P^{-T} c): the opponent slope and offset at player i's
+    slope s, from one LU of P^T and one dgetrs of the F-contiguous [Q^T | c]."""
+    X = _solve_checked(s.P.T, s.Qc.T, SingularBestResponse, i)
+    np.negative(X, out=X)
+    return X[:, :-1], X[:, -1]
+
+
 def _checked_L(dims: Dims, i, L):
     """Player i's slope L, once _player_index has checked i and _as_matrix that
     L is finite and d_{-i} x d_i."""
@@ -468,7 +480,7 @@ def riccati_residual_norms(game: QuadraticGame, L1, L2):
 
 _GAME_KEYS = {"d1", "d2", "player1", "player2"}
 # A player's keys, in the order of PlayerCost's fields and of its create arguments.
-_PLAYER_KEYS = tuple(f.name for f in fields(PlayerCost))
+_PLAYER_KEYS = PlayerCost._fields
 
 
 def game_to_dict(game: QuadraticGame) -> dict:

@@ -11,14 +11,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
-from . import analysis, lft, spectral, stability
+from . import analysis, spectral, stability
 from .core import (
     CompositeBlocks,
     QuadraticGame,
     _cost_rows,
+    _cross_offset,
+    _offset,
     _posdef,
     _slope_terms,
     _solve_checked,
@@ -43,6 +46,7 @@ Y1_RCOND_MIN = 1e-10
 ENUMERATION_CAP = 5000
 
 
+# A dataclass, not a NamedTuple: perfbench/smoke.py calls dataclasses.replace on it.
 @dataclass(frozen=True)
 class CcveSolution:
     L1: np.ndarray
@@ -99,9 +103,9 @@ def _solution_from_subspace(
     # Each slope (L_i, P_i, Q_i, c_i) is formed once; L2 and ell2 share one
     # solve with P1^T, and the certificate and second-order test read the slopes.
     s1 = _slope_terms(_cost_rows(game.p1), L1)
-    L2, ell2 = lft._cross_offset(1, s1)
+    L2, ell2 = _cross_offset(1, s1)
     s2 = _slope_terms(_cost_rows(game.p2), L2)
-    ell1 = lft._offset(2, s2)
+    ell1 = _offset(2, s2)
     x1, x2 = _solve_actions(L1, ell1, L2, ell2)
     # The certificate reads the split of spec(boldM1) the solve reordered.
     report = stability._certify(blocks, game, s1, s2,
@@ -167,8 +171,7 @@ def solve_via_generalized(game: QuadraticGame, selection="auto") -> CcveSolution
     return _solve(game, selection, route="generalized")
 
 
-@dataclass(frozen=True)
-class FixedPointCandidate:
+class FixedPointCandidate(NamedTuple):
     """A d1-subset of spec(boldM1), by its positions in the descending-magnitude
     order, and the solution at the invariant subspace it spans."""
 
@@ -176,8 +179,7 @@ class FixedPointCandidate:
     solution: CcveSolution
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     candidates: tuple[FixedPointCandidate, ...]
     # (indices, error class name) for subsets that do not yield a conjecture.
     skipped: tuple[tuple[tuple[int, ...], str], ...]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +18,8 @@ from .core import (
     CompositeBlocks,
     QuadraticGame,
     _a_norms,
+    _cross_offset,
+    _offset,
     _residual_norms,
     _residuals,
     _solve_checked,
@@ -29,19 +30,6 @@ from .errors import DimensionMismatch, SingularBestResponse, SingularComposite
 
 # The norm of a slope or offset beyond which the iteration counts as diverged.
 DIVERGENCE_NORM = 1e12
-
-
-def _offset(i, s):
-    """-P^{-T} c: the opponent offset at player i's slope s."""
-    return -_solve_checked(s.P.T, s.c, SingularBestResponse, i)
-
-
-def _cross_offset(i, s):
-    """(-P^{-T} Q^T, -P^{-T} c): the opponent slope and offset at player i's
-    slope s, from one LU of P^T and one dgetrs of the F-contiguous [Q^T | c]."""
-    X = _solve_checked(s.P.T, s.Qc.T, SingularBestResponse, i)
-    np.negative(X, out=X)
-    return X[:, :-1], X[:, -1]
 
 
 def lft_cross(game: QuadraticGame, i: int, L_i):
@@ -100,43 +88,51 @@ def best_response(game: QuadraticGame, i: int, L, ell):
 
 
 def predict(L, ell, x):
-    """The conjectured opponent action L x + ell; an L that is not 2-D, or an
-    x or ell of the wrong length or not finite, raises DimensionMismatch."""
+    """The conjectured opponent action L x + ell; an L that is not a finite
+    matrix, or an x or ell of the wrong length or not finite, raises
+    DimensionMismatch."""
     L = core._as_array(L, "L")
     if L.ndim != 2:
         raise DimensionMismatch(f"L must be a matrix, got shape {L.shape}")
-    return L @ core._as_vector(x, L.shape[1], "x") + core._as_vector(ell, L.shape[0], "ell")
+    return (core._as_matrix(L, *L.shape, "L") @ core._as_vector(x, L.shape[1], "x")
+            + core._as_vector(ell, L.shape[0], "ell"))
 
 
-@dataclass(frozen=True)
-class IterationConfig:
+class _IterationConfig(NamedTuple):
+    mode: str = "cross"  # "cross" | "composite"
+    max_iters: int = 100
+    tol: float = 1e-8
+    init: tuple | None = None  # (L1, ell1, L2, ell2)
+
+
+class IterationConfig(_IterationConfig):
     """Settings for the conjecture iteration.
 
     ``init=None`` means Nash initialization: zero slopes and offsets equal to
     the opposing Nash action. iterate checks any other init against the game.
     """
 
-    mode: str = "cross"  # "cross" | "composite"
-    max_iters: int = 100
-    tol: float = 1e-8
-    init: tuple | None = None  # (L1, ell1, L2, ell2)
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs __new__ too
 
-    def __post_init__(self):
-        if self.mode not in ("cross", "composite"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if not (self.init is None or (isinstance(self.init, (tuple, list))
-                                      and len(self.init) == 4)):
+    def __new__(cls, *args, **kwargs):
+        cfg = super().__new__(cls, *args, **kwargs)
+        if cfg.mode not in ("cross", "composite"):
+            raise ValueError(f"unknown mode {cfg.mode!r}")
+        if not (cfg.init is None or (isinstance(cfg.init, (tuple, list))
+                                     and len(cfg.init) == 4)):
             raise ValueError("init must be None or the four entries (L1, ell1, L2, ell2)")
-        if not core._is_count(self.max_iters):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.max_iters < 1:
+        if not core._is_count(cfg.max_iters):
+            raise ValueError(f"max_iters must be an integer, got {cfg.max_iters!r}")
+        if cfg.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not 0 < self.tol < math.inf:  # False for NaN too
+        if not 0 < cfg.tol < math.inf:  # False for NaN too
             raise ValueError("tol must be positive and finite")
         # The residuals, relative to ||A_i||_F, are held to tol: a tol of 1
         # or more would accept a residual as large as A_i itself.
-        if not self.tol < 1:
+        if not cfg.tol < 1:
             raise ValueError("tol must be below 1")
+        return cfg
 
 
 class IterationStep(NamedTuple):
@@ -172,8 +168,7 @@ class IterationStep(NamedTuple):
         return self.f1 + self.f2
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(NamedTuple):
     steps: tuple[IterationStep, ...]
     status: str  # "converged" | "max_iters" | "diverged" | "singular"
     status_iter: int

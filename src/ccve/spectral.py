@@ -10,7 +10,7 @@ is closed under conjugation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,29 +24,34 @@ EIG_RESID_TOL = 1e-8
 GAP_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class Selection:
-    """Which eigenvalues of the target matrix to associate with the subspace."""
-
+class _Selection(NamedTuple):
     kind: str  # "largest" | "smallest" | "indices"
     indices: tuple = ()
 
-    def __post_init__(self):
-        if self.kind not in ("largest", "smallest", "indices"):
-            raise EigFailure(f"unknown selection kind {self.kind!r}")
+
+class Selection(_Selection):
+    """Which eigenvalues of the target matrix to associate with the subspace."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs __new__ too
+
+    def __new__(cls, *args, **kwargs):
+        kind, indices = super().__new__(cls, *args, **kwargs)
+        if kind not in ("largest", "smallest", "indices"):
+            raise EigFailure(f"unknown selection kind {kind!r}")
         try:
-            positions = tuple(self.indices)
+            positions = tuple(indices)
         except TypeError:
             raise EigFailure(
-                f"selection positions must be a sequence, got {self.indices!r}") from None
-        if self.kind != "indices" and positions:
+                f"selection positions must be a sequence, got {indices!r}") from None
+        if kind != "indices" and positions:
             raise EigFailure(
-                f"a {self.kind!r} selection takes no positions, got {self.indices!r}")
+                f"a {kind!r} selection takes no positions, got {indices!r}")
         if not all(map(_is_count, positions)):
             raise EigFailure(
-                f"Indices selection positions must be integers, got {self.indices!r}")
+                f"Indices selection positions must be integers, got {indices!r}")
         # Ints, so that str() reads indices[0, 2] for numpy integers too.
-        object.__setattr__(self, "indices", tuple(map(int, positions)))
+        return super().__new__(cls, kind, tuple(map(int, positions)))
 
     def __str__(self):
         if self.kind == "indices":
@@ -64,8 +69,7 @@ def Indices(idx):
     return Selection("indices", idx)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Eigenvalues sorted by descending magnitude, with right eigenvectors."""
 
     values: np.ndarray
@@ -73,8 +77,7 @@ class Spectrum:
     vectors: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class InvariantSubspace:
+class InvariantSubspace(NamedTuple):
     """A real orthonormal basis for an invariant subspace of a real matrix."""
 
     basis: np.ndarray

@@ -12,7 +12,7 @@ them from these four matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ FIXED_POINT_TOL = 1e-6
 MARGINAL_BAND = 1e-9
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     ratios_1: np.ndarray
     ratios_2: np.ndarray
     xi_max_1: float

@@ -1,13 +1,12 @@
 """Game constructors: LQ unrolling, scalar games, seeded recipes, Moebius."""
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from ccve import builders, equilibrium
+from ccve import builders, equilibrium, stability
 from ccve.builders import (
     LqSpec,
     ScalarSpec,
@@ -159,8 +158,8 @@ class TestBuildLqGame:
         # compares too.
         spec = random_lq_spec(np.random.default_rng(T), shape=(2, 2, 1, T))
         zero = np.zeros((2, 2))
-        self.assert_bit_for_bit(replace(spec, Q1=zero, Q1f=zero, Q2=zero,
-                                        R12=-0.0 * spec.R12, R21=-spec.R21))
+        self.assert_bit_for_bit(spec._replace(Q1=zero, Q1f=zero, Q2=zero,
+                                              R12=-0.0 * spec.R12, R21=-spec.R21))
 
     @staticmethod
     def assert_bit_for_bit(spec):
@@ -377,7 +376,7 @@ class TestMobius:
         assert sorted(r.L for r in res.records) == pytest.approx(
             [-2.0 - np.sqrt(5.0), -2.0 + np.sqrt(5.0)], abs=1e-14)
         for r in res.records:
-            assert abs(r.xi_magnitude - 1.0) <= builders.MARGINAL_BAND
+            assert abs(r.xi_magnitude - 1.0) <= stability.MARGINAL_BAND
 
     def test_elliptic_rejected(self):
         g = build_scalar_game(ScalarSpec(q1=1.5, r1=0.6, s1=-1.5,

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -738,20 +737,21 @@ def printed(argv, capsys):
 
 @pytest.mark.parametrize("argv", USAGE, ids=[" ".join(["ccve", *a]) for a in USAGE])
 def test_help_and_usage_errors_are_the_full_parsers(monkeypatch, capsys, argv):
-    # Only build's parser has build scalar's flags; every other text is the
-    # one of the parser with every flag, as each command printed before.
+    # Each command's parser has that command's arguments alone; every text is
+    # the one of the parser with every command's, as each command printed before.
     text = printed(argv, capsys)
     full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command: full("build"))
+    monkeypatch.setattr(cli, "build_parser", lambda command: full(None))
     assert printed(argv, capsys) == text
 
 
 def test_build_scalar_flags_are_scalar_specs_fields(capsys):
-    names = [f.name for f in fields(builders.ScalarSpec)]
+    names = builders.ScalarSpec._fields
     _, out, _ = printed(["build", "scalar", "--help"], capsys)
     assert [line.split()[0] for line in out.splitlines() if line.startswith("  --")] \
         == [f"--{name}" for name in names] + ["--out"]
-    required = [f"--{f.name}" for f in fields(builders.ScalarSpec) if f.default is MISSING]
+    defaults = builders.ScalarSpec._field_defaults
+    required = [f"--{name}" for name in names if name not in defaults]
     assert printed(["build", "scalar"], capsys) == (cli.EXIT_ERROR, "", (
         "error: ccve build scalar: the following arguments are required: "
         f"{', '.join(required + ['--out'])}\n"))

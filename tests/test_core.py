@@ -1,6 +1,7 @@
 """Data model, validation, cost evaluation, block assembly, game JSON, the
 LAPACK loader and the package's exported names."""
 
+import dataclasses
 import importlib
 import json
 import os
@@ -33,10 +34,10 @@ from ccve.core import (
     stacked_m2,
     validate_game,
 )
-from ccve.errors import ANotPositiveDefinite, DimensionMismatch, MSingular
+from ccve.errors import ANotPositiveDefinite, DimensionMismatch, EigFailure, MSingular
 
 from conftest import (PARTNER_GAMES, WARM_L, partner_composite, random_dense_game,
-                      scalar_game, uniform_pool)
+                      random_lq_spec, scalar_game, uniform_pool)
 
 # Values that are no player index: only the int 1 or 2 is one.
 NOT_PLAYER_INDICES = [0, 3, -1, 1.0, 2.0, True, np.float64(2.0), "1", None]
@@ -392,6 +393,66 @@ class TestDims:
         assert game_to_dict(load_game(tmp_path / "game.json")) == game_to_dict(game)
 
 
+class TestRecords:
+    """The package's records: NamedTuples, but CcveSolution, a frozen dataclass."""
+
+    @staticmethod
+    def records():
+        """One record of each class, by its name."""
+        game = builders.example1_game()
+        blocks = assemble_blocks(game)
+        sol = equilibrium.solve_ccve(game)
+        found = equilibrium.enumerate_fixed_points(game)
+        mobius = builders.mobius_fixed_points(scalar_game(q1=1.0, r1=0.25, s1=0.0))
+        records = [
+            game.dims, game.p1, game, blocks, spectral.LargestMagnitude,
+            spectral.eig(blocks.boldM1),
+            spectral.invariant_subspace(blocks.boldM1, 2, spectral.LargestMagnitude),
+            sol.stability, sol.second_order, lft.IterationConfig(),
+            lft.iterate(game, lft.IterationConfig(max_iters=2)), found.candidates[0],
+            found, random_lq_spec(np.random.default_rng(0)), builders.ScalarSpec(1, 0.25, 0),
+            mobius.records[0], mobius, sol,
+        ]
+        return {type(r).__name__: r for r in records}
+
+    def test_every_record_refuses_attribute_assignment(self):
+        records = self.records()
+        assert sorted(records) == sorted(
+            "Dims PlayerCost QuadraticGame CompositeBlocks Selection Spectrum "
+            "InvariantSubspace StabilityReport SecondOrderReport IterationConfig "
+            "IterationTrace FixedPointCandidate EnumerationResult LqSpec ScalarSpec "
+            "MobiusFixedPoint MobiusResult CcveSolution".split())
+        for name, record in records.items():
+            field = (record._fields if name != "CcveSolution" else ("L1",))[0]
+            for attr in (field, "planted"):
+                with pytest.raises(AttributeError):
+                    setattr(record, attr, None)
+                    pytest.fail(f"{name}.{attr} was assigned")
+
+    def test_checked_records_convert_their_fields(self):
+        assert type(core.Dims(np.int64(2), 3).d1) is int
+        assert str(spectral.Indices([np.int64(0), 2])) == "indices[0, 2]"
+        assert builders.ScalarSpec(1, 0.25, 0, r2=0.5) == (1, 0.25, 0, 0.0, 0.0,
+                                                           1, 0.5, 0, 0.0, 0.0)
+
+    def test_checked_records_check_a_replace(self):
+        # NamedTuple's own _replace builds with tuple.__new__, past __new__'s checks.
+        assert type(core.Dims(2, 3)._replace(d1=np.int64(4)).d1) is int
+        with pytest.raises(DimensionMismatch, match="dimensions must be >= 1"):
+            core.Dims(2, 3)._replace(d1=0)
+        with pytest.raises(EigFailure, match="unknown selection kind 'bogus'"):
+            spectral.LargestMagnitude._replace(kind="bogus")
+        with pytest.raises(ValueError, match="tol must be below 1"):
+            lft.IterationConfig()._replace(tol=2.0)
+        assert builders.ScalarSpec(1, 0.25, 0)._replace(q1=2, q2=None).q2 == 2
+
+    def test_a_solution_is_replaced_as_a_dataclass(self):
+        # perfbench/smoke.py builds altered solutions this way.
+        sol = equilibrium.solve_ccve(builders.example1_game())
+        moved = dataclasses.replace(sol, L1=sol.L1 + 1e-6)
+        assert np.array_equal(moved.L1, sol.L1 + 1e-6) and moved.stability is sol.stability
+
+
 class TestPlayerIndex:
     """Every call that checks a slope refuses a player index other than the
     int 1 or 2, as QuadraticGame.player and eval_cost do, on a square game,
@@ -512,8 +573,10 @@ class TestLapackLoader:
         return json.loads(out.splitlines()[-1])
 
     def ours(self, code):
-        """The ccve and scipy modules of self.loaded(code)."""
-        return [m for m in self.loaded(code) if m.split(".")[0] in ("ccve", "scipy")]
+        """The ccve and scipy modules of self.loaded(code), and dataclasses if it
+        is one: the package defines one dataclass, equilibrium.CcveSolution."""
+        return [m for m in self.loaded(code)
+                if m.split(".")[0] in ("ccve", "scipy", "dataclasses")]
 
     def test_cli_import_loads_neither_scipy_linalg_nor_numpy_extras(self):
         # Nor logging: the package writes no log, so the CLI does not load it.
@@ -538,25 +601,24 @@ class TestLapackLoader:
                 f"assert all(getattr(ccve, m) is sys.modules[f'ccve.{{m}}'] for m in {modules})")
         assert self.ours(code) == ["ccve"]
 
-    # Each command and the ccve modules it loads, beyond ccve, ccve.cli,
-    # ccve.core, ccve.errors and scipy.linalg._flapack.
+    # Each command and the modules it loads, beyond ccve, ccve.cli, ccve.core,
+    # ccve.errors and scipy.linalg._flapack. Only solve and enumerate, whose
+    # equilibrium defines CcveSolution, load dataclasses.
     COMMAND_MODULES = [
         pytest.param(["solve", "--game", "{game}", "--out", "{dir}/s.json"],
-                     {"analysis", "equilibrium", "lft", "spectral", "stability"},
-                     id="solve"),
+                     {"ccve.analysis", "ccve.equilibrium", "ccve.spectral",
+                      "ccve.stability", "dataclasses"}, id="solve"),
         pytest.param(["enumerate", "--game", "{game}", "--out", "{dir}/e.json"],
-                     {"analysis", "equilibrium", "lft", "spectral", "stability"},
-                     id="enumerate"),
+                     {"ccve.analysis", "ccve.equilibrium", "ccve.spectral",
+                      "ccve.stability", "dataclasses"}, id="enumerate"),
         pytest.param(["iterate", "--game", "{game}", "--trace", "{dir}/t.csv"],
-                     {"analysis", "lft"}, id="iterate"),
+                     {"ccve.analysis", "ccve.lft"}, id="iterate"),
         pytest.param(["check", "--game", "{game}", "--solution", "{solution}"],
-                     {"analysis", "stability"}, id="check"),
+                     {"ccve.analysis", "ccve.stability"}, id="check"),
         pytest.param(["build", "random", "--d1", "2", "--d2", "3",
-                      "--out", "{dir}/g.json"], {"builders", "stability"},
-                     id="build-random"),
+                      "--out", "{dir}/g.json"], {"ccve.builders"}, id="build-random"),
         pytest.param(["build", "scalar", "--q1", "1", "--r1", "0.25", "--s1", "0",
-                      "--out", "{dir}/g.json"], {"builders", "stability"},
-                     id="build-scalar"),
+                      "--out", "{dir}/g.json"], {"ccve.builders"}, id="build-scalar"),
     ]
 
     @pytest.mark.parametrize("argv, modules", COMMAND_MODULES)
@@ -569,7 +631,7 @@ class TestLapackLoader:
         argv = [a.format(game=game, solution=solution, dir=tmp_path) for a in argv]
         assert self.ours(f"from ccve.cli import main; assert main({argv!r}) == 0") \
             == sorted({"ccve", "ccve.cli", "ccve.core", "ccve.errors",
-                       "scipy.linalg._flapack"} | {f"ccve.{m}" for m in modules})
+                       "scipy.linalg._flapack"} | modules)
 
     def test_every_called_kernel_is_scipys(self):
         called = {"dgees", "dgges"}  # spectral._form calls these by name

@@ -10,8 +10,6 @@ typed error, and well-conditioned inputs must give the same answers as
 ``np.linalg.solve``.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -99,7 +97,7 @@ def planted_bold(blocks, name, a):
                   "bC1": (tail, head), "bD1": (tail, tail)}[name]
     m = blocks.boldM1.copy()
     m[rows, cols] = a
-    return dataclasses.replace(blocks, boldM1=m)
+    return blocks._replace(boldM1=m)
 
 
 @pytest.fixture
@@ -185,7 +183,7 @@ class TestNearSingularRaises:
         sub = spectral.invariant_subspace(blocks.boldM1, 3, spectral.LargestMagnitude)
         basis = sub.basis.copy()
         basis[:3] = planted(rng, 3)  # Y1, the top d1 rows
-        sub = dataclasses.replace(sub, basis=basis)
+        sub = sub._replace(basis=basis)
         with pytest.raises(SubspaceNotGraph):
             equilibrium._solution_from_subspace(g, blocks, sub,
                                                 spectral.LargestMagnitude, (True, True))
@@ -303,7 +301,7 @@ def with_nan(m):
 def nan_in_b1(game):
     """Copy of ``game`` with a NaN in B1, made past QuadraticGame.create's
     finiteness check: M1 holds the NaN, A1 and A2 do not."""
-    return dataclasses.replace(game, p1=dataclasses.replace(game.p1, B=with_nan(game.p1.B)))
+    return game._replace(p1=game.p1._replace(B=with_nan(game.p1.B)))
 
 
 NAN_SITES = [
@@ -347,8 +345,8 @@ NAN_FIXED_POINT_SITES = [
                      blocks.bold_blocks()[0]))), "alternate form", id="bA1"),
     # A NaN A2 makes the residual R2 and its scale ||A2|| NaN; H1's
     # alternate form and the K and J guards read neither.
-    pytest.param(lambda g, blocks: (dataclasses.replace(g, p2=dataclasses.replace(
-                     g.p2, A=with_nan(g.p2.A))), blocks), "residuals", id="A2"),
+    pytest.param(lambda g, blocks: (g._replace(p2=g.p2._replace(A=with_nan(g.p2.A))),
+                                    blocks), "residuals", id="A2"),
 ]
 
 

@@ -194,6 +194,15 @@ class TestPredict:
         with pytest.raises(DimensionMismatch, match=match):
             predict(L, [0.5], [3.0])
 
+    @pytest.mark.parametrize("L, ell", [
+        ([[np.nan]], [0.5]),
+        ([[np.inf], [1.0]], [0.5, 1.0]),
+    ], ids=["nan", "inf"])
+    def test_non_finite_slope_is_refused(self, L, ell):
+        # A NaN L gave [nan], and an infinite entry [inf, 4.].
+        with pytest.raises(DimensionMismatch, match="L contains non-finite entries"):
+            predict(L, ell, [3.0])
+
 
 class TestIterationConfig:
     def test_rejects_bad_mode(self):

@@ -6,15 +6,16 @@ block matrices through core._stack, slope products (block by block, or
 from a player's cost rows) through core._slope_terms, the Schur form, the ordered QZ form and the smallest
 symmetric eigenvalue through the package's direct LAPACK calls, every
 rcond estimate is read and compared in core alone, only core imports
-scipy at module level, no module forms an explicit inverse, and no module
-reads an input array by reshaping it.  Each rule is also shown to
-catch a planted violating line, so a rule that matches nothing cannot pass
-unnoticed.
+scipy at module level, no module forms an explicit inverse or reads an
+input array by reshaping it, and no module but equilibrium names
+dataclasses.  Each rule is also shown to catch a planted violating line,
+so a rule that matches nothing cannot pass unnoticed.
 
-One more rule reads the syntax trees: every public top-level def or class
+Two more rules read the syntax trees: every public top-level def or class
 of src/ccve has a caller in the package, in scripts/ or in perfbench/, so
-no function lives in src/ for the tests alone. And every function that
-perfbench/tracing.py's LAYERS names for the tracer to wrap exists.
+no function lives in src/ for the tests alone; and only CcveSolution is a
+dataclass. And every function that perfbench/tracing.py's LAYERS names for
+the tracer to wrap exists.
 """
 
 import ast
@@ -114,6 +115,18 @@ RULES = {
         "solve with core._solve_checked",
         "    H2 = lapack.dgetri(lu, piv)[0]",
     ),
+    # A dataclass costs a command about 1 ms to create (dataclasses._process_class,
+    # 10-15 ms for the 14 a solve ran), and a frozen one about 5x a NamedTuple's
+    # build. CcveSolution stays one, as perfbench/smoke.py calls
+    # dataclasses.replace on it: test_only_ccve_solution_is_a_dataclass.
+    "records-are-named-tuples": Rule(
+        r"\bdataclass",
+        (),
+        ("equilibrium.py",),
+        "make a record a typing.NamedTuple: only equilibrium.CcveSolution is a "
+        "dataclass, and no other module loads dataclasses",
+        "from dataclasses import dataclass",
+    ),
     "inputs-through-as-matrix": Rule(
         r"np\.asarray\(.*\)\.reshape\(",
         (),
@@ -162,6 +175,31 @@ def test_source_rule_catches_a_planted_line(tmp_path, name):
     assert sorted(line.split(":")[0] for line in found) == \
         sorted(p.name for p in rule_files(rule))
     assert all(line.endswith(rule.planted.strip()) for line in found)
+
+
+def dataclass_names(src=SRC):
+    """'module.Class' for each class of the package at ``src`` that a dataclass
+    decorator makes."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_only_ccve_solution_is_a_dataclass():
+    # Why: RULES["records-are-named-tuples"], which does not read equilibrium.py.
+    assert dataclass_names() == ["equilibrium.CcveSolution"]
+
+
+def test_dataclass_rule_catches_a_planted_class(tmp_path):
+    for path in SRC.glob("*.py"):
+        planted = "\n\n@dataclass(frozen=True)\nclass Planted:\n    x: int\n"
+        (tmp_path / path.name).write_text(
+            path.read_text() + (planted if path.name == "equilibrium.py" else ""))
+    assert dataclass_names(tmp_path) == ["equilibrium.CcveSolution", "equilibrium.Planted"]
 
 
 def _referenced_name(node):
