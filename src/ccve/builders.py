@@ -8,8 +8,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import stability
-from .core import (QuadraticGame, _as_array, _as_matrix, _as_vector, _checked_dim,
-                   _checked_keys, _min_eig, assemble_blocks)
+from .core import (Dims, QuadraticGame, _as_array, _as_matrix, _as_vector,
+                   _checked_dim, _checked_keys, _is_count, _min_eig, assemble_blocks)
 from .errors import ComplexFixedPoints, DegenerateScalar, DimensionMismatch
 
 _PSD_TOL = 1e-10
@@ -207,6 +207,9 @@ def random_game(d1, d2, recipe="paper7ex2", seed=0, lo=-1.0, hi=1.0) -> Quadrati
     hi - lo is not finite.  The stream order is fixed: B1 is drawn first
     (row-major), then B2.
     """
+    d1, d2 = Dims(d1, d2)  # DimensionMismatch unless both are counts >= 1
+    if not (_is_count(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if recipe in ("paper7ex1", "paper7ex2") and (lo, hi) != (-1.0, 1.0):
         raise ValueError(f"recipe {recipe!r} fixes lo, hi = -1, 1; got {lo:g}, {hi:g}")
     if recipe == "paper7ex1":

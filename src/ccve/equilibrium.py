@@ -200,23 +200,17 @@ def enumerate_fixed_points(game: QuadraticGame, cap=ENUMERATION_CAP) -> Enumerat
             f"binomial({d}, {d1}) = {math.comb(d, d1)} exceeds cap {cap}"
         )
     T, Z, values = spectral._schur(blocks.boldM1)
-    order = spectral._sort_key(values)
-    rank = np.argsort(order)
-    # Each rank's conjugate partner by rank: on the Schur diagonal a pair sits
-    # side by side, positive imaginary part first; a real value is its own.
-    partner = rank[order + np.sign(values.imag[order]).astype(int)]
-    pairs = [(r, p) for r, p in enumerate(partner.tolist()) if r < p]
     # The M_i > 0 flags are the game's: one Cholesky attempt each, for every candidate.
     posdef = _posdef(blocks.M1), _posdef(blocks.M2)
     candidates = []
     skipped = []
     for idx in combinations(range(d), d1):
-        if any((r in idx) != (p in idx) for r, p in pairs):
-            continue  # the subset splits a conjugate pair
         selection = Indices(idx)
         try:
             sub = spectral._reorder(blocks.boldM1, T, Z, values, d1, selection)
             sol = _solution_from_subspace(game, blocks, sub, selection, posdef)
+        except ConjugatePairSplit:
+            continue  # the subset splits a conjugate pair
         except CcveError as exc:
             skipped.append((idx, type(exc).__name__))
             continue

@@ -163,25 +163,13 @@ def _select_positions(values, k, selection: Selection):
     return inside, values[order[ranked]], values[order[~ranked]], tuple(warns)
 
 
-# LAPACK's queried lwork by (kernel, order): dgees sizes its Hessenberg QR and
-# dgges the QR of B at order n whatever the input, and each is always passed the
-# same options, so n alone decides it.
-_LWORK = {}
-
-
 def _form(name, *mats, **options):
     """The outputs of LAPACK ``name`` (dgees or dgges) on ``mats`` and ``options``
     at its queried lwork, unsorted; raises EigFailure when the form's info != 0."""
     kernel = getattr(lapack, name)
     unsorted = lambda *values: 0  # the select callback, called only to sort
-    key = (name, mats[0].shape[0])
-    lwork = _LWORK.get(key)
-    if lwork is None:  # the query, once per kernel and order; a failed one is not kept
-        work, info = kernel(unsorted, *mats, lwork=-1, **options)[-2:]
-        lwork = int(work[0])
-        if info == 0:
-            _LWORK[key] = lwork
-    out = kernel(unsorted, *mats, lwork=lwork, **options)
+    work = kernel(unsorted, *mats, lwork=-1, **options)[-2]
+    out = kernel(unsorted, *mats, lwork=int(work[0]), **options)
     if out[-1] != 0:
         raise EigFailure(f"{name} failed with info={out[-1]}")
     return out

@@ -315,6 +315,26 @@ class TestRandomGame:
         with pytest.raises(ValueError, match="finite hi - lo"):
             random_game(2, 3, recipe="uniform", lo=lo, hi=hi)
 
+    @pytest.mark.parametrize("d1, d2, message", [
+        (2.5, 3, "dimensions must be integers"), ("2", 3, "dimensions must be integers"),
+        (True, 3, "dimensions must be integers"), (-1, 3, "dimensions must be >= 1"),
+        (2, 0, "dimensions must be >= 1"),
+    ])
+    def test_dims_are_checked_before_the_draw(self, d1, d2, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            random_game(d1, d2, recipe="uniform")
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # None would draw from OS entropy, a game no seed reproduces.
+        with pytest.raises(ValueError) as info:
+            random_game(3, 4, seed=seed)
+        assert str(info.value) == f"seed must be a non-negative integer, got {seed!r}"
+
+    def test_numpy_integer_seed_is_its_int(self):
+        assert np.array_equal(random_game(3, 4, seed=np.int64(7)).p1.B,
+                              random_game(3, 4, seed=7).p1.B)
+
 
 class TestExample1Game:
     def test_frozen_constants(self):

@@ -110,6 +110,13 @@ class TestBuild:
         assert not out.exists()
         assert "lo, hi" in capsys.readouterr().err
 
+    def test_negative_seed_exits_error_naming_the_seed(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run(["build", "random", "--d1", "2", "--d2", "3", "--seed", "-1",
+                    "--out", str(out)]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("lo, hi", [("nan", "1"), ("-1", "inf")])
     def test_uniform_bounds_without_a_finite_range_exit_error(self, tmp_path, capsys,
                                                              lo, hi):

@@ -4,10 +4,9 @@ Each row gives the exact number of calls one operation makes of every
 callable of core.lapack and of np.linalg.eigvals, as conftest.count_calls
 counts them. A kernel a row leaves out must not be called at all (dgetri
 included), so the test fails on any added or removed kernel call. Each row
-runs on the 2x3 game and on paper7ex2 50x60 s0, first with an empty
-spectral._LWORK and then cached: a Schur or QZ form's first call at an order
-adds its workspace query, one more dgees or dgges. README "Numerical guards"
-shows the same table.
+runs on the 2x3 game and on paper7ex2 50x60 s0. A Schur or QZ form is two
+calls, dgees 2 or dgges 2: its workspace query and the form. README
+"Numerical guards" shows the same table.
 """
 
 from collections import Counter
@@ -15,7 +14,7 @@ from functools import partial
 
 import pytest
 
-from ccve import builders, spectral
+from ccve import builders
 from ccve.analysis import nash, second_order_check, social_optimum
 from ccve.core import assemble_blocks, validate_game
 from ccve.equilibrium import enumerate_fixed_points, solve_ccve, solve_via_generalized
@@ -49,40 +48,38 @@ def conjecture(sol, i):
     return ((sol.L1, sol.ell1), (sol.L2, sol.ell2))[i - 1]
 
 
-# name -> (operation from (game, solution) to a call without arguments,
-# counts of a cached call, the form whose workspace query a first call adds).
+# name -> (operation from (game, solution) to a call without arguments, its counts).
 LEDGER = {
-    "validate_game": (lambda g, sol: partial(validate_game, g), FACTOR_M, None),
+    "validate_game": (lambda g, sol: partial(validate_game, g), FACTOR_M),
     "assemble_blocks": (lambda g, sol: partial(assemble_blocks, g),
-                        FACTOR_M + Counter(dgetrs=1), None),
+                        FACTOR_M + Counter(dgetrs=1)),
     "solve_ccve": (lambda g, sol: partial(solve_ccve, g),
-                   SOLVE + Counter(dgees=1, dtrsen=1), "dgees"),
+                   SOLVE + Counter(dgees=2, dtrsen=1)),
     # The QZ form, its reorder, and the QR (dgeqrf, dorgqr) of the basis
     # whose span the deflation check projects on.
     "solve_via_generalized": (lambda g, sol: partial(solve_via_generalized, g),
-                              SOLVE + Counter(dgges=1, dtgsen=1, dgeqrf=1, dorgqr=1),
-                              "dgges"),
+                              SOLVE + Counter(dgges=2, dtgsen=1, dgeqrf=1, dorgqr=1)),
     # Without spectra: the H1 alternate form, the guard of K, the guards of
     # J and H1 inside perturbation_spectrum (player 2's first), and the
     # eigenvalues of each player's two factors.
     "certify": (lambda g, sol: partial(certify, assemble_blocks(g), g, sol.L1, sol.L2),
-                lu(4, solves=1) + Counter(eigvals=4), None),
+                lu(4, solves=1) + Counter(eigvals=4)),
     "second_order_check": (lambda g, sol: partial(second_order_check, g, sol.L1, sol.L2),
-                           Counter(dpotrf=2, dsyevr=2), None),
-    "nash": (lambda g, sol: partial(nash, g), lu(1, solves=1), None),
-    "social_optimum": (lambda g, sol: partial(social_optimum, g), CHOLESKY, None),
+                           Counter(dpotrf=2, dsyevr=2)),
+    "nash": (lambda g, sol: partial(nash, g), lu(1, solves=1)),
+    "social_optimum": (lambda g, sol: partial(social_optimum, g), CHOLESKY),
 }
 for _i in (1, 2):
     LEDGER[f"lft_cross-{_i}"] = (
         lambda g, sol, i=_i: partial(lft_cross, g, i, conjecture(sol, i)[0]),
-        lu(1, solves=1), None)
+        lu(1, solves=1))
     LEDGER[f"composite_step-{_i}"] = (
         lambda g, sol, i=_i: partial(composite_step, assemble_blocks(g), i,
                                      conjecture(sol, i)[0]),
-        lu(1, solves=1), None)
+        lu(1, solves=1))
     LEDGER[f"best_response-{_i}"] = (
         lambda g, sol, i=_i: partial(best_response, g, i, *conjecture(sol, i)),
-        CHOLESKY, None)
+        CHOLESKY)
 
 
 def iteration_row(mode, n):
@@ -123,37 +120,32 @@ def solution(game):
     return sol
 
 
-def assert_first_and_cached(monkeypatch, count_calls, call, cached, query):
-    """The counts of call() after clearing spectral._LWORK, then cached."""
-    monkeypatch.setattr(spectral, "_LWORK", {})
+def assert_counts(count_calls, call, counts):
+    """The counts of call() are ``counts``."""
     calls = count_calls()
     call()
-    assert calls == cached + Counter({query: 1} if query else {})
-    calls.clear()
-    call()
-    assert calls == cached
+    assert calls == counts
 
 
 @pytest.mark.parametrize("name", LEDGER)
-def test_operation_kernel_counts(monkeypatch, count_calls, game, solution, name):
-    setup, cached, query = LEDGER[name]
-    assert_first_and_cached(monkeypatch, count_calls, setup(game, solution), cached, query)
+def test_operation_kernel_counts(count_calls, game, solution, name):
+    setup, counts = LEDGER[name]
+    assert_counts(count_calls, setup(game, solution), counts)
 
 
-def test_enumeration_kernel_counts(monkeypatch, count_calls, bench_game):
+def test_enumeration_kernel_counts(count_calls, bench_game):
     # One Schur form and the m1_posdef and m2_posdef Cholesky attempts; then
     # per candidate subset (10) one reorder, and per solved candidate (6) the
     # rest of a solve without _factor_m and those two attempts.
-    cached = lu(54, solves=31) + Counter(dgees=1, dtrsen=10, dpotrf=4, dsyevr=12)
-    assert_first_and_cached(monkeypatch, count_calls,
-                            partial(enumerate_fixed_points, bench_game), cached, "dgees")
+    counts = lu(54, solves=31) + Counter(dgees=2, dtrsen=10, dpotrf=4, dsyevr=12)
+    assert_counts(count_calls, partial(enumerate_fixed_points, bench_game), counts)
 
 
 @pytest.mark.parametrize("n", [1, 10])
 @pytest.mark.parametrize("mode", ["cross", "composite"])
-def test_iteration_kernel_counts(monkeypatch, count_calls, game, mode, n):
+def test_iteration_kernel_counts(count_calls, game, mode, n):
     def run():
         trace = iterate(game, IterationConfig(mode=mode, max_iters=n, tol=1e-30))
         assert len(trace.steps) == n + 1
 
-    assert_first_and_cached(monkeypatch, count_calls, run, iteration_row(mode, n), None)
+    assert_counts(count_calls, run, iteration_row(mode, n))

@@ -188,7 +188,6 @@ def test_route_forms_no_left_transform(monkeypatch):
             return kernel(*args, **options)
         return call
 
-    monkeypatch.setattr(spectral, "_LWORK", {})
     for name in ("dgges", "dtgsen"):
         monkeypatch.setattr(spectral.lapack, name, spy(name))
     solve_via_generalized(example1_game())

@@ -357,71 +357,9 @@ def assert_one_sort_selection(values, k, selection):
     return True
 
 
-# spectral's form through each kernel of its one lwork cache, the number of
-# n x n matrices it takes, and the options it passes the kernel: the QZ form
-# does not form Q.
-LWORK_FORMS = {"dgees": (spectral._schur, 1, {}), "dgges": (spectral._qz, 2, {"jobvsl": 0})}
-
-
-def first_form_input(kernel, rng, n):
-    """The input of the first form of order n, which fills the cache."""
-    M = np.triu(rng.standard_normal((n, n)))
-    return (M,) if kernel == "dgees" else (M, np.eye(n))
-
-
-def assert_cached_lwork_is_a_fresh_query(monkeypatch, kernel, n):
-    # The first form of order n queries the kernel's lwork; the cached
-    # answer equals a fresh query on any input of that order, and a later
-    # form passes it to its one kernel call.
-    monkeypatch.setattr(spectral, "_LWORK", {})
-    form, _, options = LWORK_FORMS[kernel]
-    rng = np.random.default_rng(n)
-    form(*first_form_input(kernel, rng, n))
-    cached = spectral._LWORK[(kernel, n)]
-    if kernel == "dgees":
-        inputs = [(rng.standard_normal((n, n)),), (np.triu(rng.standard_normal((n, n))),),
-                  (np.eye(n),), (np.zeros((n, n)),)]
-    else:
-        inputs = [(rng.standard_normal((n, n)), rng.standard_normal((n, n))),
-                  (np.triu(rng.standard_normal((n, n))),
-                   np.triu(rng.standard_normal((n, n)))),
-                  (np.eye(n), np.eye(n))]
-    call = getattr(lapack, kernel)
-    for mats in inputs:
-        assert int(call(lambda *values: 0, *mats, lwork=-1, **options)[-2][0]) == cached
-    calls = []
-
-    def spy(select, *mats, lwork=None, **passed):
-        assert passed == options
-        calls.append(lwork)
-        return call(select, *mats, lwork=lwork, **passed)
-    monkeypatch.setattr(spectral.lapack, kernel, spy)
-    form(*first_form_input(kernel, rng, n))
-    assert calls == [cached]
-
-
-def assert_failed_lwork_query_is_not_cached(monkeypatch, kernel):
-    # A query answering info < 0 is used for the one form call, which then
-    # fails with that info, and nothing is cached.
-    monkeypatch.setattr(spectral, "_LWORK", {})
-    form, arity, options = LWORK_FORMS[kernel]
-    calls = []
-
-    def failing(select, *mats, lwork=None, **passed):
-        assert passed == options
-        calls.append(lwork)
-        n = mats[0].shape[0]
-        zeros = np.zeros(n)
-        if kernel == "dgees":
-            return mats[0], 0, zeros, zeros, np.eye(n), np.array([3.0 * n]), -2
-        return (*mats, 0, zeros, zeros, zeros, np.eye(n), np.eye(n),
-                np.array([8.0 * n + 16]), -3)
-    monkeypatch.setattr(spectral.lapack, kernel, failing)
-    info, lwork = (-2, 12) if kernel == "dgees" else (-3, 48)
-    with pytest.raises(EigFailure, match=f"{kernel} failed with info={info}"):
-        form(*[np.eye(4)] * arity)
-    assert calls == [-1, lwork]
-    assert spectral._LWORK == {}
+# spectral's form through each kernel, and the options it passes the kernel:
+# the QZ form does not form Q.
+FORMS = {"dgees": (spectral._schur, {}), "dgges": (spectral._qz, {"jobvsl": 0})}
 
 
 class TestDirectKernels:
@@ -434,47 +372,27 @@ class TestDirectKernels:
             assert bitwise_equal(T, T0) and bitwise_equal(Z, Z0)
             assert_schur_values(T0, values)
 
-    # The dgees and dgges cases share one body over the kernel; each kernel
-    # keeps its own test name.
-    @pytest.mark.parametrize("n", list(range(1, 17)) + [50, 110, 220, 440])
-    def test_cached_lwork_is_a_fresh_query(self, monkeypatch, n):
-        assert_cached_lwork_is_a_fresh_query(monkeypatch, "dgees", n)
-
-    @pytest.mark.parametrize("n", list(range(1, 17)) + [50, 110, 220])
-    def test_cached_qz_lwork_is_a_fresh_query(self, monkeypatch, n):
-        assert_cached_lwork_is_a_fresh_query(monkeypatch, "dgges", n)
-
-    def test_failed_lwork_query_is_not_cached(self, monkeypatch):
-        assert_failed_lwork_query_is_not_cached(monkeypatch, "dgees")
-
-    def test_failed_qz_lwork_query_is_not_cached(self, monkeypatch):
-        assert_failed_lwork_query_is_not_cached(monkeypatch, "dgges")
-
     @pytest.mark.parametrize("n", [1, 6, 50])
-    def test_schur_and_qz_forms_keep_separate_lwork(self, monkeypatch, n):
-        # One cache, keyed by kernel and order: a Schur form of order n does
-        # not answer dgges's query, and each kernel is passed its own lwork.
-        monkeypatch.setattr(spectral, "_LWORK", {})
+    @pytest.mark.parametrize("kernel", ["dgees", "dgges"])
+    def test_form_keeps_no_state(self, monkeypatch, kernel, n):
+        # Each of two forms of one order makes two kernel calls, both with the
+        # route's options: the lwork query, then the form at the lwork it returned.
+        form, options = FORMS[kernel]
+        call = getattr(lapack, kernel)
         calls = []
 
-        def counted(name):
-            kernel = getattr(lapack, name)
-
-            def spy(select, *mats, lwork=None, **options):
-                calls.append((name, lwork))
-                return kernel(select, *mats, lwork=lwork, **options)
-            return spy
-        for name in ("dgees", "dgges"):
-            monkeypatch.setattr(spectral.lapack, name, counted(name))
-        M = np.triu(np.random.default_rng(n).standard_normal((n, n)))
+        def spy(select, *mats, lwork=None, **passed):
+            assert passed == options
+            out = call(select, *mats, lwork=lwork, **passed)
+            calls.append((lwork, int(out[-2][0])))
+            return out
+        monkeypatch.setattr(spectral.lapack, kernel, spy)
+        rng = np.random.default_rng(n)
         for _ in range(2):
-            spectral._schur(M)
-            spectral._qz(M, np.eye(n))
-        schur, qz = spectral._LWORK[("dgees", n)], spectral._LWORK[("dgges", n)]
-        assert spectral._LWORK == {("dgees", n): schur, ("dgges", n): qz}
-        assert schur != qz
-        assert calls == [("dgees", -1), ("dgees", schur), ("dgges", -1), ("dgges", qz),
-                         ("dgees", schur), ("dgges", qz)]
+            calls.clear()
+            form(*rng.standard_normal((1 if kernel == "dgees" else 2, n, n)))
+            (query, answer), (passed, _) = calls
+            assert (query, passed) == (-1, answer)
 
     @pytest.mark.parametrize("pool", KERNEL_POOLS)
     def test_qz_is_scipy_qz_bit_for_bit(self, pool):
