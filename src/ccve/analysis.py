@@ -1,7 +1,5 @@
 """Second-order certification, Nash equilibrium, and social-cost baselines."""
 
-from __future__ import annotations
-
 import warnings
 from typing import NamedTuple
 

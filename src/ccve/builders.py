@@ -1,8 +1,6 @@
 """Constructors for quadratic games: unrolled LQ dynamic games, scalar games,
 seeded random recipes, and the scalar Moebius fixed-point analyzer."""
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np
@@ -17,6 +15,8 @@ _PSD_TOL = 1e-10
 # columns (_unroll_input_map), 80 MB of float64. LqSpec.create refuses a
 # horizon T beyond it, before anything is unrolled.
 LQ_UNROLL_MAX_ENTRIES = 10**7
+# The types random_game takes a bound of (but bool, an int subclass).
+_REAL_TYPES = (int, float, np.integer, np.floating)
 
 # The shape of each array entry of an LqSpec, in its state dimension n (F's
 # order) and its control dimensions m1, m2 (the column counts of G1, G2).
@@ -202,14 +202,17 @@ def random_game(d1, d2, recipe="paper7ex2", seed=0, lo=-1.0, hi=1.0) -> Quadrati
       * "uniform": like paper7ex2 but B entries uniform on (lo, hi) with the
         identity scale adapted to keep the game well conditioned.
 
-    Only "uniform" takes bounds; the paper recipes raise ValueError for any
-    (lo, hi) other than (-1, 1), and "uniform" for bounds whose range
-    hi - lo is not finite.  The stream order is fixed: B1 is drawn first
-    (row-major), then B2.
+    Only "uniform" takes bounds; every recipe raises ValueError for a bound
+    that is no real number (a bool included), the paper recipes for any
+    (lo, hi) other than (-1, 1), and "uniform" for hi < lo or bounds whose
+    range hi - lo is not finite, each before anything is drawn.  The stream
+    order is fixed: B1 is drawn first (row-major), then B2.
     """
     d1, d2 = Dims(d1, d2)  # DimensionMismatch unless both are counts >= 1
     if not (_is_count(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if not all(isinstance(b, _REAL_TYPES) and not isinstance(b, bool) for b in (lo, hi)):
+        raise ValueError(f"bounds lo and hi must be real numbers; got lo={lo!r}, hi={hi!r}")
     if recipe in ("paper7ex1", "paper7ex2") and (lo, hi) != (-1.0, 1.0):
         raise ValueError(f"recipe {recipe!r} fixes lo, hi = -1, 1; got {lo:g}, {hi:g}")
     if recipe == "paper7ex1":
@@ -220,6 +223,8 @@ def random_game(d1, d2, recipe="paper7ex2", seed=0, lo=-1.0, hi=1.0) -> Quadrati
     if recipe == "paper7ex2":
         scale = 13.0
     elif recipe == "uniform":
+        if hi < lo:  # numpy.random would raise "high - low < 0"
+            raise ValueError(f"uniform bounds need lo <= hi; got lo={lo!r}, hi={hi!r}")
         if not np.isfinite(hi - lo):  # numpy.random would raise OverflowError
             raise ValueError(f"uniform bounds need a finite hi - lo; got {lo:g}, {hi:g}")
         scale = 1.0 + 2.0 * max(abs(lo), abs(hi)) * max(d1, d2)

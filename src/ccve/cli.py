@@ -3,8 +3,6 @@
 Subcommands: solve, iterate, check, build, enumerate.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import sys

@@ -12,8 +12,6 @@ transformations represented by the blocks of boldM1; player 2's M1^{-T} M2
 is boldM1^{-1}, as both M_i are symmetric.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import os

@@ -6,8 +6,6 @@ the equilibrium (L2, offsets, actions) follows from the cross best-response
 formulas, and stability/second-order certificates are attached.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from itertools import combinations

@@ -5,8 +5,6 @@ consistent best-response slope; the composite update chains two cross steps
 and is represented compactly by the blocks of boldM1 (player 2's: its inverse).
 """
 
-from __future__ import annotations
-
 import math
 import warnings
 from typing import NamedTuple

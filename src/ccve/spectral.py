@@ -7,8 +7,6 @@ and real input matrices yield real bases whenever the selected eigenvalue set
 is closed under conjugation.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

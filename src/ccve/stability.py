@@ -9,8 +9,6 @@ hands in the spectra from its reordered Schur form; ``ccve check`` recomputes
 them from these four matrices.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -315,6 +315,32 @@ class TestRandomGame:
         with pytest.raises(ValueError, match="finite hi - lo"):
             random_game(2, 3, recipe="uniform", lo=lo, hi=hi)
 
+    @pytest.mark.parametrize("recipe, lo, hi", [
+        ("uniform", "a", 1.0), ("uniform", -1.0, None), ("paper7ex2", "a", 1.0),
+        ("paper7ex1", -1.0, [1.0]), ("uniform", True, 1.0), ("paper7ex2", -1.0, np.True_),
+    ])
+    def test_bounds_must_be_real_numbers(self, recipe, lo, hi):
+        # numpy's draw would raise a TypeError, and the paper recipes' refusal
+        # could not format them; a bool is refused as core._as_array refuses it.
+        with pytest.raises(ValueError) as info:
+            random_game(2, 3, recipe=recipe, lo=lo, hi=hi)
+        assert str(info.value) == \
+            f"bounds lo and hi must be real numbers; got lo={lo!r}, hi={hi!r}"
+
+    @pytest.mark.parametrize("lo, hi", [(2.0, 1.0), (0, -1), (np.float32(0.5), np.int64(0))])
+    def test_uniform_bounds_must_not_be_reversed(self, lo, hi):
+        # numpy.random's uniform raises "high - low < 0" for each of them.
+        with pytest.raises(ValueError) as info:
+            random_game(2, 3, recipe="uniform", lo=lo, hi=hi)
+        assert str(info.value) == f"uniform bounds need lo <= hi; got lo={lo!r}, hi={hi!r}"
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, 0.5), (np.float32(-2), np.int64(1)), (-1, 2)])
+    def test_uniform_builds_from_equal_and_numpy_bounds(self, lo, hi):
+        g = random_game(2, 3, recipe="uniform", seed=1, lo=lo, hi=hi)
+        assert np.all((g.p1.B >= lo) & (g.p1.B <= hi))
+        assert np.all((g.p2.B >= lo) & (g.p2.B <= hi))
+        validate_game(g)
+
     @pytest.mark.parametrize("d1, d2, message", [
         (2.5, 3, "dimensions must be integers"), ("2", 3, "dimensions must be integers"),
         (True, 3, "dimensions must be integers"), (-1, 3, "dimensions must be >= 1"),

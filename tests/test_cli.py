@@ -117,6 +117,15 @@ class TestBuild:
         assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
         assert not out.exists()
 
+    def test_reversed_uniform_bounds_exit_error_naming_both(self, tmp_path, capsys):
+        # numpy.random's own error, "high - low < 0", names neither flag.
+        out = tmp_path / "u.json"
+        assert run(["build", "random", "--recipe", "uniform", "--d1", "2", "--d2", "3",
+                    "--lo", "2", "--hi", "1", "--out", str(out)]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == \
+            "error: uniform bounds need lo <= hi; got lo=2.0, hi=1.0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("lo, hi", [("nan", "1"), ("-1", "inf")])
     def test_uniform_bounds_without_a_finite_range_exit_error(self, tmp_path, capsys,
                                                              lo, hi):

@@ -555,22 +555,28 @@ class TestGameJson:
 
 class TestLapackLoader:
     """ccve.core loads scipy.linalg._flapack itself, without the scipy package,
-    and each ccve command loads only the modules it runs."""
+    each ccve command loads only the modules it runs, and none of them builds
+    a typing.ForwardRef."""
 
     SRC = Path(core.__file__).resolve().parent
 
-    def loaded(self, code):
-        """The modules a fresh interpreter has run once it ran ``code``, read from
-        the last line it prints: those in sys.modules but the ones the package
-        entered there and nothing has used yet (each a LazyLoader's _LazyModule)."""
-        code += ("\nimport json, sys, importlib.util; print(json.dumps(sorted("
-                 "n for n, m in sys.modules.items() "
-                 "if not isinstance(m, importlib.util._LazyModule))))")
+    def printed(self, code):
+        """The JSON value of the last line a fresh interpreter prints once it
+        ran ``code`` with the package on its path."""
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (str(self.SRC.parent), os.environ.get("PYTHONPATH")))))
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         return json.loads(out.splitlines()[-1])
+
+    def loaded(self, code):
+        """The modules a fresh interpreter has run once it ran ``code``: those in
+        sys.modules but the ones the package entered there and nothing has used
+        yet (each a LazyLoader's _LazyModule)."""
+        return self.printed(code + (
+            "\nimport json, sys, importlib.util; print(json.dumps(sorted("
+            "n for n, m in sys.modules.items() "
+            "if not isinstance(m, importlib.util._LazyModule))))"))
 
     def ours(self, code):
         """The ccve and scipy modules of self.loaded(code), and dataclasses if it
@@ -649,6 +655,34 @@ class TestLapackLoader:
             submodule_search_locations=[str(tmp_path)]))
         with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
             core._load_lapack()
+
+    def test_no_command_or_module_builds_a_forward_ref(self, tmp_path):
+        # No module postpones its annotations, so typing.NamedTuple builds each
+        # record from types; postponed, it compiled a ForwardRef for each field
+        # at each import: 45 for a solve, 92 once every module ran.
+        game = tmp_path / "game.json"
+        save_game(builders.example1_game(), game)
+        argv = ["solve", "--game", str(game), "--out", str(tmp_path / "s.json")]
+        code = f"""
+import importlib.util, json, sys, typing
+built = []
+init = typing.ForwardRef.__init__
+def counted(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+typing.ForwardRef.__init__ = counted
+from ccve.cli import main
+assert main({argv!r}) == 0
+solve = len(built)
+names = sorted(n for n in sys.modules if n.startswith("ccve."))
+for name in names:  # reading a name runs a module the package only entered
+    sys.modules[name].__doc__
+assert not any(isinstance(sys.modules[n], importlib.util._LazyModule) for n in names)
+print(json.dumps([solve, len(built), names]))
+"""
+        solve, every, names = self.printed(code)
+        assert len(names) == 9
+        assert (solve, every) == (0, 0)
 
 
 # The names the package exports, by the module that defines each: the names its

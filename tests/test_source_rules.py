@@ -7,9 +7,10 @@ from a player's cost rows) through core._slope_terms, the Schur form, the ordere
 symmetric eigenvalue through the package's direct LAPACK calls, every
 rcond estimate is read and compared in core alone, only core imports
 scipy at module level, no module forms an explicit inverse or reads an
-input array by reshaping it, and no module but equilibrium names
-dataclasses.  Each rule is also shown to catch a planted violating line,
-so a rule that matches nothing cannot pass unnoticed.
+input array by reshaping it, no module but equilibrium names dataclasses,
+and no module postpones its annotations.  Each rule is also shown to catch
+a planted violating line, so a rule that matches nothing cannot pass
+unnoticed.
 
 Two more rules read the syntax trees: every public top-level def or class
 of src/ccve has a caller in the package, in scripts/ or in perfbench/, so
@@ -134,6 +135,17 @@ RULES = {
         "read an input array through core._as_matrix or core._as_vector, which "
         "check its shape and entries and name it in the error, not by reshaping it",
         "            Q1=np.asarray(Q1, float).reshape(n, n),",
+    ),
+    # Postponed, an annotation is a string, and typing.NamedTuple compiles a
+    # typing.ForwardRef from it: 45 a solve, 92 once every module ran
+    # (tests/test_core.py: test_no_command_or_module_builds_a_forward_ref).
+    "annotations-evaluated": Rule(
+        r"^from __future__ import annotations",
+        (),
+        (),
+        "evaluate each annotation where it is written: a postponed annotation "
+        "makes typing.NamedTuple compile a ForwardRef per field at each import",
+        "from __future__ import annotations",
     ),
 }
 
