@@ -5,9 +5,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import stability
-from .core import (Dims, QuadraticGame, _as_array, _as_matrix, _as_vector,
-                   _checked_dim, _checked_keys, _is_count, _min_eig, assemble_blocks)
+from . import stability  # run by mobius_fixed_points alone, not by every build
+from .core import (Dims, QuadraticGame, _as_array, _as_shaped, _checked_dim,
+                   _checked_keys, _is_count, _is_real, _min_eig, assemble_blocks)
 from .errors import ComplexFixedPoints, DegenerateScalar, DimensionMismatch
 
 _PSD_TOL = 1e-10
@@ -15,8 +15,6 @@ _PSD_TOL = 1e-10
 # columns (_unroll_input_map), 80 MB of float64. LqSpec.create refuses a
 # horizon T beyond it, before anything is unrolled.
 LQ_UNROLL_MAX_ENTRIES = 10**7
-# The types random_game takes a bound of (but bool, an int subclass).
-_REAL_TYPES = (int, float, np.integer, np.floating)
 
 # The shape of each array entry of an LqSpec, in its state dimension n (F's
 # order) and its control dimensions m1, m2 (the column counts of G1, G2).
@@ -53,8 +51,8 @@ class LqSpec(NamedTuple):
     @classmethod
     def create(cls, T, **entries):
         """The spec of horizon T and the array ``entries`` _LQ_SHAPES names, each
-        checked against its shape there by core._as_matrix or core._as_vector,
-        and T by core._checked_dim: a null, non-finite or mis-shaped entry, or a
+        checked against its shape there by core._as_shaped, and T by
+        core._checked_dim: a null, non-finite or mis-shaped entry, or a
         T that is no integer, raises DimensionMismatch naming it."""
         _checked_keys(entries, _LQ_SHAPES.keys(), "LqSpec", "LqSpec")
         F = _as_array(entries["F"], "F")
@@ -68,8 +66,7 @@ class LqSpec(NamedTuple):
             size[m] = G.shape[1]
         arrays = {}
         for key, shape in _LQ_SHAPES.items():
-            check = _as_matrix if len(shape) == 2 else _as_vector
-            arrays[key] = check(entries[key], *(size[s] for s in shape), key)
+            arrays[key] = _as_shaped(entries[key], tuple(size[s] for s in shape), key)
         spec = cls(T=_checked_dim(T, "T"), **arrays)
         if spec.T < 1:
             raise DimensionMismatch("horizon T must be >= 1")
@@ -172,10 +169,14 @@ class ScalarSpec(_ScalarSpec):
     def __new__(cls, *args, **kwargs):
         s = super().__new__(cls, *args, **kwargs)
         # A one-player spec doubles as a symmetric game.
-        return super().__new__(cls, s.q1, s.r1, s.s1, s.w1, s.v1,
-                               s.q1 if s.q2 is None else s.q2,
-                               s.r1 if s.r2 is None else s.r2,
-                               s.s1 if s.s2 is None else s.s2, s.w2, s.v2)
+        fields = (s.q1, s.r1, s.s1, s.w1, s.v1,
+                  s.q1 if s.q2 is None else s.q2,
+                  s.r1 if s.r2 is None else s.r2,
+                  s.s1 if s.s2 is None else s.s2, s.w2, s.v2)
+        for name, value in zip(cls._fields, fields):
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        return super().__new__(cls, *map(float, fields))
 
 
 def build_scalar_game(spec: ScalarSpec) -> QuadraticGame:
@@ -203,7 +204,7 @@ def random_game(d1, d2, recipe="paper7ex2", seed=0, lo=-1.0, hi=1.0) -> Quadrati
         identity scale adapted to keep the game well conditioned.
 
     Only "uniform" takes bounds; every recipe raises ValueError for a bound
-    that is no real number (a bool included), the paper recipes for any
+    that is no real number (core._is_real), the paper recipes for any
     (lo, hi) other than (-1, 1), and "uniform" for hi < lo or bounds whose
     range hi - lo is not finite, each before anything is drawn.  The stream
     order is fixed: B1 is drawn first (row-major), then B2.
@@ -211,7 +212,7 @@ def random_game(d1, d2, recipe="paper7ex2", seed=0, lo=-1.0, hi=1.0) -> Quadrati
     d1, d2 = Dims(d1, d2)  # DimensionMismatch unless both are counts >= 1
     if not (_is_count(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if not all(isinstance(b, _REAL_TYPES) and not isinstance(b, bool) for b in (lo, hi)):
+    if not (_is_real(lo) and _is_real(hi)):
         raise ValueError(f"bounds lo and hi must be real numbers; got lo={lo!r}, hi={hi!r}")
     if recipe in ("paper7ex1", "paper7ex2") and (lo, hi) != (-1.0, 1.0):
         raise ValueError(f"recipe {recipe!r} fixes lo, hi = -1, 1; got {lo:g}, {hi:g}")
@@ -225,7 +226,7 @@ def random_game(d1, d2, recipe="paper7ex2", seed=0, lo=-1.0, hi=1.0) -> Quadrati
     elif recipe == "uniform":
         if hi < lo:  # numpy.random would raise "high - low < 0"
             raise ValueError(f"uniform bounds need lo <= hi; got lo={lo!r}, hi={hi!r}")
-        if not np.isfinite(hi - lo):  # numpy.random would raise OverflowError
+        if not np.isfinite(float(hi) - float(lo)):  # numpy.random would raise OverflowError
             raise ValueError(f"uniform bounds need a finite hi - lo; got {lo:g}, {hi:g}")
         scale = 1.0 + 2.0 * max(abs(lo), abs(hi)) * max(d1, d2)
     else:
@@ -269,15 +270,6 @@ class MobiusResult(NamedTuple):
     infinite_root: bool = False
 
 
-def _classify(xi_mag):
-    # Read here: only mobius_fixed_points runs ccve.stability, not every build.
-    if xi_mag < 1.0 - stability.MARGINAL_BAND:
-        return "stable"
-    if xi_mag > 1.0 + stability.MARGINAL_BAND:
-        return "unstable"
-    return "marginal"
-
-
 def mobius_fixed_points(game: QuadraticGame) -> MobiusResult:
     """Fixed points of the scalar composite map via the quadratic formula.
 
@@ -295,7 +287,7 @@ def mobius_fixed_points(game: QuadraticGame) -> MobiusResult:
     def record(v):
         xi = abs((m22 - m12 * v) / (m11 + m12 * v))
         return MobiusFixedPoint(L=float(v), xi_magnitude=float(xi),
-                                classification=_classify(xi))
+                                classification=stability._verdict(xi))
 
     if abs(m12) < 1e-14 * scale:
         # Degenerate quadratic: the map is affine with at most one finite

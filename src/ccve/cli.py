@@ -24,7 +24,7 @@ from .core import (
     riccati_residual_norms,
     save_game,
 )
-from .errors import CcveError, DimensionMismatch, NoStableSelection
+from .errors import CcveError, NoStableSelection
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -88,28 +88,15 @@ def cmd_solve(args, argv):
     return EXIT_OK
 
 
-def _json_object(path, keys):
-    """The JSON object a file holds, once it has each of ``keys``;
-    DimensionMismatch names the path when the file holds any other JSON value,
-    and the path and the missing keys when keys are missing."""
-    data = _read_json(path)
-    if not isinstance(data, dict):
-        raise DimensionMismatch(f"{path} must hold a JSON object")
-    missing = set(keys) - set(data)
-    if missing:
-        raise DimensionMismatch(f"{path} is missing keys {sorted(missing)}")
-    return data
-
-
 def _load_init(path):
     """(L1, ell1, L2, ell2) of an --init file, as it holds them: iterate checks them."""
-    data = _json_object(path, ("L1", "ell1", "L2", "ell2"))
+    data = _read_json(path, ("L1", "ell1", "L2", "ell2"))
     return tuple(data[key] for key in ("L1", "ell1", "L2", "ell2"))
 
 
 def _solution_slopes(path, dims):
     """[L1, L2] of a solution file, each checked against the game's dims."""
-    data = _json_object(path, ("L1", "L2"))
+    data = _read_json(path, ("L1", "L2"))
     return [_checked_L(dims, i, data[f"L{i}"]) for i in (1, 2)]
 
 
@@ -198,7 +185,7 @@ def cmd_build(args, argv):
                                      for name in builders.ScalarSpec._fields))
         game = builders.build_scalar_game(spec)
     else:  # lq
-        spec = builders.LqSpec.create(**_json_object(args.spec, builders.LqSpec._fields))
+        spec = builders.LqSpec.create(**_read_json(args.spec, builders.LqSpec._fields))
         game = builders.build_lq_game(spec)
     save_game(game, args.out)
     _write_manifest(*paths, argv, config, t0, seed=seed)

@@ -62,9 +62,11 @@ POSDEF_EIG_MIN = 1e-10
 ASYM_WARN = 1e-8
 
 
-# The entry types _as_array reads: numbers, and None, read as NaN, which its
-# callers refuse as non-finite. bool is an int, so it is refused by name.
-_ENTRY_TYPES = (int, float, np.integer, np.floating, type(None))
+# The types of a real number; bool is an int, so each check refuses it by name.
+_REAL_TYPES = (int, float, np.integer, np.floating)
+# The entry types _as_array reads: those and None, read as NaN, which its
+# callers refuse as non-finite.
+_ENTRY_TYPES = (*_REAL_TYPES, type(None))
 
 
 def _as_array(value, name):
@@ -91,6 +93,18 @@ def _is_count(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value):
+    """True for a real number: one of _REAL_TYPES but a bool, which float()
+    converts without overflow (an int beyond float's range overflows)."""
+    if not isinstance(value, _REAL_TYPES) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def _player_index(i):
     """``i`` once it is the player index 1 or 2, a count as _is_count holds."""
     if _is_count(i) and i in (1, 2):
@@ -98,24 +112,16 @@ def _player_index(i):
     raise DimensionMismatch(f"player index must be 1 or 2, got {i!r}")
 
 
-def _as_matrix(value, rows, cols, name):
+def _as_shaped(value, shape, name):
+    """``value`` as a finite float array of ``shape``, a matrix's (rows, cols) or
+    a vector's (n,); DimensionMismatch names ``name`` otherwise."""
     m = _as_array(value, name)
-    if m.shape != (rows, cols):
-        raise DimensionMismatch(
-            f"{name} must have shape ({rows}, {cols}), got {m.shape}"
-        )
+    if m.shape != shape:
+        want = f"shape {shape}" if len(shape) == 2 else f"length {shape[0]}"
+        raise DimensionMismatch(f"{name} must have {want}, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise DimensionMismatch(f"{name} contains non-finite entries")
     return m
-
-
-def _as_vector(value, n, name):
-    v = _as_array(value, name)
-    if v.shape != (n,):
-        raise DimensionMismatch(f"{name} must have length {n}, got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise DimensionMismatch(f"{name} contains non-finite entries")
-    return v
 
 
 def _symmetrize(m, name):
@@ -171,11 +177,11 @@ class PlayerCost(NamedTuple):
 
     @classmethod
     def create(cls, A, B, D, a, b, d_own, d_opp, player):
-        A = _symmetrize(_as_matrix(A, d_own, d_own, f"A{player}"), f"A{player}")
-        B = _as_matrix(B, d_opp, d_own, f"B{player}")
-        D = _symmetrize(_as_matrix(D, d_opp, d_opp, f"D{player}"), f"D{player}")
-        a = _as_vector(a, d_own, f"a{player}")
-        b = _as_vector(b, d_opp, f"b{player}")
+        A = _symmetrize(_as_shaped(A, (d_own, d_own), f"A{player}"), f"A{player}")
+        B = _as_shaped(B, (d_opp, d_own), f"B{player}")
+        D = _symmetrize(_as_shaped(D, (d_opp, d_opp), f"D{player}"), f"D{player}")
+        a = _as_shaped(a, (d_own,), f"a{player}")
+        b = _as_shaped(b, (d_opp,), f"b{player}")
         return cls(A=A, B=B, D=D, a=a, b=b)
 
 
@@ -324,8 +330,8 @@ def validate_game(game: QuadraticGame) -> QuadraticGame:
 
 def eval_cost(game: QuadraticGame, i: int, x1, x2) -> float:
     """Player i's quadratic cost at the joint action (x1, x2)."""
-    x1 = _as_vector(x1, game.dims.d1, "x1")
-    x2 = _as_vector(x2, game.dims.d2, "x2")
+    x1 = _as_shaped(x1, (game.dims.d1,), "x1")
+    x2 = _as_shaped(x2, (game.dims.d2,), "x2")
     i = _player_index(i)
     operands = _cost_operands(game, stacked_m1(game), stacked_m2(game))
     with np.errstate(invalid="ignore", over="ignore"):
@@ -420,10 +426,10 @@ def _cross_offset(i, s):
 
 
 def _checked_L(dims: Dims, i, L):
-    """Player i's slope L, once _player_index has checked i and _as_matrix that
+    """Player i's slope L, once _player_index has checked i and _as_shaped that
     L is finite and d_{-i} x d_i."""
     shape = (dims.d2, dims.d1) if _player_index(i) == 1 else (dims.d1, dims.d2)
-    return _as_matrix(L, *shape, f"L{i}")
+    return _as_shaped(L, shape, f"L{i}")
 
 
 def _checked_slope(game: QuadraticGame, i, L) -> _Slope:
@@ -522,14 +528,21 @@ def game_from_dict(data: dict) -> QuadraticGame:
     )
 
 
-def _read_json(path):
-    """The JSON value the file at ``path`` holds; a ValueError of the parse
-    (bad JSON or bad UTF-8) is raised again with the path in front."""
+def _read_json(path, keys=()):
+    """The JSON object the file at ``path`` holds, once it has each of ``keys``: a
+    parse's ValueError (bad JSON or UTF-8) is raised again with the path in front,
+    and DimensionMismatch names the path for any other value or missing keys."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DimensionMismatch(f"{path} must hold a JSON object")
+    missing = set(keys) - set(data)
+    if missing:
+        raise DimensionMismatch(f"{path} is missing keys {sorted(missing)}")
+    return data
 
 
 def _write_json(path, data) -> None:

@@ -74,7 +74,7 @@ def best_response(game: QuadraticGame, i: int, L, ell):
     definite. An L or ell of the wrong shape or not finite raises DimensionMismatch.
     """
     s = core._checked_slope(game, i, L)
-    ell = core._as_vector(ell, s.L.shape[0], f"ell{i}")
+    ell = core._as_shaped(ell, s.L.shape[:1], f"ell{i}")
     x, posdef = _best_response(i, s, ell)
     if not posdef:
         warnings.warn(
@@ -92,8 +92,8 @@ def predict(L, ell, x):
     L = core._as_array(L, "L")
     if L.ndim != 2:
         raise DimensionMismatch(f"L must be a matrix, got shape {L.shape}")
-    return (core._as_matrix(L, *L.shape, "L") @ core._as_vector(x, L.shape[1], "x")
-            + core._as_vector(ell, L.shape[0], "ell"))
+    return (core._as_shaped(L, L.shape, "L") @ core._as_shaped(x, L.shape[1:], "x")
+            + core._as_shaped(ell, L.shape[:1], "ell"))
 
 
 class _IterationConfig(NamedTuple):
@@ -124,6 +124,8 @@ class IterationConfig(_IterationConfig):
             raise ValueError(f"max_iters must be an integer, got {cfg.max_iters!r}")
         if cfg.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if not core._is_real(cfg.tol):
+            raise ValueError(f"tol must be a real number, got {cfg.tol!r}")
         if not 0 < cfg.tol < math.inf:  # False for NaN too
             raise ValueError("tol must be positive and finite")
         # The residuals, relative to ||A_i||_F, are held to tol: a tol of 1
@@ -274,9 +276,9 @@ def iterate(game: QuadraticGame, cfg: IterationConfig) -> IterationTrace:
     else:
         L1, ell1, L2, ell2 = cfg.init
         L1 = core._checked_L(dims, 1, L1).copy()
-        ell1 = core._as_vector(ell1, dims.d2, "ell1").copy()
+        ell1 = core._as_shaped(ell1, (dims.d2,), "ell1").copy()
         L2 = core._checked_L(dims, 2, L2).copy()
-        ell2 = core._as_vector(ell2, dims.d1, "ell2").copy()
+        ell2 = core._as_shaped(ell2, (dims.d1,), "ell2").copy()
 
     # Each step forms the _Slope of each new L_i once, from the players'
     # cost rows; the offsets, the record and the next step's cross map read it.

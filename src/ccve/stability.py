@@ -25,6 +25,16 @@ FIXED_POINT_TOL = 1e-6
 MARGINAL_BAND = 1e-9
 
 
+def _verdict(xi):
+    """The verdict on a multiplier magnitude xi: "stable" below the band
+    |xi - 1| <= MARGINAL_BAND, "marginal" in it, "unstable" above it or NaN."""
+    if xi < 1.0 - MARGINAL_BAND:
+        return "stable"
+    if abs(xi - 1.0) <= MARGINAL_BAND:
+        return "marginal"
+    return "unstable"
+
+
 class StabilityReport(NamedTuple):
     ratios_1: np.ndarray
     ratios_2: np.ndarray
@@ -104,15 +114,13 @@ def _certify(blocks, game, s1, s2, spectra):
         ratios_1 = ratios_2 = (complement[:, None] / selected[None, :]).reshape(-1)
     xi1 = float(np.max(np.abs(ratios_1)))
     xi2 = xi1 if ratios_2 is ratios_1 else float(np.max(np.abs(ratios_2)))
-    stable_1 = xi1 < 1.0 - MARGINAL_BAND
-    stable_2 = xi2 < 1.0 - MARGINAL_BAND
-    marginal = (abs(xi1 - 1.0) <= MARGINAL_BAND) or (abs(xi2 - 1.0) <= MARGINAL_BAND)
-    inconsistent = (stable_1 != stable_2) and not marginal
+    v1, v2 = _verdict(xi1), _verdict(xi2)
+    marginal = "marginal" in (v1, v2)
     return StabilityReport(
         ratios_1=ratios_1, ratios_2=ratios_2,
         xi_max_1=xi1, xi_max_2=xi2,
-        stable=stable_1 and not marginal,
+        stable=v1 == "stable" and not marginal,
         marginal=marginal,
-        internal_inconsistency=inconsistent,
+        internal_inconsistency={v1, v2} == {"stable", "unstable"},
         residuals=(r1, r2),
     )

@@ -258,6 +258,29 @@ class TestScalarGame:
         with pytest.raises(DegenerateScalar):
             build_scalar_game(ScalarSpec(q1=1.0, r1=1.0, s1=1.0))
 
+    @pytest.mark.parametrize("fields, name, value", [
+        (dict(q1="a", r1=0.1, s1=0.0), "q1", "a"),
+        (dict(q1=1.0, r1=None, s1=0.0), "r1", None),
+        (dict(q1=10**400, r1=0.1, s1=0.0), "q1", 10**400),
+        (dict(q1=True, r1=0.1, s1=0.0), "q1", True),
+        (dict(q1=1.0, r1=0.1, s1=0.0, s2=[1.0]), "s2", [1.0]),
+        (dict(q1=1.0, r1=0.1, s1=0.0, v2=np.True_), "v2", np.True_),
+    ], ids=["string", "none", "int-beyond-float", "bool", "list", "numpy-bool"])
+    def test_fields_must_be_real_numbers(self, fields, name, value):
+        # Each raised a raw TypeError or OverflowError from the degeneracy test,
+        # or named the block ("A1 must be an array of numbers"), not the field.
+        with pytest.raises(ValueError) as info:
+            build_scalar_game(ScalarSpec(**fields))
+        assert str(info.value) == f"{name} must be a real number, got {value!r}"
+
+    def test_player_two_defaults_are_checked_as_filled(self):
+        # q2, r2 and s2 default to player 1's, which are checked once filled in.
+        with pytest.raises(ValueError, match="q1 must be a real number, got 'a'"):
+            ScalarSpec(q1="a", r1=0.1, s1=0.0, q2=1.0)
+        spec = ScalarSpec(np.float32(0.5), 1, np.int64(2))
+        assert spec == (0.5, 1.0, 2.0, 0.0, 0.0, 0.5, 1.0, 2.0, 0.0, 0.0)
+        assert all(type(v) is float for v in spec)
+
 
 class TestRandomGame:
     def test_deterministic_per_seed(self):
@@ -309,19 +332,26 @@ class TestRandomGame:
         assert np.array_equal(explicit.p1.B, default.p1.B)
         assert np.array_equal(explicit.p2.B, default.p2.B)
 
-    @pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (-1.0, np.inf), (-1e308, 1e308)])
+    @pytest.mark.parametrize("lo, hi", [
+        (np.nan, 1.0), (-1.0, np.inf), (-1e308, 1e308),
+        pytest.param(-10**308, 10**308, id="ints-of-float-range"),
+    ])
     def test_uniform_rejects_bounds_without_a_finite_range(self, lo, hi):
-        # numpy.random's uniform raises OverflowError for each of them.
+        # numpy.random's uniform raises OverflowError for each of them; the
+        # range of two ints beyond int64 was numpy's TypeError from isfinite.
         with pytest.raises(ValueError, match="finite hi - lo"):
             random_game(2, 3, recipe="uniform", lo=lo, hi=hi)
 
     @pytest.mark.parametrize("recipe, lo, hi", [
         ("uniform", "a", 1.0), ("uniform", -1.0, None), ("paper7ex2", "a", 1.0),
         ("paper7ex1", -1.0, [1.0]), ("uniform", True, 1.0), ("paper7ex2", -1.0, np.True_),
+        pytest.param("uniform", 10**400, 10**401, id="uniform-ints-beyond-float"),
+        pytest.param("paper7ex2", 10**400, 1.0, id="paper7ex2-int-beyond-float"),
     ])
     def test_bounds_must_be_real_numbers(self, recipe, lo, hi):
         # numpy's draw would raise a TypeError, and the paper recipes' refusal
-        # could not format them; a bool is refused as core._as_array refuses it.
+        # could not format them; a bool is refused as core._as_array refuses it,
+        # and an int that float() cannot convert as no real number.
         with pytest.raises(ValueError) as info:
             random_game(2, 3, recipe=recipe, lo=lo, hi=hi)
         assert str(info.value) == \
@@ -340,6 +370,11 @@ class TestRandomGame:
         assert np.all((g.p1.B >= lo) & (g.p1.B <= hi))
         assert np.all((g.p2.B >= lo) & (g.p2.B <= hi))
         validate_game(g)
+
+    def test_uniform_builds_from_int_bounds_beyond_int64(self):
+        # Their range hi - lo, an int beyond int64, was numpy's TypeError from isfinite.
+        g = random_game(2, 3, recipe="uniform", seed=1, lo=-2**70, hi=2**70)
+        assert np.all(np.abs(g.p1.B) <= 2.0**70) and np.all(np.abs(g.p2.B) <= 2.0**70)
 
     @pytest.mark.parametrize("d1, d2, message", [
         (2.5, 3, "dimensions must be integers"), ("2", 3, "dimensions must be integers"),

@@ -455,6 +455,18 @@ def test_json_file_that_is_not_an_object_is_an_error(tmp_path, bench_path, capsy
     assert out is None or not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "enumerate"])
+def test_game_file_that_is_not_an_object_names_the_file(tmp_path, capsys, command):
+    # Read by core._read_json as every JSON input is; it printed "game JSON
+    # must be an object", which named no file.
+    path = tmp_path / "game.json"
+    path.write_text("[1, 2]")
+    out = tmp_path / "out.json"
+    assert run([command, "--game", str(path), "--out", str(out)]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"DimensionMismatch: {path} must hold a JSON object\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("reader", JSON_READERS)
 def test_json_file_missing_a_key_is_an_error(tmp_path, bench_path, capsys, reader):
     # A missing key printed only "error: 'L1'".

@@ -248,6 +248,15 @@ class TestIterationConfig:
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             IterationConfig(tol=float("inf"))
 
+    @pytest.mark.parametrize("tol", ["a", None, True, 10**400, [1e-8]],
+                             ids=["string", "none", "bool", "int-beyond-float", "list"])
+    def test_rejects_a_tol_that_is_no_real_number(self, tol):
+        # "a" and None raised raw TypeErrors from the range test, and True read
+        # "tol must be below 1".
+        with pytest.raises(ValueError) as info:
+            IterationConfig(tol=tol)
+        assert str(info.value) == f"tol must be a real number, got {tol!r}"
+
     @pytest.mark.parametrize("tol", [1.0, 1e300])
     def test_rejects_tol_of_one_or_more(self, tol):
         # The step change of a run from the Nash init is below 1e300 at step

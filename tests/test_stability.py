@@ -220,6 +220,17 @@ class TestMarginalBand:
         assert stability.MARGINAL_BAND == 1e-9
         assert stability.FIXED_POINT_TOL == 1e-6
 
+    @pytest.mark.parametrize("xi, verdict", [
+        (1 - 2e-9, "stable"), (np.nextafter(1 - 1e-9, 0), "stable"), (1 - 1e-9, "marginal"),
+        (1.0, "marginal"), (np.nextafter(1 + 1e-9, 0), "marginal"), (1 + 1e-9, "unstable"),
+        (np.inf, "unstable"), (np.nan, "unstable"),
+    ])
+    def test_one_verdict_at_the_band_edges(self, xi, verdict):
+        # certify's flags and mobius_fixed_points' classification both read it:
+        # marginal is |xi - 1| <= MARGINAL_BAND, as certify has always held it.
+        # The double 1 + 1e-9 lies above 1 + MARGINAL_BAND.
+        assert stability._verdict(xi) == verdict
+
 
 CROSS_CHECK_GAMES = [
     pytest.param([builders.random_game(50, 60, seed=0)], id="paper7ex2-50x60-s0"),
