@@ -29,10 +29,10 @@ class SecondOrderReport(NamedTuple):
 
 def _effective_hessian(s):
     """sym(P + L^T Q) from the slope s = _slope_terms(rows, L)."""
-    S = s.L.T @ s.Q
+    S = s.L.T.dot(s.Q)
     S += s.P
-    # A copy: numpy would buffer the overlapping S.T, which is slower on a small S.
-    S += S.T.copy()
+    # A new sum: S += S.T would make numpy check and buffer the overlapping S.T.
+    S = S + S.T
     S *= 0.5
     return S
 

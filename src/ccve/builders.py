@@ -183,9 +183,13 @@ def build_scalar_game(spec: ScalarSpec) -> QuadraticGame:
     """1x1 quadratic game from scalar parameters; requires q s - r^2 != 0."""
     for i, (q, r, s) in ((1, (spec.q1, spec.r1, spec.s1)),
                          (2, (spec.q2, spec.r2, spec.s2))):
-        det = q * s - r * r
-        if abs(det) < 1e-12 * max(1.0, q * q, r * r, s * s):
-            raise DegenerateScalar(f"player {i}: q*s - r^2 = {det:g} is zero")
+        # (q s - r^2) / max(1, q^2, r^2, s^2), formed from the fields scaled
+        # by the largest magnitude m, so that no square overflows.
+        m = max(1.0, abs(q), abs(r), abs(s))
+        det = (q / m) * (s / m) - (r / m) * (r / m)
+        if abs(det) < 1e-12:
+            raise DegenerateScalar(f"player {i}: q*s - r^2 is {det:.3g} times "
+                                   "max(1, q^2, r^2, s^2), below 1e-12")
     return QuadraticGame.create(
         1, 1,
         ([[spec.q1]], [[spec.r1]], [[spec.s1]], [spec.w1], [spec.v1]),

@@ -126,8 +126,9 @@ def _as_shaped(value, shape, name):
 
 def _symmetrize(m, name):
     sym = 0.5 * (m + m.T)
-    denom = max(np.linalg.norm(m), 1.0)
-    if np.linalg.norm(m - m.T) / denom > ASYM_WARN:
+    with np.errstate(over="ignore"):  # _norm rescales a square sum that overflows
+        asym = _norm(m - m.T) / max(_norm(m), 1.0)
+    if asym > ASYM_WARN:
         warnings.warn(
             f"{name} is not symmetric (relative asymmetry above {ASYM_WARN:g}); "
             "using its symmetric part",
@@ -217,7 +218,7 @@ class CompositeBlocks(NamedTuple):
     boldM1: np.ndarray
 
     def bold_blocks(self):
-        """(bA1, bB1, bC1, bD1): the four blocks of boldM1, as views."""
+        """(bA1, bB1, bC1, bD1): boldM1's blocks, as views that products take with @."""
         d1, m = self.dims.d1, self.boldM1
         return m[:d1, :d1], m[:d1, d1:], m[d1:, :d1], m[d1:, d1:]
 
@@ -266,7 +267,7 @@ def _lu_checked(a, error, *args, rcond_min=RCOND_MIN):
 def _solve_checked(a, b, error, *args, rcond_min=RCOND_MIN, trans=0):
     """Solve ``a x = b`` (``a^T x = b`` if ``trans=1``) with one _lu_checked LU."""
     lu, piv = _lu_checked(a, error, *args, rcond_min=rcond_min)
-    return lapack.dgetrs(lu, piv, b, trans=trans)[0]
+    return lapack.dgetrs(lu, piv, b, trans)[0]
 
 
 def _solve_sym_checked(a, b, error, *args):
@@ -401,9 +402,9 @@ def _slope_terms(rows, L) -> _Slope:
     """The _Slope at slope L of the player whose _cost_rows are ``rows``: the
     one place its products are formed, as the rows of [P; Q; c^T] = own + opp L."""
     own, opp = rows
-    # In place: own + opp @ L allocates a second (d + 1) x n array per
+    # In place: own + opp.dot(L) allocates a second (d + 1) x n array per
     # slope, which raised a 100x120 cross run's peak RSS by about 2 MB.
-    terms = opp @ L
+    terms = opp.dot(L)
     terms += own
     n = L.shape[1]
     Qc = terms[n:]
@@ -439,9 +440,9 @@ def _checked_slope(game: QuadraticGame, i, L) -> _Slope:
 
 def _residuals(s1: _Slope, s2: _Slope):
     """(R1, R2) = (L2^T P1 + Q1, L1^T P2 + Q2) from the two players' slopes."""
-    r1 = s2.L.T @ s1.P
+    r1 = s2.L.T.dot(s1.P)
     r1 += s1.Q
-    r2 = s1.L.T @ s2.P
+    r2 = s1.L.T.dot(s2.P)
     r2 += s2.Q
     return r1, r2
 
@@ -453,9 +454,22 @@ def _sq_norm(m):
     return v.dot(v)
 
 
+def _norm(m):
+    """||m||_F: np.linalg.norm(m) bit for bit while its square sum is finite,
+    otherwise from m scaled by its largest magnitude. The caller silences the
+    overflow warning of that square sum (np.errstate)."""
+    sq = _sq_norm(m)
+    if sq < math.inf:
+        return math.sqrt(sq)
+    top = float(np.abs(m).max())  # inf or NaN when an entry is: returned as it is
+    return top * math.sqrt(_sq_norm(m / top)) if top < math.inf else top
+
+
 def _a_norms(game: QuadraticGame):
-    """(||A_1||_F, ||A_2||_F): the scales of the residual norms."""
-    return math.sqrt(_sq_norm(game.p1.A)), math.sqrt(_sq_norm(game.p2.A))
+    """(||A_1||_F, ||A_2||_F): the scales of the residual norms. A scale that
+    overflowed to inf would pass any residual as zero."""
+    with np.errstate(over="ignore"):
+        return _norm(game.p1.A), _norm(game.p2.A)
 
 
 def _residual_norms(r1, r2, a_norms):

@@ -72,11 +72,11 @@ def _solve_actions(L1, ell1, L2, ell2):
     """The equilibrium actions (x1, x2) of the two affine conjectures, at slopes
     and offsets already checked, as a solve's are."""
     # I - L2 L1 in place; 0.0 - p gives each zero the sign np.eye(n) - p would.
-    K = 0.0 - L2 @ L1
+    K = 0.0 - L2.dot(L1)
     K.flat[::K.shape[0] + 1] += 1.0
-    x1 = _solve_checked(K, L2 @ ell1 + ell2, SingularActionSystem,
+    x1 = _solve_checked(K, L2.dot(ell1) + ell2, SingularActionSystem,
                         "I - L2 L1 is singular")
-    x2 = L1 @ x1 + ell1
+    x2 = L1.dot(x1) + ell1
     return x1, x2
 
 

@@ -59,7 +59,7 @@ def _composite(blocks, i, L_i):
 def _best_response(i, s, ell):
     """(x, posdef): player i's stationary action at its slope s and offset
     ell, and whether its effective Hessian is positive definite."""
-    rhs = s.Q.T @ ell
+    rhs = s.Q.T.dot(ell)
     rhs += s.c
     x, posdef = _solve_sym_checked(analysis._effective_hessian(s), rhs,
                                    SingularBestResponse, i)

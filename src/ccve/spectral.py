@@ -7,12 +7,11 @@ and real input matrices yield real bases whenever the selected eigenvalue set
 is closed under conjugation.
 """
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import _is_count, _sq_norm, lapack
+from .core import _is_count, _norm, _sq_norm, lapack
 from .errors import ConjugatePairSplit, EigFailure
 
 # Relative residual tolerance for eigenpairs and subspace checks.
@@ -196,10 +195,12 @@ def _leading_basis(m, k, V):
 
 def _check_residual(what, *pairs):
     """Raises EigFailure, naming the ``what`` residual, unless ||R||_F <=
-    EIG_RESID_TOL ||M||_F for each (R, ||M||_F^2) in ``pairs``."""
-    resid = max(math.sqrt(_sq_norm(R)) / max(math.sqrt(sq), 1e-300) for R, sq in pairs)
-    if resid > EIG_RESID_TOL:
-        raise EigFailure(f"{what} residual {resid:.3e} above tolerance")
+    EIG_RESID_TOL ||M||_F for each (R, M) in ``pairs``; a NaN residual fails."""
+    with np.errstate(over="ignore"):  # core._norm rescales a square sum that overflows
+        for R, M in pairs:
+            resid = _norm(R) / max(_norm(M), 1e-300)
+            if not resid <= EIG_RESID_TOL:
+                raise EigFailure(f"{what} residual {resid:.3e} above tolerance")
 
 
 def _reorder(M, T, Z, values, k, selection: Selection) -> InvariantSubspace:
@@ -210,7 +211,7 @@ def _reorder(M, T, Z, values, k, selection: Selection) -> InvariantSubspace:
         raise EigFailure(f"trsen failed with info={info}")
     # The Schur vectors are orthonormal; check invariance, M Q_k = Q_k T_kk.
     basis = _leading_basis(m, k, qs)
-    _check_residual("invariant-subspace", (M @ basis - basis @ ts[:k, :k], _sq_norm(M)))
+    _check_residual("invariant-subspace", (M.dot(basis) - basis @ ts[:k, :k], M))
     return InvariantSubspace(basis, selected, complement, warns)
 
 
@@ -279,10 +280,10 @@ def generalized_pairs(M1, M2T, k, selection: Selection) -> InvariantSubspace:
     # |lambda| (README "Numerical guards").
     basis = _leading_basis(m, k, Z)
     sq1, sq2 = _sq_norm(M1), _sq_norm(M2T)
-    X, Y = M1 @ basis, M2T @ basis
+    X, Y = M1.dot(basis), M2T.dot(basis)
     qr, tau = lapack.dgeqrf(X * (alphar[:k] / max(sq1, 1e-300)) + Y * (beta[:k] / sq2))[:2]
     W = lapack.dorgqr(qr, tau, overwrite_a=1)[0]
-    X -= W @ (W.T @ X)
-    Y -= W @ (W.T @ Y)
-    _check_residual("generalized deflating-subspace", (X, sq1), (Y, sq2))
+    X -= W.dot(W.T.dot(X))
+    Y -= W.dot(W.T.dot(Y))
+    _check_residual("generalized deflating-subspace", (X, M1), (Y, M2T))
     return InvariantSubspace(basis, selected, complement, warns)

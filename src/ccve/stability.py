@@ -93,7 +93,7 @@ def _certify(blocks, game, s1, s2, spectra):
         )
     bA1, bB1, bC1, bD1 = blocks.bold_blocks()
     H1 = bA1 + bB1 @ L1
-    lhs = game.p2.D.T + game.p2.B @ L1
+    lhs = game.p2.D.T + game.p2.B.dot(L1)
     alt = _solve_checked(lhs, s1.P, NotAFixedPoint,
                          "D2^T + B2 L1 is singular: H1 has no alternate form")
     scale = max(math.sqrt(_sq_norm(H1)), 1e-300)

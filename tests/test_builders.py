@@ -258,6 +258,19 @@ class TestScalarGame:
         with pytest.raises(DegenerateScalar):
             build_scalar_game(ScalarSpec(q1=1.0, r1=1.0, s1=1.0))
 
+    def test_degeneracy_test_squares_no_field(self):
+        # q s - r^2 is held to 1e-12 max(1, q^2, r^2, s^2). q^2 = 1e310 used to
+        # overflow to inf and refuse this spec, whose q s - r^2 is 1e-5 of q^2.
+        g = build_scalar_game(ScalarSpec(q1=1e155, r1=0.0, s1=1e150))
+        assert (g.p1.A[0, 0], g.p1.D[0, 0]) == (1e155, 1e150)
+        # Both squares overflowed and q s - r^2 read inf - inf = nan: it passed.
+        with pytest.raises(DegenerateScalar, match="is 0 times"):
+            build_scalar_game(ScalarSpec(q1=1e200, r1=1e200, s1=1e200))
+        # q s - r^2 = 1e190 is 1e-210 of q^2: degenerate at any scale, and the
+        # message gives that ratio, not the 1e190 it used to call zero.
+        with pytest.raises(DegenerateScalar, match="is 1e-210 times"):
+            build_scalar_game(ScalarSpec(q1=1e200, r1=0.0, s1=1e-10))
+
     @pytest.mark.parametrize("fields, name, value", [
         (dict(q1="a", r1=0.1, s1=0.0), "q1", "a"),
         (dict(q1=1.0, r1=None, s1=0.0), "r1", None),

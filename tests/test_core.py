@@ -186,6 +186,17 @@ class TestValidation:
             )
         assert np.allclose(g.p1.D, [[0.1, 0.15], [0.15, 0.2]])
 
+    def test_symmetrization_norms_do_not_overflow(self):
+        # ||A_i||_F^2 overflowed in np.linalg.norm, a RuntimeWarning that
+        # pyproject.toml makes an error; the asymmetry test still reads it.
+        g = builders.random_game(2, 3, "uniform", lo=0, hi=1e300)
+        assert g.p1.A[0, 0] == 1.0 + 2.0 * 1e300 * 3
+        with pytest.warns(UserWarning, match="A1 is not symmetric"):
+            QuadraticGame.create(
+                2, 1, (1e300 * np.array([[1.0, 1e-7], [0.0, 1.0]]), [[0.1, 0.1]],
+                       [[0.1]], [0.0, 0.0], [0.0]),
+                ([[1.0]], [[0.1], [0.1]], np.eye(2), [0.0], [0.0, 0.0]))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             QuadraticGame.create(
@@ -372,6 +383,20 @@ class TestRiccatiResidual:
         assert r2n == pytest.approx(
             np.linalg.norm(bench_game.p2.B) / np.linalg.norm(bench_game.p2.A)
         )
+
+
+    def test_norms_are_scale_free_past_an_overflowing_a(self, bench_game):
+        # ||A_i||_F^2 overflows at this scale, and the residuals' squares do
+        # not: the relative residual read 0.0 for any pair, and a cross run
+        # from a pair off the fixed point converged at step 1.
+        sol = equilibrium.solve_ccve(bench_game)
+        L1 = sol.L1 + 1e-3
+        big = QuadraticGame(bench_game.dims, *(
+            core.PlayerCost(*(1e155 * m for m in p)) for p in (bench_game.p1, bench_game.p2)))
+        want = riccati_residual_norms(bench_game, L1, sol.L2)
+        assert riccati_residual_norms(big, L1, sol.L2) == pytest.approx(want, rel=1e-12)
+        trace = lft.iterate(big, lft.IterationConfig(init=(L1, sol.ell1, sol.L2, sol.ell2)))
+        assert trace.status == "converged" and trace.status_iter > 1
 
 
 class TestDims:

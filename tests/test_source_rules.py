@@ -39,7 +39,7 @@ class Rule(NamedTuple):
     files: tuple  # file names under src/ccve; () means every *.py
     exempt: tuple  # file names the rule does not read
     message: str
-    planted: str  # a line the rule must catch
+    planted: str  # the lines the rule must catch, one line each
 
 
 RULES = {
@@ -72,11 +72,11 @@ RULES = {
     # core._cost_rows: no module, core included, forms them block by block,
     # and none but core unpacks the cost rows or takes that product.
     "slope-products-in-slope-terms": Rule(
-        r"\.B\.T @|\.D @ |\.T @ [a-z0-9_]+\.b\b",
+        r"\.B\.T( @|\.dot\()|\.D( @ |\.dot\()|\.T( @ |\.dot\()[a-z0-9_]+\.b\b",
         (),
         (),
         "form A + B^T L, B + D L and a + L^T b through core._slope_terms",
-        "    P = p.A + p.B.T @ L",
+        "    P = p.A + p.B.T @ L\n    P = p.A + p.B.T.dot(L)",
     ),
     "cost-row-products-in-slope-terms": Rule(
         r"own, opp =|\bown \+|\bopp( @|\.dot\()",
@@ -200,15 +200,16 @@ def test_source_rule_holds(name):
 
 @pytest.mark.parametrize("name", RULES)
 def test_source_rule_catches_a_planted_line(tmp_path, name):
-    """Copies of the package's files, each with one violating line added,
-    fail the rule once in each file it reads and nowhere else."""
+    """Copies of the package's files, each with the violating lines added,
+    fail the rule once for each line in each file it reads and nowhere else."""
     rule = RULES[name]
+    planted = rule.planted.splitlines()
     for path in SRC.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text() + rule.planted + "\n")
     found = violations(rule, rule_files(rule, tmp_path))
     assert sorted(line.split(":")[0] for line in found) == \
-        sorted(p.name for p in rule_files(rule))
-    assert all(line.endswith(rule.planted.strip()) for line in found)
+        sorted(p.name for p in rule_files(rule) for _ in planted)
+    assert all(any(line.endswith(p.strip()) for p in planted) for line in found)
 
 
 def dataclass_names(src=SRC):

@@ -134,6 +134,16 @@ class TestInvariantSubspace:
         rep = sub.basis.T @ M @ sub.basis
         assert np.linalg.norm(M @ sub.basis - sub.basis @ rep) < 1e-8 * np.linalg.norm(M)
 
+    def test_residual_check_passes_nothing_vacuously(self):
+        # ||M||_F^2 overflowed to inf and read any finite residual as 0, and
+        # a NaN residual compared False with the tolerance: both passed.
+        M = 1e160 * np.eye(3)
+        with pytest.raises(EigFailure, match="residual 1.000e-03"):
+            spectral._check_residual("invariant-subspace", (1e-3 * M, M))
+        with pytest.raises(EigFailure, match="residual nan"):
+            spectral._check_residual("invariant-subspace", (np.full((3, 3), np.nan), M))
+        spectral._check_residual("invariant-subspace", (1e-9 * M, M))
+
     def test_conjugate_pair_split_raises(self):
         M = np.array([[0.0, -1.0], [1.0, 0.0]])
         with pytest.raises(ConjugatePairSplit):
