@@ -6,8 +6,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import stability  # run by mobius_fixed_points alone, not by every build
-from .core import (Dims, QuadraticGame, _as_array, _as_shaped, _checked_dim,
-                   _checked_keys, _is_count, _is_real, _min_eig, assemble_blocks)
+from .core import (Dims, QuadraticGame, _as_array, _as_shaped, _checked_dim, _checked_keys,
+                   _is_count, _is_real, _min_eig, _norm, assemble_blocks)
 from .errors import ComplexFixedPoints, DegenerateScalar, DimensionMismatch
 
 _PSD_TOL = 1e-10
@@ -81,8 +81,9 @@ class LqSpec(NamedTuple):
                 raise DimensionMismatch(f"{name} must be positive definite")
         for name in ("Q1", "Q2", "Q1f", "Q2f"):
             m = getattr(spec, name)
-            if np.linalg.norm(m - m.T) > _PSD_TOL * max(1.0, np.linalg.norm(m)):
-                raise DimensionMismatch(f"{name} must be symmetric")
+            with np.errstate(over="ignore"):  # _norm rescales a square sum that overflows
+                if _norm(m - m.T) > _PSD_TOL * max(1.0, _norm(m)):
+                    raise DimensionMismatch(f"{name} must be symmetric")
             if _min_eig(0.5 * (m + m.T)) < -_PSD_TOL:
                 raise DimensionMismatch(f"{name} must be positive semidefinite")
         return spec

@@ -119,7 +119,7 @@ def _as_shaped(value, shape, name):
     if m.shape != shape:
         want = f"shape {shape}" if len(shape) == 2 else f"length {shape[0]}"
         raise DimensionMismatch(f"{name} must have {want}, got {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise DimensionMismatch(f"{name} contains non-finite entries")
     return m
 
@@ -245,29 +245,34 @@ def stacked_m2(game: QuadraticGame) -> np.ndarray:
     return _stack(p2.D, p2.B, p2.B.T, p2.A)
 
 
-def _lu_rcond(a):
-    """(lu, piv, rcond): LAPACK dgetrf of square ``a`` and dgecon's 1-norm rcond.
-
-    rcond is Higham's estimate, 0.0 when ``a`` is exactly singular; solve with dgetrs.
-    """
-    lu, piv, info = lapack.dgetrf(a)
-    rcond = lapack.dgecon(lu, lapack.dlange("1", a))[0] if info == 0 else 0.0
-    return lu, piv, rcond
+def _lu_rcond(a, b=None):
+    """(lu, piv, rcond, x): LAPACK dgetrf of square ``a``, or with ``b`` one dgesv
+    that also gives x = a^{-1} b (None without ``b``; the bits of dgetrf and dgetrs
+    at one BLAS thread), and dgecon's 1-norm rcond, 0.0 when ``a`` is exactly singular."""
+    if b is None:
+        (lu, piv, info), x = lapack.dgetrf(a), None
+    else:
+        lu, piv, x, info = lapack.dgesv(a, b)
+    return lu, piv, lapack.dgecon(lu, lapack.dlange("1", a))[0] if info == 0 else 0.0, x
 
 
 def _lu_checked(a, error, *args, rcond_min=RCOND_MIN):
     """(lu, piv): dgetrf of square ``a``, the guard rule of every checked LU: raises
     ``error(*args)`` when dgecon's 1-norm rcond estimate is below rcond_min or NaN."""
-    lu, piv, rcond = _lu_rcond(a)
+    lu, piv, rcond, _ = _lu_rcond(a)
     if not rcond >= rcond_min:
         raise error(*args)
     return lu, piv
 
 
 def _solve_checked(a, b, error, *args, rcond_min=RCOND_MIN, trans=0):
-    """Solve ``a x = b`` (``a^T x = b`` if ``trans=1``) with one _lu_checked LU."""
-    lu, piv = _lu_checked(a, error, *args, rcond_min=rcond_min)
-    return lapack.dgetrs(lu, piv, b, trans)[0]
+    """Solve ``a x = b`` with one dgesv, or ``a^T x = b`` (trans=1) with a dgetrf
+    and a dgetrs, as dgesv has no transposed solve. _lu_checked's guard rule is
+    written out here: a call fewer on the package's hottest path."""
+    lu, piv, rcond, x = _lu_rcond(a, None if trans else b)
+    if not rcond >= rcond_min:
+        raise error(*args)
+    return lapack.dgetrs(lu, piv, b, 1)[0] if trans else x
 
 
 def _solve_sym_checked(a, b, error, *args):
@@ -277,8 +282,10 @@ def _solve_sym_checked(a, b, error, *args):
     positive definite (posdef True) and dpocon's 1-norm rcond estimate of the
     factor is held to RCOND_MIN. Otherwise posdef is False and the solve is
     _solve_checked's LU. Either way raises ``error(*args)`` below RCOND_MIN
-    or at a NaN estimate.
+    or at a NaN estimate. LAPACK reads ``a.T``, the same matrix as ``a`` is
+    exactly symmetric, which f2py passes without a copy when ``a`` is C-ordered.
     """
+    a = a.T
     c, x, info = lapack.dposv(a, b)
     if info != 0:
         return _solve_checked(a, b, error, *args), False
@@ -288,13 +295,14 @@ def _solve_sym_checked(a, b, error, *args):
 
 
 def _posdef(m):
-    """True when LAPACK dpotrf factors the symmetric matrix ``m`` (Cholesky)."""
-    return bool(lapack.dpotrf(m)[1] == 0)
+    """True when LAPACK dpotrf factors the symmetric ``m`` (Cholesky), read as m.T."""
+    return bool(lapack.dpotrf(m.T)[1] == 0)
 
 
 def _min_eig(S):
-    """Smallest eigenvalue of symmetric ``S``, the only one LAPACK dsyevr computes."""
-    w, _, _, _, info = lapack.dsyevr(S, compute_v=0, range="I", il=1, iu=1, lower=1)
+    """Smallest eigenvalue of symmetric ``S``, the only one LAPACK dsyevr computes
+    from the lower triangle of S.T, the same matrix (_solve_sym_checked)."""
+    w, _, _, _, info = lapack.dsyevr(S.T, compute_v=0, range="I", il=1, iu=1, lower=1)
     if info != 0:
         raise EigFailure(f"dsyevr failed with info={info}")
     return float(w[0])
@@ -316,7 +324,7 @@ def _factor_m(game: QuadraticGame):
             raise ANotPositiveDefinite(i, min_eig)
     factors = []
     for i, m in ((1, stacked_m1(game)), (2, stacked_m2(game))):
-        lu, piv, rc = _lu_rcond(m)
+        lu, piv, rc, _ = _lu_rcond(m.T)  # the symmetric M_i, as _posdef reads it
         if not rc >= RCOND_SINGULAR:
             raise MSingular(i, rc)
         factors.append((m, lu, piv))
@@ -343,7 +351,7 @@ def _cost_operands(game: QuadraticGame, M1, M2):
     """(MM, G) for _costs: the stacked [M1; M2] and the rows g1 = [a1; b1] and
     g2 = [b2; a2], the linear terms in the joint coordinates z = [x1; x2]."""
     p1, p2 = game.p1, game.p2
-    G = np.stack((np.concatenate((p1.a, p1.b)), np.concatenate((p2.b, p2.a))))
+    G = np.concatenate((p1.a, p1.b, p2.b, p2.a)).reshape(2, -1)
     return np.concatenate((M1, M2)), G
 
 
@@ -368,7 +376,7 @@ def assemble_blocks(game: QuadraticGame) -> CompositeBlocks:
     Validates the game as validate_game does, in the same pass.
     """
     (m1, _, _), (m2, lu2, piv2) = _factor_m(game)
-    bold1 = lapack.dgetrs(lu2, piv2, m1, trans=1)[0]
+    bold1 = lapack.dgetrs(lu2, piv2, m1.T, trans=1)[0]
     return CompositeBlocks(dims=game.dims, M1=m1, M2=m2, boldM1=bold1)
 
 
@@ -466,18 +474,16 @@ def _norm(m):
 
 
 def _a_norms(game: QuadraticGame):
-    """(||A_1||_F, ||A_2||_F): the scales of the residual norms. A scale that
-    overflowed to inf would pass any residual as zero."""
-    with np.errstate(over="ignore"):
-        return _norm(game.p1.A), _norm(game.p2.A)
+    """(||A_1||_F, ||A_2||_F): the scales of the residual norms, through _norm
+    (the caller holds its np.errstate). A scale that overflowed to inf would
+    pass any residual as zero."""
+    return _norm(game.p1.A), _norm(game.p2.A)
 
 
 def _residual_norms(r1, r2, a_norms):
-    """Frobenius norms of the residuals r1, r2, relative to a_norms = _a_norms(game).
-
-    Bit for bit np.linalg.norm(r_i) / a_norms[i - 1]: sqrt is correctly rounded.
-    """
-    return math.sqrt(_sq_norm(r1)) / a_norms[0], math.sqrt(_sq_norm(r2)) / a_norms[1]
+    """Frobenius norms of the residuals r1, r2, relative to a_norms = _a_norms(game),
+    each through _norm; the caller silences its overflow warning (np.errstate)."""
+    return _norm(r1) / a_norms[0], _norm(r2) / a_norms[1]
 
 
 def riccati_residual(game: QuadraticGame, L1, L2):
@@ -491,7 +497,8 @@ def riccati_residual(game: QuadraticGame, L1, L2):
 
 def riccati_residual_norms(game: QuadraticGame, L1, L2):
     """Frobenius norms of the coupled residuals, relative to ||A_i||_F."""
-    return _residual_norms(*riccati_residual(game, L1, L2), _a_norms(game))
+    with np.errstate(over="ignore"):  # _norm rescales a square sum that overflows
+        return _residual_norms(*riccati_residual(game, L1, L2), _a_norms(game))
 
 
 # --- Game JSON format -------------------------------------------------------

@@ -285,12 +285,13 @@ def iterate(game: QuadraticGame, cfg: IterationConfig) -> IterationTrace:
     rows = core._cost_rows(game.p1), core._cost_rows(game.p2)
     s1 = core._slope_terms(rows[0], L1)
     s2 = core._slope_terms(rows[1], L2)
-    a_norms = _a_norms(game)
     # One errstate for the run. The costs of a non-finite or overflowing
-    # action are non-finite, and _record then checks the actions. The norms
-    # square each entry: one that overflows only means the norm is far above
-    # DIVERGENCE_NORM or tol. Neither warns.
+    # action are non-finite, and _record then checks the actions. The
+    # residual norms and their scales rescale a square sum that overflows
+    # (core._norm); a step change that overflows only means it is far above
+    # DIVERGENCE_NORM or tol. None of them warns.
     with np.errstate(over="ignore", invalid="ignore"):
+        a_norms = _a_norms(game)
         rec, posdef = _record(0, s1, ell1, s2, ell2, a_norms, cost_operands)
         steps = [rec]
         # (step, player) of the first effective Hessian that is not positive definite.

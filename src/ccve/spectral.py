@@ -95,7 +95,7 @@ def eig(M) -> Spectrum:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise EigFailure(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise EigFailure("matrix contains non-finite entries")
     try:
         values, vectors = sla.eig(M)
@@ -144,7 +144,7 @@ def _select_positions(values, k, selection: Selection):
     inside = np.zeros(n, dtype=bool)
     inside[chosen] = True
     first = np.nonzero(values.imag > 0)[0]
-    if np.any(inside[first] != inside[first + 1]):
+    if (inside[first] != inside[first + 1]).any():
         raise ConjugatePairSplit(
             "selection boundary falls inside a complex conjugate pair"
         )
@@ -241,7 +241,7 @@ def _qz(M1, M2T):
             f"expected a finite square pencil, got shapes {M1.shape} and {M2T.shape}"
         )
     AA, BB, _, alphar, alphai, beta, _, Z, _, _ = _form("dgges", M1, M2T, jobvsl=0)
-    if np.any(beta == 0.0):
+    if (beta == 0.0).any():
         raise EigFailure("infinite generalized eigenvalue: M2^T is singular")
     values = (alphar + alphai * 1j) / beta
     # A 2x2 block gives a conjugate pair, positive imaginary part first; its

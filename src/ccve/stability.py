@@ -86,7 +86,8 @@ def _certify(blocks, game, s1, s2, spectra):
     are player 2's H2 and H2'.
     """
     L1, L2 = s1.L, s2.L
-    r1, r2 = _residual_norms(*_residuals(s1, s2), _a_norms(game))
+    with np.errstate(over="ignore"):  # _norm rescales a square sum that overflows
+        r1, r2 = _residual_norms(*_residuals(s1, s2), _a_norms(game))
     if not (r1 <= FIXED_POINT_TOL and r2 <= FIXED_POINT_TOL):
         raise NotAFixedPoint(
             f"(L1, L2) residuals ({r1:.3e}, {r2:.3e}) above {FIXED_POINT_TOL:g}"
@@ -112,8 +113,8 @@ def _certify(blocks, game, s1, s2, spectra):
         _lu_checked(H1, SingularComposite, 1)
         selected, complement = spectra
         ratios_1 = ratios_2 = (complement[:, None] / selected[None, :]).reshape(-1)
-    xi1 = float(np.max(np.abs(ratios_1)))
-    xi2 = xi1 if ratios_2 is ratios_1 else float(np.max(np.abs(ratios_2)))
+    xi1 = float(np.abs(ratios_1).max())
+    xi2 = xi1 if ratios_2 is ratios_1 else float(np.abs(ratios_2).max())
     v1, v2 = _verdict(xi1), _verdict(xi2)
     marginal = "marginal" in (v1, v2)
     return StabilityReport(

@@ -1,6 +1,7 @@
 """Game constructors: LQ unrolling, scalar games, seeded recipes, Moebius."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,20 @@ class TestLqSpec:
         entries[name] = [[1.0, 0.5], [0.0, 1.0]]
         with pytest.raises(DimensionMismatch, match=f"{name} must be symmetric"):
             LqSpec.create(**entries)
+
+    def test_symmetry_test_squares_no_entry(self):
+        # ||Q1||_F^2 overflows at 1e200: the symmetry test raised numpy's
+        # "overflow encountered in dot" RuntimeWarning.
+        entries = dict(F=np.eye(2), G1=np.ones((2, 1)), G2=np.ones((2, 1)),
+                       Q1=1e200 * np.eye(2), Q2=np.eye(2), Q1f=np.eye(2), Q2f=np.eye(2),
+                       R1=[[1.0]], R2=[[1.0]], R12=[[0.0]], R21=[[0.0]],
+                       z0=[1.0, 0.0], T=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert LqSpec.create(**entries).Q1[0, 0] == 1e200
+            entries["Q1"] = [[1e200, 5e199], [0.0, 1e200]]
+            with pytest.raises(DimensionMismatch, match="Q1 must be symmetric"):
+                LqSpec.create(**entries)
 
     def test_rejects_an_unknown_entry(self):
         with pytest.raises(DimensionMismatch, match=r"unknown LqSpec keys: \['Q3'\]"):

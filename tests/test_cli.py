@@ -309,9 +309,11 @@ class TestIterate:
         assert summary["final_change"] is None
 
     def test_diverged_run_writes_strict_json(self, tmp_path):
-        # Step 1 maps L2 = 1e148 to L1 = -s2 L2 / q2 = -1e158, whose residual
-        # and step change square past the largest double: each is null, as
-        # strict JSON has no Infinity, and the run still exits 3.
+        # Step 1 maps L2 = 1e148 to L1 = -s2 L2 / q2 = -1e158, whose step
+        # change squares past the largest double: it is null, as strict JSON
+        # has no Infinity, and the run still exits 3. The residual norms are
+        # scaled before they square (core._norm): |L2 P1| = 0.5 * 5e157 and
+        # |L1 P2 + Q2| = 1e158 + 5e9.
         game = tmp_path / "game.json"
         assert run(["build", "scalar", "--q1", "1", "--r1", "0.5", "--s1", "0",
                     "--q2", "1", "--r2", "0", "--s2", "1e10",
@@ -325,7 +327,7 @@ class TestIterate:
                         "--trace", str(trace)]) == cli.EXIT_DIVERGED
         summary = read_strict_json(trace.with_suffix(".summary.json"))
         assert summary["status"] == "diverged"
-        assert summary["final_residuals"] == [None, None]
+        assert summary["final_residuals"] == pytest.approx([2.5e157, 1e158], rel=1e-15)
         assert summary["final_change"] is None
 
     def test_distance_to_a_far_solution_does_not_overflow(self, tmp_path, bench_path):

@@ -398,6 +398,39 @@ class TestRiccatiResidual:
         trace = lft.iterate(big, lft.IterationConfig(init=(L1, sol.ell1, sol.L2, sol.ell2)))
         assert trace.status == "converged" and trace.status_iter > 1
 
+    @pytest.mark.parametrize("scale", [1e165, 1e170, 1e200])
+    def test_a_solve_past_overflowing_residual_squares(self, bench_game, scale):
+        # The residuals of a fixed pair square past the largest double from
+        # about 1e170. Squared unscaled, they read inf, and the auto solve
+        # raised NoStableSelection from NotAFixedPoint "(L1, L2) residuals
+        # (4.740e-17, inf)".
+        sol = equilibrium.solve_ccve(bench_game)
+        big = scaled(bench_game, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big_sol = equilibrium.solve_ccve(big)
+            norms = riccati_residual_norms(big, sol.L1, sol.L2)
+        assert np.abs(big_sol.L1 - sol.L1).max() <= 1e-14 * np.abs(sol.L1).max()
+        assert max(big_sol.stability.residuals + norms) <= 1e-15
+
+    def test_a_run_records_finite_residuals_past_overflowing_squares(self, bench_game):
+        # From the Nash init R1 = B1, whose square overflowed: every record
+        # of the run read an inf residual.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = lft.iterate(scaled(bench_game, 1e170),
+                                lft.IterationConfig(max_iters=30, tol=1e-30))
+        assert len(trace.steps) == 31
+        assert all(np.isfinite([st.res1, st.res2]).all() for st in trace.steps)
+        assert max(trace.final.res1, trace.final.res2) <= 1e-11
+
+
+def scaled(game, scale):
+    """``game`` with every cost block multiplied by ``scale``: the same
+    equilibrium conjectures and actions."""
+    return QuadraticGame(game.dims, *(core.PlayerCost(*(scale * m for m in p))
+                                      for p in (game.p1, game.p2)))
+
 
 class TestDims:
     @pytest.mark.parametrize("d1", [2.5, True, "2", None])

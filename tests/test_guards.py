@@ -310,8 +310,9 @@ NAN_SITES = [
                      np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2),
                      SingularBestResponse, 1),
                  SingularBestResponse, id="solve_checked"),
-    # dpotrf reads the upper triangle of [[1, 0], [nan, 1]] and factors it;
-    # the 1-norm is NaN, and so is dpocon's estimate.
+    # dposv reads the upper triangle of the transpose [[1, nan], [0, 1]] it
+    # is handed and factors it (info 0); the 1-norm is NaN, and so is
+    # dpocon's estimate.
     pytest.param(lambda g, sol, blocks: _solve_sym_checked(
                      np.array([[1.0, 0.0], [np.nan, 1.0]]), np.ones(2),
                      SingularBestResponse, 1),

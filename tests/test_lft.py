@@ -454,7 +454,7 @@ class TestIterate:
         assert calls == iteration_row(mode, n) + Counter(_slope_terms=2 * n + 2,
                                                          _cost_rows=2)
         if (game, mode) == ("50x60", "cross"):
-            assert (n, calls["dgetrf"]) == (29, 63)
+            assert (n, calls["dgetrf"], calls["dgesv"]) == (29, 2, 61)
 
     @pytest.mark.parametrize("max_iters", [1, 10])
     @pytest.mark.parametrize("mode", ["cross", "composite"])

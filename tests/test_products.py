@@ -5,7 +5,12 @@ core._cross_offset returns. ``@`` dispatches through numpy's matmul gufunc,
 which costs about twice what ``ndarray.dot`` does on a small game; both make
 the same BLAS call on these layouts. A block view of an F-ordered LAPACK
 output (boldM1's blocks, a trsen T_kk) is copied by ``ndarray.dot`` and
-keeps ``@``: there the two differ in the last bits."""
+keeps ``@``: there the two differ in the last bits.
+
+The guarded solves are pinned the same way, at one BLAS thread (conftest):
+core._solve_checked's one dgesv gives what dgetrf and then dgetrs give, and
+each helper that hands LAPACK an exactly symmetric matrix as its transpose
+gives the bits of the LAPACK call on the C-ordered matrix itself."""
 
 import itertools
 
@@ -13,6 +18,7 @@ import numpy as np
 import pytest
 
 from ccve import analysis, builders, core, equilibrium, lft
+from ccve.core import lapack
 from ccve.errors import SingularActionSystem, SingularBestResponse
 
 SIZES = [(1, 1), (2, 3), (12, 15), (50, 60)]
@@ -108,3 +114,62 @@ def test_dot_is_matmul_on_each_layout(d1, d2, left, right):
     b = laid_out(rng.standard_normal((d1, d2)), right)
     for x, y in ((a, b), (b, a), (a.T, a), (b, b.T), (a, b[:, 0]), (b.T, b[:, 0])):
         assert np.array_equal(x.dot(y), x @ y)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("d1, d2", SIZES)
+def test_solve_checked_is_getrf_then_getrs(d1, d2, layout):
+    """On each player's P^T of a slope, with the matrix [Q^T | c] and with
+    the vector c as the right-hand side, as core._cross_offset and
+    core._offset solve them."""
+    game, L1, L2, _, _ = operands(d1, d2, "C")
+    for s in slopes(game, L1, L2):
+        a = laid_out(s.P.T, layout)
+        for b in (laid_out(s.Qc.T, layout), s.c):
+            lu, piv, info = lapack.dgetrf(a)
+            assert info == 0
+            want = lapack.dgetrs(lu, piv, b)[0]
+            assert np.array_equal(core._solve_checked(a, b, SingularBestResponse, 1), want)
+
+
+def symmetric_operands(d1, d2):
+    """Exactly symmetric C-ordered matrices of each kind the package hands
+    LAPACK as its transpose: the stacked M_1 and M_2, each A_i, the effective
+    Hessians S_i and their negatives (no Cholesky factor: the LU fallback),
+    and sym(M1 + M2)."""
+    game, L1, L2, _, _ = operands(d1, d2, "C")
+    M1, M2 = core.stacked_m1(game), core.stacked_m2(game)
+    S = [analysis._effective_hessian(s) for s in slopes(game, L1, L2)]
+    M = M1 + M2
+    mats = [M1, M2, game.p1.A, game.p2.A, *S, *(-m for m in S), 0.5 * (M + M.T)]
+    assert all(np.array_equal(m, m.T) and m.flags.c_contiguous for m in mats)
+    return mats
+
+
+@pytest.mark.parametrize("d1, d2", SIZES)
+def test_symmetric_operands_give_the_bits_of_the_c_ordered_matrix(d1, d2):
+    """_solve_sym_checked, _posdef, _min_eig and _lu_rcond on each layout of
+    an exactly symmetric matrix and on its transpose equal the LAPACK calls
+    on the C-ordered matrix: dposv (dgetrf and dgetrs when it fails),
+    dpotrf, dsyevr on the lower triangle, and dgetrf with dgecon."""
+    b = np.random.default_rng(d1 + d2).standard_normal(d1 + d2)
+    fallbacks = 0
+    for m in symmetric_operands(d1, d2):
+        n = m.shape[0]
+        _, x, info = lapack.dposv(m, b[:n])
+        fallbacks += info != 0
+        lu, piv, _ = lapack.dgetrf(m)
+        rcond = lapack.dgecon(lu, lapack.dlange("1", m))[0]
+        if info != 0:
+            x = lapack.dgetrs(lu, piv, b[:n])[0]
+        eig = lapack.dsyevr(m, compute_v=0, range="I", il=1, iu=1, lower=1)[0][0]
+        posdef = lapack.dpotrf(m)[1] == 0
+        for a in (*(laid_out(m, layout) for layout in LAYOUTS), m.T):
+            got, flag = core._solve_sym_checked(a, b[:n], SingularBestResponse, 1)
+            assert np.array_equal(got, x) and flag is (info == 0)
+            assert core._posdef(a) is posdef
+            assert core._min_eig(a) == eig
+            got_lu, got_piv, got_rcond, _ = core._lu_rcond(a)
+            assert np.array_equal(got_lu, lu) and np.array_equal(got_piv, piv)
+            assert got_rcond == rcond
+    assert fallbacks >= 2

@@ -8,8 +8,9 @@ symmetric eigenvalue through the package's direct LAPACK calls, every
 rcond estimate is read and compared in core alone, only core imports
 scipy at module level, no module forms an explicit inverse or reads an
 input array by reshaping it, no module but equilibrium names dataclasses,
-no module postpones its annotations, only core reads a JSON file and only
-stability reads the marginal band.  Each rule is also shown to catch a
+no module postpones its annotations, only core reads a JSON file, only
+stability reads the marginal band and no module calls numpy's Python-level
+wrappers of an array method.  Each rule is also shown to catch a
 planted violating line, so a rule that matches nothing cannot pass
 unnoticed.
 
@@ -168,6 +169,17 @@ RULES = {
         "evaluate each annotation where it is written: a postponed annotation "
         "makes typing.NamedTuple compile a ForwardRef per field at each import",
         "from __future__ import annotations",
+    ),
+    # np.all, np.any, np.max and np.min are Python-level wrappers of the array
+    # methods, and np.stack of np.concatenate: on a 6-entry array
+    # np.max(np.abs(r)) takes 3.4 us and np.abs(r).max() 1.8 us.
+    "array-methods-not-wrappers": Rule(
+        r"\bnp\.(all|any|max|min|stack)\(",
+        (),
+        (),
+        "call the array method (m.all(), m.any(), m.max(), m.min()), or "
+        "np.concatenate for np.stack, not numpy's Python-level wrapper",
+        "    xi1 = float(np.max(np.abs(ratios_1)))",
     ),
 }
 
